@@ -142,7 +142,7 @@ def main() -> None:
 @click.pass_context
 def divergence(ctx, p_spec, q_spec, orders, numeric, seed, out, fmt, quad_tol, alpha_range, config_path):
     """Print Renyi divergences of order ORDER between two distributions, in bits."""
-    params = _apply_config(ctx, config_path, dict(quad_tol=quad_tol))
+    params = _apply_config(ctx, config_path, dict(quad_tol=quad_tol, out=out))
     pair = _parse_pair(p_spec, q_spec)
     spec = _quad_spec(params["quad_tol"])
     lines = ["order,bits" + (",numeric_bits" if numeric else "")]
@@ -157,8 +157,8 @@ def divergence(ctx, p_spec, q_spec, orders, numeric, seed, out, fmt, quad_tol, a
         lines.append(row)
     text = "\n".join(lines) + "\n"
     click.echo(text, nl=False)
-    if out is not None:
-        _write_text(out, text)
+    if params["out"] is not None:
+        _write_text(params["out"], text)
 
 
 def _fmt_cell(x: float) -> str:

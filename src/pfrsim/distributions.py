@@ -81,18 +81,15 @@ class Laplace:
         return np.where(z <= 0.0, 0.5 * np.exp(z), 1.0 - 0.5 * np.exp(-z))
 
     def log_cdf(self, u):
+        # log(e^z / 2) left of theta, log(1 - e^-z / 2) right of it, without
+        # a branch: one temporary fewer than a select, which matters for
+        # the million-point arrays of the exact sampler
         z = (np.asarray(u, dtype=float) - self.theta) / self.lam
-        with np.errstate(over="ignore"):
-            return np.where(
-                z <= 0.0, math.log(0.5) + z, np.log1p(-0.5 * np.exp(-np.maximum(z, 0.0)))
-            )
+        return np.log1p(-0.5 * np.exp(-np.maximum(z, 0.0))) + np.minimum(z, 0.0)
 
     def log_sf(self, u):
         z = (np.asarray(u, dtype=float) - self.theta) / self.lam
-        with np.errstate(over="ignore"):
-            return np.where(
-                z >= 0.0, math.log(0.5) - z, np.log1p(-0.5 * np.exp(np.minimum(z, 0.0)))
-            )
+        return np.log1p(-0.5 * np.exp(np.minimum(z, 0.0))) - np.maximum(z, 0.0)
 
     def sample(self, rng: np.random.Generator, n: int | None = None):
         # inverse CDF; the 1-2|u| term is floored to keep endpoint draws finite
@@ -210,57 +207,119 @@ class DistributionPair:
     def log2_ratio(self, u):
         return self.log_ratio(u) / LN2
 
-    def ratio_monotonicity(self) -> str:
-        """Analytic monotonicity of u -> dP/dQ(u) for continuous kinds.
+    def support_log_ratios(self) -> np.ndarray:
+        """log dP/dQ at each support point of a finite pair; -inf where Q is zero."""
+        p, q = np.asarray(self.p.probs), np.asarray(self.q.probs)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(q > 0.0, np.log(p / q), -math.inf)
 
-        One of "constant", "nonincreasing", "nondecreasing", "none".
-        Detected from the parameters, never numerically.
+    def superlevel_masses(self, log_c):
+        """Masses of the ratio's superlevel set {u : dP/dQ(u) > c}, c = exp(log_c).
+
+        Returns ``(log P(r > c), log Q(r > c))`` elementwise over ``log_c``;
+        points where the ratio equals c lie outside the set.  The set is a
+        half-line when the ratio is monotone, an interval around the peak
+        of a bounded non-monotone ratio, and the complement of an interval
+        around the trough of an unbounded one.  Finite pairs rank the
+        support by ratio and sum.
         """
-        if self.is_finite_kind:
-            raise UnsupportedKindError("monotonicity applies to continuous kinds")
-        if self.is_identical:
-            return "constant"
         p, q = self.p, self.q
+        if self.is_finite_kind:
+            lr = self.support_log_ratios()
+            order = np.argsort(lr)
+            j = np.searchsorted(lr[order], log_c, side="right")
+            # mass of the support points ranked j and above
+            tails = [np.cumsum(np.asarray(d.probs)[order][::-1])[::-1] for d in (p, q)]
+            with np.errstate(divide="ignore"):
+                return tuple(np.log(np.append(t, 0.0)[j]) for t in tails)
+        shape, lo, hi = self._superlevel_set(log_c)
+        if shape == "below":
+            return p.log_cdf(hi), q.log_cdf(hi)
+        if shape == "above":
+            return p.log_sf(lo), q.log_sf(lo)
+        if shape == "inside":
+            return _log_interval_mass(p, lo, hi), _log_interval_mass(q, lo, hi)
+        return tuple(np.logaddexp(d.log_cdf(lo), d.log_sf(hi)) for d in (p, q))
+
+    def _superlevel_set(self, log_c):
+        """{r > c} for continuous kinds as (shape, lo, hi).
+
+        "below" is (-inf, hi), "above" is (lo, inf), "inside" is (lo, hi)
+        and "outside" is the complement of [lo, hi].
+        """
+        p, q = self.p, self.q
+        if self.is_identical:
+            edge = np.where(np.asarray(log_c) < 0.0, math.inf, -math.inf)
+            return "below", edge, edge
+        same_scale, peaked, pivot = self._extremum()
+        if same_scale:
+            # log r = slope * (u - midpoint), but a Laplace ratio is flat at
+            # +-bound beyond the two locations: no point exceeds a level at or
+            # above +bound, and every point exceeds one below -bound.  There
+            # the offset from the midpoint is divided by zero, which sends
+            # the edge to the infinity of its sign, without a data branch.
+            if isinstance(p, Gaussian):
+                mid, slope = 0.5 * (p.mu + q.mu), (p.mu - q.mu) / p.sigma**2
+                offset = log_c / slope
+            else:
+                mid = 0.5 * (p.theta + q.theta)
+                slope = math.copysign(2.0 / p.lam, p.theta - q.theta)
+                bound = abs(p.theta - q.theta) / p.lam
+                with np.errstate(divide="ignore"):
+                    offset = np.divide(log_c / slope, (log_c < bound) & (log_c >= -bound))
+            x = mid + offset
+            return ("below" if slope < 0.0 else "above"), x, x
+        top = float(self.log_ratio(pivot))
+        drop = np.maximum(top - log_c if peaked else log_c - top, 0.0)
         if isinstance(p, Gaussian):
-            if p.sigma != q.sigma:
-                return "none"
-            if p.mu == q.mu:
-                return "constant"
-            return "nonincreasing" if p.mu < q.mu else "nondecreasing"
-        if p.lam != q.lam:
-            return "none"
-        if p.theta == q.theta:
-            return "constant"
-        return "nonincreasing" if p.theta < q.theta else "nondecreasing"
+            curv = 0.5 * abs(1.0 / q.sigma**2 - 1.0 / p.sigma**2)
+            left = right = np.sqrt(drop / curv)
+        else:
+            narrow, wide = sorted((p.lam, q.lam))
+            steep, shallow = 1.0 / narrow + 1.0 / wide, 1.0 / narrow - 1.0 / wide
+            gap = abs(p.theta - q.theta)
+            # past the other location's kink the slope flattens
+            toward = np.maximum(drop / steep, gap + (drop - steep * gap) / shallow)
+            away = drop / shallow
+            left, right = (away, toward) if p.theta + q.theta >= 2.0 * pivot else (toward, away)
+        return ("inside" if peaked else "outside"), pivot - left, pivot + right
+
+    def _extremum(self) -> tuple[bool, bool, float]:
+        """(equal scales, P narrower than Q, extremum of log r), continuous kinds.
+
+        With unequal scales log r is monotone on each side of its extremum,
+        a peak when P is narrower: quadratic for Gaussians, piecewise linear
+        for Laplace laws with the extremum at the narrower law's location.
+        """
+        p, q = self.p, self.q
+        if isinstance(p, Laplace):
+            return p.lam == q.lam, p.lam < q.lam, (p.theta if p.lam < q.lam else q.theta)
+        curv = 0.5 * (1.0 / q.sigma**2 - 1.0 / p.sigma**2)
+        pivot = (q.mu / q.sigma**2 - p.mu / p.sigma**2) / (2.0 * curv) if curv else math.nan
+        return p.sigma == q.sigma, p.sigma < q.sigma, pivot
 
     def log_ratio_sup(self) -> float:
         """Natural log of sup_u dP/dQ(u); may be +inf."""
         p, q = self.p, self.q
         if self.is_finite_kind:
-            vals = [
-                math.log(pi / qi)
-                for pi, qi in zip(p.probs, q.probs)
-                if pi > 0.0 and qi > 0.0
-            ]
-            return max(vals) if vals else -math.inf
-        if isinstance(p, Gaussian):
-            if p.sigma > q.sigma:
-                return math.inf
-            if p.sigma == q.sigma:
-                if p.mu == q.mu:
-                    return 0.0
-                return math.inf
-            # log r is concave quadratic; maximize analytically
-            a = 0.5 * (1.0 / q.sigma**2 - 1.0 / p.sigma**2)
-            b = p.mu / p.sigma**2 - q.mu / q.sigma**2
-            x = -b / (2.0 * a)
-            return float(self.log_ratio(x))
-        if p.lam > q.lam:
-            return math.inf
-        if p.lam == q.lam and p.theta != q.theta:
-            return abs(p.theta - q.theta) / p.lam
-        # lam_p < lam_q: both tails decay, maximum at a kink
-        return float(max(self.log_ratio(p.theta), self.log_ratio(q.theta)))
+            return float(np.max(self.support_log_ratios()))
+        if self.is_identical:
+            return 0.0
+        same_scale, peaked, pivot = self._extremum()
+        if same_scale:
+            return abs(p.theta - q.theta) / p.lam if isinstance(p, Laplace) else math.inf
+        return float(self.log_ratio(pivot)) if peaked else math.inf
+
+
+def _log_interval_mass(d: Gaussian | Laplace, lo, hi):
+    """log of the mass d puts on (lo, hi).
+
+    Near 1 the log cdf keeps the tail mass to full relative precision, so
+    the difference taken in log space does not cancel in the right tail.
+    """
+    a, b = d.log_cdf(lo), d.log_cdf(hi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(a < b, b + np.log(-np.expm1(a - b)), -math.inf)
 
 
 def _gaussian_renyi_nats(p: Gaussian, q: Gaussian, a: float) -> float:

@@ -24,7 +24,7 @@ from .distributions import (
     renyi_divergence,
 )
 from .errors import DomainError, OrderError
-from .pfr import IndexPmf, _log_beta_finite, derive_stream, index_pmf, sample_indices
+from .pfr import IndexPmf, derive_stream, index_pmf, log_beta, sample_indices
 
 #: Matrix of distribution pairs exercised by the full suite.  Pairs with a
 #: mean gap of 10 or more are deliberately absent: their geometric success
@@ -193,13 +193,8 @@ def verify_geometric_moment(
 
 def _exact_finite_pmf(pair: DistributionPair, cap: int = 2 * 10**6) -> IndexPmf:
     """Truncate a finite pair's index law where the tail underflows to zero."""
-    lb = _log_beta_finite(pair)
-    probs = np.asarray(pair.p.probs)
-    rates = [
-        -math.log1p(-math.exp(b)) if math.exp(b) < 1.0 else math.inf
-        for b, w in zip(lb, probs)
-        if w > 0.0
-    ]
+    lb = log_beta(pair, np.flatnonzero(np.asarray(pair.p.probs)))
+    rates = [-math.log1p(-math.exp(b)) if math.exp(b) < 1.0 else math.inf for b in lb]
     rate = min(rates)
     n = 16 if math.isinf(rate) else min(int(745.0 / rate) + 2, cap)
     return index_pmf(pair, n)

@@ -40,9 +40,6 @@ from .numerics import LOG2E, QuadratureSpec, integrate, log2_sum_exp, quadrature
 
 _UINT64_MAX = float(2**64 - 1)
 
-#: Moment orders probed by the approximate stopping rule in run_pfr.
-_STOP_MOMENT_ORDERS = (2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64)
-
 #: Moment orders stored as tail certificates on IndexPmf.
 _CERT_MOMENT_ORDERS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 
@@ -160,34 +157,26 @@ def _log1m_from_log_beta(log_beta_vals: np.ndarray) -> np.ndarray:
     return np.where(np.isneginf(out), -1e300, out)
 
 
-def log_beta(pair: DistributionPair, u, spec: QuadratureSpec | None = None):
+def log_beta(pair: DistributionPair, u):
     """Natural log of the geometric success probability beta(u).
 
-    beta(u)^-1 = E_{U~Q} max{dP/dQ(u), dP/dQ(U)}.  Monotone density
-    ratios use the closed form (one CDF plus one survival term, in log
-    space); non-monotone continuous pairs integrate the max directly;
-    finite pairs sum exactly.  Accepts scalars or arrays.
+    beta(u)^-1 = E_{U~Q} max{r(u), r(U)} = r(u) Q(r <= r(u)) + P(r > r(u))
+    for the density ratio r = dP/dQ, from the masses of its superlevel set
+    at r(u) (``DistributionPair.superlevel_masses``), which have a closed
+    form for every kind.  Accepts scalars or arrays; finite pairs take
+    support indices.
     """
-    if pair.is_finite_kind:
-        lb_support = _log_beta_finite(pair)
-        return lb_support[np.asarray(u, dtype=int)]
-    direction = pair.ratio_monotonicity()
-    uu = np.asarray(u, dtype=float)
-    if direction == "constant":
-        return np.zeros_like(uu)
-    if direction == "nonincreasing":
-        a = pair.p.log_cdf(uu)
-        b = pair.log_ratio(uu) + pair.q.log_sf(uu)
-        return -np.logaddexp(a, b)
-    if direction == "nondecreasing":
-        a = pair.log_ratio(uu) + pair.q.log_cdf(uu)
-        b = pair.p.log_sf(uu)
-        return -np.logaddexp(a, b)
-    scalar = uu.ndim == 0
-    vals = np.array(
-        [_log_beta_quadrature(pair, float(x), spec) for x in np.atleast_1d(uu)]
-    )
-    return float(vals[0]) if scalar else vals
+    # finite pairs: once per support point, then gathered
+    log_c = pair.support_log_ratios() if pair.is_finite_kind else pair.log_ratio(u)
+    log_p, log_q = pair.superlevel_masses(log_c)
+    with np.errstate(divide="ignore"):
+        a = log_c + np.log(-np.expm1(log_q))
+    del log_c, log_q  # large batches: keep few full-size arrays alive at once
+    if np.ndim(a) == 0:  # scalar calls, as from the quadrature pilots
+        lb = -np.logaddexp(a, log_p)
+    else:  # np.logaddexp is several times slower than this on arrays
+        lb = -(np.maximum(a, log_p) + np.log1p(np.exp(-np.abs(a - log_p))))
+    return lb[np.asarray(u, dtype=int)] if pair.is_finite_kind else lb
 
 
 def _log_beta_quadrature(
@@ -202,19 +191,9 @@ def _log_beta_quadrature(
     return -math.log(integrate(integrand, -math.inf, math.inf, spec))
 
 
-def _log_beta_finite(pair: DistributionPair) -> np.ndarray:
-    p = np.asarray(pair.p.probs)
-    q = np.asarray(pair.q.probs)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.where(q > 0.0, p / q, 0.0)
-    expected_max = np.array([float(np.sum(q * np.maximum(ri, r))) for ri in r])
-    with np.errstate(divide="ignore"):
-        return -np.log(expected_max)
-
-
-def beta(pair: DistributionPair, u, spec: QuadratureSpec | None = None) -> float:
+def beta(pair: DistributionPair, u) -> float:
     """Geometric success probability beta(u), in (0, 1]."""
-    return float(np.exp(log_beta(pair, u, spec)))
+    return float(np.exp(log_beta(pair, u)))
 
 
 def _geometric_index(log_beta_val: float, v: float) -> int:
@@ -235,18 +214,14 @@ def _geometric_index(log_beta_val: float, v: float) -> int:
     return max(int(k), 1)
 
 
-def sample_index_exact(
-    pair: DistributionPair,
-    rng: np.random.Generator,
-    spec: QuadratureSpec | None = None,
-) -> PfrOutcome:
+def sample_index_exact(pair: DistributionPair, rng: np.random.Generator) -> PfrOutcome:
     """Draw (K, U_K) from its exact joint law via the conditional geometric.
 
     Mandatory for high-divergence pairs where running the selection rule
     is intractable.
     """
     u = pair.p.sample(rng)
-    lb = float(log_beta(pair, u, spec))
+    lb = float(log_beta(pair, u))
     v = 1.0 - rng.random()  # in (0, 1]
     k = _geometric_index(lb, v)
     return PfrOutcome(
@@ -255,20 +230,16 @@ def sample_index_exact(
 
 
 def sample_indices(
-    pair: DistributionPair,
-    n: int,
-    rng: np.random.Generator,
-    spec: QuadratureSpec | None = None,
+    pair: DistributionPair, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized exact sampler: n draws of (K, U_K).
 
     Indices are returned as float64 (they can exceed int64 for heavy
-    pairs); values above the unsigned 64-bit range raise.  For pairs
-    without a monotone density ratio every draw needs its own beta
-    quadrature; prefer run_pfr there when the ratio is bounded.
+    pairs); values above the unsigned 64-bit range raise.  beta is in
+    closed form for every pair, so the cost is O(1) per draw.
     """
     u = pair.p.sample(rng, n)
-    lb = np.asarray(log_beta(pair, u, spec), dtype=float)
+    lb = np.asarray(log_beta(pair, u), dtype=float)
     v = 1.0 - rng.random(n)
     log1m = _log1m_from_log_beta(lb)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -280,16 +251,6 @@ def sample_indices(
     return k, np.asarray(u, dtype=float)
 
 
-def _stop_moments_log2(pair: DistributionPair) -> list[tuple[int, float]]:
-    """(m, log2 E_Q[(dP/dQ)^m]) ladder for the approximate stopping rule."""
-    ladder = []
-    for m in _STOP_MOMENT_ORDERS:
-        d = renyi_divergence(pair, float(m))
-        if math.isfinite(d):
-            ladder.append((m, (m - 1) * d))
-    return ladder
-
-
 def run_pfr(
     pair: DistributionPair,
     rng: np.random.Generator,
@@ -299,26 +260,24 @@ def run_pfr(
     """Run the Poisson-process selection rule for one sample.
 
     Candidate i has arrival time T_i (cumulative unit-rate exponential
-    increments) and score T_i / (dP/dQ)(U_i); K is the argmin.  With a
-    bounded ratio, iteration stops exactly once no future candidate can
-    improve.  Otherwise it stops when the expected number of future
-    improvements -- bounded via Markov's inequality applied to the best
-    available ratio moment, min_m E[r^m] S^m / ((m-1) T^{m-1}) -- drops
-    below ``delta``.
+    increments) and score T_i / r(U_i), r = dP/dQ; K is the argmin.  After
+    time T with best score S, the expected number of later improvements
+    is S (P(r > c) - c Q(r > c)) with c = T / S, from the ratio's
+    superlevel masses.  It is zero once c reaches sup r, where a bounded
+    ratio stops exactly; otherwise iteration stops once it is at most
+    ``delta``, which bounds the chance that a later candidate wins.
+    Unbounded ratios without a finite E_Q[r^2] raise DomainError up front.
     """
     if not delta > 0.0:
         raise DomainError("delta must be positive")
     log_rmax = pair.log_ratio_sup()
     exact = math.isfinite(log_rmax)
-    ladder = None
-    if not exact:
-        ladder = _stop_moments_log2(pair)
-        if not ladder:
-            raise DomainError(
-                "unbounded density ratio with no finite ratio moment: "
-                "no stopping rule applies (use sample_index_exact)"
-            )
-    log2_delta = math.log2(delta)
+    if not exact and not math.isfinite(renyi_divergence(pair, 2.0)):
+        raise DomainError(
+            "unbounded density ratio with no finite ratio moment: "
+            "no stopping rule applies (use sample_index_exact)"
+        )
+    log_delta = math.log(delta)
 
     t_last = 0.0
     best_score = math.inf  # natural log of min T_i / r(U_i)
@@ -358,13 +317,10 @@ def run_pfr(
                     termination="exact",
                 )
         else:
-            log2_s = best_score * LOG2E
-            log2_t = log_t * LOG2E
-            bound = min(
-                l2m + m * log2_s - (m - 1) * log2_t - math.log2(m - 1)
-                for m, l2m in ladder
-            )
-            if bound <= log2_delta:
+            # S P(r > c) - T Q(r > c) <= delta, as S P <= delta + T Q in logs
+            log_p, log_q = pair.superlevel_masses(log_t - best_score)
+            a, b = log_delta, log_t + log_q
+            if best_score + log_p <= max(a, b) + math.log1p(math.exp(-abs(a - b))):
                 return PfrOutcome(
                     index=best_index,
                     accepted=best_u,
@@ -402,24 +358,6 @@ def _moment_bounds_log2(pair: DistributionPair) -> tuple[tuple[float, float], ..
     return tuple(out)
 
 
-def _index_pmf_finite(pair: DistributionPair, n_max: int) -> IndexPmf:
-    p = np.asarray(pair.p.probs)
-    lb = _log_beta_finite(pair)
-    keep = p > 0.0
-    p, lb = p[keep], lb[keep]
-    log1m = _log1m_from_log_beta(lb)
-    ks = np.arange(1, n_max + 1)
-    with np.errstate(over="ignore"):
-        probs = np.exp((ks[:, None] - 1) * log1m[None, :] + lb[None, :]) @ p
-        tail = float(np.exp(n_max * log1m) @ p)
-        checkpoints = tuple(
-            (k, float(np.exp((k - 1) * log1m + lb) @ p))
-            for k in _certificate_checkpoints(n_max)
-        )
-    cert = TailCertificate(checkpoints, _moment_bounds_log2(pair))
-    return IndexPmf(probs, tail, cert)
-
-
 def index_pmf(
     pair: DistributionPair,
     n_max: int,
@@ -434,13 +372,14 @@ def index_pmf(
     """
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
-    if pair.is_finite_kind:
-        return _index_pmf_finite(pair, n_max)
+    if pair.is_finite_kind:  # the support is the grid, with unit weights
+        nodes = np.flatnonzero(np.asarray(pair.p.probs) > 0.0)
+        return _index_pmf_on_grid(pair, n_max, nodes, np.ones(len(nodes)))
     spec = spec or QuadratureSpec()
 
     def make_pilot(k: int):
         def pilot(u: float) -> float:
-            lb = float(log_beta(pair, u, spec))
+            lb = float(log_beta(pair, u))
             lp = float(pair.p.log_density(u))
             b = math.exp(min(lb, 0.0))
             if b >= 1.0:
@@ -450,7 +389,7 @@ def index_pmf(
         return pilot
 
     def survival_pilot(u: float) -> float:
-        lb = float(log_beta(pair, u, spec))
+        lb = float(log_beta(pair, u))
         lp = float(pair.p.log_density(u))
         b = math.exp(min(lb, 0.0))
         if b >= 1.0:
@@ -464,10 +403,13 @@ def index_pmf(
     pilots.append(survival_pilot)
     pilots.extend(make_pilot(k) for k in pilot_ks if k > n_max)
     nodes, weights = quadrature_grid(pilots, -math.inf, math.inf, spec)
+    return _index_pmf_on_grid(pair, n_max, nodes, weights)
 
-    lb = np.asarray(log_beta(pair, nodes, spec), dtype=float)
+
+def _index_pmf_on_grid(pair: DistributionPair, n_max: int, nodes, weights) -> IndexPmf:
+    lb = np.asarray(log_beta(pair, nodes), dtype=float)
     log1m = _log1m_from_log_beta(lb)
-    base = weights * np.exp(np.asarray(pair.p.log_density(nodes), dtype=float))
+    base = weights * pair.p.density(nodes)
 
     probs = np.empty(n_max)
     chunk = max(1, int(4e6 // max(len(nodes), 1)))

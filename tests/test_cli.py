@@ -112,6 +112,12 @@ class TestSweepCommand:
             "--config", str(cfg), "--alpha-range", "0.4,0.8,3", "--out", str(out),
         )
         assert len(parse_csv(out.read_text())[1]) == 3
+        # a config-file output path is honoured by divergence as well
+        table = tmp_path / "d.csv"
+        cfg.write_text(json.dumps({"out": str(table)}))
+        res = run("divergence", "normal:0,1", "normal:1,1", "--order", "2", "--config", str(cfg))
+        assert res.exit_code == 0
+        assert table.read_text() == res.output
 
 
 class TestEntropyFigureCommand:

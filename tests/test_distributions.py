@@ -19,6 +19,7 @@ from pfrsim.errors import (
     OrderError,
     UnsupportedKindError,
 )
+from pfrsim.numerics import QuadratureSpec, integrate
 
 LN2 = math.log(2.0)
 
@@ -232,15 +233,79 @@ class TestKl:
 
 
 class TestRatioStructure:
-    def test_monotonicity_classification(self):
-        assert pair(Gaussian(0, 1), Gaussian(1, 1)).ratio_monotonicity() == "nonincreasing"
-        assert pair(Gaussian(1, 1), Gaussian(0, 1)).ratio_monotonicity() == "nondecreasing"
-        assert pair(Gaussian(0, 1), Gaussian(0, 1)).ratio_monotonicity() == "constant"
-        assert pair(Gaussian(0, 1), Gaussian(0, 2)).ratio_monotonicity() == "none"
-        assert pair(Laplace(0, 1), Laplace(4, 1)).ratio_monotonicity() == "nonincreasing"
-        assert pair(Laplace(0, 1), Laplace(0, 2)).ratio_monotonicity() == "none"
-        with pytest.raises(UnsupportedKindError):
-            pair(Finite((1.0,)), Finite((1.0,))).ratio_monotonicity()
+    @pytest.mark.parametrize(
+        "pr",
+        [
+            pair(Gaussian(0, 1), Gaussian(1, 1)),
+            pair(Gaussian(0, 1), Gaussian(0.5, 1.6)),
+            pair(Gaussian(0, 1.2), Gaussian(0.3, 1)),
+            pair(Laplace(0, 1), Laplace(4, 1)),
+            pair(Laplace(0, 1), Laplace(0.5, 2)),
+            pair(Laplace(1, 2), Laplace(0, 1)),
+        ],
+        ids=[
+            "normal_0_1-normal_1_1",
+            "normal_0_1-normal_0.5_1.6",
+            "normal_0_1.2-normal_0.3_1",
+            "laplace_0_1-laplace_4_1",
+            "laplace_0_1-laplace_0.5_2",
+            "laplace_1_2-laplace_0_1",
+        ],
+    )
+    def test_superlevel_masses(self, pr):
+        # E_Q[(r - c)+] = P(r > c) - c Q(r > c) by quadrature, and each
+        # mass against sampling frequencies within 3 standard errors
+        rng = np.random.default_rng(17)
+        n = 200_000
+        lr_p = pr.log_ratio(pr.p.sample(rng, n))
+        lr_q = pr.log_ratio(pr.q.sample(rng, n))
+        spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-11)
+        for log_c in (-3.0, -0.7, 0.0, 0.4, 1.5, 3.0):
+            log_p, log_q = pr.superlevel_masses(log_c)
+            mp, mq = math.exp(log_p), math.exp(log_q)
+            for mass, lr in ((mp, lr_p), (mq, lr_q)):
+                se = math.sqrt(mass * (1.0 - mass) / n)
+                assert abs(float(np.mean(lr > log_c)) - mass) <= 3.0 * se + 1e-12
+
+            def excess(x, log_c=log_c):
+                lp, lq = float(pr.p.log_density(x)), float(pr.q.log_density(x))
+                return max(math.exp(lp) - math.exp(log_c + lq), 0.0)
+
+            ref = integrate(excess, -math.inf, math.inf, spec)
+            assert mp - math.exp(log_c) * mq == pytest.approx(ref, abs=1e-8)
+        lp, lq = pr.superlevel_masses(np.array([-1.0, 0.5]))
+        assert lp[1] == pr.superlevel_masses(0.5)[0]
+
+    def test_superlevel_masses_far_tail(self):
+        # {r > c} sits ~6.7 sd right of P's mean and ~13 sd right of Q's,
+        # so the masses reach 1e-11 and 1e-40: compare them relatively
+        # with 40-digit values
+        mpmath = pytest.importorskip("mpmath")
+        p, q = Gaussian(0, 1), Gaussian(-20, 2)
+        pr = pair(p, q)
+        for gap in (1e-3, 0.1, 2.0):
+            log_c = pr.log_ratio_sup() - gap
+            log_p, log_q = pr.superlevel_masses(log_c)
+            with mpmath.workdps(40):
+                # log r = a u^2 + b u + c0 = log_c
+                a = mpmath.mpf(0.5) * (mpmath.mpf(1) / q.sigma**2 - 1)
+                b = mpmath.mpf(p.mu) - mpmath.mpf(q.mu) / q.sigma**2
+                c0 = mpmath.log(q.sigma) + mpmath.mpf(q.mu) ** 2 / (2 * q.sigma**2)
+                disc = mpmath.sqrt(b * b - 4 * a * (c0 - log_c))
+                lo, hi = sorted(((-b + disc) / (2 * a), (-b - disc) / (2 * a)))
+                for d, got in ((p, log_p), (q, log_q)):
+                    sf = [mpmath.ncdf(d.mu - x, 0, d.sigma) for x in (lo, hi)]
+                    ref = float(sf[0] - sf[1])
+                    assert math.exp(got) == pytest.approx(ref, rel=1e-9, abs=0.0)
+
+    def test_superlevel_masses_finite_ties(self):
+        pr = pair(Finite((0.2, 0.0, 0.8)), Finite((0.1, 0.5, 0.4)))
+        # ratios 2, 0, 2: the level c = 2 itself lies outside the set
+        log_p, log_q = pr.superlevel_masses(np.log([0.5, 2.0]))
+        assert np.exp(log_p) == pytest.approx([1.0, 0.0], abs=1e-15)
+        assert np.exp(log_q) == pytest.approx([0.5, 0.0], abs=1e-15)
+        lp, lq = pr.superlevel_masses(-math.inf)
+        assert (lp, math.exp(lq)) == (0.0, pytest.approx(0.5))
 
     def test_ratio_sup_values(self):
         assert pair(Gaussian(0, 1), Gaussian(1, 1)).log_ratio_sup() == math.inf

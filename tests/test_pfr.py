@@ -12,11 +12,13 @@ from pfrsim.errors import (
     NegativeTailError,
     NonConvergenceError,
 )
+from pfrsim.numerics import QuadratureSpec
 from pfrsim.pfr import (
     IndexPmf,
     PfrOutcome,
     _log_beta_quadrature,
     beta,
+    derive_stream,
     index_pmf,
     log_beta,
     run_pfr,
@@ -25,6 +27,43 @@ from pfrsim.pfr import (
 )
 
 STD_PAIR = DistributionPair(Gaussian(0, 1), Gaussian(1, 1))
+
+#: Reference tolerance for the quadrature cross-checks of the closed form.
+TIGHT = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12)
+
+#: (pair, evaluation points): monotone ratios in both directions, bounded
+#: and unbounded non-monotone ratios of both continuous kinds, and the
+#: identical pair.
+CROSS_CHECK_CASES = {
+    "normal_0_1-normal_1_1": (STD_PAIR, (-3.0, -1.0, 0.0, 1.5, 4.0)),
+    "normal_1_1-normal_0_1": (
+        DistributionPair(Gaussian(1, 1), Gaussian(0, 1)), (-2.0, 0.0, 0.5, 3.0)
+    ),
+    "laplace_0_1-laplace_2_1": (
+        DistributionPair(Laplace(0, 1), Laplace(2, 1)), (-1.0, 0.0, 1.0, 2.5)
+    ),
+    "normal_0_1-normal_0.5_1.6": (
+        DistributionPair(Gaussian(0, 1), Gaussian(0.5, 1.6)),
+        (-3.0, -0.8, 0.0, 0.2, 1.0, 4.0),
+    ),
+    "normal_0_2-normal_0_1": (
+        DistributionPair(Gaussian(0, 2), Gaussian(0, 1)), (-5.0, -1.0, 0.0, 0.3, 2.0)
+    ),
+    "laplace_0_1-laplace_0.5_2": (
+        DistributionPair(Laplace(0, 1), Laplace(0.5, 2)),
+        (-3.0, -0.5, 0.0, 0.25, 0.5, 1.0, 4.0),
+    ),
+    "laplace_0_3-laplace_0_1": (
+        DistributionPair(Laplace(0, 3), Laplace(0, 1)), (-4.0, -1.0, 0.0, 0.5, 3.0)
+    ),
+    "laplace_1_2-laplace_0_1": (
+        DistributionPair(Laplace(1, 2), Laplace(0, 1)),
+        (-3.0, -0.5, 0.0, 0.5, 1.0, 2.0, 5.0),
+    ),
+    "normal_0_1-normal_0_1": (
+        DistributionPair(Gaussian(0, 1), Gaussian(0, 1)), (-2.0, 0.0, 1.0)
+    ),
+}
 
 
 class TestBeta:
@@ -50,27 +89,27 @@ class TestBeta:
         assert beta(pr, 0) == 1.0
         assert beta(pr, 1) == 1.0
 
-    def test_closed_form_matches_quadrature_nonincreasing(self):
-        for u in (-3.0, -1.0, 0.0, 1.5, 4.0):
-            closed = float(log_beta(STD_PAIR, u))
-            quad = _log_beta_quadrature(STD_PAIR, u, None)
-            assert closed == pytest.approx(quad, abs=1e-8)
+    def test_finite_matches_brute_force(self):
+        # ratios 2, 0, 2/3, 2/3, 2: two tie groups and a point P never hits
+        p = (0.2, 0.0, 0.2, 0.2, 0.4)
+        q = (0.1, 0.1, 0.3, 0.3, 0.2)
+        pr = DistributionPair(Finite(p), Finite(q))
+        r = np.array(p) / np.array(q)
+        support = np.arange(len(p))
+        expected = [-math.log(float(np.dot(q, np.maximum(r[i], r)))) for i in support]
+        got = np.asarray(log_beta(pr, support), dtype=float)
+        assert got == pytest.approx(expected, abs=1e-14)
+        assert float(log_beta(pr, 3)) == pytest.approx(expected[3], abs=1e-14)
 
-    def test_closed_form_matches_quadrature_nondecreasing(self):
-        pr = DistributionPair(Gaussian(1, 1), Gaussian(0, 1))
-        for u in (-2.0, 0.0, 0.5, 3.0):
-            closed = float(log_beta(pr, u))
-            quad = _log_beta_quadrature(pr, u, None)
-            assert closed == pytest.approx(quad, abs=1e-8)
+    @pytest.mark.parametrize("case", list(CROSS_CHECK_CASES))
+    def test_closed_form_matches_quadrature(self, case):
+        pr, us = CROSS_CHECK_CASES[case]
+        closed = np.asarray(log_beta(pr, np.array(us)), dtype=float)
+        for u, value in zip(us, closed):
+            assert float(log_beta(pr, u)) == pytest.approx(value, abs=1e-14)
+            assert value == pytest.approx(_log_beta_quadrature(pr, u, TIGHT), abs=1e-8)
 
-    def test_laplace_closed_form_matches_quadrature(self):
-        pr = DistributionPair(Laplace(0, 1), Laplace(2, 1))
-        for u in (-1.0, 0.0, 1.0, 2.5):
-            closed = float(log_beta(pr, u))
-            quad = _log_beta_quadrature(pr, u, None)
-            assert closed == pytest.approx(quad, abs=1e-8)
-
-    def test_nonmonotone_pair_uses_quadrature(self):
+    def test_nonmonotone_pair_matches_monte_carlo(self):
         pr = DistributionPair(Gaussian(0, 1), Gaussian(0, 2))
         val = beta(pr, 0.0)
         assert 0.0 < val <= 1.0
@@ -132,6 +171,29 @@ class TestRunPfr:
     def test_delta_validation(self):
         with pytest.raises(DomainError):
             run_pfr(STD_PAIR, np.random.default_rng(0), delta=0.0)
+
+    def test_index_does_not_depend_on_delta(self):
+        # a smaller delta only runs longer; the argmin it returns is the same
+        for i in range(1000):
+            loose = run_pfr(STD_PAIR, derive_stream(5, i), delta=1e-6)
+            tight = run_pfr(STD_PAIR, derive_stream(5, i), delta=1e-12)
+            assert (loose.index, loose.accepted) == (tight.index, tight.accepted)
+            assert loose.candidates_examined <= tight.candidates_examined
+
+    @pytest.mark.parametrize(
+        "pr",
+        [
+            DistributionPair(Gaussian(0, 2), Gaussian(0, 1)),
+            DistributionPair(Laplace(0, 3), Laplace(0, 1)),
+        ],
+        ids=["normal_0_2-normal_0_1", "laplace_0_3-laplace_0_1"],
+    )
+    def test_no_finite_ratio_moment_rejected_up_front(self, pr):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(DomainError):
+            run_pfr(pr, rng)
+        assert rng.bit_generator.state == state
 
 
 class TestSampleIndexExact:
@@ -237,12 +299,9 @@ class TestIndexPmf:
             assert abs(counts[j] / n - p) <= 3.0 * se + 1e-12, f"k={j + 1}"
 
     def test_nonmonotone_pair_pmf_matches_sampler(self):
-        # unequal variances force the per-node quadrature route for beta;
-        # the cross-check sampler is the selection rule, whose bounded
-        # ratio needs no beta at all
-        from pfrsim.numerics import QuadratureSpec
-        from pfrsim.pfr import derive_stream
-
+        # unequal variances make the ratio non-monotone, so each beta
+        # integrates over an interval superlevel set; the cross-check
+        # sampler is the selection rule, whose bounded ratio needs no beta
         pr = DistributionPair(Gaussian(0, 1), Gaussian(0.5, 1.6))
         spec = QuadratureSpec(abs_tol=1e-8, rel_tol=1e-6)
         pmf = index_pmf(pr, 30, spec)
