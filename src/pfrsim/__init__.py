@@ -89,6 +89,7 @@ from .oracle import (
 )
 from .pfr import (
     IndexPmf,
+    PfrBatch,
     PfrOutcome,
     TailCertificate,
     beta,
@@ -96,6 +97,7 @@ from .pfr import (
     index_pmf,
     log_beta,
     run_pfr,
+    run_pfr_many,
     sample_index_exact,
     sample_indices,
 )

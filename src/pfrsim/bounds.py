@@ -17,7 +17,14 @@ import numpy as np
 
 from .distributions import DistributionPair, Laplace, kl_divergence, renyi_divergence
 from .errors import AbsoluteContinuityError, EpsilonRangeError, OrderError
-from .numerics import LOG2E, MinimizeSpec, QuadratureSpec, log_gamma, minimize_scalar
+from .numerics import (
+    LOG2E,
+    MinimizeSpec,
+    QuadratureSpec,
+    log_gamma,
+    minimize_scalar,
+    open_text,
+)
 
 #: Default epsilon search window for bound optimization.
 DEFAULT_EPS_SEARCH = MinimizeSpec(1e-4, 50.0)
@@ -235,11 +242,7 @@ def _cell(x: float | None) -> str:
 
 def sweep_to_csv(rows: Sequence[BoundSet], f) -> None:
     """Write the sweep schema: alpha,lb1,lb2,lb_max,ub1,ub1_eps,ub2,ub2_eps."""
-    close = False
-    if isinstance(f, (str, bytes)) or hasattr(f, "__fspath__"):
-        f = open(f, "w", newline="")
-        close = True
-    try:
+    with open_text(f, "w") as f:
         f.write("alpha,lb1,lb2,lb_max,ub1,ub1_eps,ub2,ub2_eps\n")
         for r in rows:
             cells = [
@@ -253,6 +256,3 @@ def sweep_to_csv(rows: Sequence[BoundSet], f) -> None:
                 _cell(r.ub2_eps),
             ]
             f.write(",".join(cells) + "\n")
-    finally:
-        if close:
-            f.close()

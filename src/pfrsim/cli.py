@@ -8,6 +8,7 @@ explicit flags win over file values.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import sys
@@ -22,11 +23,14 @@ from . import codes as codes_mod
 from . import oracle as oracle_mod
 from . import pfr as pfr_mod
 from .distributions import DistributionPair, parse_distribution, renyi_divergence
-from .errors import IterationCapError, PfrsimError, TailTooHeavyWarning
+from .errors import PfrsimError, TailTooHeavyWarning
 from .numerics import QuadratureSpec
 from .svg import write_line_chart
 
 _EXIT_IO = 3
+
+#: Rows that ``sample`` formats in one piece.
+_ROW_BLOCK = 2**14
 
 
 def _common_options(f):
@@ -90,12 +94,30 @@ def _write_text(path, text: str) -> None:
         sys.exit(_EXIT_IO)
 
 
-def _sweep_outputs(rows, out, fmt, title):
-    import io as _io
+def _sweep_outputs(rows, out, fmt, title, extra=None):
+    """Write a bound sweep as CSV and/or SVG.
 
-    buf = _io.StringIO()
+    ``extra`` is an optional (column header, series label, values) triple
+    that adds one value per row as a last CSV column and a fifth series.
+    """
+    buf = io.StringIO()
     bounds_mod.sweep_to_csv(rows, buf)
     csv_text = buf.getvalue()
+    alphas = [r.alpha for r in rows]
+    series = [
+        ("lower bound 1", alphas, [r.lb1 for r in rows]),
+        ("lower bound 2", alphas, [r.lb2 for r in rows]),
+        ("upper bound 1", alphas, [r.ub1 for r in rows]),
+        ("upper bound 2", alphas, [r.ub2 if r.ub2 is not None else math.nan for r in rows]),
+    ]
+    if extra is not None:
+        header, label, values = extra
+        lines = csv_text.splitlines()
+        lines[0] += f",{header}"
+        for i, v in enumerate(values):
+            lines[i + 1] += f",{_fmt_cell(v)}"
+        csv_text = "\n".join(lines) + "\n"
+        series.append((label, alphas, values))
     if fmt in ("csv", "both"):
         if out is None:
             click.echo(csv_text, nl=False)
@@ -107,25 +129,11 @@ def _sweep_outputs(rows, out, fmt, title):
     if fmt in ("svg", "both"):
         if out is None:
             raise click.UsageError("--out is required for SVG output")
-        alphas = [r.alpha for r in rows]
-        series = [
-            ("lower bound 1", alphas, [r.lb1 for r in rows]),
-            ("lower bound 2", alphas, [r.lb2 for r in rows]),
-            ("upper bound 1", alphas, [r.ub1 for r in rows]),
-            (
-                "upper bound 2",
-                alphas,
-                [r.ub2 if r.ub2 is not None else math.nan for r in rows],
-            ),
-        ]
         try:
-            write_line_chart(
-                Path(out).with_suffix(".svg"), title, "alpha", "bits", series
-            )
+            write_line_chart(Path(out).with_suffix(".svg"), title, "alpha", "bits", series)
         except OSError as exc:
             click.echo(f"cannot write SVG: {exc}", err=True)
             sys.exit(_EXIT_IO)
-    return csv_text
 
 
 @click.group()
@@ -213,55 +221,19 @@ def entropy_figure(ctx, p_spec, q_spec, n_max, seed, out, fmt, quad_tol, alpha_r
     for r in rows:
         lo, hi = codes_mod.renyi_entropy(pmf, r.alpha)
         h_col.append((lo if heavy else hi) + 1.0)
-
-    import io as _io
-
-    buf = _io.StringIO()
-    bounds_mod.sweep_to_csv(rows, buf)
-    lines = buf.getvalue().splitlines()
-    lines[0] += ",h_alpha_plus1"
-    for i, h in enumerate(h_col):
-        lines[i + 1] += f",{_fmt_cell(h)}"
-    csv_text = "\n".join(lines) + "\n"
-
-    fmt_resolved = params["fmt"]
-    out_resolved = params["out"]
-    if fmt_resolved in ("csv", "both"):
-        if out_resolved is None:
-            click.echo(csv_text, nl=False)
-        else:
-            path = Path(out_resolved)
-            if fmt_resolved == "both" or path.suffix != ".csv":
-                path = path.with_suffix(".csv")
-            _write_text(path, csv_text)
-    if fmt_resolved in ("svg", "both"):
-        if out_resolved is None:
-            raise click.UsageError("--out is required for SVG output")
-        alphas = [r.alpha for r in rows]
-        series = [
-            ("lower bound 1", alphas, [r.lb1 for r in rows]),
-            ("lower bound 2", alphas, [r.lb2 for r in rows]),
-            ("upper bound 1", alphas, [r.ub1 for r in rows]),
-            ("upper bound 2", alphas, [r.ub2 if r.ub2 is not None else math.nan for r in rows]),
-            ("index entropy + 1", alphas, h_col),
-        ]
-        try:
-            write_line_chart(
-                Path(out_resolved).with_suffix(".svg"),
-                f"{p_spec} vs {q_spec} (N={params['n_max']})",
-                "alpha",
-                "bits",
-                series,
-            )
-        except OSError as exc:
-            click.echo(f"cannot write SVG: {exc}", err=True)
-            sys.exit(_EXIT_IO)
+    _sweep_outputs(
+        rows,
+        params["out"],
+        params["fmt"],
+        f"{p_spec} vs {q_spec} (N={params['n_max']})",
+        ("h_alpha_plus1", "index entropy + 1", h_col),
+    )
 
 
 @main.command()
 @click.argument("p_spec")
 @click.argument("q_spec")
-@click.option("-n", "count", type=int, default=10, show_default=True, help="Number of draws.")
+@click.option("-n", "count", type=click.IntRange(min=0), default=10, show_default=True, help="Number of draws.")
 @click.option("--method", type=click.Choice(["pfr", "exact"]), default="exact", show_default=True)
 @click.option("--delta", type=float, default=1e-6, show_default=True, help="Stopping slack for --method pfr.")
 @_common_options
@@ -274,29 +246,50 @@ def sample(ctx, p_spec, q_spec, count, method, delta, seed, out, fmt, quad_tol, 
     pair = _parse_pair(p_spec, q_spec)
     root = int(params["seed"])
     n = int(params["count"])
-    lines = ["k,u_k,termination"]
-    if params["method"] == "exact":
-        rng = np.random.default_rng(root)
-        ks, us = pfr_mod.sample_indices(pair, n, rng)
-        for k, u in zip(ks, us):
-            u_cell = f"{int(u)}" if pair.is_finite_kind else f"{u:.17g}"
-            lines.append(f"{int(k)},{u_cell},exact")
-    else:
-        for i in range(n):
-            rng = pfr_mod.derive_stream(root, i)
-            try:
-                outcome = pfr_mod.run_pfr(pair, rng, delta=float(params["delta"]))
-            except IterationCapError:
-                lines.append(",,iteration_cap")
-                continue
-            u = outcome.accepted
-            u_cell = f"{int(u)}" if pair.is_finite_kind else f"{u:.17g}"
-            lines.append(f"{outcome.index},{u_cell},{outcome.termination}")
-    text = "\n".join(lines) + "\n"
+    if root < 0:
+        raise click.UsageError("--seed must be nonnegative")
+    if n < 0:
+        raise click.UsageError("-n must be nonnegative")
+    try:
+        if params["method"] == "exact":
+            ks, us = pfr_mod.sample_indices(pair, n, np.random.default_rng(root))
+            termination, capped = "exact", np.zeros(n, dtype=bool)
+        else:
+            batch = pfr_mod.run_pfr_many(pair, root, n, delta=float(params["delta"]))
+            ks, us, termination, capped = (
+                batch.index, batch.accepted, batch.termination, batch.capped
+            )
+    except PfrsimError as exc:
+        raise click.UsageError(str(exc))
+    text = _sample_csv(ks, us, termination, capped, pair.is_finite_kind)
     if params["out"] is None:
         click.echo(text, nl=False)
     else:
         _write_text(params["out"], text)
+
+
+def _sample_csv(ks, us, termination: str, capped, finite: bool) -> str:
+    """The ``sample`` CSV: rows ``k,u_k,termination`` under a header.
+
+    Rows are formatted a block of columns at a time, so that the Python
+    objects of only one block are alive at once.  ``%d`` on a float index
+    prints ``int(k)``, exact up to 2**64; rows flagged in ``capped`` print
+    ``,,iteration_cap``.
+    """
+    row = f"%d,{'%d' if finite else '%.17g'},{termination}\n"
+    parts = ["k,u_k,termination\n"]
+    for start in range(0, len(ks), _ROW_BLOCK):
+        cap = capped[start : start + _ROW_BLOCK]
+        k, u = ks[start : start + _ROW_BLOCK][~cap], us[start : start + _ROW_BLOCK][~cap]
+        if cap.any():
+            template = "".join([",,iteration_cap\n" if c else row for c in cap.tolist()])
+        else:
+            template = row * len(k)
+        values = [None] * (2 * len(k))
+        values[0::2] = k.tolist()
+        values[1::2] = u.tolist()
+        parts.append(template % tuple(values))
+    return "".join(parts)
 
 
 @main.command()

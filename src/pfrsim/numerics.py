@@ -4,13 +4,15 @@ Everything downstream (density ratios, index distributions, cost bounds)
 funnels its numerical work through this module.  Quadrature is adaptive
 Gauss-Kronrod (G7/K15) with bisection; infinite intervals are mapped to
 finite ones by rational transforms, so no arbitrary truncation points
-appear anywhere.
+appear anywhere.  ``open_text`` is the path-or-file opener that the CSV
+readers and writers share.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -20,6 +22,16 @@ from .errors import DomainError, NonConvergenceError, NonFiniteError
 
 LN2 = math.log(2.0)
 LOG2E = 1.0 / LN2
+
+
+@contextmanager
+def open_text(f, mode: str):
+    """The text file at path ``f`` opened in ``mode`` (and closed after), or ``f`` itself."""
+    if isinstance(f, (str, bytes)) or hasattr(f, "__fspath__"):
+        with open(f, mode, newline="") as opened:
+            yield opened
+    else:
+        yield f
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,10 @@ Two samplers produce the transmitted index K with its accepted sample:
   reference draws, and K is the argmin.  The argmin ranges over
   infinitely many candidates, so iteration stops either exactly (bounded
   ratio) or once the expected number of future improvements falls below
-  a caller-supplied ``delta`` (unbounded ratio).
+  a caller-supplied ``delta`` (unbounded ratio).  ``run_pfr_many`` runs
+  it on the seeded streams ``derive_stream(root_seed, i)``, i < n, with
+  the same draws per stream but one array pass per block across all of
+  them, and returns arrays rather than one outcome per draw.
 * ``sample_index_exact`` draws the accepted sample from the target first
   and then the index from its conditional geometric law with success
   probability beta(u); the joint law matches the selection rule exactly
@@ -36,7 +39,14 @@ from .errors import (
     NegativeTailError,
     NonConvergenceError,
 )
-from .numerics import LOG2E, QuadratureSpec, integrate, log2_sum_exp, quadrature_grid
+from .numerics import (
+    LOG2E,
+    QuadratureSpec,
+    integrate,
+    log2_sum_exp,
+    open_text,
+    quadrature_grid,
+)
 
 _UINT64_MAX = float(2**64 - 1)
 
@@ -45,8 +55,12 @@ _CERT_MOMENT_ORDERS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 
 
 def derive_stream(root_seed: int, i: int) -> np.random.Generator:
-    """Stream i of a batch: seeded by root_seed XOR i."""
-    return np.random.default_rng(root_seed ^ i)
+    """Stream i of a batch: seeded by root_seed XOR i.
+
+    The same stream as ``np.random.default_rng(root_seed ^ i)``, built
+    without its argument checks, which cost a fifth of the time.
+    """
+    return np.random.Generator(np.random.PCG64(root_seed ^ i))
 
 
 @dataclass(frozen=True)
@@ -110,26 +124,15 @@ class IndexPmf:
 
     def to_csv(self, f) -> None:
         """Write rows ``k,prob`` followed by a final ``tail,<tail_mass>`` row."""
-        close = False
-        if isinstance(f, (str, bytes)) or hasattr(f, "__fspath__"):
-            f = open(f, "w", newline="")
-            close = True
-        try:
+        with open_text(f, "w") as f:
             f.write("k,prob\n")
             for k, p in enumerate(self.probs, start=1):
                 f.write(f"{k},{p:.17g}\n")
             f.write(f"tail,{self.tail_mass:.17g}\n")
-        finally:
-            if close:
-                f.close()
 
     @classmethod
     def from_csv(cls, f) -> "IndexPmf":
-        close = False
-        if isinstance(f, (str, bytes)) or hasattr(f, "__fspath__"):
-            f = open(f, "r", newline="")
-            close = True
-        try:
+        with open_text(f, "r") as f:
             header = f.readline().strip()
             if header != "k,prob":
                 raise DomainError(f"unexpected header {header!r}")
@@ -141,12 +144,9 @@ class IndexPmf:
                     tail = float(value)
                 else:
                     probs.append(float(value))
-            if tail is None:
-                raise DomainError("missing tail row")
-            return cls(np.array(probs), tail)
-        finally:
-            if close:
-                f.close()
+        if tail is None:
+            raise DomainError("missing tail row")
+        return cls(np.array(probs), tail)
 
 
 def _log1m_from_log_beta(log_beta_vals: np.ndarray) -> np.ndarray:
@@ -206,12 +206,12 @@ def _geometric_index(log_beta_val: float, v: float) -> int:
         return 1
     if denom == 0.0:
         raise IndexOverflowError("beta underflows double precision")
-    k = math.ceil(math.log(v) / denom)
+    k = math.log(v) / denom  # +inf when beta is subnormal
     if k > _UINT64_MAX:
         raise IndexOverflowError(
             f"geometric index {k:.3e} exceeds the unsigned 64-bit range"
         )
-    return max(int(k), 1)
+    return max(math.ceil(k), 1)
 
 
 def sample_index_exact(pair: DistributionPair, rng: np.random.Generator) -> PfrOutcome:
@@ -242,13 +242,30 @@ def sample_indices(
     lb = np.asarray(log_beta(pair, u), dtype=float)
     v = 1.0 - rng.random(n)
     log1m = _log1m_from_log_beta(lb)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k = np.ceil(np.log(v) / log1m)
-    k = np.where(np.isfinite(k), k, 1.0)
-    k = np.maximum(k, 1.0)
+    if np.any(log1m == 0.0):
+        raise IndexOverflowError("beta underflows double precision")
+    with np.errstate(over="ignore"):
+        k = np.ceil(np.log(v) / log1m)  # +inf where beta is subnormal
     if np.any(k > _UINT64_MAX):
         raise IndexOverflowError("a geometric index exceeds the unsigned 64-bit range")
-    return k, np.asarray(u, dtype=float)
+    return np.maximum(k, 1.0), np.asarray(u, dtype=float)
+
+
+def _selection_rule(pair: DistributionPair, delta: float) -> tuple[float, bool, float]:
+    """Per-pair setup of the selection rule: (log sup r, exact stop, log delta).
+
+    Unbounded ratios without a finite E_Q[r^2] raise DomainError up front.
+    """
+    if not delta > 0.0:
+        raise DomainError("delta must be positive")
+    log_rmax = pair.log_ratio_sup()
+    exact = math.isfinite(log_rmax)
+    if not exact and not math.isfinite(renyi_divergence(pair, 2.0)):
+        raise DomainError(
+            "unbounded density ratio with no finite ratio moment: "
+            "no stopping rule applies (use sample_index_exact)"
+        )
+    return log_rmax, exact, math.log(delta)
 
 
 def run_pfr(
@@ -268,16 +285,7 @@ def run_pfr(
     ``delta``, which bounds the chance that a later candidate wins.
     Unbounded ratios without a finite E_Q[r^2] raise DomainError up front.
     """
-    if not delta > 0.0:
-        raise DomainError("delta must be positive")
-    log_rmax = pair.log_ratio_sup()
-    exact = math.isfinite(log_rmax)
-    if not exact and not math.isfinite(renyi_divergence(pair, 2.0)):
-        raise DomainError(
-            "unbounded density ratio with no finite ratio moment: "
-            "no stopping rule applies (use sample_index_exact)"
-        )
-    log_delta = math.log(delta)
+    log_rmax, exact, log_delta = _selection_rule(pair, delta)
 
     t_last = 0.0
     best_score = math.inf  # natural log of min T_i / r(U_i)
@@ -317,10 +325,8 @@ def run_pfr(
                     termination="exact",
                 )
         else:
-            # S P(r > c) - T Q(r > c) <= delta, as S P <= delta + T Q in logs
             log_p, log_q = pair.superlevel_masses(log_t - best_score)
-            a, b = log_delta, log_t + log_q
-            if best_score + log_p <= max(a, b) + math.log1p(math.exp(-abs(a - b))):
+            if _delta_stop(best_score, float(log_p), log_t + float(log_q), log_delta):
                 return PfrOutcome(
                     index=best_index,
                     accepted=best_u,
@@ -328,6 +334,127 @@ def run_pfr(
                     termination="approximate",
                     delta=delta,
                 )
+
+
+def _delta_stop(best_score: float, log_p: float, log_tq: float, log_delta: float) -> bool:
+    """S P(r > c) - T Q(r > c) <= delta, tested as S P <= delta + T Q in logs."""
+    a, b = log_delta, log_tq
+    return best_score + log_p <= max(a, b) + math.log1p(math.exp(-abs(a - b)))
+
+
+#: Streams that ``run_pfr_many`` runs side by side, and the most candidates
+#: it draws in one step (streams times block size).  They bound its
+#: working memory to about a megabyte; larger values are no faster.
+_BATCH_STREAMS = 256
+_BATCH_CANDIDATES = 64 * _BATCH_STREAMS
+
+
+@dataclass(frozen=True)
+class PfrBatch:
+    """Selection-rule runs on streams ``derive_stream(root_seed, i)``, one entry each.
+
+    ``capped`` marks the streams on which ``run_pfr`` raises
+    IterationCapError; their index and accepted entries are 0.  Every other
+    stream stopped by ``termination``, which the pair decides.
+    """
+
+    index: np.ndarray  # int64
+    accepted: np.ndarray  # float64; int64 support indices for finite pairs
+    candidates_examined: np.ndarray  # int64
+    capped: np.ndarray  # bool
+    termination: str  # "exact" | "approximate"
+    delta: float | None = None
+
+
+def run_pfr_many(
+    pair: DistributionPair,
+    root_seed: int,
+    n: int,
+    delta: float = 1e-6,
+    max_candidates: int = 10**8,
+) -> PfrBatch:
+    """``run_pfr`` on streams ``derive_stream(root_seed, i)``, i < n, as one loop.
+
+    Entry i equals ``run_pfr(pair, derive_stream(root_seed, i), delta,
+    max_candidates)``: each stream makes the same draws in the same order,
+    and only the arithmetic after the draws is shared, one array pass per
+    block over all live streams.  The block size depends only on the block
+    count, so every live stream has the same schedule.
+    """
+    if n < 0:
+        raise DomainError("n must be >= 0")
+    log_rmax, exact, log_delta = _selection_rule(pair, delta)
+    index = np.zeros(n, dtype=np.int64)
+    accepted = np.zeros(n, dtype=np.int64 if pair.is_finite_kind else float)
+    examined = np.zeros(n, dtype=np.int64)
+    capped = np.zeros(n, dtype=bool)
+    for start in range(0, n, _BATCH_STREAMS):
+        rngs = [derive_stream(root_seed, i) for i in range(start, min(start + _BATCH_STREAMS, n))]
+        live = np.arange(len(rngs))  # positions in this chunk, in stream order
+        t_last = np.zeros(len(rngs))
+        best_score = np.full(len(rngs), math.inf)
+        best_index = np.zeros(len(rngs), dtype=np.int64)
+        best_u = np.zeros(len(rngs), dtype=accepted.dtype)
+        m = 0
+        block = 64
+        while live.size:
+            if m >= max_candidates:
+                capped[start + live] = True
+                examined[start + live] = m
+                break
+            b = min(block, max_candidates - m)
+            step = _BATCH_CANDIDATES // b  # streams per step; b <= 8192
+            for lo in range(0, live.size, step):
+                rows = live[lo : lo + step]
+                gaps = np.empty((rows.size, b))
+                us = np.empty((rows.size, b), dtype=accepted.dtype)
+                for j, r in enumerate(rows.tolist()):
+                    gaps[j] = rngs[r].exponential(size=b)
+                    us[j] = pair.q.sample(rngs[r], b)
+                times = np.cumsum(gaps, axis=1) + t_last[rows, None]
+                t_last[rows] = times[:, -1]
+                with np.errstate(invalid="ignore"):
+                    scores = np.log(times) - np.asarray(pair.log_ratio(us), dtype=float)
+                scores[np.isnan(scores)] = math.inf
+                i = np.argmin(scores, axis=1)
+                score = scores[np.arange(rows.size), i]
+                better = score < best_score[rows]
+                won = rows[better]
+                best_score[won] = score[better]
+                best_index[won] = m + i[better] + 1
+                best_u[won] = us[better, i[better]]
+            m += b
+            block = min(block * 2, 8192)
+
+            # the scalar math of run_pfr, whose last bits numpy does not match
+            log_t = np.array([math.log(t) for t in t_last[live].tolist()])
+            score = best_score[live]
+            if exact:
+                stop = log_t - log_rmax >= score
+            else:
+                log_p, log_q = pair.superlevel_masses(log_t - score)
+                stop = np.array(
+                    [
+                        _delta_stop(s, lp, lt + lq, log_delta)
+                        for s, lp, lt, lq in zip(
+                            score.tolist(), log_p.tolist(), log_t.tolist(), log_q.tolist()
+                        )
+                    ],
+                    dtype=bool,
+                )
+            done = live[stop]
+            index[start + done] = best_index[done]
+            accepted[start + done] = best_u[done]
+            examined[start + done] = m
+            live = live[~stop]
+    return PfrBatch(
+        index,
+        accepted,
+        examined,
+        capped,
+        "exact" if exact else "approximate",
+        None if exact else delta,
+    )
 
 
 def _certificate_checkpoints(n_max: int, ratio: float = 2.0**0.25, max_k: float = 1e12):

@@ -2,11 +2,14 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from pfrsim.cli import main
+from pfrsim.cli import _sample_csv, main
+from pfrsim.distributions import DistributionPair, Gaussian
 from pfrsim.errors import TailTooHeavyWarning
+from pfrsim.pfr import derive_stream, run_pfr
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -180,6 +183,60 @@ class TestSampleCommand:
         res = run("sample", "finite:1,0", "finite:0.5,0.5", "-n", "4", "--seed", "0")
         _, rows = parse_csv(res.output)
         assert all(r[1] == "0" for r in rows)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("normal:0,1", "normal:1,1", "--method", "pfr", "--delta", "0"),
+            ("normal:0,1", "normal:1,1", "--seed", "-1"),
+            ("normal:0,1", "normal:1,1", "--method", "pfr", "--seed", "-1"),
+            ("normal:0,2", "normal:0,1", "--method", "pfr"),
+            ("normal:0,1", "normal:40,1", "-n", "2"),
+            ("normal:0,1", "normal:1,1", "-n", "-1"),
+            ("normal:0,1", "normal:1,1", "-n", "-1", "--method", "pfr"),
+        ],
+        ids=["delta_zero", "negative_seed", "negative_seed_pfr", "no_stopping_rule",
+             "index_overflow", "negative_count", "negative_count_pfr"],
+    )
+    def test_bad_input_is_a_usage_error(self, args):
+        res = run("sample", *args)
+        assert res.exit_code == 2, res.output
+        assert "Traceback" not in res.output
+        assert "Error:" in res.output
+
+    @pytest.mark.parametrize("key", ["count", "seed"])
+    def test_negative_config_value_is_a_usage_error(self, tmp_path, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: -1}))
+        res = run("sample", "normal:0,1", "normal:1,1", "--config", str(cfg))
+        assert res.exit_code == 2, res.output
+
+    def test_capped_rows(self):
+        text = _sample_csv(
+            np.array([3, 0, 1]), np.array([0.5, 0.0, -1.25]), "approximate",
+            np.array([False, True, False]), False,
+        )
+        assert text == (
+            "k,u_k,termination\n3,0.5,approximate\n,,iteration_cap\n1,-1.25,approximate\n"
+        )
+
+    @pytest.mark.parametrize("method", ["exact", "pfr"])
+    def test_zero_draws_print_the_header(self, method):
+        res = run("sample", "normal:0,1", "normal:1,1", "-n", "0", "--method", method)
+        assert res.exit_code == 0
+        assert res.output == "k,u_k,termination\n"
+
+    def test_pfr_rows_match_run_pfr(self):
+        res = run(
+            "sample", "normal:0,1", "normal:1,1",
+            "-n", "20", "--method", "pfr", "--seed", "4", "--delta", "1e-8",
+        )
+        pair = DistributionPair(Gaussian(0, 1), Gaussian(1, 1))
+        expected = "k,u_k,termination\n" + "".join(
+            f"{o.index},{o.accepted:.17g},approximate\n"
+            for o in (run_pfr(pair, derive_stream(4, i), delta=1e-8) for i in range(20))
+        )
+        assert res.output == expected
 
 
 class TestVerifyCommand:

@@ -9,11 +9,13 @@ from pfrsim.distributions import DistributionPair, Finite, Gaussian, Laplace
 from pfrsim.errors import (
     DomainError,
     IndexOverflowError,
+    IterationCapError,
     NegativeTailError,
     NonConvergenceError,
 )
 from pfrsim.numerics import QuadratureSpec
 from pfrsim.pfr import (
+    _BATCH_STREAMS,
     IndexPmf,
     PfrOutcome,
     _log_beta_quadrature,
@@ -22,6 +24,7 @@ from pfrsim.pfr import (
     index_pmf,
     log_beta,
     run_pfr,
+    run_pfr_many,
     sample_index_exact,
     sample_indices,
 )
@@ -162,8 +165,6 @@ class TestRunPfr:
         assert a == b
 
     def test_iteration_cap(self):
-        from pfrsim.errors import IterationCapError
-
         rng = np.random.default_rng(5)
         with pytest.raises(IterationCapError):
             run_pfr(STD_PAIR, rng, delta=1e-300, max_candidates=2000)
@@ -196,6 +197,65 @@ class TestRunPfr:
         assert rng.bit_generator.state == state
 
 
+#: (pair, run_pfr options): the delta rule, a bounded monotone ratio, a
+#: bounded non-monotone one, a finite pair with a point P never hits, the
+#: identical pair, and the iteration cap hit on some streams and on all.
+BATCH_CASES = {
+    "normal_0_1-normal_1_1": (STD_PAIR, {"delta": 1e-8}),
+    "laplace_0_1-laplace_1_1": (DistributionPair(Laplace(0, 1), Laplace(1, 1)), {}),
+    "normal_0_1-normal_0.5_1.6": (DistributionPair(Gaussian(0, 1), Gaussian(0.5, 1.6)), {}),
+    "finite_zero_point": (
+        DistributionPair(Finite((0.5, 0.0, 0.3, 0.2)), Finite((0.2, 0.3, 0.1, 0.4))), {}
+    ),
+    "identical": (DistributionPair(Gaussian(2, 1), Gaussian(2, 1)), {}),
+    "partly_capped": (STD_PAIR, {"delta": 1e-8, "max_candidates": 1000}),
+    "capped": (STD_PAIR, {"delta": 1e-300, "max_candidates": 2000}),
+}
+
+
+class TestRunPfrMany:
+    @pytest.mark.parametrize("case", list(BATCH_CASES))
+    def test_matches_run_pfr(self, case):
+        # more streams than one batch holds, so a batch boundary is crossed
+        pr, options = BATCH_CASES[case]
+        n = _BATCH_STREAMS + 40
+        got = run_pfr_many(pr, 9, n, **options)
+        for i in range(n):
+            try:
+                ref = run_pfr(pr, derive_stream(9, i), **options)
+            except IterationCapError:
+                assert got.capped[i], f"stream {i}"
+                continue
+            assert not got.capped[i], f"stream {i}"
+            assert (
+                got.index[i], got.accepted[i], got.candidates_examined[i],
+                got.termination, got.delta,
+            ) == (
+                ref.index, ref.accepted, ref.candidates_examined,
+                ref.termination, ref.delta,
+            ), f"stream {i}"
+
+    @pytest.mark.parametrize(
+        "pr, delta",
+        [
+            (DistributionPair(Gaussian(0, 2), Gaussian(0, 1)), 1e-6),
+            (DistributionPair(Laplace(0, 3), Laplace(0, 1)), 1e-6),
+            (STD_PAIR, 0.0),
+            (STD_PAIR, -1e-6),
+        ],
+        ids=["normal_0_2-normal_0_1", "laplace_0_3-laplace_0_1", "delta_zero", "delta_negative"],
+    )
+    def test_rejected_up_front(self, pr, delta):
+        with pytest.raises(DomainError):
+            run_pfr_many(pr, 0, 10, delta=delta)
+
+    def test_stream_count(self):
+        out = run_pfr_many(STD_PAIR, 0, 0)
+        assert out.index.shape == out.accepted.shape == out.capped.shape == (0,)
+        with pytest.raises(DomainError):
+            run_pfr_many(STD_PAIR, 0, -1)
+
+
 class TestSampleIndexExact:
     def test_identical_pair_always_one(self):
         pr = DistributionPair(Gaussian(0, 1), Gaussian(0, 1))
@@ -220,11 +280,15 @@ class TestSampleIndexExact:
         assert stats.kstest(u, "norm").pvalue > 0.01
 
     def test_overflow_on_extreme_pair(self):
-        pr = DistributionPair(Gaussian(0, 1), Gaussian(10, 1))
-        rng = np.random.default_rng(0)
-        with pytest.raises(IndexOverflowError):
-            for _ in range(50):
-                sample_index_exact(pr, rng)
+        # indices near 2**72 at mean 10; at mean 40 beta underflows to 0
+        for mean in (10, 40):
+            pr = DistributionPair(Gaussian(0, 1), Gaussian(mean, 1))
+            rng = np.random.default_rng(0)
+            with pytest.raises(IndexOverflowError):
+                for _ in range(50):
+                    sample_index_exact(pr, rng)
+            with pytest.raises(IndexOverflowError):
+                sample_indices(pr, 50, rng)
 
     def test_finite_pair_chi_square(self):
         pr = DistributionPair(Finite((0.9, 0.1)), Finite((0.5, 0.5)))
@@ -307,11 +371,9 @@ class TestIndexPmf:
         pmf = index_pmf(pr, 30, spec)
         assert pmf.probs.sum() + pmf.tail_mass == pytest.approx(1.0, abs=1e-8)
         n = 30000
-        ks = np.empty(n, dtype=int)
-        for i in range(n):
-            out = run_pfr(pr, derive_stream(11, i))
-            assert out.termination == "exact"
-            ks[i] = out.index
+        batch = run_pfr_many(pr, 11, n)
+        assert batch.termination == "exact" and not batch.capped.any()
+        ks = batch.index
         counts = np.bincount(np.minimum(ks, 31), minlength=32)[1:9]
         for j in range(8):
             p = pmf.probs[j]
