@@ -5,6 +5,9 @@ two upper bounds are achieved by the Poisson-process selection rule with
 suitable integer codes.  All values are in bits, parameterized by the
 entropy order alpha in (0, 1) (equivalently t = (1 - alpha) / alpha).
 Upper bounds carry a slack parameter epsilon that callers optimize out.
+Every bound broadcasts over arrays of alpha and epsilon, entry by entry
+with the bits of a scalar call, so a sweep optimizes epsilon for all its
+orders at once.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .numerics import (
     LOG2E,
     MinimizeSpec,
     QuadratureSpec,
+    elementwise,
     log_gamma,
     minimize_scalar,
     open_text,
@@ -30,9 +34,16 @@ from .numerics import (
 DEFAULT_EPS_SEARCH = MinimizeSpec(1e-4, 50.0)
 
 
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
+def _check_alpha(alpha) -> None:
+    a = np.asarray(alpha)
+    if np.count_nonzero((0.0 < a) & (a < 1.0)) != a.size:
         raise OrderError(f"alpha must lie in (0, 1), got {alpha}")
+
+
+def _check_epsilon(epsilon) -> None:
+    e = np.asarray(epsilon)
+    if np.count_nonzero(e > 0.0) != e.size:
+        raise EpsilonRangeError(f"epsilon must be positive, got {epsilon}")
 
 
 def _require_mutual_ac(pair: DistributionPair) -> None:
@@ -42,135 +53,162 @@ def _require_mutual_ac(pair: DistributionPair) -> None:
         )
 
 
-def lb1(
-    pair: DistributionPair, alpha: float, spec: QuadratureSpec | None = None
-) -> float:
+def lb1(pair: DistributionPair, alpha, spec: QuadratureSpec | None = None):
     """First lower bound: divergence of order 1/alpha plus a negative constant."""
     _check_alpha(alpha)
     _require_mutual_ac(pair)
     d = renyi_divergence(pair, 1.0 / alpha, spec)
-    return d + (alpha / (1.0 - alpha)) * math.log2(alpha) - 1.0
+    return d + (alpha / (1.0 - alpha)) * elementwise(math.log2, alpha) - 1.0
 
 
-def lb2(
-    pair: DistributionPair, alpha: float, spec: QuadratureSpec | None = None
-) -> float:
+def lb2(pair: DistributionPair, alpha, spec: QuadratureSpec | None = None):
     """Second lower bound: divergence of order 2 - alpha; tighter near alpha = 1."""
     _check_alpha(alpha)
     _require_mutual_ac(pair)
     d = renyi_divergence(pair, 2.0 - alpha, spec)
-    return d + math.log2(1.0 / (2.0 - alpha)) / (1.0 - alpha)
+    return d + elementwise(math.log2, 1.0 / (2.0 - alpha)) / (1.0 - alpha)
 
 
-def c1(alpha: float, epsilon: float) -> float:
+def c1(alpha, epsilon):
     """Constant term of the first upper bound, in bits.
 
     Two regimes: a moment of order below one gives the small constant;
-    otherwise the geometric-moment route contributes a log-gamma term.
+    otherwise the geometric-moment route contributes a log-gamma term,
+    which is evaluated only where it applies.
     """
     _check_alpha(alpha)
-    if not epsilon > 0.0:
-        raise EpsilonRangeError(f"epsilon must be positive, got {epsilon}")
+    _check_epsilon(epsilon)
+    return _c1(alpha, epsilon)
+
+
+def _c1(alpha, epsilon):
+    log_term = elementwise(math.log2, 1.0 + 1.0 / epsilon)
+    one_plus = 1.0 + epsilon
+    out = one_plus * LOG2E + 1.0 + log_term
     # case split at eps = (2a-1)/(1-a), rearranged to avoid cancellation;
     # the boundary itself belongs to the log-gamma case
-    if alpha * (2.0 + epsilon) > 1.0 + epsilon:
-        return (1.0 + epsilon) * LOG2E + 1.0 + math.log2(1.0 + 1.0 / epsilon)
-    order = (1.0 + epsilon * (1.0 - alpha)) / alpha
-    return (
-        (alpha / (1.0 - alpha)) * log_gamma(order) * LOG2E
-        + 4.0
-        + 3.0 * epsilon
-        - 2.0 * alpha / (1.0 - alpha)
-        + math.log2(1.0 + 1.0 / epsilon)
-    )
+    gamma = alpha * (2.0 + epsilon) <= one_plus
+    if np.count_nonzero(gamma):
+        order = np.asarray((1.0 + epsilon * (1.0 - alpha)) / alpha)
+        lg = np.zeros(order.shape)
+        lg[gamma] = log_gamma(order[gamma])
+        out = np.where(
+            gamma,
+            (alpha / (1.0 - alpha)) * lg * LOG2E
+            + 4.0
+            + 3.0 * epsilon
+            - 2.0 * alpha / (1.0 - alpha)
+            + log_term,
+            out,
+        )
+    return out if np.ndim(out) else float(out)
 
 
 def ub1(
     pair: DistributionPair,
-    alpha: float,
-    epsilon: float,
+    alpha,
+    epsilon,
     spec: QuadratureSpec | None = None,
-) -> float:
-    """First upper bound: scaled divergence of order (1 + eps(1-alpha))/alpha plus c1."""
+):
+    """First upper bound: scaled divergence of order (1 + eps(1-alpha))/alpha plus c1.
+
+    Broadcasts over arrays of alpha and epsilon; +inf where the divergence
+    is infinite.
+    """
     _check_alpha(alpha)
-    if not epsilon > 0.0:
-        raise EpsilonRangeError(f"epsilon must be positive, got {epsilon}")
-    order = (1.0 + epsilon * (1.0 - alpha)) / alpha
-    d = renyi_divergence(pair, order, spec)
-    if not math.isfinite(d):
-        return math.inf
-    return (1.0 + epsilon) * d + c1(alpha, epsilon)
+    _check_epsilon(epsilon)
+    return _ub1(pair, alpha, epsilon, spec)
 
 
-def c2(epsilon: float, use_proof_constant: bool = False) -> float:
+def _ub1(pair: DistributionPair, alpha, epsilon, spec: QuadratureSpec | None):
+    d = renyi_divergence(pair, (1.0 + epsilon * (1.0 - alpha)) / alpha, spec)
+    return (1.0 + epsilon) * d + _c1(alpha, epsilon)
+
+
+def c2(epsilon, use_proof_constant: bool = False):
     """Constant term of the universal-code upper bound, in bits.
 
     The stated constant starts at 3; the derivation's final line supports
     2, exposed behind ``use_proof_constant`` for comparison only.
     """
-    if not epsilon > 0.0:
-        raise EpsilonRangeError(f"epsilon must be positive, got {epsilon}")
+    _check_epsilon(epsilon)
     base = 2.0 if use_proof_constant else 3.0
-    return base + epsilon + math.log2(math.log(2.0) / epsilon + 1.5)
+    return base + epsilon + elementwise(math.log2, math.log(2.0) / epsilon + 1.5)
 
 
-def ub2_epsilon_max(alpha: float) -> float:
+def ub2_epsilon_max(alpha):
     """Largest admissible epsilon for the universal-code bound."""
-    if not 2.0 / 3.0 < alpha < 1.0:
+    a = np.asarray(alpha)
+    if np.count_nonzero((2.0 / 3.0 < a) & (a < 1.0)) != a.size:
         raise OrderError(f"alpha must lie in (2/3, 1), got {alpha}")
     return (3.0 * alpha - 2.0) / (2.0 - 2.0 * alpha)
 
 
 def ub2(
     pair: DistributionPair,
-    alpha: float,
-    epsilon: float,
+    alpha,
+    epsilon,
     spec: QuadratureSpec | None = None,
     use_proof_constant: bool = False,
-) -> float:
+):
     """Universal-code upper bound: divergence of order (2-alpha)/alpha plus
-    a log-of-divergence term and c2."""
+    a log-of-divergence term and c2.
+
+    Broadcasts over arrays of alpha and epsilon; +inf where a divergence
+    is infinite.
+    """
     eps_max = ub2_epsilon_max(alpha)
-    if not 0.0 < epsilon <= eps_max:
-        raise EpsilonRangeError(
-            f"epsilon must lie in (0, {eps_max:.6g}], got {epsilon}"
-        )
+    if not np.all((0.0 < epsilon) & (epsilon <= eps_max)):
+        ceiling = f"{eps_max:.6g}" if np.ndim(eps_max) == 0 else "ub2_epsilon_max(alpha)"
+        raise EpsilonRangeError(f"epsilon must lie in (0, {ceiling}], got {epsilon}")
     d = renyi_divergence(pair, (2.0 - alpha) / alpha, spec)
-    kl = kl_divergence(pair, spec)
-    if not (math.isfinite(d) and math.isfinite(kl)):
-        return math.inf
-    return (
-        d
-        + (1.0 + epsilon) * math.log2(kl + 1.0)
-        + c2(epsilon, use_proof_constant)
-    )
+    return _ub2(d, kl_divergence(pair, spec), epsilon, use_proof_constant)
+
+
+def _ub2(d, kl: float, epsilon, use_proof_constant: bool = False):
+    """ub2 from D_{(2-alpha)/alpha}(P||Q) and the KL divergence, both in bits."""
+    return d + (1.0 + epsilon) * math.log2(kl + 1.0) + c2(epsilon, use_proof_constant)
 
 
 def optimize_ub(
     pair: DistributionPair,
-    alpha: float,
+    alpha,
     which: str = "ub1",
     spec: MinimizeSpec = DEFAULT_EPS_SEARCH,
     quad: QuadratureSpec | None = None,
-) -> tuple[float, float]:
+):
     """Minimize an upper bound over its admissible epsilon range.
 
-    Returns (epsilon, value); value may be +inf when every admissible
-    epsilon hits an infinite divergence.
+    ``alpha`` is a float, or a 1-D array of orders: each order is one row
+    of one ``minimize_scalar`` search, and its result is the one a float
+    order gives.  Returns (epsilon, value), floats for a float alpha and
+    arrays shaped like alpha otherwise; a value may be +inf when every
+    admissible epsilon hits an infinite divergence.
     """
+    orders = np.asarray(alpha, dtype=float)
+    column = orders.reshape(-1, 1)
+    # orders are checked here and epsilons by the window, not on each probe
     if which == "ub1":
-        objective = lambda e: ub1(pair, alpha, e, quad)
-        window = spec
+        _check_alpha(orders)
+        lo, hi = spec.lo, spec.hi
+        objective = lambda e: _ub1(pair, column, e, quad)
     elif which == "ub2":
-        eps_max = ub2_epsilon_max(alpha)
-        hi = min(spec.hi, eps_max)
-        lo = min(spec.lo, hi / 2.0)
-        window = MinimizeSpec(lo, hi, spec.grid_points, spec.refine_iters, spec.tol)
-        objective = lambda e: ub2(pair, alpha, e, quad)
+        hi = np.minimum(spec.hi, ub2_epsilon_max(orders))
+        lo = np.minimum(spec.lo, hi / 2.0)
+        # neither divergence depends on epsilon
+        d = renyi_divergence(pair, (2.0 - column) / column, quad)
+        kl = kl_divergence(pair, quad)
+        objective = lambda e: _ub2(d, kl, e)
     else:
         raise ValueError(f"unknown bound {which!r}")
-    eps, value = minimize_scalar(objective, window)
-    return eps, value
+    window = MinimizeSpec(
+        np.broadcast_to(lo, orders.shape),
+        np.broadcast_to(hi, orders.shape),
+        spec.grid_points,
+        spec.refine_iters,
+        spec.tol,
+    )
+    return minimize_scalar(objective, window)
 
 
 @dataclass(frozen=True)
@@ -204,26 +242,35 @@ def sweep(
     spec: MinimizeSpec = DEFAULT_EPS_SEARCH,
     quad: QuadratureSpec | None = None,
 ) -> list[BoundSet]:
-    """Evaluate every bound on a grid of orders, epsilon-optimized per row."""
-    rows = []
-    for alpha in sorted(float(a) for a in alpha_grid):
-        e1, v1 = optimize_ub(pair, alpha, "ub1", spec, quad)
-        if alpha > 2.0 / 3.0:
-            e2, v2 = optimize_ub(pair, alpha, "ub2", spec, quad)
-        else:
-            e2, v2 = None, None
-        rows.append(
-            BoundSet(
-                alpha=alpha,
-                lb1=lb1(pair, alpha, quad),
-                lb2=lb2(pair, alpha, quad),
-                ub1=v1,
-                ub1_eps=e1,
-                ub2=v2,
-                ub2_eps=e2,
-            )
-        )
-    return rows
+    """Evaluate every bound on a grid of orders, epsilon-optimized per row.
+
+    Each bound is evaluated on the whole grid at once, and each upper
+    bound's epsilon searches run together: one ``optimize_ub`` call for
+    ub1 and one for ub2 on the orders above 2/3.
+    """
+    alphas = np.array(sorted(float(a) for a in alpha_grid))
+    if not alphas.size:
+        return []
+    e1, v1 = optimize_ub(pair, alphas, "ub1", spec, quad)
+    # ub2 is defined for the orders above 2/3 only, the tail of the grid
+    split = int(np.searchsorted(alphas, 2.0 / 3.0, side="right"))
+    e2 = v2 = [None] * split
+    if split < alphas.size:
+        high_e, high_v = optimize_ub(pair, alphas[split:], "ub2", spec, quad)
+        e2, v2 = e2 + high_e.tolist(), v2 + high_v.tolist()
+    columns = zip(
+        alphas.tolist(),
+        lb1(pair, alphas, quad).tolist(),
+        lb2(pair, alphas, quad).tolist(),
+        v1.tolist(),
+        e1.tolist(),
+        v2,
+        e2,
+    )
+    return [
+        BoundSet(alpha=a, lb1=l1, lb2=l2, ub1=u1, ub1_eps=x1, ub2=u2, ub2_eps=x2)
+        for a, l1, l2, u1, x1, u2, x2 in columns
+    ]
 
 
 def default_alpha_grid(pair: DistributionPair, points: int = 160) -> np.ndarray:

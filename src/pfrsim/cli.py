@@ -17,6 +17,7 @@ from pathlib import Path
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import bounds as bounds_mod
 from . import codes as codes_mod
@@ -33,9 +34,27 @@ _EXIT_IO = 3
 _ROW_BLOCK = 2**14
 
 
+class _AlphaRange(click.ParamType):
+    """An alpha grid as ``lo,hi,points``, or a list of the three from ``--config``."""
+
+    name = "lo,hi,points"
+
+    def convert(self, value, param, ctx):
+        parts = value.split(",") if isinstance(value, str) else value
+        try:
+            if len(parts) != 3:
+                raise ValueError
+            lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+        except (TypeError, ValueError):
+            self.fail(f"{value!r} is not lo,hi,points", param, ctx)
+        if not (0.0 < lo < hi < 1.0) or n < 2:
+            self.fail("alpha range must satisfy 0 < lo < hi < 1, points >= 2", param, ctx)
+        return lo, hi, n
+
+
 def _common_options(f):
     f = click.option("--config", "config_path", type=click.Path(exists=True), default=None, help="JSON file with default option values.")(f)
-    f = click.option("--alpha-range", default=None, help="Grid as lo,hi,points.")(f)
+    f = click.option("--alpha-range", type=_AlphaRange(), default=None, help="Grid as lo,hi,points.")(f)
     f = click.option("--quad-tol", type=float, default=None, help="Quadrature tolerance (absolute and relative).")(f)
     f = click.option("--format", "fmt", type=click.Choice(["csv", "svg", "both"]), default="csv", show_default=True)(f)
     f = click.option("--out", type=click.Path(), default=None, help="Output path (base name for --format both).")(f)
@@ -43,17 +62,33 @@ def _common_options(f):
     return f
 
 
-def _apply_config(ctx: click.Context, config_path: str | None, params: dict) -> dict:
+def _apply_config(ctx: click.Context, config_path: str | None) -> dict:
+    """The command's parameters, defaults replaced by ``--config`` file values.
+
+    A file value goes through its option's type, as a flag would, so a
+    value that does not convert is a usage error.  Explicit flags win;
+    null values and keys that name no option of the command are ignored.
+    """
+    params = dict(ctx.params)
     if not config_path:
         return params
     try:
         loaded = json.loads(Path(config_path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise click.UsageError(f"cannot read config: {exc}")
+    if not isinstance(loaded, dict):
+        raise click.UsageError("config must be a JSON object")
+    options = {p.name: p for p in ctx.command.params if isinstance(p, click.Option)}
     for key, value in loaded.items():
-        key = key.replace("-", "_")
-        if key in params and ctx.get_parameter_source(key).name == "DEFAULT":
-            params[key] = value
+        name = key.replace("-", "_")
+        if name not in options or ctx.get_parameter_source(name) is not ParameterSource.DEFAULT:
+            continue
+        if value is None:  # JSON null keeps the default
+            continue
+        try:
+            params[name] = options[name].type_cast_value(ctx, value)
+        except click.BadParameter as exc:
+            raise click.UsageError(f"config value {key!r}: {exc.message}") from None
     return params
 
 
@@ -67,22 +102,13 @@ def _parse_pair(p_spec: str, q_spec: str) -> DistributionPair:
 def _quad_spec(quad_tol) -> QuadratureSpec | None:
     if quad_tol is None:
         return None
-    return QuadratureSpec(abs_tol=float(quad_tol), rel_tol=float(quad_tol))
+    return QuadratureSpec(abs_tol=quad_tol, rel_tol=quad_tol)
 
 
 def _alpha_grid(alpha_range, pair: DistributionPair) -> np.ndarray:
     if alpha_range is None:
         return bounds_mod.default_alpha_grid(pair)
-    if isinstance(alpha_range, str):
-        parts = alpha_range.split(",")
-        if len(parts) != 3:
-            raise click.UsageError("--alpha-range must be lo,hi,points")
-        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-    else:
-        lo, hi, n = float(alpha_range[0]), float(alpha_range[1]), int(alpha_range[2])
-    if not (0.0 < lo < hi < 1.0) or n < 2:
-        raise click.UsageError("alpha range must satisfy 0 < lo < hi < 1, points >= 2")
-    return np.linspace(lo, hi, n)
+    return np.linspace(*alpha_range)
 
 
 def _write_text(path, text: str) -> None:
@@ -150,7 +176,7 @@ def main() -> None:
 @click.pass_context
 def divergence(ctx, p_spec, q_spec, orders, numeric, seed, out, fmt, quad_tol, alpha_range, config_path):
     """Print Renyi divergences of order ORDER between two distributions, in bits."""
-    params = _apply_config(ctx, config_path, dict(quad_tol=quad_tol, out=out))
+    params = _apply_config(ctx, config_path)
     pair = _parse_pair(p_spec, q_spec)
     spec = _quad_spec(params["quad_tol"])
     lines = ["order,bits" + (",numeric_bits" if numeric else "")]
@@ -182,9 +208,7 @@ def _fmt_cell(x: float) -> str:
 @click.pass_context
 def sweep(ctx, p_spec, q_spec, seed, out, fmt, quad_tol, alpha_range, config_path):
     """Evaluate all four bounds over an alpha grid; write CSV and/or SVG."""
-    params = _apply_config(
-        ctx, config_path, dict(out=out, fmt=fmt, quad_tol=quad_tol, alpha_range=alpha_range)
-    )
+    params = _apply_config(ctx, config_path)
     pair = _parse_pair(p_spec, q_spec)
     grid = _alpha_grid(params["alpha_range"], pair)
     rows = bounds_mod.sweep(pair, grid, quad=_quad_spec(params["quad_tol"]))
@@ -199,16 +223,12 @@ def sweep(ctx, p_spec, q_spec, seed, out, fmt, quad_tol, alpha_range, config_pat
 @click.pass_context
 def entropy_figure(ctx, p_spec, q_spec, n_max, seed, out, fmt, quad_tol, alpha_range, config_path):
     """Bound sweep plus the truncated-pmf entropy column h_alpha_plus1."""
-    params = _apply_config(
-        ctx,
-        config_path,
-        dict(out=out, fmt=fmt, quad_tol=quad_tol, alpha_range=alpha_range, n_max=n_max),
-    )
+    params = _apply_config(ctx, config_path)
     pair = _parse_pair(p_spec, q_spec)
     quad = _quad_spec(params["quad_tol"])
     grid = _alpha_grid(params["alpha_range"], pair)
     rows = bounds_mod.sweep(pair, grid, quad=quad)
-    pmf = pfr_mod.index_pmf(pair, int(params["n_max"]), quad)
+    pmf = pfr_mod.index_pmf(pair, params["n_max"], quad)
     heavy = pmf.tail_mass > 1e-4
     if heavy:
         warnings.warn(
@@ -240,22 +260,17 @@ def entropy_figure(ctx, p_spec, q_spec, n_max, seed, out, fmt, quad_tol, alpha_r
 @click.pass_context
 def sample(ctx, p_spec, q_spec, count, method, delta, seed, out, fmt, quad_tol, alpha_range, config_path):
     """Draw (index, accepted sample) pairs; rows are k,u_k,termination."""
-    params = _apply_config(
-        ctx, config_path, dict(seed=seed, out=out, count=count, method=method, delta=delta)
-    )
+    params = _apply_config(ctx, config_path)
     pair = _parse_pair(p_spec, q_spec)
-    root = int(params["seed"])
-    n = int(params["count"])
+    root, n = params["seed"], params["count"]
     if root < 0:
         raise click.UsageError("--seed must be nonnegative")
-    if n < 0:
-        raise click.UsageError("-n must be nonnegative")
     try:
         if params["method"] == "exact":
             ks, us = pfr_mod.sample_indices(pair, n, np.random.default_rng(root))
             termination, capped = "exact", np.zeros(n, dtype=bool)
         else:
-            batch = pfr_mod.run_pfr_many(pair, root, n, delta=float(params["delta"]))
+            batch = pfr_mod.run_pfr_many(pair, root, n, delta=params["delta"])
             ks, us, termination, capped = (
                 batch.index, batch.accepted, batch.termination, batch.capped
             )
@@ -300,10 +315,10 @@ def _sample_csv(ks, us, termination: str, capped, finite: bool) -> str:
 @click.pass_context
 def verify(ctx, only, samples, corrupt_c1, seed, out, fmt, quad_tol, alpha_range, config_path):
     """Run the verification suite; exits nonzero if any check fails."""
-    params = _apply_config(ctx, config_path, dict(seed=seed, samples=samples, only=only))
+    params = _apply_config(ctx, config_path)
     reports = oracle_mod.run_suite(
-        seed=int(params["seed"]),
-        n_samples=int(params["samples"]),
+        seed=params["seed"],
+        n_samples=params["samples"],
         only=params["only"],
         c1_offset=-8.0 if corrupt_c1 else 0.0,
     )

@@ -1,8 +1,9 @@
 """Distribution pairs with density ratios and Renyi divergences.
 
 Three kinds are supported: Gaussian, Laplace (both on R) and finite
-discrete laws on {0, .., n-1}.  Closed-form divergences are evaluated in
-nats and converted at the boundary; every public return value is in bits.
+discrete laws on {0, .., n-1}.  Closed-form divergences take an array of
+orders, are evaluated in nats and converted at the boundary; every public
+return value is in bits.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Union
 
 import numpy as np
@@ -21,7 +23,7 @@ from .errors import (
     OrderError,
     UnsupportedKindError,
 )
-from .numerics import LN2, QuadratureSpec, integrate
+from .numerics import LN2, QuadratureSpec, elementwise, integrate
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -322,64 +324,91 @@ def _log_interval_mass(d: Gaussian | Laplace, lo, hi):
         return np.where(a < b, b + np.log(-np.expm1(a - b)), -math.inf)
 
 
-def _gaussian_renyi_nats(p: Gaussian, q: Gaussian, a: float) -> float:
+# The closed forms below take a 1-D array of orders and evaluate each
+# branch on the orders it applies to.  Their transcendentals go through
+# ``elementwise``, and squares of orders through ``_squared``, so every
+# entry has the bits that the same expression gives on a float order.
+
+
+def _squared(x: float) -> float:
+    # libm pow, which can differ from x * x in the last bit
+    return x**2
+
+
+def _gaussian_renyi_nats(p: Gaussian, q: Gaussian, a: np.ndarray) -> np.ndarray:
     s2 = a * q.sigma**2 + (1.0 - a) * p.sigma**2
-    if s2 <= 0.0:
-        return math.inf
+    infinite = s2 <= 0.0
+    s2[infinite] = 1.0
     d = (
         math.log(q.sigma / p.sigma)
-        + math.log(q.sigma**2 / s2) / (2.0 * (a - 1.0))
+        + elementwise(math.log, q.sigma**2 / s2) / (2.0 * (a - 1.0))
         + 0.5 * a * (p.mu - q.mu) ** 2 / s2
     )
+    d[infinite] = math.inf
     return d
 
 
-def _sinhc(h: float) -> float:
-    if abs(h) < 1e-8:
-        return 1.0 + h * h / 6.0
-    return math.sinh(h) / h
+def _sinhc(h: np.ndarray) -> np.ndarray:
+    """sinh(h) / h, with its Taylor form 1 + h^2/6 for |h| < 1e-8."""
+    return np.divide(
+        elementwise(math.sinh, h), h, out=1.0 + h * h / 6.0, where=np.abs(h) >= 1e-8
+    )
 
 
-def _laplace_renyi_nats(p: Laplace, q: Laplace, a: float) -> float:
+def _laplace_renyi_nats(p: Laplace, q: Laplace, a: np.ndarray) -> np.ndarray:
     l1, l2 = p.lam, q.lam
-    if a * l2 + (1.0 - a) * l1 <= 0.0:
-        return math.inf
     if l1 == l2:
         # equal scales: exact form with no parametrization singularity
         delta = abs(p.theta - q.theta) / l1
         h = (a - 0.5) * delta
-        if abs(h) <= 30.0:
-            log_m = math.log(math.cosh(h) + 0.5 * delta * _sinhc(h))
-        else:
+        near = np.abs(h) <= 30.0
+        log_m = np.empty(a.shape)
+        if np.count_nonzero(near):
+            hn = h[near]
+            log_m[near] = elementwise(
+                math.log, elementwise(math.cosh, hn) + 0.5 * delta * _sinhc(hn)
+            )
+        far = ~near
+        if np.count_nonzero(far):
             # cosh/sinh collapse to exp(|h|)/2 beyond double precision
-            log_m = abs(h) - LN2 + math.log1p(0.5 * delta / abs(h))
+            hf = np.abs(h[far])
+            log_m[far] = hf - LN2 + elementwise(math.log1p, 0.5 * delta / hf)
         return (-0.5 * delta + log_m) / (a - 1.0)
+    out = np.full(a.shape, math.inf)
     singular = l1 / (l1 + l2)
-    if abs(a - singular) < 1e-9:
+    at_singular = np.abs(a - singular) < 1e-9
+    if np.count_nonzero(at_singular):
         # removable singularity of the closed form; evaluate nearby and flag
         warnings.warn(
-            f"Renyi order {a} sits on the removable singularity of the "
-            f"Laplace closed form; evaluating at {a} +- 1e-6",
+            f"Renyi order {singular} sits on the removable singularity of the "
+            f"Laplace closed form; evaluating at {singular} +- 1e-6",
             UserWarning,
             stacklevel=3,
         )
-        lo = _laplace_renyi_nats(p, q, singular - 1e-6)
-        hi = _laplace_renyi_nats(p, q, singular + 1e-6)
-        return 0.5 * (lo + hi)
+        nearby = _laplace_renyi_nats(p, q, np.array([singular - 1e-6, singular + 1e-6]))
+        out[at_singular] = 0.5 * (nearby[0] + nearby[1])
+    # orders with a * l2 + (1 - a) * l1 <= 0 keep the infinite value
+    regular = (a * l2 + (1.0 - a) * l1 > 0.0) & ~at_singular
+    b = a[regular]
     dtheta = abs(p.theta - q.theta)
-    g = (a / l1) * math.exp(-(1.0 - a) * dtheta / l2) - (
-        (1.0 - a) / l2
-    ) * math.exp(-a * dtheta / l1)
-    ratio = l1 * l2**2 * g / (a**2 * l2**2 - (1.0 - a) ** 2 * l1**2)
-    return math.log(l2 / l1) + math.log(ratio) / (a - 1.0)
+    g = (b / l1) * elementwise(math.exp, -(1.0 - b) * dtheta / l2) - (
+        (1.0 - b) / l2
+    ) * elementwise(math.exp, -b * dtheta / l1)
+    ratio = l1 * l2**2 * g / (
+        elementwise(_squared, b) * l2**2 - elementwise(_squared, 1.0 - b) * l1**2
+    )
+    out[regular] = math.log(l2 / l1) + elementwise(math.log, ratio) / (b - 1.0)
+    return out
 
 
-def _finite_renyi_nats(p: Finite, q: Finite, a: float) -> float:
+def _finite_renyi_nats(p: Finite, q: Finite, a: np.ndarray) -> np.ndarray:
     total = 0.0
     for pi, qi in zip(p.probs, q.probs):
         if pi > 0.0:
-            total += pi**a * qi ** (1.0 - a)
-    return math.log(total) / (a - 1.0)
+            total = total + elementwise(partial(math.pow, pi), a) * elementwise(
+                partial(math.pow, qi), 1.0 - a
+            )
+    return elementwise(math.log, total) / (a - 1.0)
 
 
 def _numeric_renyi_bits(
@@ -398,30 +427,38 @@ def _numeric_renyi_bits(
 
 def renyi_divergence(
     pair: DistributionPair,
-    order: float,
+    order,
     spec: QuadratureSpec | None = None,
     force_numeric: bool = False,
-) -> float:
+):
     """Renyi divergence D_order(P||Q) in bits; +inf when divergent.
 
-    Closed forms for all three kinds; ``force_numeric`` integrates
-    q * (dP/dQ)**order by quadrature instead (continuous kinds), for
+    ``order`` is a float, or an array of orders for one value per entry;
+    a float order gives a float.  Every entry has the bits that its order
+    alone gives.  Closed forms for all three kinds, and the KL divergence
+    at order 1; ``force_numeric`` integrates q * (dP/dQ)**order by
+    quadrature instead (continuous kinds, float orders), for
     cross-checking.
     """
-    if not order > 0.0:
+    shape = np.shape(order)
+    a = np.asarray(order, dtype=float).reshape(-1)
+    if np.count_nonzero(a > 0.0) != a.size:
         raise OrderError(f"divergence order must be positive, got {order}")
-    if order == 1.0:
-        return kl_divergence(pair, spec)
-    if force_numeric and not pair.is_finite_kind:
-        return _numeric_renyi_bits(pair, order, spec)
-    p, q = pair.p, pair.q
-    if isinstance(p, Gaussian):
-        nats = _gaussian_renyi_nats(p, q, order)
-    elif isinstance(p, Laplace):
-        nats = _laplace_renyi_nats(p, q, order)
+    one = a == 1.0
+    if np.count_nonzero(one):
+        bits = np.full(a.shape, kl_divergence(pair, spec))
+        rest = ~one
+        if np.count_nonzero(rest):
+            bits[rest] = renyi_divergence(pair, a[rest], spec, force_numeric)
+    elif force_numeric and not pair.is_finite_kind:
+        return _numeric_renyi_bits(pair, float(order), spec)
+    elif isinstance(pair.p, Gaussian):
+        bits = _gaussian_renyi_nats(pair.p, pair.q, a) / LN2
+    elif isinstance(pair.p, Laplace):
+        bits = _laplace_renyi_nats(pair.p, pair.q, a) / LN2
     else:
-        nats = _finite_renyi_nats(p, q, order)
-    return nats / LN2 if math.isfinite(nats) else nats
+        bits = _finite_renyi_nats(pair.p, pair.q, a) / LN2
+    return float(bits[0]) if shape == () else bits.reshape(shape)
 
 
 def kl_divergence(pair: DistributionPair, spec: QuadratureSpec | None = None) -> float:

@@ -1,11 +1,15 @@
-"""Adaptive quadrature, scalar minimization, and log-domain arithmetic.
+"""Adaptive quadrature, batched scalar minimization, and log-domain arithmetic.
 
 Everything downstream (density ratios, index distributions, cost bounds)
 funnels its numerical work through this module.  Quadrature is adaptive
 Gauss-Kronrod (G7/K15) with bisection; infinite intervals are mapped to
 finite ones by rational transforms, so no arbitrary truncation points
-appear anywhere.  ``open_text`` is the path-or-file opener that the CSV
-readers and writers share.
+appear anywhere.  ``minimize_scalar`` searches one window per row of a
+batch, with the grid scan as one array evaluation and golden-section
+refinement run in lockstep over the rows; ``elementwise`` applies a
+``math`` function across an array, so that array closed forms give the
+bits of scalar ones.  ``open_text`` is the path-or-file opener that the
+CSV readers and writers share.
 """
 
 from __future__ import annotations
@@ -56,16 +60,28 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class MinimizeSpec:
-    """Search interval and budget for scalar minimization."""
+    """Search windows and budget for scalar minimization.
 
-    lo: float
-    hi: float
+    ``lo`` and ``hi`` are floats for one window, or 1-D arrays of one
+    length for one window per row; a float applies to every row.
+    """
+
+    lo: float | np.ndarray
+    hi: float | np.ndarray
     grid_points: int = 200
     refine_iters: int = 60
     tol: float = 1e-9
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.lo < self.hi):
+        try:
+            lo, hi = np.broadcast_arrays(
+                np.asarray(self.lo, dtype=float), np.asarray(self.hi, dtype=float)
+            )
+        except ValueError as exc:
+            raise DomainError(f"lo and hi differ in length: {exc}") from None
+        if lo.ndim > 1:
+            raise DomainError("lo and hi must be floats or 1-D arrays")
+        if not np.all((0.0 < lo) & (lo < hi)):
             raise DomainError("require 0 < lo < hi")
         if self.grid_points < 2:
             raise DomainError("grid_points must be >= 2")
@@ -281,58 +297,111 @@ def quadrature_grid(
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+# Golden-section state, one column per row: the bracket ends a, b, the
+# interior points c < d, f(c), f(d), and the latest probe x with f(x).
+# A step moves a row right (f(c) >= f(d): keep [c, b], probe
+# x = c + g (b - c)) or left (f(c) < f(d): keep [a, d], probe
+# x = d + g (a - d), which has the bits of d - g (d - a)); these slot
+# lists gather the probe's (u, v) in x = u + g (v - u) and the next state.
+_RIGHT_PROBE, _LEFT_PROBE = np.array([1, 3]), np.array([2, 0])
+_RIGHT_NEXT = np.array([1, 2, 6, 3, 5, 7, 6, 7])
+_LEFT_NEXT = np.array([0, 6, 1, 2, 7, 4, 6, 7])
+
 
 def minimize_scalar(
-    f: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray],
     spec: MinimizeSpec,
-) -> tuple[float, float]:
-    """Coarse grid scan followed by golden-section refinement.
+):
+    """Coarse grid scan followed by golden-section refinement, per row.
 
-    Returns the best probed point, so the result is a certified upper
-    bound on min f even when f is multimodal.  Values of +inf are treated
-    as valid "infinitely bad" probes (divergent bounds rely on this); NaN
-    raises.
+    ``spec`` holds one search window, or one per row (see ``MinimizeSpec``).
+    ``f`` maps a (rows, k) array of points, row i inside window i, to the
+    values there (an array of that shape, or one that broadcasts to it).
+    The grid scan is one call on (rows, grid_points).  Golden-section
+    refinement then runs in lockstep, one probe per row per call; a row
+    stops once its bracket is narrower than ``spec.tol``, and every row
+    after ``spec.refine_iters`` steps.  A row's arithmetic and comparisons
+    are those of a search of its window alone, so each row returns what a
+    one-row search would.
+
+    Returns the best probed point and its value: floats for one float
+    window, else arrays with one entry per row.  Each value is thus a
+    certified upper bound on min f even when f is multimodal.  Values of
+    +inf are treated as valid "infinitely bad" probes (divergent bounds
+    rely on this); NaN and -inf raise.
     """
+    lo, hi = np.broadcast_arrays(
+        np.asarray(spec.lo, dtype=float), np.asarray(spec.hi, dtype=float)
+    )
+    single = lo.ndim == 0
+    lo, hi = np.atleast_1d(lo, hi)
+    rows = np.arange(lo.size)
 
-    def probe(x: float) -> float:
-        y = f(x)
-        if math.isnan(y) or y == -math.inf:
-            raise NonFiniteError(f"objective non-finite at {x!r}")
+    def probe(x: np.ndarray, ignored=None) -> np.ndarray:
+        y = np.asarray(f(x), dtype=float)
+        if y.shape != x.shape:
+            y = np.broadcast_to(y, x.shape)
+        valid = y > -math.inf  # false for NaN and -inf
+        if ignored is not None:
+            valid |= ignored
+        if np.count_nonzero(valid) != valid.size:
+            raise NonFiniteError(f"objective non-finite at {x[~valid][0]!r}")
         return y
 
-    xs = np.linspace(spec.lo, spec.hi, spec.grid_points)
-    ys = [probe(float(x)) for x in xs]
-    i = int(np.argmin(ys))
-    best_x, best_y = float(xs[i]), ys[i]
+    xs = np.linspace(lo, hi, spec.grid_points, axis=-1)
+    ys = probe(xs)
+    i = np.argmin(ys, axis=1)
+    best_x, best_y = xs[rows, i], ys[rows, i]
 
-    a = float(xs[max(i - 1, 0)])
-    b = float(xs[min(i + 1, len(xs) - 1)])
-    if b > a:
-        c = b - _INV_GOLDEN * (b - a)
-        d = a + _INV_GOLDEN * (b - a)
-        fc, fd = probe(c), probe(d)
-        for _ in range(spec.refine_iters):
-            if abs(b - a) < spec.tol:
-                break
-            if fc < fd:
-                b, d, fd = d, c, fc
-                c = b - _INV_GOLDEN * (b - a)
-                fc = probe(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + _INV_GOLDEN * (b - a)
-                fd = probe(d)
-        for x, y in ((c, fc), (d, fd)):
-            if y < best_y:
-                best_x, best_y = x, y
+    # when a == b the interior points repeat the grid minimum, which
+    # changes nothing below
+    a = xs[rows, np.maximum(i - 1, 0)]
+    b = xs[rows, np.minimum(i + 1, spec.grid_points - 1)]
+    c = b - _INV_GOLDEN * (b - a)
+    d = a + _INV_GOLDEN * (b - a)
+    fc, fd = probe(np.stack([c, d], axis=1)).T
+    state = np.stack([a, c, d, b, fc, fd, c, fc])
+    for _ in range(spec.refine_iters):
+        stopped = np.abs(state[3] - state[0]) < spec.tol
+        n_stopped = np.count_nonzero(stopped)
+        if n_stopped == rows.size:
+            break
+        left = state[4] < state[5]
+        u, v = np.where(left, state.take(_LEFT_PROBE, 0), state.take(_RIGHT_PROBE, 0))
+        state[6] = x = u + _INV_GOLDEN * (v - u)
+        # a stopped row's probe is not part of its search: never checked, never kept
+        state[7] = probe(x[:, None], stopped[:, None] if n_stopped else None)[:, 0]
+        moved = np.where(left, state.take(_LEFT_NEXT, 0), state.take(_RIGHT_NEXT, 0))
+        state = np.where(stopped, state, moved) if n_stopped else moved
+    for x, y in ((state[1], state[4]), (state[2], state[5])):
+        better = y < best_y
+        best_x = np.where(better, x, best_x)
+        best_y = np.where(better, y, best_y)
+    if single:
+        return float(best_x[0]), float(best_y[0])
     return best_x, best_y
 
 
-def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
-    if not x > 0.0:
+def elementwise(fn: Callable[[float], float], x):
+    """``fn``, a ``math`` function of one float, applied to each element of ``x``.
+
+    A float comes back as a float, anything else as an array of its shape.
+    numpy's own transcendentals can differ from ``math`` in the last bit,
+    and one flipped comparison in a golden-section search moves its
+    optimum; mapping the ``math`` function keeps array closed forms
+    bitwise equal to scalar ones.
+    """
+    if np.ndim(x) == 0:
+        return fn(float(x))
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def log_gamma(x):
+    """Natural log of the gamma function for x > 0, elementwise."""
+    if not np.all(np.asarray(x) > 0.0):
         raise DomainError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
+    return elementwise(math.lgamma, x)
 
 
 def log2_sum_exp(values) -> float:

@@ -316,16 +316,17 @@ def _check_code() -> list[CheckReport]:
 
 def _check_soundness(c1_offset: float) -> list[CheckReport]:
     reports = []
+    alphas = np.linspace(0.25, 0.99, 8)
     for label, pair in DEFAULT_PAIRS:
-        for alpha in np.linspace(0.25, 0.99, 8):
-            floor = max(lb1(pair, alpha), lb2(pair, alpha))
-            _, cap = optimize_ub(pair, alpha, "ub1")
+        floors = np.maximum(lb1(pair, alphas), lb2(pair, alphas))
+        _, caps = optimize_ub(pair, alphas, "ub1")
+        for alpha, floor, cap in zip(alphas.tolist(), floors.tolist(), caps.tolist()):
             cap += c1_offset
             reports.append(
                 CheckReport(
                     check="soundness",
                     subject=label,
-                    alpha=float(alpha),
+                    alpha=alpha,
                     passed=floor <= cap + 1e-9,
                     details=f"lb={floor:.4f} ub={cap:.4f}",
                 )

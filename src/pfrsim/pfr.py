@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -251,10 +252,13 @@ def sample_indices(
     return np.maximum(k, 1.0), np.asarray(u, dtype=float)
 
 
+@lru_cache(maxsize=64)
 def _selection_rule(pair: DistributionPair, delta: float) -> tuple[float, bool, float]:
     """Per-pair setup of the selection rule: (log sup r, exact stop, log delta).
 
     Unbounded ratios without a finite E_Q[r^2] raise DomainError up front.
+    Cached, because ``run_pfr`` draws once per call, and a loop of draws on
+    one pair should pay for the setup (a divergence evaluation among it) once.
     """
     if not delta > 0.0:
         raise DomainError("delta must be positive")

@@ -164,6 +164,51 @@ class TestOptimization:
             optimize_ub(NEAR, 0.9, "ub3")
 
 
+BATCH_PAIRS = [
+    DistributionPair(Gaussian(0, 1), Gaussian(1, 1.5)),
+    DistributionPair(Laplace(0, 1), Laplace(1, 2)),
+    DistributionPair(Finite((0.9, 0.1)), Finite((0.5, 0.5))),
+]
+BATCH_IDS = ["gaussian", "laplace_unequal_scales", "finite"]
+
+
+class TestBatchedBounds:
+    @pytest.mark.parametrize("pr", BATCH_PAIRS, ids=BATCH_IDS)
+    def test_optimize_rows_equal_single_orders(self, pr):
+        for which, alphas in (
+            ("ub1", np.linspace(0.06, 0.99, 11)),
+            ("ub2", np.linspace(0.67, 0.99, 6)),
+        ):
+            eps, vals = optimize_ub(pr, alphas, which)
+            assert eps.shape == vals.shape == alphas.shape
+            for a, e, v in zip(alphas.tolist(), eps.tolist(), vals.tolist()):
+                assert optimize_ub(pr, a, which) == (e, v)
+
+    @pytest.mark.parametrize("pr", BATCH_PAIRS, ids=BATCH_IDS)
+    def test_bounds_broadcast_with_scalar_bits(self, pr):
+        # epsilons on both sides of c1's case split, which lies at 1.33 for
+        # alpha = 0.7 and at 98 for alpha = 0.99
+        alphas = np.linspace(0.7, 0.99, 5)
+        eps = np.array([1e-3, 0.05, 0.4, 3.0, 30.0])
+        capped = np.minimum(eps, ub2_epsilon_max(alphas)[:, None])
+        a_list, e_list = alphas.tolist(), eps.tolist()
+        assert lb1(pr, alphas).tolist() == [lb1(pr, a) for a in a_list]
+        assert lb2(pr, alphas).tolist() == [lb2(pr, a) for a in a_list]
+        assert c2(eps).tolist() == [c2(e) for e in e_list]
+        grid = [[c1(a, e) for e in e_list] for a in a_list]
+        assert c1(alphas[:, None], eps).tolist() == grid
+        grid = [[ub1(pr, a, e) for e in e_list] for a in a_list]
+        assert ub1(pr, alphas[:, None], eps).tolist() == grid
+        grid = [[ub2(pr, a, e) for e in row] for a, row in zip(a_list, capped.tolist())]
+        assert ub2(pr, alphas[:, None], capped).tolist() == grid
+
+    def test_orders_checked_before_searching(self):
+        with pytest.raises(OrderError):
+            optimize_ub(NEAR, np.array([0.5, 1.2]), "ub1")
+        with pytest.raises(OrderError):
+            optimize_ub(NEAR, np.array([0.5, 0.9]), "ub2")
+
+
 class TestSweep:
     def test_identical_pair_single_row(self):
         rows = sweep(IDENT, [0.5])

@@ -123,6 +123,43 @@ class TestSweepCommand:
         assert table.read_text() == res.output
 
 
+class TestConfigFile:
+    @pytest.mark.parametrize(
+        "args,config",
+        [
+            (("sample", "normal:0,1", "normal:1,1"), {"seed": "x"}),
+            (("sample", "normal:0,1", "normal:1,1", "--method", "pfr"), {"delta": "abc"}),
+            (("sweep", "normal:0,1", "normal:1,1"), {"alpha_range": [0.2, 0.9]}),
+            (("sweep", "normal:0,1", "normal:1,1"), {"alpha-range": "0.9,0.2,5"}),
+            (("entropy-figure", "normal:0,1", "normal:1,1"), {"n_max": "abc"}),
+            (("verify",), {"samples": "many"}),
+            (("sweep", "normal:0,1", "normal:1,1"), ["not", "an", "object"]),
+        ],
+        ids=["seed", "delta", "short_alpha_range", "reversed_alpha_range", "n_max",
+             "samples", "not_an_object"],
+    )
+    def test_bad_value_is_a_usage_error(self, tmp_path, args, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        res = run(*args, "--config", str(cfg))
+        assert res.exit_code == 2, res.output
+        assert "Error:" in res.output
+
+    def test_values_convert_like_flags(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha_range": [0.4, 0.8, 5], "seed": None}))
+        res = run("sweep", "normal:0,1", "normal:1,1", "--config", str(cfg))
+        assert res.exit_code == 0, res.output
+        assert res.output == run(
+            "sweep", "normal:0,1", "normal:1,1", "--alpha-range", "0.4,0.8,5"
+        ).output
+        # JSON null keeps the default seed; a numeric string converts
+        cfg.write_text(json.dumps({"seed": None, "count": "4"}))
+        res = run("sample", "normal:0,1", "normal:1,1", "--config", str(cfg))
+        assert res.exit_code == 0, res.output
+        assert res.output == run("sample", "normal:0,1", "normal:1,1", "-n", "4").output
+
+
 class TestEntropyFigureCommand:
     def test_column_sits_between_bounds(self, tmp_path):
         out = tmp_path / "e.csv"

@@ -1,7 +1,11 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, Phase, example, given, settings
+from hypothesis import strategies as st
 
 from pfrsim.distributions import (
     DistributionPair,
@@ -210,6 +214,154 @@ class TestRenyiDivergence:
             assert renyi_divergence(pr, 0.9999) == pytest.approx(
                 kl_divergence(pr), abs=1e-2
             )
+
+
+# 30-digit references for the closed forms: quadrature of the integral of
+# p^a q^(1-a) for the continuous kinds, exact sums for finite pairs.
+_REFERENCE = settings(
+    max_examples=8,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    phases=[Phase.explicit, Phase.generate],
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def _bits(integral, a):
+    return float(mpmath.log(integral) / ((a - 1) * mpmath.log(2)))
+
+
+def _gaussian_reference(p, q, order):
+    with mpmath.workdps(30):
+        a = mpmath.mpf(order)
+        mu_p, mu_q = mpmath.mpf(p.mu), mpmath.mpf(q.mu)
+        var_p, var_q = mpmath.mpf(p.sigma) ** 2, mpmath.mpf(q.sigma) ** 2
+
+        def integrand(x):
+            log_p = -((x - mu_p) ** 2) / (2 * var_p) - mpmath.log(p.sigma)
+            log_q = -((x - mu_q) ** 2) / (2 * var_q) - mpmath.log(q.sigma)
+            return mpmath.exp(a * log_p + (1 - a) * log_q) / mpmath.sqrt(2 * mpmath.pi)
+
+        # the integrand is a Gaussian bump: break the line around its peak
+        precision = a / var_p + (1 - a) / var_q
+        peak = (a * mu_p / var_p + (1 - a) * mu_q / var_q) / precision
+        sd = 1 / mpmath.sqrt(precision)
+        edges = [-mpmath.inf, peak - 8 * sd, peak, peak + 8 * sd, mpmath.inf]
+        return _bits(mpmath.quad(integrand, edges), a)
+
+
+def _laplace_reference(p, q, order):
+    with mpmath.workdps(30):
+        a = mpmath.mpf(order)
+        l1, l2 = mpmath.mpf(p.lam), mpmath.mpf(q.lam)
+
+        def integrand(x):
+            log_p = -abs(x - p.theta) / l1 - mpmath.log(2 * l1)
+            log_q = -abs(x - q.theta) / l2 - mpmath.log(2 * l2)
+            return mpmath.exp(a * log_p + (1 - a) * log_q)
+
+        # smooth between the two kinks
+        kinks = sorted({mpmath.mpf(p.theta), mpmath.mpf(q.theta)})
+        return _bits(mpmath.quad(integrand, [-mpmath.inf, *kinks, mpmath.inf]), a)
+
+
+def _assert_array_matches_scalars(pr, orders):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        values = renyi_divergence(pr, np.array(orders))
+        scalars = [renyi_divergence(pr, o) for o in orders]
+    assert values.tolist() == scalars
+    return scalars
+
+
+class TestRenyiReference:
+    @_REFERENCE
+    @given(
+        mu=st.tuples(st.floats(-4, 4), st.floats(-4, 4)),
+        sigma=st.tuples(st.floats(0.4, 2.5), st.floats(0.4, 2.5)),
+        orders=st.lists(st.floats(0.05, 6.0), min_size=2, max_size=2),
+    )
+    @example(mu=(0.0, 1.0), sigma=(2.0, 1.0), orders=[1.5, 4.0 / 3.0])  # s^2 <= 0
+    def test_gaussian_matches_quadrature(self, mu, sigma, orders):
+        p, q = Gaussian(mu[0], sigma[0]), Gaussian(mu[1], sigma[1])
+        values = _assert_array_matches_scalars(pair(p, q), orders)
+        for a, value in zip(orders, values):
+            s2 = a * q.sigma**2 + (1.0 - a) * p.sigma**2
+            if s2 <= 0.0:
+                assert value == math.inf
+            elif s2 > 0.1 * min(p.sigma, q.sigma) ** 2 and a != 1.0:
+                ref = _gaussian_reference(p, q, a)
+                assert value == pytest.approx(ref, rel=1e-11, abs=1e-12), (p, q, a)
+
+    @_REFERENCE
+    @given(
+        theta=st.tuples(st.floats(-3, 3), st.floats(-40, 40)),
+        lam=st.tuples(st.floats(0.4, 2.5), st.floats(0.4, 2.5)),
+        equal_scales=st.booleans(),
+        order=st.floats(0.05, 6.0),
+        offset=st.sampled_from([-1e-4, -1e-6, -1e-8, -3e-10, 0.0, 2e-10, 1e-8, 1e-6, 1e-4]),
+    )
+    @example(theta=(0.0, 30.0), lam=(1.0, 1.0), equal_scales=True, order=3.0, offset=0.0)  # |h| > 30
+    @example(theta=(0.0, 1.0), lam=(1.0, 2.0), equal_scales=False, order=2.5, offset=1e-8)
+    def test_laplace_matches_quadrature(self, theta, lam, equal_scales, order, offset):
+        # the second order sits near l1 / (l1 + l2), the removable
+        # singularity of the unequal-scale closed form
+        l1, l2 = lam[0], lam[0] if equal_scales else lam[1]
+        p, q = Laplace(theta[0], l1), Laplace(theta[1], l2)
+        singular = l1 / (l1 + l2)
+        orders = [order, singular + offset]
+        values = _assert_array_matches_scalars(pair(p, q), orders)
+        for a, value in zip(orders, values):
+            if a * l2 + (1.0 - a) * l1 <= 0.0:
+                assert value == math.inf
+                continue
+            # near the singular order the closed form cancels, losing about
+            # 1e-16 / |a - singular| in absolute terms; within 1e-9 of it the
+            # form is averaged at +-1e-6
+            gap = abs(a - singular)
+            cancel = 0.0 if l1 == l2 else 1e-15 / (gap if gap >= 1e-9 else 1e-6)
+            ref = _laplace_reference(p, q, a)
+            assert value == pytest.approx(ref, rel=1e-11, abs=1e-12 + cancel), (p, q, a)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        weights=st.lists(
+            st.tuples(st.floats(0.0, 1.0), st.floats(0.05, 1.0)), min_size=1, max_size=6
+        ).filter(lambda w: sum(x for x, _ in w) > 0.1),
+        orders=st.lists(st.floats(0.05, 6.0), min_size=1, max_size=4),
+    )
+    def test_finite_matches_exact_sum(self, weights, orders):
+        p_w, q_w = np.array(weights).T
+        p, q = Finite(tuple(p_w / p_w.sum())), Finite(tuple(q_w / q_w.sum()))
+        values = _assert_array_matches_scalars(pair(p, q), orders)
+        with mpmath.workdps(30):
+            ps = [mpmath.mpf(x) / mpmath.fsum(map(mpmath.mpf, p.probs)) for x in p.probs]
+            qs = [mpmath.mpf(x) / mpmath.fsum(map(mpmath.mpf, q.probs)) for x in q.probs]
+            for a, value in zip(orders, values):
+                if a == 1.0:
+                    continue
+                total = mpmath.fsum(pi**a * qi ** (1 - a) for pi, qi in zip(ps, qs) if pi > 0)
+                assert value == pytest.approx(_bits(total, mpmath.mpf(a)), rel=1e-11, abs=1e-12)
+
+    def test_singularity_warns_once_per_call(self):
+        pr = pair(Laplace(0, 1), Laplace(1, 2))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            values = renyi_divergence(pr, np.array([1.0 / 3.0, 1.0 / 3.0 + 5e-10, 2.0]))
+        assert len(caught) == 1 and "singularity" in str(caught[0].message)
+        assert values[0] == values[1]
+
+    def test_shapes(self):
+        pr = pair(Gaussian(0, 1), Gaussian(1, 2))
+        orders = np.array([[0.5, 1.0, 2.0], [3.0, 4.0, 1.0]])
+        values = renyi_divergence(pr, orders)
+        assert values.shape == orders.shape
+        assert values[0, 1] == values[1, 2] == kl_divergence(pr)
+        assert isinstance(renyi_divergence(pr, 2.0), float)
+        assert renyi_divergence(pr, np.array([])).shape == (0,)
+        with pytest.raises(OrderError):
+            renyi_divergence(pr, np.array([1.0, 0.0]))
 
 
 class TestKl:

@@ -111,7 +111,7 @@ class TestMinimizeScalar:
             a, b, c = rng.normal(size=3)
 
             def f(x):
-                return math.sin(a * x) + 0.1 * (x - b) ** 2 + c * math.cos(x)
+                return np.sin(a * x) + 0.1 * (x - b) ** 2 + c * np.cos(x)
 
             spec = MinimizeSpec(0.1, 20.0)
             _, v = minimize_scalar(f, spec)
@@ -120,7 +120,7 @@ class TestMinimizeScalar:
 
     def test_infinite_values_tolerated(self):
         def f(x):
-            return math.inf if x > 2.0 else (x - 1.5) ** 2
+            return np.where(x > 2.0, math.inf, (x - 1.5) ** 2)
 
         x, v = minimize_scalar(f, MinimizeSpec(0.5, 10.0))
         assert x == pytest.approx(1.5, abs=1e-5)
@@ -135,6 +135,105 @@ class TestMinimizeScalar:
             MinimizeSpec(0.0, 1.0)
         with pytest.raises(DomainError):
             MinimizeSpec(2.0, 1.0)
+
+
+_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _one_row_search(f, lo, hi, grid_points, refine_iters, tol):
+    """The scalar grid scan and golden-section search, probe by probe."""
+
+    def probe(x):
+        y = float(f(x))
+        if math.isnan(y) or y == -math.inf:
+            raise NonFiniteError(f"objective non-finite at {x!r}")
+        return y
+
+    xs = np.linspace(lo, hi, grid_points)
+    ys = [probe(float(x)) for x in xs]
+    i = int(np.argmin(ys))
+    best_x, best_y = float(xs[i]), ys[i]
+    a = float(xs[max(i - 1, 0)])
+    b = float(xs[min(i + 1, len(xs) - 1)])
+    if b > a:
+        c = b - _INV_GOLDEN * (b - a)
+        d = a + _INV_GOLDEN * (b - a)
+        fc, fd = probe(c), probe(d)
+        for _ in range(refine_iters):
+            if abs(b - a) < tol:
+                break
+            if fc < fd:
+                b, d, fd = d, c, fc
+                c = b - _INV_GOLDEN * (b - a)
+                fc = probe(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + _INV_GOLDEN * (b - a)
+                fd = probe(d)
+        for x, y in ((c, fc), (d, fd)):
+            if y < best_y:
+                best_x, best_y = x, y
+    return best_x, best_y
+
+
+def _wavy(shift, plateau):
+    """Row i: a triangle wave plus a parabola, +inf beyond plateau[i].
+
+    Correctly rounded operations only, so that every element gets the same
+    bits in arrays of any size.
+    """
+
+    def f(x):
+        y = np.abs(np.mod(3.0 * x, 2.0) - 1.0) + 0.05 * (x - shift) * (x - shift)
+        return np.where(x > plateau, math.inf, y)
+
+    return f
+
+
+class TestBatchedMinimizeScalar:
+    @pytest.mark.parametrize(
+        "grid_points,refine_iters,tol", [(200, 60, 1e-9), (17, 12, 1e-12), (5, 60, 1e-3)]
+    )
+    def test_rows_match_one_row_searches(self, grid_points, refine_iters, tol):
+        rng = np.random.default_rng(3)
+        n = 40
+        lo = rng.uniform(0.01, 2.0, n)
+        hi = lo + 10.0 ** rng.uniform(-6, 1.5, n)
+        shift = rng.uniform(0.0, 10.0, n)
+        plateau = np.where(rng.random(n) < 0.3, lo + 0.5 * (hi - lo), math.inf)
+        spec = MinimizeSpec(lo, hi, grid_points, refine_iters, tol)
+        xs, ys = minimize_scalar(_wavy(shift[:, None], plateau[:, None]), spec)
+        for i in range(n):
+            f = _wavy(shift[i], plateau[i])
+            one = minimize_scalar(f, MinimizeSpec(lo[i], hi[i], grid_points, refine_iters, tol))
+            assert one == (xs[i], ys[i])
+            assert one == _one_row_search(f, lo[i], hi[i], grid_points, refine_iters, tol)
+
+    def test_shared_bound_and_shapes(self):
+        x, y = minimize_scalar(lambda e: (e - 1.0) ** 2, MinimizeSpec(0.1, np.array([10.0])))
+        assert x.shape == y.shape == (1,)
+        assert (x[0], y[0]) == minimize_scalar(lambda e: (e - 1.0) ** 2, MinimizeSpec(0.1, 10.0))
+        with pytest.raises(DomainError):
+            MinimizeSpec(np.array([0.1, 0.2]), np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(DomainError):
+            MinimizeSpec(np.array([0.1, 2.0]), np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    @pytest.mark.parametrize("region", [(0.45, 1.0), (0.61, 0.69)], ids=["grid", "refinement"])
+    def test_non_finite_in_any_row_raises(self, bad, region):
+        # row 4 turns bad on the region; the grid 0.1, 0.2, .., 1.0 meets
+        # the first one, and only the refinement around the minimum at 0.63
+        # meets the second
+        rows = np.arange(6)[:, None]
+
+        def f(x):
+            sick = (rows == 4) & (x > region[0]) & (x < region[1])
+            return np.where(sick, bad, (x - 0.63) ** 2)
+
+        with pytest.raises(NonFiniteError):
+            minimize_scalar(f, MinimizeSpec(np.full(6, 0.1), np.full(6, 1.0), grid_points=10))
+        healthy = minimize_scalar(lambda x: (x - 0.63) ** 2, MinimizeSpec(0.1, 1.0, grid_points=10))
+        assert healthy[0] == pytest.approx(0.63, abs=1e-8)
 
 
 class TestLogGamma:
