@@ -48,7 +48,6 @@ from .distributions import (
     Gaussian,
     Laplace,
     kl_divergence,
-    log2_density_ratio,
     parse_distribution,
     renyi_divergence,
 )
@@ -92,7 +91,6 @@ from .pfr import (
     PfrBatch,
     PfrOutcome,
     TailCertificate,
-    beta,
     derive_stream,
     index_pmf,
     log_beta,

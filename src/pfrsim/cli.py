@@ -187,7 +187,11 @@ def divergence(ctx, p_spec, q_spec, orders, numeric, seed, out, fmt, quad_tol, a
             raise click.UsageError(str(exc))
         row = f"{order:g},{_fmt_cell(val)}"
         if numeric:
-            row += f",{_fmt_cell(renyi_divergence(pair, order, spec, force_numeric=True))}"
+            try:
+                val = renyi_divergence(pair, order, spec, force_numeric=True)
+            except PfrsimError as exc:
+                raise click.UsageError(f"numeric divergence at order {order:g}: {exc}")
+            row += f",{_fmt_cell(val)}"
         lines.append(row)
     text = "\n".join(lines) + "\n"
     click.echo(text, nl=False)

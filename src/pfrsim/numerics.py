@@ -4,12 +4,15 @@ Everything downstream (density ratios, index distributions, cost bounds)
 funnels its numerical work through this module.  Quadrature is adaptive
 Gauss-Kronrod (G7/K15) with bisection; infinite intervals are mapped to
 finite ones by rational transforms, so no arbitrary truncation points
-appear anywhere.  ``minimize_scalar`` searches one window per row of a
-batch, with the grid scan as one array evaluation and golden-section
-refinement run in lockstep over the rows; ``elementwise`` applies a
-``math`` function across an array, so that array closed forms give the
-bits of scalar ones.  ``open_text`` is the path-or-file opener that the
-CSV readers and writers share.
+appear anywhere.  Integrands are array-to-array: each panel evaluates its
+15 nodes in one call, so an integrand maps an array of points to an array
+of values (or a float that broadcasts to it), with numpy operations
+rather than ``math`` ones or Python branches.  ``minimize_scalar``
+searches one window per row of a batch, with the grid scan as one array
+evaluation and golden-section refinement run in lockstep over the rows;
+``elementwise`` applies a ``math`` function across an array, so that
+array closed forms give the bits of scalar ones.  ``open_text`` is the
+path-or-file opener that the CSV readers and writers share.
 """
 
 from __future__ import annotations
@@ -183,7 +186,7 @@ def _panel_rule(g: Callable[[np.ndarray], np.ndarray], a: float, b: float):
     y = g(t)
     if not np.all(np.isfinite(y)):
         bad = t[~np.isfinite(y)][0]
-        raise NonFiniteError(f"integrand non-finite at parameter {bad!r}")
+        raise NonFiniteError(f"integrand non-finite at parameter {float(bad)!r}")
     k15 = h * float(np.dot(_WEIGHTS15, y))
     # Gauss points sit at indices 1,3,5,7(centre),9,11,13 of the 15-node layout.
     g7 = h * float(
@@ -236,38 +239,39 @@ def _adaptive_panels(
 
 
 def integrate(
-    f: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
     spec: QuadratureSpec | None = None,
 ) -> float:
-    """Integrate f over (lo, hi); either endpoint may be infinite."""
+    """Integrate f over (lo, hi); either endpoint may be infinite.
+
+    ``f`` is array-to-array: it is called on a panel's 15 nodes at once
+    and returns their values, or a float for a constant.  A NaN or
+    infinite value raises NonFiniteError.
+    """
     spec = spec or QuadratureSpec()
     if not lo < hi:
         raise DomainError(f"require lo < hi, got ({lo}, {hi})")
     phi, jac, a, b = _transform(lo, hi)
-    fv = np.vectorize(f, otypes=[float])
-
-    def g(t: np.ndarray) -> np.ndarray:
-        return fv(phi(t)) * jac(t)
-
-    value, _, _ = _adaptive_panels(g, a, b, spec)
+    value, _, _ = _adaptive_panels(lambda t: f(phi(t)) * jac(t), a, b, spec)
     return value
 
 
 def quadrature_grid(
-    fs: Sequence[Callable[[float], float]],
+    fs: Sequence[Callable[[np.ndarray], np.ndarray]],
     lo: float,
     hi: float,
     spec: QuadratureSpec | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Build one node/weight grid adequate for every pilot integrand in fs.
 
-    Runs the adaptive subdivision separately per pilot, merges the panel
-    breakpoints, and lays K15 nodes on each merged panel.  For any g of
-    comparable difficulty, ``sum(w * g(x))`` then approximates the integral
-    of g over (lo, hi).  Nodes are returned in the original coordinates,
-    weights include the interval-transform jacobian.
+    Each pilot is array-to-array, as for ``integrate``.  Runs the adaptive
+    subdivision separately per pilot, merges the panel breakpoints, and
+    lays K15 nodes on each merged panel.  For any g of comparable
+    difficulty, ``sum(w * g(x))`` then approximates the integral of g over
+    (lo, hi).  Nodes are returned in the original coordinates, weights
+    include the interval-transform jacobian.
     """
     spec = spec or QuadratureSpec()
     if not lo < hi:
@@ -276,12 +280,7 @@ def quadrature_grid(
 
     breakpoints: set[float] = {a, b}
     for f in fs:
-        fv = np.vectorize(f, otypes=[float])
-
-        def g(t: np.ndarray) -> np.ndarray:
-            return fv(phi(t)) * jac(t)
-
-        _, _, breaks = _adaptive_panels(g, a, b, spec)
+        _, _, breaks = _adaptive_panels(lambda t: f(phi(t)) * jac(t), a, b, spec)
         breakpoints.update(breaks)
 
     edges = np.array(sorted(breakpoints))

@@ -173,10 +173,8 @@ def log_beta(pair: DistributionPair, u):
     with np.errstate(divide="ignore"):
         a = log_c + np.log(-np.expm1(log_q))
     del log_c, log_q  # large batches: keep few full-size arrays alive at once
-    if np.ndim(a) == 0:  # scalar calls, as from the quadrature pilots
-        lb = -np.logaddexp(a, log_p)
-    else:  # np.logaddexp is several times slower than this on arrays
-        lb = -(np.maximum(a, log_p) + np.log1p(np.exp(-np.abs(a - log_p))))
+    # np.logaddexp, written out: several times faster on arrays
+    lb = -(np.maximum(a, log_p) + np.log1p(np.exp(-np.abs(a - log_p))))
     return lb[np.asarray(u, dtype=int)] if pair.is_finite_kind else lb
 
 
@@ -185,49 +183,24 @@ def _log_beta_quadrature(
 ) -> float:
     log_ru = float(pair.log_ratio(u))
 
-    def integrand(x: float) -> float:
-        lr = max(float(pair.log_ratio(x)), log_ru)
-        return math.exp(lr + float(pair.q.log_density(x)))
+    def integrand(x: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):  # inf raises NonFiniteError
+            return np.exp(np.maximum(pair.log_ratio(x), log_ru) + pair.q.log_density(x))
 
     return -math.log(integrate(integrand, -math.inf, math.inf, spec))
-
-
-def beta(pair: DistributionPair, u) -> float:
-    """Geometric success probability beta(u), in (0, 1]."""
-    return float(np.exp(log_beta(pair, u)))
-
-
-def _geometric_index(log_beta_val: float, v: float) -> int:
-    """Stable inverse-transform geometric draw: ceil(ln v / ln(1 - beta))."""
-    if log_beta_val >= 0.0:
-        return 1
-    b = math.exp(log_beta_val)
-    denom = math.log1p(-b) if b < 1.0 else -math.inf
-    if denom == -math.inf:
-        return 1
-    if denom == 0.0:
-        raise IndexOverflowError("beta underflows double precision")
-    k = math.log(v) / denom  # +inf when beta is subnormal
-    if k > _UINT64_MAX:
-        raise IndexOverflowError(
-            f"geometric index {k:.3e} exceeds the unsigned 64-bit range"
-        )
-    return max(math.ceil(k), 1)
 
 
 def sample_index_exact(pair: DistributionPair, rng: np.random.Generator) -> PfrOutcome:
     """Draw (K, U_K) from its exact joint law via the conditional geometric.
 
+    One draw of ``sample_indices``, with the same generator calls.
     Mandatory for high-divergence pairs where running the selection rule
     is intractable.
     """
-    u = pair.p.sample(rng)
-    lb = float(log_beta(pair, u))
-    v = 1.0 - rng.random()  # in (0, 1]
-    k = _geometric_index(lb, v)
-    return PfrOutcome(
-        index=k, accepted=u, candidates_examined=k, termination="exact"
-    )
+    ks, us = sample_indices(pair, 1, rng)
+    k = int(ks[0])
+    u = int(us[0]) if pair.is_finite_kind else float(us[0])
+    return PfrOutcome(index=k, accepted=u, candidates_examined=k, termination="exact")
 
 
 def sample_indices(
@@ -508,31 +481,22 @@ def index_pmf(
         return _index_pmf_on_grid(pair, n_max, nodes, np.ones(len(nodes)))
     spec = spec or QuadratureSpec()
 
-    def make_pilot(k: int):
-        def pilot(u: float) -> float:
-            lb = float(log_beta(pair, u))
-            lp = float(pair.p.log_density(u))
-            b = math.exp(min(lb, 0.0))
-            if b >= 1.0:
-                return math.exp(lp) if k == 1 else 0.0
-            return math.exp((k - 1) * math.log1p(-b) + lb + lp)
+    def pilot(k: int, survival: bool = False):
+        """Integrand of P(K = k), or of P(K > k) when ``survival``, over arrays."""
 
-        return pilot
+        def f(u: np.ndarray) -> np.ndarray:
+            lb = log_beta(pair, u)
+            log1m = _log1m_from_log_beta(lb)  # -1e300 where beta == 1
+            with np.errstate(over="ignore"):
+                log_term = k * log1m if survival else (k - 1) * log1m + lb
+                return np.exp(log_term + pair.p.log_density(u))
 
-    def survival_pilot(u: float) -> float:
-        lb = float(log_beta(pair, u))
-        lp = float(pair.p.log_density(u))
-        b = math.exp(min(lb, 0.0))
-        if b >= 1.0:
-            return 0.0
-        return math.exp(n_max * math.log1p(-b) + lp)
+        return f
 
     pilot_ks = sorted({1, 4, 16, 64, 256, n_max} | {
         min(int(n_max * 2.0 ** j), 10**12) for j in (5, 10, 15, 20, 25, 30)
     })
-    pilots = [make_pilot(k) for k in pilot_ks if k <= n_max]
-    pilots.append(survival_pilot)
-    pilots.extend(make_pilot(k) for k in pilot_ks if k > n_max)
+    pilots = [pilot(k) for k in pilot_ks] + [pilot(n_max, survival=True)]
     nodes, weights = quadrature_grid(pilots, -math.inf, math.inf, spec)
     return _index_pmf_on_grid(pair, n_max, nodes, weights)
 

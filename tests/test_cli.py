@@ -48,6 +48,15 @@ class TestDivergenceCommand:
         _, rows = parse_csv(res.output)
         assert float(rows[0][1]) == pytest.approx(float(rows[0][2]), abs=1e-6)
 
+    def test_numeric_overflow_is_usage_error(self):
+        # the integrand p^5 q^-4 grows without bound: the closed form is inf
+        res = run(
+            "divergence", "normal:0,1", "normal:0,0.5", "--order", "5", "--numeric"
+        )
+        assert res.exit_code == 2
+        assert "order 5" in res.output and "non-finite" in res.output
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+
     def test_parse_error_exits_2(self):
         res = run("divergence", "normal:0", "normal:1,1", "--order", "2")
         assert res.exit_code == 2
