@@ -5,9 +5,10 @@ two upper bounds are achieved by the Poisson-process selection rule with
 suitable integer codes.  All values are in bits, parameterized by the
 entropy order alpha in (0, 1) (equivalently t = (1 - alpha) / alpha).
 Upper bounds carry a slack parameter epsilon that callers optimize out.
-Every bound broadcasts over arrays of alpha and epsilon, entry by entry
-with the bits of a scalar call, so a sweep optimizes epsilon for all its
-orders at once.
+Every bound broadcasts over arrays of alpha and epsilon, so a sweep
+optimizes epsilon for all its orders at once.  Their logarithms are numpy
+ufuncs, which give a value the same bits alone as inside an array, so
+each entry has the bits of a scalar call.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .numerics import (
     LOG2E,
     MinimizeSpec,
     QuadratureSpec,
-    elementwise,
     log_gamma,
     minimize_scalar,
     open_text,
@@ -58,7 +58,7 @@ def lb1(pair: DistributionPair, alpha, spec: QuadratureSpec | None = None):
     _check_alpha(alpha)
     _require_mutual_ac(pair)
     d = renyi_divergence(pair, 1.0 / alpha, spec)
-    return d + (alpha / (1.0 - alpha)) * elementwise(math.log2, alpha) - 1.0
+    return d + (alpha / (1.0 - alpha)) * np.log2(alpha) - 1.0
 
 
 def lb2(pair: DistributionPair, alpha, spec: QuadratureSpec | None = None):
@@ -66,7 +66,7 @@ def lb2(pair: DistributionPair, alpha, spec: QuadratureSpec | None = None):
     _check_alpha(alpha)
     _require_mutual_ac(pair)
     d = renyi_divergence(pair, 2.0 - alpha, spec)
-    return d + elementwise(math.log2, 1.0 / (2.0 - alpha)) / (1.0 - alpha)
+    return d + np.log2(1.0 / (2.0 - alpha)) / (1.0 - alpha)
 
 
 def c1(alpha, epsilon):
@@ -82,7 +82,7 @@ def c1(alpha, epsilon):
 
 
 def _c1(alpha, epsilon):
-    log_term = elementwise(math.log2, 1.0 + 1.0 / epsilon)
+    log_term = np.log2(1.0 + 1.0 / epsilon)
     one_plus = 1.0 + epsilon
     out = one_plus * LOG2E + 1.0 + log_term
     # case split at eps = (2a-1)/(1-a), rearranged to avoid cancellation;
@@ -125,15 +125,10 @@ def _ub1(pair: DistributionPair, alpha, epsilon, spec: QuadratureSpec | None):
     return (1.0 + epsilon) * d + _c1(alpha, epsilon)
 
 
-def c2(epsilon, use_proof_constant: bool = False):
-    """Constant term of the universal-code upper bound, in bits.
-
-    The stated constant starts at 3; the derivation's final line supports
-    2, exposed behind ``use_proof_constant`` for comparison only.
-    """
+def c2(epsilon):
+    """Constant term of the universal-code upper bound, in bits."""
     _check_epsilon(epsilon)
-    base = 2.0 if use_proof_constant else 3.0
-    return base + epsilon + elementwise(math.log2, math.log(2.0) / epsilon + 1.5)
+    return 3.0 + epsilon + np.log2(math.log(2.0) / epsilon + 1.5)
 
 
 def ub2_epsilon_max(alpha):
@@ -149,7 +144,6 @@ def ub2(
     alpha,
     epsilon,
     spec: QuadratureSpec | None = None,
-    use_proof_constant: bool = False,
 ):
     """Universal-code upper bound: divergence of order (2-alpha)/alpha plus
     a log-of-divergence term and c2.
@@ -162,12 +156,12 @@ def ub2(
         ceiling = f"{eps_max:.6g}" if np.ndim(eps_max) == 0 else "ub2_epsilon_max(alpha)"
         raise EpsilonRangeError(f"epsilon must lie in (0, {ceiling}], got {epsilon}")
     d = renyi_divergence(pair, (2.0 - alpha) / alpha, spec)
-    return _ub2(d, kl_divergence(pair, spec), epsilon, use_proof_constant)
+    return _ub2(d, kl_divergence(pair, spec), epsilon)
 
 
-def _ub2(d, kl: float, epsilon, use_proof_constant: bool = False):
+def _ub2(d, kl: float, epsilon):
     """ub2 from D_{(2-alpha)/alpha}(P||Q) and the KL divergence, both in bits."""
-    return d + (1.0 + epsilon) * math.log2(kl + 1.0) + c2(epsilon, use_proof_constant)
+    return d + (1.0 + epsilon) * math.log2(kl + 1.0) + c2(epsilon)
 
 
 def optimize_ub(

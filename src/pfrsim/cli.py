@@ -54,12 +54,20 @@ class _AlphaRange(click.ParamType):
 
 def _common_options(f):
     f = click.option("--config", "config_path", type=click.Path(exists=True), default=None, help="JSON file with default option values.")(f)
-    f = click.option("--alpha-range", type=_AlphaRange(), default=None, help="Grid as lo,hi,points.")(f)
-    f = click.option("--quad-tol", type=float, default=None, help="Quadrature tolerance (absolute and relative).")(f)
-    f = click.option("--format", "fmt", type=click.Choice(["csv", "svg", "both"]), default="csv", show_default=True)(f)
-    f = click.option("--out", type=click.Path(), default=None, help="Output path (base name for --format both).")(f)
     f = click.option("--seed", type=int, default=0, show_default=True)(f)
     return f
+
+
+_out_option = click.option("--out", type=click.Path(), default=None, help="Output path.")
+_quad_tol_option = click.option("--quad-tol", type=float, default=None, help="Quadrature tolerance (absolute and relative).")
+
+
+def _sweep_options(f):
+    """The options of the commands that write a bound sweep."""
+    f = click.option("--alpha-range", type=_AlphaRange(), default=None, help="Grid as lo,hi,points.")(f)
+    f = _quad_tol_option(f)
+    f = click.option("--format", "fmt", type=click.Choice(["csv", "svg", "both"]), default="csv", show_default=True, help="With both, --out is the base name of the .csv and the .svg.")(f)
+    return _out_option(f)
 
 
 def _apply_config(ctx: click.Context, config_path: str | None) -> dict:
@@ -172,9 +180,11 @@ def main() -> None:
 @click.argument("q_spec")
 @click.option("--order", "orders", type=float, multiple=True, required=True, help="Divergence order (repeatable).")
 @click.option("--numeric", is_flag=True, help="Add a quadrature cross-check column.")
+@_out_option
+@_quad_tol_option
 @_common_options
 @click.pass_context
-def divergence(ctx, p_spec, q_spec, orders, numeric, seed, out, fmt, quad_tol, alpha_range, config_path):
+def divergence(ctx, p_spec, q_spec, orders, numeric, out, quad_tol, seed, config_path):
     """Print Renyi divergences of order ORDER between two distributions, in bits."""
     params = _apply_config(ctx, config_path)
     pair = _parse_pair(p_spec, q_spec)
@@ -187,10 +197,12 @@ def divergence(ctx, p_spec, q_spec, orders, numeric, seed, out, fmt, quad_tol, a
             raise click.UsageError(str(exc))
         row = f"{order:g},{_fmt_cell(val)}"
         if numeric:
-            try:
-                val = renyi_divergence(pair, order, spec, force_numeric=True)
-            except PfrsimError as exc:
-                raise click.UsageError(f"numeric divergence at order {order:g}: {exc}")
+            # a divergent order has no finite integral to check: inf stays
+            if not math.isinf(val):
+                try:
+                    val = renyi_divergence(pair, order, spec, force_numeric=True)
+                except PfrsimError as exc:
+                    raise click.UsageError(f"numeric divergence at order {order:g}: {exc}")
             row += f",{_fmt_cell(val)}"
         lines.append(row)
     text = "\n".join(lines) + "\n"
@@ -208,9 +220,10 @@ def _fmt_cell(x: float) -> str:
 @main.command()
 @click.argument("p_spec")
 @click.argument("q_spec")
+@_sweep_options
 @_common_options
 @click.pass_context
-def sweep(ctx, p_spec, q_spec, seed, out, fmt, quad_tol, alpha_range, config_path):
+def sweep(ctx, p_spec, q_spec, out, fmt, quad_tol, alpha_range, seed, config_path):
     """Evaluate all four bounds over an alpha grid; write CSV and/or SVG."""
     params = _apply_config(ctx, config_path)
     pair = _parse_pair(p_spec, q_spec)
@@ -223,9 +236,10 @@ def sweep(ctx, p_spec, q_spec, seed, out, fmt, quad_tol, alpha_range, config_pat
 @click.argument("p_spec")
 @click.argument("q_spec")
 @click.option("--n-max", type=int, default=1000, show_default=True, help="Index pmf truncation point.")
+@_sweep_options
 @_common_options
 @click.pass_context
-def entropy_figure(ctx, p_spec, q_spec, n_max, seed, out, fmt, quad_tol, alpha_range, config_path):
+def entropy_figure(ctx, p_spec, q_spec, n_max, out, fmt, quad_tol, alpha_range, seed, config_path):
     """Bound sweep plus the truncated-pmf entropy column h_alpha_plus1."""
     params = _apply_config(ctx, config_path)
     pair = _parse_pair(p_spec, q_spec)
@@ -260,9 +274,10 @@ def entropy_figure(ctx, p_spec, q_spec, n_max, seed, out, fmt, quad_tol, alpha_r
 @click.option("-n", "count", type=click.IntRange(min=0), default=10, show_default=True, help="Number of draws.")
 @click.option("--method", type=click.Choice(["pfr", "exact"]), default="exact", show_default=True)
 @click.option("--delta", type=float, default=1e-6, show_default=True, help="Stopping slack for --method pfr.")
+@_out_option
 @_common_options
 @click.pass_context
-def sample(ctx, p_spec, q_spec, count, method, delta, seed, out, fmt, quad_tol, alpha_range, config_path):
+def sample(ctx, p_spec, q_spec, count, method, delta, out, seed, config_path):
     """Draw (index, accepted sample) pairs; rows are k,u_k,termination."""
     params = _apply_config(ctx, config_path)
     pair = _parse_pair(p_spec, q_spec)
@@ -317,7 +332,7 @@ def _sample_csv(ks, us, termination: str, capped, finite: bool) -> str:
 @click.option("--corrupt-c1", is_flag=True, hidden=True, help="Deliberately break the first upper bound's constant (negative control).")
 @_common_options
 @click.pass_context
-def verify(ctx, only, samples, corrupt_c1, seed, out, fmt, quad_tol, alpha_range, config_path):
+def verify(ctx, only, samples, corrupt_c1, seed, config_path):
     """Run the verification suite; exits nonzero if any check fails."""
     params = _apply_config(ctx, config_path)
     reports = oracle_mod.run_suite(

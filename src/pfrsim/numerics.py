@@ -9,10 +9,12 @@ appear anywhere.  Integrands are array-to-array: each panel evaluates its
 of values (or a float that broadcasts to it), with numpy operations
 rather than ``math`` ones or Python branches.  ``minimize_scalar``
 searches one window per row of a batch, with the grid scan as one array
-evaluation and golden-section refinement run in lockstep over the rows;
-``elementwise`` applies a ``math`` function across an array, so that
-array closed forms give the bits of scalar ones.  ``open_text`` is the
-path-or-file opener that the CSV readers and writers share.
+evaluation and golden-section refinement run in lockstep over the rows.
+Batched results rest on one condition: numpy's ufuncs give a value the
+same bits alone as inside an array (``log_gamma``, which numpy lacks, maps
+``math.lgamma``), so a row of a batch gets the bits of its own one-row
+call.  ``open_text`` is the path-or-file opener that the CSV readers and
+writers share.
 """
 
 from __future__ import annotations
@@ -381,26 +383,18 @@ def minimize_scalar(
     return best_x, best_y
 
 
-def elementwise(fn: Callable[[float], float], x):
-    """``fn``, a ``math`` function of one float, applied to each element of ``x``.
-
-    A float comes back as a float, anything else as an array of its shape.
-    numpy's own transcendentals can differ from ``math`` in the last bit,
-    and one flipped comparison in a golden-section search moves its
-    optimum; mapping the ``math`` function keeps array closed forms
-    bitwise equal to scalar ones.
-    """
-    if np.ndim(x) == 0:
-        return fn(float(x))
-    x = np.asarray(x, dtype=float)
-    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
-
-
 def log_gamma(x):
-    """Natural log of the gamma function for x > 0, elementwise."""
+    """Natural log of the gamma function for x > 0, entry by entry.
+
+    numpy has no lgamma, so ``math.lgamma`` is mapped over the entries; a
+    float comes back as a float, anything else as an array of its shape.
+    """
     if not np.all(np.asarray(x) > 0.0):
         raise DomainError(f"log_gamma requires x > 0, got {x}")
-    return elementwise(math.lgamma, x)
+    if np.ndim(x) == 0:
+        return math.lgamma(float(x))
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(math.lgamma, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 def log2_sum_exp(values) -> float:

@@ -292,7 +292,7 @@ def run_pfr(
         n += b
         block = min(block * 2, 8192)
 
-        log_t = math.log(t_last)
+        log_t = np.log(t_last)
         if exact:
             if log_t - log_rmax >= best_score:
                 return PfrOutcome(
@@ -303,7 +303,7 @@ def run_pfr(
                 )
         else:
             log_p, log_q = pair.superlevel_masses(log_t - best_score)
-            if _delta_stop(best_score, float(log_p), log_t + float(log_q), log_delta):
+            if _delta_stop(best_score, log_p, log_t + log_q, log_delta):
                 return PfrOutcome(
                     index=best_index,
                     accepted=best_u,
@@ -313,10 +313,12 @@ def run_pfr(
                 )
 
 
-def _delta_stop(best_score: float, log_p: float, log_tq: float, log_delta: float) -> bool:
-    """S P(r > c) - T Q(r > c) <= delta, tested as S P <= delta + T Q in logs."""
-    a, b = log_delta, log_tq
-    return best_score + log_p <= max(a, b) + math.log1p(math.exp(-abs(a - b)))
+def _delta_stop(best_score, log_p, log_tq, log_delta: float):
+    """S P(r > c) - T Q(r > c) <= delta, tested as S P <= delta + T Q in logs.
+
+    Elementwise over arrays of streams.
+    """
+    return best_score + log_p <= np.logaddexp(log_delta, log_tq)
 
 
 #: Streams that ``run_pfr_many`` runs side by side, and the most candidates
@@ -369,7 +371,7 @@ def run_pfr_many(
         rngs = [derive_stream(root_seed, i) for i in range(start, min(start + _BATCH_STREAMS, n))]
         live = np.arange(len(rngs))  # positions in this chunk, in stream order
         t_last = np.zeros(len(rngs))
-        best_score = np.full(len(rngs), math.inf)
+        best_score = np.full(len(rngs), np.inf)
         best_index = np.zeros(len(rngs), dtype=np.int64)
         best_u = np.zeros(len(rngs), dtype=accepted.dtype)
         m = 0
@@ -392,7 +394,7 @@ def run_pfr_many(
                 t_last[rows] = times[:, -1]
                 with np.errstate(invalid="ignore"):
                     scores = np.log(times) - np.asarray(pair.log_ratio(us), dtype=float)
-                scores[np.isnan(scores)] = math.inf
+                scores[np.isnan(scores)] = np.inf
                 i = np.argmin(scores, axis=1)
                 score = scores[np.arange(rows.size), i]
                 better = score < best_score[rows]
@@ -403,22 +405,13 @@ def run_pfr_many(
             m += b
             block = min(block * 2, 8192)
 
-            # the scalar math of run_pfr, whose last bits numpy does not match
-            log_t = np.array([math.log(t) for t in t_last[live].tolist()])
+            log_t = np.log(t_last[live])
             score = best_score[live]
             if exact:
                 stop = log_t - log_rmax >= score
             else:
                 log_p, log_q = pair.superlevel_masses(log_t - score)
-                stop = np.array(
-                    [
-                        _delta_stop(s, lp, lt + lq, log_delta)
-                        for s, lp, lt, lq in zip(
-                            score.tolist(), log_p.tolist(), log_t.tolist(), log_q.tolist()
-                        )
-                    ],
-                    dtype=bool,
-                )
+                stop = _delta_stop(score, log_p, log_t + log_q, log_delta)
             done = live[stop]
             index[start + done] = best_index[done]
             accepted[start + done] = best_u[done]

@@ -100,9 +100,6 @@ class TestConstants:
         assert c2(1.0) == pytest.approx(4.0 + math.log2(LN2 + 1.5), rel=1e-12)
         assert c2(1.0) == pytest.approx(5.133, abs=1e-3)
 
-    def test_c2_proof_variant_offset(self):
-        assert c2(0.7) - c2(0.7, use_proof_constant=True) == pytest.approx(1.0)
-
     def test_epsilon_validation(self):
         with pytest.raises(EpsilonRangeError):
             c1(0.5, 0.0)

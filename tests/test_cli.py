@@ -48,13 +48,23 @@ class TestDivergenceCommand:
         _, rows = parse_csv(res.output)
         assert float(rows[0][1]) == pytest.approx(float(rows[0][2]), abs=1e-6)
 
-    def test_numeric_overflow_is_usage_error(self):
-        # the integrand p^5 q^-4 grows without bound: the closed form is inf
+    def test_numeric_divergent_orders_print_inf(self):
+        # the integrands p^a q^(1-a) grow without bound: the closed form is inf
         res = run(
-            "divergence", "normal:0,1", "normal:0,0.5", "--order", "5", "--numeric"
+            "divergence", "normal:0,1", "normal:0,0.5",
+            "--order", "2", "--order", "5", "--numeric",
+        )
+        assert res.exit_code == 0, res.output
+        assert res.output == "order,bits,numeric_bits\n2,inf,inf\n5,inf,inf\n"
+
+    def test_numeric_nonconvergence_is_usage_error(self):
+        res = run(
+            "divergence", "normal:0,1", "normal:1,1", "--order", "1.5", "--numeric",
+            "--quad-tol", "1e-300",
         )
         assert res.exit_code == 2
-        assert "order 5" in res.output and "non-finite" in res.output
+        assert "numeric divergence at order 1.5" in res.output
+        assert "after 2000 panels" in res.output
         assert res.exception is None or isinstance(res.exception, SystemExit)
 
     def test_parse_error_exits_2(self):
@@ -153,6 +163,32 @@ class TestConfigFile:
         res = run(*args, "--config", str(cfg))
         assert res.exit_code == 2, res.output
         assert "Error:" in res.output
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("divergence", "normal:0,1", "normal:1,1", "--order", "2", "--format", "csv"),
+            ("divergence", "normal:0,1", "normal:1,1", "--order", "2", "--alpha-range", "0.2,0.9,5"),
+            ("sample", "normal:0,1", "normal:1,1", "--format", "svg"),
+            ("sample", "normal:0,1", "normal:1,1", "--quad-tol", "1e-6"),
+            ("sample", "normal:0,1", "normal:1,1", "--alpha-range", "0.2,0.9,5"),
+            ("verify", "--out", "x"),
+            ("verify", "--format", "csv"),
+            ("verify", "--quad-tol", "1e-6"),
+            ("verify", "--alpha-range", "0.2,0.9,5"),
+        ],
+    )
+    def test_options_a_command_does_not_read_are_usage_errors(self, args):
+        res = run(*args)
+        assert res.exit_code == 2, res.output
+        assert "No such option" in res.output
+
+    def test_config_keys_of_other_commands_are_ignored(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"format": "svg", "quad_tol": 1e-3, "alpha_range": "x"}))
+        res = run("sample", "normal:0,1", "normal:1,1", "--config", str(cfg))
+        assert res.exit_code == 0, res.output
+        assert res.output == run("sample", "normal:0,1", "normal:1,1").output
 
     def test_values_convert_like_flags(self, tmp_path):
         cfg = tmp_path / "cfg.json"
