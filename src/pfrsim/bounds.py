@@ -14,21 +14,14 @@ each entry has the bits of a scalar call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .distributions import DistributionPair, Laplace, kl_divergence, renyi_divergence
 from .errors import AbsoluteContinuityError, EpsilonRangeError, OrderError
-from .numerics import (
-    LOG2E,
-    MinimizeSpec,
-    QuadratureSpec,
-    log_gamma,
-    minimize_scalar,
-    open_text,
-)
+from .numerics import LOG2E, MinimizeSpec, log_gamma, minimize_scalar, open_text
 
 #: Default epsilon search window for bound optimization.
 DEFAULT_EPS_SEARCH = MinimizeSpec(1e-4, 50.0)
@@ -53,19 +46,19 @@ def _require_mutual_ac(pair: DistributionPair) -> None:
         )
 
 
-def lb1(pair: DistributionPair, alpha, spec: QuadratureSpec | None = None):
+def lb1(pair: DistributionPair, alpha):
     """First lower bound: divergence of order 1/alpha plus a negative constant."""
     _check_alpha(alpha)
     _require_mutual_ac(pair)
-    d = renyi_divergence(pair, 1.0 / alpha, spec)
+    d = renyi_divergence(pair, 1.0 / alpha)
     return d + (alpha / (1.0 - alpha)) * np.log2(alpha) - 1.0
 
 
-def lb2(pair: DistributionPair, alpha, spec: QuadratureSpec | None = None):
+def lb2(pair: DistributionPair, alpha):
     """Second lower bound: divergence of order 2 - alpha; tighter near alpha = 1."""
     _check_alpha(alpha)
     _require_mutual_ac(pair)
-    d = renyi_divergence(pair, 2.0 - alpha, spec)
+    d = renyi_divergence(pair, 2.0 - alpha)
     return d + np.log2(1.0 / (2.0 - alpha)) / (1.0 - alpha)
 
 
@@ -104,12 +97,7 @@ def _c1(alpha, epsilon):
     return out if np.ndim(out) else float(out)
 
 
-def ub1(
-    pair: DistributionPair,
-    alpha,
-    epsilon,
-    spec: QuadratureSpec | None = None,
-):
+def ub1(pair: DistributionPair, alpha, epsilon):
     """First upper bound: scaled divergence of order (1 + eps(1-alpha))/alpha plus c1.
 
     Broadcasts over arrays of alpha and epsilon; +inf where the divergence
@@ -117,11 +105,11 @@ def ub1(
     """
     _check_alpha(alpha)
     _check_epsilon(epsilon)
-    return _ub1(pair, alpha, epsilon, spec)
+    return _ub1(pair, alpha, epsilon)
 
 
-def _ub1(pair: DistributionPair, alpha, epsilon, spec: QuadratureSpec | None):
-    d = renyi_divergence(pair, (1.0 + epsilon * (1.0 - alpha)) / alpha, spec)
+def _ub1(pair: DistributionPair, alpha, epsilon):
+    d = renyi_divergence(pair, (1.0 + epsilon * (1.0 - alpha)) / alpha)
     return (1.0 + epsilon) * d + _c1(alpha, epsilon)
 
 
@@ -139,12 +127,7 @@ def ub2_epsilon_max(alpha):
     return (3.0 * alpha - 2.0) / (2.0 - 2.0 * alpha)
 
 
-def ub2(
-    pair: DistributionPair,
-    alpha,
-    epsilon,
-    spec: QuadratureSpec | None = None,
-):
+def ub2(pair: DistributionPair, alpha, epsilon):
     """Universal-code upper bound: divergence of order (2-alpha)/alpha plus
     a log-of-divergence term and c2.
 
@@ -155,8 +138,8 @@ def ub2(
     if not np.all((0.0 < epsilon) & (epsilon <= eps_max)):
         ceiling = f"{eps_max:.6g}" if np.ndim(eps_max) == 0 else "ub2_epsilon_max(alpha)"
         raise EpsilonRangeError(f"epsilon must lie in (0, {ceiling}], got {epsilon}")
-    d = renyi_divergence(pair, (2.0 - alpha) / alpha, spec)
-    return _ub2(d, kl_divergence(pair, spec), epsilon)
+    d = renyi_divergence(pair, (2.0 - alpha) / alpha)
+    return _ub2(d, kl_divergence(pair), epsilon)
 
 
 def _ub2(d, kl: float, epsilon):
@@ -164,43 +147,37 @@ def _ub2(d, kl: float, epsilon):
     return d + (1.0 + epsilon) * math.log2(kl + 1.0) + c2(epsilon)
 
 
-def optimize_ub(
-    pair: DistributionPair,
-    alpha,
-    which: str = "ub1",
-    spec: MinimizeSpec = DEFAULT_EPS_SEARCH,
-    quad: QuadratureSpec | None = None,
-):
+def optimize_ub(pair: DistributionPair, alpha, which: str = "ub1"):
     """Minimize an upper bound over its admissible epsilon range.
 
     ``alpha`` is a float, or a 1-D array of orders: each order is one row
     of one ``minimize_scalar`` search, and its result is the one a float
     order gives.  Returns (epsilon, value), floats for a float alpha and
     arrays shaped like alpha otherwise; a value may be +inf when every
-    admissible epsilon hits an infinite divergence.
+    admissible epsilon hits an infinite divergence.  The search window
+    and budget are ``DEFAULT_EPS_SEARCH``'s, capped for ub2 at
+    ``ub2_epsilon_max``.
     """
     orders = np.asarray(alpha, dtype=float)
     column = orders.reshape(-1, 1)
     # orders are checked here and epsilons by the window, not on each probe
     if which == "ub1":
         _check_alpha(orders)
-        lo, hi = spec.lo, spec.hi
-        objective = lambda e: _ub1(pair, column, e, quad)
+        lo, hi = DEFAULT_EPS_SEARCH.lo, DEFAULT_EPS_SEARCH.hi
+        objective = lambda e: _ub1(pair, column, e)
     elif which == "ub2":
-        hi = np.minimum(spec.hi, ub2_epsilon_max(orders))
-        lo = np.minimum(spec.lo, hi / 2.0)
+        hi = np.minimum(DEFAULT_EPS_SEARCH.hi, ub2_epsilon_max(orders))
+        lo = np.minimum(DEFAULT_EPS_SEARCH.lo, hi / 2.0)
         # neither divergence depends on epsilon
-        d = renyi_divergence(pair, (2.0 - column) / column, quad)
-        kl = kl_divergence(pair, quad)
+        d = renyi_divergence(pair, (2.0 - column) / column)
+        kl = kl_divergence(pair)
         objective = lambda e: _ub2(d, kl, e)
     else:
         raise ValueError(f"unknown bound {which!r}")
-    window = MinimizeSpec(
-        np.broadcast_to(lo, orders.shape),
-        np.broadcast_to(hi, orders.shape),
-        spec.grid_points,
-        spec.refine_iters,
-        spec.tol,
+    window = replace(
+        DEFAULT_EPS_SEARCH,
+        lo=np.broadcast_to(lo, orders.shape),
+        hi=np.broadcast_to(hi, orders.shape),
     )
     return minimize_scalar(objective, window)
 
@@ -230,12 +207,7 @@ class BoundSet:
         return max(self.lb1, self.lb2)
 
 
-def sweep(
-    pair: DistributionPair,
-    alpha_grid: Iterable[float],
-    spec: MinimizeSpec = DEFAULT_EPS_SEARCH,
-    quad: QuadratureSpec | None = None,
-) -> list[BoundSet]:
+def sweep(pair: DistributionPair, alpha_grid: Iterable[float]) -> list[BoundSet]:
     """Evaluate every bound on a grid of orders, epsilon-optimized per row.
 
     Each bound is evaluated on the whole grid at once, and each upper
@@ -245,17 +217,17 @@ def sweep(
     alphas = np.array(sorted(float(a) for a in alpha_grid))
     if not alphas.size:
         return []
-    e1, v1 = optimize_ub(pair, alphas, "ub1", spec, quad)
+    e1, v1 = optimize_ub(pair, alphas, "ub1")
     # ub2 is defined for the orders above 2/3 only, the tail of the grid
     split = int(np.searchsorted(alphas, 2.0 / 3.0, side="right"))
     e2 = v2 = [None] * split
     if split < alphas.size:
-        high_e, high_v = optimize_ub(pair, alphas[split:], "ub2", spec, quad)
+        high_e, high_v = optimize_ub(pair, alphas[split:], "ub2")
         e2, v2 = e2 + high_e.tolist(), v2 + high_v.tolist()
     columns = zip(
         alphas.tolist(),
-        lb1(pair, alphas, quad).tolist(),
-        lb2(pair, alphas, quad).tolist(),
+        lb1(pair, alphas).tolist(),
+        lb2(pair, alphas).tolist(),
         v1.tolist(),
         e1.tolist(),
         v2,
@@ -273,7 +245,8 @@ def default_alpha_grid(pair: DistributionPair, points: int = 160) -> np.ndarray:
     return np.linspace(lo, 0.995, points)
 
 
-def _cell(x: float | None) -> str:
+def format_cell(x: float | None) -> str:
+    """A CSV cell: ``.12g``, ``inf`` for an infinite value, empty for None."""
     if x is None:
         return ""
     if math.isinf(x):
@@ -286,14 +259,5 @@ def sweep_to_csv(rows: Sequence[BoundSet], f) -> None:
     with open_text(f, "w") as f:
         f.write("alpha,lb1,lb2,lb_max,ub1,ub1_eps,ub2,ub2_eps\n")
         for r in rows:
-            cells = [
-                _cell(r.alpha),
-                _cell(r.lb1),
-                _cell(r.lb2),
-                _cell(r.lb_max),
-                _cell(r.ub1),
-                _cell(r.ub1_eps),
-                _cell(r.ub2),
-                _cell(r.ub2_eps),
-            ]
-            f.write(",".join(cells) + "\n")
+            cells = (r.alpha, r.lb1, r.lb2, r.lb_max, r.ub1, r.ub1_eps, r.ub2, r.ub2_eps)
+            f.write(",".join(map(format_cell, cells)) + "\n")

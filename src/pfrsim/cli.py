@@ -1,6 +1,7 @@
 """Command-line interface: divergence tables, bound sweeps, samplers, verification.
 
-Every command is deterministic under a fixed ``--seed`` (default 0, never
+Every command is deterministic: the two that draw random numbers,
+``sample`` and ``verify``, take a ``--seed`` (default 0, never
 wall-clock).  Numeric cells use a fixed format so repeated runs are
 byte-identical.  Options may also come from a JSON file via ``--config``;
 explicit flags win over file values.
@@ -23,7 +24,12 @@ from . import bounds as bounds_mod
 from . import codes as codes_mod
 from . import oracle as oracle_mod
 from . import pfr as pfr_mod
-from .distributions import DistributionPair, parse_distribution, renyi_divergence
+from .distributions import (
+    DistributionPair,
+    numeric_renyi_divergence,
+    parse_distribution,
+    renyi_divergence,
+)
 from .errors import PfrsimError, TailTooHeavyWarning
 from .numerics import QuadratureSpec
 from .svg import write_line_chart
@@ -52,12 +58,8 @@ class _AlphaRange(click.ParamType):
         return lo, hi, n
 
 
-def _common_options(f):
-    f = click.option("--config", "config_path", type=click.Path(exists=True), default=None, help="JSON file with default option values.")(f)
-    f = click.option("--seed", type=int, default=0, show_default=True)(f)
-    return f
-
-
+_config_option = click.option("--config", "config_path", type=click.Path(exists=True), default=None, help="JSON file with default option values.")
+_seed_option = click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 _out_option = click.option("--out", type=click.Path(), default=None, help="Output path.")
 _quad_tol_option = click.option("--quad-tol", type=float, default=None, help="Quadrature tolerance (absolute and relative).")
 
@@ -65,7 +67,6 @@ _quad_tol_option = click.option("--quad-tol", type=float, default=None, help="Qu
 def _sweep_options(f):
     """The options of the commands that write a bound sweep."""
     f = click.option("--alpha-range", type=_AlphaRange(), default=None, help="Grid as lo,hi,points.")(f)
-    f = _quad_tol_option(f)
     f = click.option("--format", "fmt", type=click.Choice(["csv", "svg", "both"]), default="csv", show_default=True, help="With both, --out is the base name of the .csv and the .svg.")(f)
     return _out_option(f)
 
@@ -149,7 +150,7 @@ def _sweep_outputs(rows, out, fmt, title, extra=None):
         lines = csv_text.splitlines()
         lines[0] += f",{header}"
         for i, v in enumerate(values):
-            lines[i + 1] += f",{_fmt_cell(v)}"
+            lines[i + 1] += f",{bounds_mod.format_cell(v)}"
         csv_text = "\n".join(lines) + "\n"
         series.append((label, alphas, values))
     if fmt in ("csv", "both"):
@@ -182,9 +183,9 @@ def main() -> None:
 @click.option("--numeric", is_flag=True, help="Add a quadrature cross-check column.")
 @_out_option
 @_quad_tol_option
-@_common_options
+@_config_option
 @click.pass_context
-def divergence(ctx, p_spec, q_spec, orders, numeric, out, quad_tol, seed, config_path):
+def divergence(ctx, p_spec, q_spec, orders, numeric, out, quad_tol, config_path):
     """Print Renyi divergences of order ORDER between two distributions, in bits."""
     params = _apply_config(ctx, config_path)
     pair = _parse_pair(p_spec, q_spec)
@@ -192,18 +193,18 @@ def divergence(ctx, p_spec, q_spec, orders, numeric, out, quad_tol, seed, config
     lines = ["order,bits" + (",numeric_bits" if numeric else "")]
     for order in orders:
         try:
-            val = renyi_divergence(pair, order, spec)
+            val = renyi_divergence(pair, order)
         except PfrsimError as exc:
             raise click.UsageError(str(exc))
-        row = f"{order:g},{_fmt_cell(val)}"
+        row = f"{order:g},{bounds_mod.format_cell(val)}"
         if numeric:
             # a divergent order has no finite integral to check: inf stays
             if not math.isinf(val):
                 try:
-                    val = renyi_divergence(pair, order, spec, force_numeric=True)
+                    val = numeric_renyi_divergence(pair, order, spec)
                 except PfrsimError as exc:
                     raise click.UsageError(f"numeric divergence at order {order:g}: {exc}")
-            row += f",{_fmt_cell(val)}"
+            row += f",{bounds_mod.format_cell(val)}"
         lines.append(row)
     text = "\n".join(lines) + "\n"
     click.echo(text, nl=False)
@@ -211,24 +212,18 @@ def divergence(ctx, p_spec, q_spec, orders, numeric, out, quad_tol, seed, config
         _write_text(params["out"], text)
 
 
-def _fmt_cell(x: float) -> str:
-    if math.isinf(x):
-        return "inf"
-    return f"{x:.12g}"
-
-
 @main.command()
 @click.argument("p_spec")
 @click.argument("q_spec")
 @_sweep_options
-@_common_options
+@_config_option
 @click.pass_context
-def sweep(ctx, p_spec, q_spec, out, fmt, quad_tol, alpha_range, seed, config_path):
+def sweep(ctx, p_spec, q_spec, out, fmt, alpha_range, config_path):
     """Evaluate all four bounds over an alpha grid; write CSV and/or SVG."""
     params = _apply_config(ctx, config_path)
     pair = _parse_pair(p_spec, q_spec)
     grid = _alpha_grid(params["alpha_range"], pair)
-    rows = bounds_mod.sweep(pair, grid, quad=_quad_spec(params["quad_tol"]))
+    rows = bounds_mod.sweep(pair, grid)
     _sweep_outputs(rows, params["out"], params["fmt"], f"{p_spec} vs {q_spec}")
 
 
@@ -237,16 +232,16 @@ def sweep(ctx, p_spec, q_spec, out, fmt, quad_tol, alpha_range, seed, config_pat
 @click.argument("q_spec")
 @click.option("--n-max", type=int, default=1000, show_default=True, help="Index pmf truncation point.")
 @_sweep_options
-@_common_options
+@_quad_tol_option
+@_config_option
 @click.pass_context
-def entropy_figure(ctx, p_spec, q_spec, n_max, out, fmt, quad_tol, alpha_range, seed, config_path):
+def entropy_figure(ctx, p_spec, q_spec, n_max, out, fmt, alpha_range, quad_tol, config_path):
     """Bound sweep plus the truncated-pmf entropy column h_alpha_plus1."""
     params = _apply_config(ctx, config_path)
     pair = _parse_pair(p_spec, q_spec)
-    quad = _quad_spec(params["quad_tol"])
     grid = _alpha_grid(params["alpha_range"], pair)
-    rows = bounds_mod.sweep(pair, grid, quad=quad)
-    pmf = pfr_mod.index_pmf(pair, params["n_max"], quad)
+    rows = bounds_mod.sweep(pair, grid)
+    pmf = pfr_mod.index_pmf(pair, params["n_max"], _quad_spec(params["quad_tol"]))
     heavy = pmf.tail_mass > 1e-4
     if heavy:
         warnings.warn(
@@ -275,15 +270,14 @@ def entropy_figure(ctx, p_spec, q_spec, n_max, out, fmt, quad_tol, alpha_range, 
 @click.option("--method", type=click.Choice(["pfr", "exact"]), default="exact", show_default=True)
 @click.option("--delta", type=float, default=1e-6, show_default=True, help="Stopping slack for --method pfr.")
 @_out_option
-@_common_options
+@_seed_option
+@_config_option
 @click.pass_context
 def sample(ctx, p_spec, q_spec, count, method, delta, out, seed, config_path):
     """Draw (index, accepted sample) pairs; rows are k,u_k,termination."""
     params = _apply_config(ctx, config_path)
     pair = _parse_pair(p_spec, q_spec)
     root, n = params["seed"], params["count"]
-    if root < 0:
-        raise click.UsageError("--seed must be nonnegative")
     try:
         if params["method"] == "exact":
             ks, us = pfr_mod.sample_indices(pair, n, np.random.default_rng(root))
@@ -328,9 +322,10 @@ def _sample_csv(ks, us, termination: str, capped, finite: bool) -> str:
 
 @main.command()
 @click.option("--only", type=click.Choice(oracle_mod.CHECK_NAMES), default=None, help="Run a single check family.")
-@click.option("--samples", type=int, default=10**6, show_default=True, help="Monte Carlo sample count per pair.")
+@click.option("--samples", type=click.IntRange(min=2), default=10**6, show_default=True, help="Monte Carlo sample count per pair.")
 @click.option("--corrupt-c1", is_flag=True, hidden=True, help="Deliberately break the first upper bound's constant (negative control).")
-@_common_options
+@_seed_option
+@_config_option
 @click.pass_context
 def verify(ctx, only, samples, corrupt_c1, seed, config_path):
     """Run the verification suite; exits nonzero if any check fails."""

@@ -36,8 +36,10 @@ class Gaussian:
     sigma: float
 
     def __post_init__(self) -> None:
-        if not self.sigma > 0.0:
-            raise DomainError(f"sigma must be positive, got {self.sigma}")
+        if not (math.isfinite(self.mu) and 0.0 < self.sigma < math.inf):
+            raise DomainError(
+                f"mu and sigma must be finite, sigma > 0; got {self.mu}, {self.sigma}"
+            )
 
     def log_density(self, u):
         z = (np.asarray(u, dtype=float) - self.mu) / self.sigma
@@ -68,8 +70,10 @@ class Laplace:
     lam: float
 
     def __post_init__(self) -> None:
-        if not self.lam > 0.0:
-            raise DomainError(f"lam must be positive, got {self.lam}")
+        if not (math.isfinite(self.theta) and 0.0 < self.lam < math.inf):
+            raise DomainError(
+                f"theta and lam must be finite, lam > 0; got {self.theta}, {self.lam}"
+            )
 
     def log_density(self, u):
         z = np.abs(np.asarray(u, dtype=float) - self.theta) / self.lam
@@ -110,8 +114,8 @@ class Finite:
 
     def __post_init__(self) -> None:
         p = np.asarray(self.probs, dtype=float)
-        if p.size == 0 or np.any(p < 0.0):
-            raise DomainError("probabilities must be nonnegative and nonempty")
+        if p.size == 0 or not np.all(np.isfinite(p) & (p >= 0.0)):
+            raise DomainError("probabilities must be finite, nonnegative and nonempty")
         if abs(float(p.sum()) - 1.0) > 1e-12:
             raise DomainError(f"probabilities sum to {p.sum()}, not 1")
         object.__setattr__(self, "probs", tuple(float(x) for x in p))
@@ -405,33 +409,13 @@ def _finite_renyi_nats(p: Finite, q: Finite, a: np.ndarray) -> np.ndarray:
     return np.log(total) / (a - 1.0)
 
 
-def _numeric_renyi_bits(
-    pair: DistributionPair, a: float, spec: QuadratureSpec | None
-) -> float:
-    p, q = pair.p, pair.q
-
-    def integrand(x: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):  # inf raises NonFiniteError
-            return np.exp(a * p.log_density(x) + (1.0 - a) * q.log_density(x))
-
-    value = integrate(integrand, -math.inf, math.inf, spec)
-    return math.log(value) / ((a - 1.0) * LN2)
-
-
-def renyi_divergence(
-    pair: DistributionPair,
-    order,
-    spec: QuadratureSpec | None = None,
-    force_numeric: bool = False,
-):
+def renyi_divergence(pair: DistributionPair, order):
     """Renyi divergence D_order(P||Q) in bits; +inf when divergent.
 
     ``order`` is a float, or an array of orders for one value per entry;
     a float order gives a float.  Every entry has the bits that its order
     alone gives.  Closed forms for all three kinds, and the KL divergence
-    at order 1; ``force_numeric`` integrates q * (dP/dQ)**order by
-    quadrature instead (continuous kinds, float orders), for
-    cross-checking.
+    at order 1; ``numeric_renyi_divergence`` is the quadrature reference.
     """
     shape = np.shape(order)
     a = np.asarray(order, dtype=float).reshape(-1)
@@ -439,12 +423,10 @@ def renyi_divergence(
         raise OrderError(f"divergence order must be positive, got {order}")
     one = a == 1.0
     if np.count_nonzero(one):
-        bits = np.full(a.shape, kl_divergence(pair, spec))
+        bits = np.full(a.shape, kl_divergence(pair))
         rest = ~one
         if np.count_nonzero(rest):
-            bits[rest] = renyi_divergence(pair, a[rest], spec, force_numeric)
-    elif force_numeric and not pair.is_finite_kind:
-        return _numeric_renyi_bits(pair, float(order), spec)
+            bits[rest] = renyi_divergence(pair, a[rest])
     elif isinstance(pair.p, Gaussian):
         bits = _gaussian_renyi_nats(pair.p, pair.q, a) / LN2
     elif isinstance(pair.p, Laplace):
@@ -454,7 +436,29 @@ def renyi_divergence(
     return float(bits[0]) if shape == () else bits.reshape(shape)
 
 
-def kl_divergence(pair: DistributionPair, spec: QuadratureSpec | None = None) -> float:
+def numeric_renyi_divergence(
+    pair: DistributionPair, order: float, spec: QuadratureSpec | None = None
+) -> float:
+    """D_order(P||Q) in bits by quadrature of p**order * q**(1 - order).
+
+    An independent reference for the continuous closed forms of
+    ``renyi_divergence``, which it returns as they are for finite pairs
+    and at order 1.  Where the closed form is +inf the integral diverges,
+    and the quadrature raises a PfrsimError.
+    """
+    if pair.is_finite_kind or not (order > 0.0 and order != 1.0):
+        return renyi_divergence(pair, order)  # the closed form, or its OrderError
+    a = float(order)
+    p, q = pair.p, pair.q
+
+    def integrand(x: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):  # inf raises NonFiniteError
+            return np.exp(a * p.log_density(x) + (1.0 - a) * q.log_density(x))
+
+    return math.log(integrate(integrand, spec)) / ((a - 1.0) * LN2)
+
+
+def kl_divergence(pair: DistributionPair) -> float:
     """Kullback-Leibler divergence D(P||Q) in bits."""
     p, q = pair.p, pair.q
     if isinstance(p, Gaussian):

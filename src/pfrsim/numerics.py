@@ -2,19 +2,19 @@
 
 Everything downstream (density ratios, index distributions, cost bounds)
 funnels its numerical work through this module.  Quadrature is adaptive
-Gauss-Kronrod (G7/K15) with bisection; infinite intervals are mapped to
-finite ones by rational transforms, so no arbitrary truncation points
-appear anywhere.  Integrands are array-to-array: each panel evaluates its
-15 nodes in one call, so an integrand maps an array of points to an array
-of values (or a float that broadcasts to it), with numpy operations
-rather than ``math`` ones or Python branches.  ``minimize_scalar``
-searches one window per row of a batch, with the grid scan as one array
-evaluation and golden-section refinement run in lockstep over the rows.
-Batched results rest on one condition: numpy's ufuncs give a value the
-same bits alone as inside an array (``log_gamma``, which numpy lacks, maps
-``math.lgamma``), so a row of a batch gets the bits of its own one-row
-call.  ``open_text`` is the path-or-file opener that the CSV readers and
-writers share.
+Gauss-Kronrod (G7/K15) with bisection over the real line, the one domain
+any caller needs; the map x = t / (1 - t^2) takes it onto (-1, 1), so no
+arbitrary truncation points appear anywhere.  Integrands are
+array-to-array: each panel evaluates its 15 nodes in one call, so an
+integrand maps an array of points to an array of values (or a float that
+broadcasts to it), with numpy operations rather than ``math`` ones or
+Python branches.  ``minimize_scalar`` searches one window per row of a
+batch, with the grid scan as one array evaluation and golden-section
+refinement run in lockstep over the rows.  Batched results rest on one
+condition: numpy's ufuncs give a value the same bits alone as inside an
+array (``log_gamma``, which numpy lacks, maps ``math.lgamma``), so a row
+of a batch gets the bits of its own one-row call.  ``open_text`` is the
+path-or-file opener that the CSV readers and writers share.
 """
 
 from __future__ import annotations
@@ -132,52 +132,15 @@ _NODES15 = np.concatenate([-_XGK[:7], _XGK[7:8], _XGK[6::-1]])
 _WEIGHTS15 = np.concatenate([_WGK[:7], _WGK[7:8], _WGK[6::-1]])
 
 
-def _identity_transform(lo: float, hi: float):
-    def phi(t: np.ndarray) -> np.ndarray:
-        return t
-
-    def jac(t: np.ndarray) -> np.ndarray:
-        return np.ones_like(t)
-
-    return phi, jac, lo, hi
+def _phi(t):
+    """x = t / (1 - t^2): maps t in (-1, 1) onto the real line."""
+    return t / (1.0 - t * t)
 
 
-def _transform(lo: float, hi: float):
-    """Map (lo, hi) to a finite parameter interval; returns (phi, jacobian, a, b)."""
-    lo_inf = math.isinf(lo)
-    hi_inf = math.isinf(hi)
-    if not lo_inf and not hi_inf:
-        return _identity_transform(lo, hi)
-    if lo_inf and hi_inf:
-        # x = t / (1 - t^2) on t in (-1, 1)
-        def phi(t):
-            return t / (1.0 - t * t)
-
-        def jac(t):
-            s = 1.0 - t * t
-            return (1.0 + t * t) / (s * s)
-
-        return phi, jac, -1.0, 1.0
-    if hi_inf:
-        # x = lo + t / (1 - t) on t in (0, 1)
-        def phi(t):
-            return lo + t / (1.0 - t)
-
-        def jac(t):
-            s = 1.0 - t
-            return 1.0 / (s * s)
-
-        return phi, jac, 0.0, 1.0
-
-    # x = hi - t / (1 - t) on t in (0, 1); orientation absorbed into the jacobian
-    def phi(t):
-        return hi - t / (1.0 - t)
-
-    def jac(t):
-        s = 1.0 - t
-        return 1.0 / (s * s)
-
-    return phi, jac, 0.0, 1.0
+def _jac(t):
+    """dx/dt of ``_phi``."""
+    s = 1.0 - t * t
+    return (1.0 + t * t) / (s * s)
 
 
 def _panel_rule(g: Callable[[np.ndarray], np.ndarray], a: float, b: float):
@@ -203,14 +166,16 @@ def _panel_rule(g: Callable[[np.ndarray], np.ndarray], a: float, b: float):
 _SEED_PANELS = 8
 
 
-def _adaptive_panels(
-    g: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    spec: QuadratureSpec,
-):
-    """Adaptively bisect [a, b]; returns (value, error, breakpoints)."""
-    edges = np.linspace(a, b, _SEED_PANELS + 1)
+def _adaptive_panels(f: Callable[[np.ndarray], np.ndarray], spec: QuadratureSpec):
+    """Integrate f over the real line as f(_phi(t)) _jac(t) over (-1, 1).
+
+    Adaptively bisects (-1, 1); returns (value, panel breakpoints in t).
+    """
+
+    def g(t: np.ndarray) -> np.ndarray:
+        return f(_phi(t)) * _jac(t)
+
+    edges = np.linspace(-1.0, 1.0, _SEED_PANELS + 1)
     heap = []  # (-error, lo, hi, value)
     total_val = 0.0
     total_err = 0.0
@@ -236,62 +201,47 @@ def _adaptive_panels(
             total_val += pv
             total_err += pe
 
-    breaks = sorted({lo for _, lo, _, _ in heap} | {b})
-    return total_val, total_err, breaks
+    return total_val, sorted({lo for _, lo, _, _ in heap} | {1.0})
 
 
 def integrate(
     f: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
     spec: QuadratureSpec | None = None,
 ) -> float:
-    """Integrate f over (lo, hi); either endpoint may be infinite.
+    """Integrate f over the real line.
 
     ``f`` is array-to-array: it is called on a panel's 15 nodes at once
     and returns their values, or a float for a constant.  A NaN or
     infinite value raises NonFiniteError.
     """
-    spec = spec or QuadratureSpec()
-    if not lo < hi:
-        raise DomainError(f"require lo < hi, got ({lo}, {hi})")
-    phi, jac, a, b = _transform(lo, hi)
-    value, _, _ = _adaptive_panels(lambda t: f(phi(t)) * jac(t), a, b, spec)
-    return value
+    return _adaptive_panels(f, spec or QuadratureSpec())[0]
 
 
 def quadrature_grid(
     fs: Sequence[Callable[[np.ndarray], np.ndarray]],
-    lo: float,
-    hi: float,
     spec: QuadratureSpec | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Build one node/weight grid adequate for every pilot integrand in fs.
+    """Build one node/weight grid on the real line adequate for every pilot in fs.
 
     Each pilot is array-to-array, as for ``integrate``.  Runs the adaptive
     subdivision separately per pilot, merges the panel breakpoints, and
     lays K15 nodes on each merged panel.  For any g of comparable
     difficulty, ``sum(w * g(x))`` then approximates the integral of g over
-    (lo, hi).  Nodes are returned in the original coordinates, weights
-    include the interval-transform jacobian.
+    the real line.  Nodes are returned sorted, weights include the
+    jacobian of the map onto (-1, 1).
     """
     spec = spec or QuadratureSpec()
-    if not lo < hi:
-        raise DomainError(f"require lo < hi, got ({lo}, {hi})")
-    phi, jac, a, b = _transform(lo, hi)
-
-    breakpoints: set[float] = {a, b}
+    breakpoints: set[float] = {-1.0, 1.0}
     for f in fs:
-        _, _, breaks = _adaptive_panels(lambda t: f(phi(t)) * jac(t), a, b, spec)
-        breakpoints.update(breaks)
+        breakpoints.update(_adaptive_panels(f, spec)[1])
 
     edges = np.array(sorted(breakpoints))
     centers = 0.5 * (edges[:-1] + edges[1:])
     halfwidths = 0.5 * (edges[1:] - edges[:-1])
     t = (centers[:, None] + halfwidths[:, None] * _NODES15[None, :]).ravel()
     w = (halfwidths[:, None] * _WEIGHTS15[None, :]).ravel()
-    x = phi(t)
-    w = w * jac(t)
+    x = _phi(t)
+    w = w * _jac(t)
     order = np.argsort(x)
     return x[order], w[order]
 

@@ -187,7 +187,7 @@ def _log_beta_quadrature(
         with np.errstate(over="ignore"):  # inf raises NonFiniteError
             return np.exp(np.maximum(pair.log_ratio(x), log_ru) + pair.q.log_density(x))
 
-    return -math.log(integrate(integrand, -math.inf, math.inf, spec))
+    return -math.log(integrate(integrand, spec))
 
 
 def sample_index_exact(pair: DistributionPair, rng: np.random.Generator) -> PfrOutcome:
@@ -472,7 +472,6 @@ def index_pmf(
     if pair.is_finite_kind:  # the support is the grid, with unit weights
         nodes = np.flatnonzero(np.asarray(pair.p.probs) > 0.0)
         return _index_pmf_on_grid(pair, n_max, nodes, np.ones(len(nodes)))
-    spec = spec or QuadratureSpec()
 
     def pilot(k: int, survival: bool = False):
         """Integrand of P(K = k), or of P(K > k) when ``survival``, over arrays."""
@@ -490,7 +489,7 @@ def index_pmf(
         min(int(n_max * 2.0 ** j), 10**12) for j in (5, 10, 15, 20, 25, 30)
     })
     pilots = [pilot(k) for k in pilot_ks] + [pilot(n_max, survival=True)]
-    nodes, weights = quadrature_grid(pilots, -math.inf, math.inf, spec)
+    nodes, weights = quadrature_grid(pilots, spec)
     return _index_pmf_on_grid(pair, n_max, nodes, weights)
 
 

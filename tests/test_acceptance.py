@@ -23,6 +23,7 @@ from pfrsim.distributions import (
     Gaussian,
     Laplace,
     kl_divergence,
+    numeric_renyi_divergence,
     renyi_divergence,
 )
 from pfrsim.oracle import run_suite
@@ -264,7 +265,7 @@ def test_criterion_11_divergence_cross_check():
             closed = renyi_divergence(pair, order)
             if not math.isfinite(closed) or closed > 60.0:
                 continue
-            numeric = renyi_divergence(pair, order, force_numeric=True)
+            numeric = numeric_renyi_divergence(pair, order)
             worst = max(worst, abs(closed - numeric))
             checked += 1
     ok = worst <= 1e-6 and checked >= 25
@@ -283,7 +284,7 @@ def test_criterion_12_determinism(tmp_path):
         sample_path = tmp_path / f"sample_{tag}.csv"
         r1 = runner.invoke(
             cli_main,
-            ["sweep", "normal:0,1", "normal:5,1", "--seed", "9", "--out", str(sweep_path)],
+            ["sweep", "normal:0,1", "normal:5,1", "--out", str(sweep_path)],
         )
         r2 = runner.invoke(
             cli_main,

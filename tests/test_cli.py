@@ -71,6 +71,12 @@ class TestDivergenceCommand:
         res = run("divergence", "normal:0", "normal:1,1", "--order", "2")
         assert res.exit_code == 2
 
+    def test_nonfinite_parameter_is_a_usage_error(self):
+        res = run("divergence", "normal:nan,1", "normal:0,1", "--order", "2")
+        assert res.exit_code == 2, res.output
+        assert "Traceback" not in res.output
+        assert "mu and sigma must be finite, sigma > 0; got nan, 1.0" in res.output
+
 
 class TestSweepCommand:
     def test_default_grid_row_count(self, tmp_path):
@@ -92,8 +98,8 @@ class TestSweepCommand:
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        run("sweep", "normal:0,1", "normal:5,1", "--seed", "3", "--out", str(a))
-        run("sweep", "normal:0,1", "normal:5,1", "--seed", "3", "--out", str(b))
+        run("sweep", "normal:0,1", "normal:5,1", "--out", str(a))
+        run("sweep", "normal:0,1", "normal:5,1", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
     def test_svg_output(self, tmp_path):
@@ -117,6 +123,12 @@ class TestSweepCommand:
         assert len(rows) == 7
         assert float(rows[0][0]) == 0.3
         assert float(rows[-1][0]) == 0.9
+
+    def test_nonfinite_parameter_is_a_usage_error(self):
+        res = run("sweep", "normal:0,inf", "normal:0,1")
+        assert res.exit_code == 2, res.output
+        assert "Traceback" not in res.output
+        assert "mu and sigma must be finite, sigma > 0; got 0.0, inf" in res.output
 
     def test_config_file_defaults(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -152,10 +164,14 @@ class TestConfigFile:
             (("sweep", "normal:0,1", "normal:1,1"), {"alpha-range": "0.9,0.2,5"}),
             (("entropy-figure", "normal:0,1", "normal:1,1"), {"n_max": "abc"}),
             (("verify",), {"samples": "many"}),
+            (("verify",), {"samples": 0}),
+            (("verify",), {"samples": -5}),
+            (("verify",), {"seed": -1}),
             (("sweep", "normal:0,1", "normal:1,1"), ["not", "an", "object"]),
         ],
         ids=["seed", "delta", "short_alpha_range", "reversed_alpha_range", "n_max",
-             "samples", "not_an_object"],
+             "samples", "zero_samples", "negative_samples", "negative_verify_seed",
+             "not_an_object"],
     )
     def test_bad_value_is_a_usage_error(self, tmp_path, args, config):
         cfg = tmp_path / "cfg.json"
@@ -169,6 +185,10 @@ class TestConfigFile:
         [
             ("divergence", "normal:0,1", "normal:1,1", "--order", "2", "--format", "csv"),
             ("divergence", "normal:0,1", "normal:1,1", "--order", "2", "--alpha-range", "0.2,0.9,5"),
+            ("divergence", "normal:0,1", "normal:1,1", "--order", "2", "--seed", "1"),
+            ("sweep", "normal:0,1", "normal:1,1", "--seed", "1"),
+            ("sweep", "normal:0,1", "normal:1,1", "--quad-tol", "1e-6"),
+            ("entropy-figure", "normal:0,1", "normal:1,1", "--seed", "1"),
             ("sample", "normal:0,1", "normal:1,1", "--format", "svg"),
             ("sample", "normal:0,1", "normal:1,1", "--quad-tol", "1e-6"),
             ("sample", "normal:0,1", "normal:1,1", "--alpha-range", "0.2,0.9,5"),
@@ -276,9 +296,12 @@ class TestSampleCommand:
             ("normal:0,1", "normal:40,1", "-n", "2"),
             ("normal:0,1", "normal:1,1", "-n", "-1"),
             ("normal:0,1", "normal:1,1", "-n", "-1", "--method", "pfr"),
+            ("normal:nan,1", "normal:0,1", "-n", "3"),
+            ("finite:0.5,nan", "finite:0.5,0.5", "-n", "3"),
         ],
         ids=["delta_zero", "negative_seed", "negative_seed_pfr", "no_stopping_rule",
-             "index_overflow", "negative_count", "negative_count_pfr"],
+             "index_overflow", "negative_count", "negative_count_pfr", "nan_mean",
+             "nan_probability"],
     )
     def test_bad_input_is_a_usage_error(self, args):
         res = run("sample", *args)
@@ -338,6 +361,17 @@ class TestVerifyCommand:
     def test_band_only(self):
         res = run("verify", "--only", "band")
         assert res.exit_code == 0
+
+    @pytest.mark.parametrize(
+        "args",
+        [("--seed", "-1"), ("--samples", "-5"), ("--samples", "0"), ("--samples", "1")],
+        ids=["negative_seed", "negative_samples", "zero_samples", "one_sample"],
+    )
+    def test_bad_flag_is_a_usage_error(self, args):
+        res = run("verify", "--only", "geometric", *args)
+        assert res.exit_code == 2, res.output
+        assert "Traceback" not in res.output
+        assert "Error:" in res.output
 
 
 class TestGoldenFiles:
