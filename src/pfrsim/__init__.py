@@ -38,7 +38,6 @@ from .codes import (
     kraft_sum,
     length,
     lengths,
-    parse_length_function,
     renyi_entropy,
 )
 from .distributions import (

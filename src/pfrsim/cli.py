@@ -3,8 +3,8 @@
 Every command is deterministic: the two that draw random numbers,
 ``sample`` and ``verify``, take a ``--seed`` (default 0, never
 wall-clock).  Numeric cells use a fixed format so repeated runs are
-byte-identical.  Options may also come from a JSON file via ``--config``;
-explicit flags win over file values.
+byte-identical.  Any option may also come from a JSON file via
+``--config``; explicit flags win over file values.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from pathlib import Path
 
 import click
 import numpy as np
-from click.core import ParameterSource
 
 from . import bounds as bounds_mod
 from . import codes as codes_mod
@@ -58,10 +57,49 @@ class _AlphaRange(click.ParamType):
         return lo, hi, n
 
 
-_config_option = click.option("--config", "config_path", type=click.Path(exists=True), default=None, help="JSON file with default option values.")
+def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
+    """Make a ``--config`` JSON object the defaults of the command's options.
+
+    A key names an option by its flag or its parameter name, written with
+    ``-`` or ``_``; nulls and keys that name no option are ignored, so
+    positional arguments never come from the file.  Click converts and
+    checks each value with its option's type, as it does a flag, and an
+    explicit flag wins.
+    """
+    if path is None:
+        return
+    try:
+        loaded = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not text
+        raise click.BadParameter(f"cannot read config: {exc}", ctx, param)
+    if not isinstance(loaded, dict):
+        raise click.BadParameter("config must be a JSON object", ctx, param)
+    names = {}
+    for option in ctx.command.params:
+        if isinstance(option, click.Option):
+            for alias in (option.name, *option.opts):
+                names[alias.lstrip("-").replace("-", "_")] = option.name
+    ctx.default_map = {}
+    for key, value in loaded.items():
+        name = names.get(key.replace("-", "_"))
+        if name is not None and value is not None:
+            ctx.default_map[name] = value
+
+
+def _quad_spec(ctx: click.Context, param: click.Parameter, quad_tol) -> QuadratureSpec | None:
+    """``--quad-tol`` as the QuadratureSpec it sets, rejected where the spec is invalid."""
+    if quad_tol is None:
+        return None
+    try:
+        return QuadratureSpec(abs_tol=quad_tol, rel_tol=quad_tol)
+    except PfrsimError as exc:
+        raise click.BadParameter(str(exc), ctx, param)
+
+
+_config_option = click.option("--config", type=click.Path(exists=True), is_eager=True, expose_value=False, callback=_load_config, help="JSON file with default option values.")
 _seed_option = click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 _out_option = click.option("--out", type=click.Path(), default=None, help="Output path.")
-_quad_tol_option = click.option("--quad-tol", type=float, default=None, help="Quadrature tolerance (absolute and relative).")
+_quad_tol_option = click.option("--quad-tol", "quad", type=float, default=None, callback=_quad_spec, help="Quadrature tolerance (absolute and relative).")
 
 
 def _sweep_options(f):
@@ -71,36 +109,6 @@ def _sweep_options(f):
     return _out_option(f)
 
 
-def _apply_config(ctx: click.Context, config_path: str | None) -> dict:
-    """The command's parameters, defaults replaced by ``--config`` file values.
-
-    A file value goes through its option's type, as a flag would, so a
-    value that does not convert is a usage error.  Explicit flags win;
-    null values and keys that name no option of the command are ignored.
-    """
-    params = dict(ctx.params)
-    if not config_path:
-        return params
-    try:
-        loaded = json.loads(Path(config_path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise click.UsageError(f"cannot read config: {exc}")
-    if not isinstance(loaded, dict):
-        raise click.UsageError("config must be a JSON object")
-    options = {p.name: p for p in ctx.command.params if isinstance(p, click.Option)}
-    for key, value in loaded.items():
-        name = key.replace("-", "_")
-        if name not in options or ctx.get_parameter_source(name) is not ParameterSource.DEFAULT:
-            continue
-        if value is None:  # JSON null keeps the default
-            continue
-        try:
-            params[name] = options[name].type_cast_value(ctx, value)
-        except click.BadParameter as exc:
-            raise click.UsageError(f"config value {key!r}: {exc.message}") from None
-    return params
-
-
 def _parse_pair(p_spec: str, q_spec: str) -> DistributionPair:
     try:
         return DistributionPair(parse_distribution(p_spec), parse_distribution(q_spec))
@@ -108,16 +116,16 @@ def _parse_pair(p_spec: str, q_spec: str) -> DistributionPair:
         raise click.UsageError(str(exc))
 
 
-def _quad_spec(quad_tol) -> QuadratureSpec | None:
-    if quad_tol is None:
-        return None
-    return QuadratureSpec(abs_tol=quad_tol, rel_tol=quad_tol)
-
-
-def _alpha_grid(alpha_range, pair: DistributionPair) -> np.ndarray:
+def _sweep_rows(p_spec: str, q_spec: str, alpha_range, out, fmt):
+    """The pair and its bound sweep, once the requested output is known to be writable."""
+    if fmt != "csv" and out is None:
+        raise click.UsageError("--out is required for SVG output")
+    pair = _parse_pair(p_spec, q_spec)
     if alpha_range is None:
-        return bounds_mod.default_alpha_grid(pair)
-    return np.linspace(*alpha_range)
+        grid = bounds_mod.default_alpha_grid(pair)
+    else:
+        grid = np.linspace(*alpha_range)
+    return pair, bounds_mod.sweep(pair, grid)
 
 
 def _write_text(path, text: str) -> None:
@@ -162,8 +170,6 @@ def _sweep_outputs(rows, out, fmt, title, extra=None):
                 path = path.with_suffix(".csv")
             _write_text(path, csv_text)
     if fmt in ("svg", "both"):
-        if out is None:
-            raise click.UsageError("--out is required for SVG output")
         try:
             write_line_chart(Path(out).with_suffix(".svg"), title, "alpha", "bits", series)
         except OSError as exc:
@@ -184,12 +190,9 @@ def main() -> None:
 @_out_option
 @_quad_tol_option
 @_config_option
-@click.pass_context
-def divergence(ctx, p_spec, q_spec, orders, numeric, out, quad_tol, config_path):
+def divergence(p_spec, q_spec, orders, numeric, out, quad):
     """Print Renyi divergences of order ORDER between two distributions, in bits."""
-    params = _apply_config(ctx, config_path)
     pair = _parse_pair(p_spec, q_spec)
-    spec = _quad_spec(params["quad_tol"])
     lines = ["order,bits" + (",numeric_bits" if numeric else "")]
     for order in orders:
         try:
@@ -201,15 +204,15 @@ def divergence(ctx, p_spec, q_spec, orders, numeric, out, quad_tol, config_path)
             # a divergent order has no finite integral to check: inf stays
             if not math.isinf(val):
                 try:
-                    val = numeric_renyi_divergence(pair, order, spec)
+                    val = numeric_renyi_divergence(pair, order, quad)
                 except PfrsimError as exc:
                     raise click.UsageError(f"numeric divergence at order {order:g}: {exc}")
             row += f",{bounds_mod.format_cell(val)}"
         lines.append(row)
     text = "\n".join(lines) + "\n"
     click.echo(text, nl=False)
-    if params["out"] is not None:
-        _write_text(params["out"], text)
+    if out is not None:
+        _write_text(out, text)
 
 
 @main.command()
@@ -217,31 +220,23 @@ def divergence(ctx, p_spec, q_spec, orders, numeric, out, quad_tol, config_path)
 @click.argument("q_spec")
 @_sweep_options
 @_config_option
-@click.pass_context
-def sweep(ctx, p_spec, q_spec, out, fmt, alpha_range, config_path):
+def sweep(p_spec, q_spec, out, fmt, alpha_range):
     """Evaluate all four bounds over an alpha grid; write CSV and/or SVG."""
-    params = _apply_config(ctx, config_path)
-    pair = _parse_pair(p_spec, q_spec)
-    grid = _alpha_grid(params["alpha_range"], pair)
-    rows = bounds_mod.sweep(pair, grid)
-    _sweep_outputs(rows, params["out"], params["fmt"], f"{p_spec} vs {q_spec}")
+    _, rows = _sweep_rows(p_spec, q_spec, alpha_range, out, fmt)
+    _sweep_outputs(rows, out, fmt, f"{p_spec} vs {q_spec}")
 
 
 @main.command("entropy-figure")
 @click.argument("p_spec")
 @click.argument("q_spec")
-@click.option("--n-max", type=int, default=1000, show_default=True, help="Index pmf truncation point.")
+@click.option("--n-max", type=click.IntRange(min=1), default=1000, show_default=True, help="Index pmf truncation point.")
 @_sweep_options
 @_quad_tol_option
 @_config_option
-@click.pass_context
-def entropy_figure(ctx, p_spec, q_spec, n_max, out, fmt, alpha_range, quad_tol, config_path):
+def entropy_figure(p_spec, q_spec, n_max, out, fmt, alpha_range, quad):
     """Bound sweep plus the truncated-pmf entropy column h_alpha_plus1."""
-    params = _apply_config(ctx, config_path)
-    pair = _parse_pair(p_spec, q_spec)
-    grid = _alpha_grid(params["alpha_range"], pair)
-    rows = bounds_mod.sweep(pair, grid)
-    pmf = pfr_mod.index_pmf(pair, params["n_max"], _quad_spec(params["quad_tol"]))
+    pair, rows = _sweep_rows(p_spec, q_spec, alpha_range, out, fmt)
+    pmf = pfr_mod.index_pmf(pair, n_max, quad)
     heavy = pmf.tail_mass > 1e-4
     if heavy:
         warnings.warn(
@@ -256,9 +251,9 @@ def entropy_figure(ctx, p_spec, q_spec, n_max, out, fmt, alpha_range, quad_tol, 
         h_col.append((lo if heavy else hi) + 1.0)
     _sweep_outputs(
         rows,
-        params["out"],
-        params["fmt"],
-        f"{p_spec} vs {q_spec} (N={params['n_max']})",
+        out,
+        fmt,
+        f"{p_spec} vs {q_spec} (N={n_max})",
         ("h_alpha_plus1", "index entropy + 1", h_col),
     )
 
@@ -272,28 +267,25 @@ def entropy_figure(ctx, p_spec, q_spec, n_max, out, fmt, alpha_range, quad_tol, 
 @_out_option
 @_seed_option
 @_config_option
-@click.pass_context
-def sample(ctx, p_spec, q_spec, count, method, delta, out, seed, config_path):
+def sample(p_spec, q_spec, count, method, delta, out, seed):
     """Draw (index, accepted sample) pairs; rows are k,u_k,termination."""
-    params = _apply_config(ctx, config_path)
     pair = _parse_pair(p_spec, q_spec)
-    root, n = params["seed"], params["count"]
     try:
-        if params["method"] == "exact":
-            ks, us = pfr_mod.sample_indices(pair, n, np.random.default_rng(root))
-            termination, capped = "exact", np.zeros(n, dtype=bool)
+        if method == "exact":
+            ks, us = pfr_mod.sample_indices(pair, count, np.random.default_rng(seed))
+            termination, capped = "exact", np.zeros(count, dtype=bool)
         else:
-            batch = pfr_mod.run_pfr_many(pair, root, n, delta=params["delta"])
+            batch = pfr_mod.run_pfr_many(pair, seed, count, delta=delta)
             ks, us, termination, capped = (
                 batch.index, batch.accepted, batch.termination, batch.capped
             )
     except PfrsimError as exc:
         raise click.UsageError(str(exc))
     text = _sample_csv(ks, us, termination, capped, pair.is_finite_kind)
-    if params["out"] is None:
+    if out is None:
         click.echo(text, nl=False)
     else:
-        _write_text(params["out"], text)
+        _write_text(out, text)
 
 
 def _sample_csv(ks, us, termination: str, capped, finite: bool) -> str:
@@ -326,14 +318,12 @@ def _sample_csv(ks, us, termination: str, capped, finite: bool) -> str:
 @click.option("--corrupt-c1", is_flag=True, hidden=True, help="Deliberately break the first upper bound's constant (negative control).")
 @_seed_option
 @_config_option
-@click.pass_context
-def verify(ctx, only, samples, corrupt_c1, seed, config_path):
+def verify(only, samples, corrupt_c1, seed):
     """Run the verification suite; exits nonzero if any check fails."""
-    params = _apply_config(ctx, config_path)
     reports = oracle_mod.run_suite(
-        seed=params["seed"],
-        n_samples=params["samples"],
-        only=params["only"],
+        seed=seed,
+        n_samples=samples,
+        only=only,
         c1_offset=-8.0 if corrupt_c1 else 0.0,
     )
     for r in reports:

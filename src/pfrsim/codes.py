@@ -107,33 +107,6 @@ def lengths(lf: LengthFunction, ks) -> np.ndarray:
     return lf.lengths(ks)
 
 
-def parse_length_function(text: str) -> LengthFunction:
-    """Parse CLI syntax: powerlaw:eps | universal:eps | onetoone | custom:@table.csv"""
-    kind, _, arg = text.partition(":")
-    kind = kind.strip().lower()
-    if kind == "powerlaw":
-        return PowerLaw(float(arg))
-    if kind == "universal":
-        return Universal(float(arg))
-    if kind == "onetoone":
-        return OneToOne()
-    if kind == "custom":
-        if not arg.startswith("@"):
-            raise DomainError("custom takes @<csv path> with rows k,n_k")
-        entries: dict[int, int] = {}
-        with open(arg[1:], "r", newline="") as f:
-            for line in f:
-                line = line.strip()
-                if not line or line.lower().startswith("k"):
-                    continue
-                kk, _, nn = line.partition(",")
-                entries[int(kk)] = int(nn)
-        if sorted(entries) != list(range(1, len(entries) + 1)):
-            raise DomainError("custom table must cover k = 1..N contiguously")
-        return CustomLengths(tuple(entries[i] for i in range(1, len(entries) + 1)))
-    raise DomainError(f"unknown length function {text!r}")
-
-
 def kraft_sum(lf: LengthFunction, n_terms: int) -> tuple[float, float]:
     """(partial, tail_bound): sum of 2**-n_k for k <= n_terms plus an analytic
     bound on the remaining series.

@@ -402,11 +402,17 @@ def _laplace_ratio_near_singular(
 
 
 def _finite_renyi_nats(p: Finite, q: Finite, a: np.ndarray) -> np.ndarray:
-    total = 0.0
-    for pi, qi in zip(p.probs, q.probs):
-        if pi > 0.0:
-            total = total + pi**a * qi ** (1.0 - a)
-    return np.log(total) / (a - 1.0)
+    """log(sum p**a * q**(1 - a)) / (a - 1), summed in log space.
+
+    The terms are exponentiated after the largest log term is taken out,
+    so that no term overflows at large orders.  P << Q, so q > 0 wherever
+    p > 0 and every log term is finite.
+    """
+    pi, qi = np.asarray(p.probs), np.asarray(q.probs)
+    support = pi > 0.0
+    terms = np.outer(np.log(pi[support]), a) + np.outer(np.log(qi[support]), 1.0 - a)
+    top = terms.max(axis=0)
+    return (top + np.log(np.exp(terms - top).sum(axis=0))) / (a - 1.0)
 
 
 def renyi_divergence(pair: DistributionPair, order):
@@ -419,8 +425,8 @@ def renyi_divergence(pair: DistributionPair, order):
     """
     shape = np.shape(order)
     a = np.asarray(order, dtype=float).reshape(-1)
-    if np.count_nonzero(a > 0.0) != a.size:
-        raise OrderError(f"divergence order must be positive, got {order}")
+    if np.count_nonzero((a > 0.0) & (a < math.inf)) != a.size:
+        raise OrderError(f"divergence order must be positive and finite, got {order}")
     one = a == 1.0
     if np.count_nonzero(one):
         bits = np.full(a.shape, kl_divergence(pair))
@@ -446,7 +452,7 @@ def numeric_renyi_divergence(
     and at order 1.  Where the closed form is +inf the integral diverges,
     and the quadrature raises a PfrsimError.
     """
-    if pair.is_finite_kind or not (order > 0.0 and order != 1.0):
+    if pair.is_finite_kind or not (0.0 < order < math.inf and order != 1.0):
         return renyi_divergence(pair, order)  # the closed form, or its OrderError
     a = float(order)
     p, q = pair.p, pair.q

@@ -168,10 +168,19 @@ class TestConfigFile:
             (("verify",), {"samples": -5}),
             (("verify",), {"seed": -1}),
             (("sweep", "normal:0,1", "normal:1,1"), ["not", "an", "object"]),
+            (("entropy-figure", "normal:0,1", "normal:1,1"), {"quad_tol": 0}),
+            (("entropy-figure", "normal:0,1", "normal:1,1"), {"quad-tol": -1e-6}),
+            (("divergence", "normal:0,1", "normal:1,1", "--order", "2", "--numeric"),
+             {"quad_tol": "nan"}),
+            (("entropy-figure", "normal:0,1", "normal:1,1"), {"n_max": 0}),
+            (("sweep", "normal:0,1", "normal:1,1"), {"format": "svg"}),
+            (("entropy-figure", "normal:0,1", "normal:1,1"), {"fmt": "both"}),
+            (("divergence", "normal:0,1", "normal:1,1"), {"order": [2, "inf"]}),
         ],
         ids=["seed", "delta", "short_alpha_range", "reversed_alpha_range", "n_max",
              "samples", "zero_samples", "negative_samples", "negative_verify_seed",
-             "not_an_object"],
+             "not_an_object", "zero_quad_tol", "negative_quad_tol", "nan_quad_tol",
+             "zero_n_max", "svg_without_out", "both_without_out", "infinite_order"],
     )
     def test_bad_value_is_a_usage_error(self, tmp_path, args, config):
         cfg = tmp_path / "cfg.json"
@@ -202,6 +211,64 @@ class TestConfigFile:
         res = run(*args)
         assert res.exit_code == 2, res.output
         assert "No such option" in res.output
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("entropy-figure", "normal:0,1", "normal:1,1", "--quad-tol", "0"),
+            ("entropy-figure", "normal:0,1", "normal:1,1", "--quad-tol", "-1e-6"),
+            ("divergence", "normal:0,1", "normal:1,1", "--order", "2", "--numeric",
+             "--quad-tol", "nan"),
+            ("entropy-figure", "normal:0,1", "normal:1,1", "--n-max", "0"),
+            ("sweep", "normal:0,1", "normal:1,1", "--format", "svg"),
+            ("sweep", "normal:0,1", "normal:1,1", "--format", "both"),
+            ("entropy-figure", "normal:0,1", "normal:1,1", "--format", "both"),
+            ("divergence", "normal:0,1", "normal:1,1", "--order", "inf"),
+        ],
+        ids=["zero_quad_tol", "negative_quad_tol", "nan_quad_tol", "zero_n_max",
+             "svg_without_out", "both_without_out", "figure_without_out",
+             "infinite_order"],
+    )
+    def test_bad_flag_fails_before_any_work(self, monkeypatch, args):
+        def no_sweep(*_):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr("pfrsim.bounds.sweep", no_sweep)
+        res = run(*args)
+        assert res.exit_code == 2, res.output
+        assert "Traceback" not in res.output
+        assert "Error:" in res.output
+        assert "order," not in res.output and "alpha," not in res.output
+
+    def test_flags_come_from_the_file(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"numeric": True}))
+        args = ("divergence", "normal:0,1", "normal:1,1", "--order", "2")
+        res = run(*args, "--config", str(cfg))
+        assert res.exit_code == 0, res.output
+        assert res.output.splitlines()[0] == "order,bits,numeric_bits"
+        assert res.output == run(*args, "--numeric").output
+
+    def test_positional_arguments_never_come_from_the_file(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"p_spec": "normal:0,1", "q-spec": "normal:1,1"}))
+        res = run("divergence", "--order", "2", "--config", str(cfg))
+        assert res.exit_code == 2, res.output
+        assert "Missing argument 'P_SPEC'" in res.output
+
+    def test_keys_name_an_option_by_flag_or_parameter(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        out = tmp_path / "fig"
+        cfg.write_text(json.dumps({"format": "both", "out": str(out), "alpha-range": "0.4,0.8,3"}))
+        res = run("sweep", "normal:0,1", "normal:1,1", "--config", str(cfg))
+        assert res.exit_code == 0, res.output
+        assert (tmp_path / "fig.svg").exists() and (tmp_path / "fig.csv").exists()
+        cfg.write_text(json.dumps({"n": 3, "order": [2]}))
+        assert run("sample", "normal:0,1", "normal:1,1", "--config", str(cfg)).output == run(
+            "sample", "normal:0,1", "normal:1,1", "-n", "3"
+        ).output
+        res = run("divergence", "normal:0,1", "normal:1,1", "--config", str(cfg))
+        assert res.output == "order,bits\n2,1.44269504089\n"
 
     def test_config_keys_of_other_commands_are_ignored(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -14,7 +14,6 @@ from pfrsim.codes import (
     kraft_sum,
     length,
     lengths,
-    parse_length_function,
     renyi_entropy,
 )
 from pfrsim.distributions import DistributionPair, Gaussian
@@ -69,16 +68,6 @@ class TestLengths:
             CustomLengths(())
         with pytest.raises(DomainError):
             length(OneToOne(), 0)
-
-    def test_parse(self, tmp_path):
-        assert parse_length_function("powerlaw:0.5") == PowerLaw(0.5)
-        assert parse_length_function("universal:2") == Universal(2.0)
-        assert parse_length_function("onetoone") == OneToOne()
-        table = tmp_path / "table.csv"
-        table.write_text("k,n_k\n1,1\n2,3\n")
-        assert parse_length_function(f"custom:@{table}") == CustomLengths((1, 3))
-        with pytest.raises(DomainError):
-            parse_length_function("huffman")
 
 
 class TestKraft:

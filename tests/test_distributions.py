@@ -171,9 +171,32 @@ class TestRenyiDivergence:
             renyi_divergence(pair(Gaussian(0, 1), Gaussian(1, 1)), 0.0)
 
     def test_numeric_reference_order_validation(self):
-        for order in (0.0, -1.0, math.nan):
+        for order in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(OrderError):
                 numeric_renyi_divergence(pair(Gaussian(0, 1), Gaussian(1, 1)), order)
+        for pr in (
+            pair(Gaussian(0, 1), Gaussian(1, 1)),
+            pair(Laplace(0, 1), Laplace(1, 1)),
+            pair(Finite((0.3, 0.7)), Finite((0.5, 0.5))),
+        ):
+            with pytest.raises(OrderError):
+                numeric_renyi_divergence(pr, math.inf)
+            for order in (math.inf, np.array([2.0, math.inf])):
+                with pytest.raises(OrderError):
+                    renyi_divergence(pr, order)
+
+    def test_finite_large_orders_stay_below_the_max_ratio(self):
+        # every D_a is at most log2 max p/q = log2 70; the terms p**a q**(1-a)
+        # overflow long before the orders of the ub1 epsilon search (~970)
+        pr = pair(Finite((0.3, 0.7)), Finite((0.99, 0.01)))
+        orders = np.array([0.5, 2.0, 10.0, 300.0, 970.0, 1000.0, 1e4])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = renyi_divergence(pr, orders)
+        assert np.all(np.isfinite(vals))
+        assert np.all(np.diff(vals) >= 0.0)
+        assert np.all(vals <= math.log2(70.0))
+        assert vals[-1] == pytest.approx(math.log2(70.0), abs=1e-3)
 
     def test_numeric_reference_is_the_closed_form_where_exact(self):
         # finite pairs are exact sums, and order 1 is the KL closed form
