@@ -11,7 +11,6 @@ figure data as CSV/SVG.
 """
 
 from .bounds import (
-    DEFAULT_EPS_SEARCH,
     BoundSet,
     c1,
     c2,
@@ -34,7 +33,6 @@ from .codes import (
     Universal,
     campbell_cost,
     campbell_optimal_lengths,
-    empirical_campbell_cost,
     kraft_sum,
     length,
     lengths,
@@ -67,7 +65,6 @@ from .errors import (
     UnsupportedKindError,
 )
 from .numerics import (
-    MinimizeSpec,
     QuadratureSpec,
     integrate,
     log2_sum_exp,
@@ -95,7 +92,6 @@ from .pfr import (
     log_beta,
     run_pfr,
     run_pfr_many,
-    sample_index_exact,
     sample_indices,
 )
 

@@ -14,17 +14,17 @@ each entry has the bits of a scalar call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .distributions import DistributionPair, Laplace, kl_divergence, renyi_divergence
 from .errors import AbsoluteContinuityError, EpsilonRangeError, OrderError
-from .numerics import LOG2E, MinimizeSpec, log_gamma, minimize_scalar, open_text
+from .numerics import LOG2E, log_gamma, minimize_scalar, open_text
 
-#: Default epsilon search window for bound optimization.
-DEFAULT_EPS_SEARCH = MinimizeSpec(1e-4, 50.0)
+#: The epsilon window (lo, hi) that ``optimize_ub`` searches.
+_EPS_WINDOW = (1e-4, 50.0)
 
 
 def _check_alpha(alpha) -> None:
@@ -119,11 +119,20 @@ def c2(epsilon):
     return 3.0 + epsilon + np.log2(math.log(2.0) / epsilon + 1.5)
 
 
+def _ub2_defined(alpha):
+    """Where ub2 is defined: alpha < 1 and 3 alpha - 2 > 0 as computed.
+
+    The computed difference, not alpha > 2/3: one ulp above the float 2/3
+    it rounds to 0, which leaves no admissible epsilon.
+    """
+    a = np.asarray(alpha)
+    return (3.0 * a - 2.0 > 0.0) & (a < 1.0)
+
+
 def ub2_epsilon_max(alpha):
     """Largest admissible epsilon for the universal-code bound."""
-    a = np.asarray(alpha)
-    if np.count_nonzero((2.0 / 3.0 < a) & (a < 1.0)) != a.size:
-        raise OrderError(f"alpha must lie in (2/3, 1), got {alpha}")
+    if np.count_nonzero(_ub2_defined(alpha)) != np.size(alpha):
+        raise OrderError(f"alpha must lie in (2/3, 1) with 3 alpha - 2 > 0, got {alpha}")
     return (3.0 * alpha - 2.0) / (2.0 - 2.0 * alpha)
 
 
@@ -154,32 +163,28 @@ def optimize_ub(pair: DistributionPair, alpha, which: str = "ub1"):
     of one ``minimize_scalar`` search, and its result is the one a float
     order gives.  Returns (epsilon, value), floats for a float alpha and
     arrays shaped like alpha otherwise; a value may be +inf when every
-    admissible epsilon hits an infinite divergence.  The search window
-    and budget are ``DEFAULT_EPS_SEARCH``'s, capped for ub2 at
-    ``ub2_epsilon_max``.
+    admissible epsilon hits an infinite divergence.  Every row searches
+    the window [1e-4, 50], capped for ub2 at ``ub2_epsilon_max``.
     """
     orders = np.asarray(alpha, dtype=float)
     column = orders.reshape(-1, 1)
+    lo, hi = _EPS_WINDOW
     # orders are checked here and epsilons by the window, not on each probe
     if which == "ub1":
         _check_alpha(orders)
-        lo, hi = DEFAULT_EPS_SEARCH.lo, DEFAULT_EPS_SEARCH.hi
         objective = lambda e: _ub1(pair, column, e)
     elif which == "ub2":
-        hi = np.minimum(DEFAULT_EPS_SEARCH.hi, ub2_epsilon_max(orders))
-        lo = np.minimum(DEFAULT_EPS_SEARCH.lo, hi / 2.0)
+        hi = np.minimum(hi, ub2_epsilon_max(orders))
+        lo = np.minimum(lo, hi / 2.0)
         # neither divergence depends on epsilon
         d = renyi_divergence(pair, (2.0 - column) / column)
         kl = kl_divergence(pair)
         objective = lambda e: _ub2(d, kl, e)
     else:
         raise ValueError(f"unknown bound {which!r}")
-    window = replace(
-        DEFAULT_EPS_SEARCH,
-        lo=np.broadcast_to(lo, orders.shape),
-        hi=np.broadcast_to(hi, orders.shape),
+    return minimize_scalar(
+        objective, np.broadcast_to(lo, orders.shape), np.broadcast_to(hi, orders.shape)
     )
-    return minimize_scalar(objective, window)
 
 
 @dataclass(frozen=True)
@@ -212,14 +217,15 @@ def sweep(pair: DistributionPair, alpha_grid: Iterable[float]) -> list[BoundSet]
 
     Each bound is evaluated on the whole grid at once, and each upper
     bound's epsilon searches run together: one ``optimize_ub`` call for
-    ub1 and one for ub2 on the orders above 2/3.
+    ub1 and one for ub2 on the orders where it is defined, those with
+    3 alpha - 2 > 0; the other rows get no ub2.
     """
     alphas = np.array(sorted(float(a) for a in alpha_grid))
     if not alphas.size:
         return []
     e1, v1 = optimize_ub(pair, alphas, "ub1")
-    # ub2 is defined for the orders above 2/3 only, the tail of the grid
-    split = int(np.searchsorted(alphas, 2.0 / 3.0, side="right"))
+    # the orders where ub2 is defined are the tail of the sorted grid
+    split = alphas.size - int(np.count_nonzero(_ub2_defined(alphas)))
     e2 = v2 = [None] * split
     if split < alphas.size:
         high_e, high_v = optimize_ub(pair, alphas[split:], "ub2")

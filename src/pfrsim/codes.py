@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -230,23 +230,6 @@ def renyi_entropy(pmf: IndexPmf, alpha: float) -> tuple[float, float]:
         return lower, math.inf
     upper = math.log2(head + tail) / (1.0 - alpha)
     return lower, upper
-
-
-def empirical_campbell_cost(
-    samples: Sequence[int] | np.ndarray,
-    lf: LengthFunction,
-    t: float,
-) -> float:
-    """Plug-in cost estimate from observed indices."""
-    if not t > 0.0:
-        raise DomainError("t must be positive")
-    ks = np.asarray(samples, dtype=np.int64)
-    if ks.size == 0:
-        raise DomainError("samples must be nonempty")
-    values, counts = np.unique(ks, return_counts=True)
-    ns = lf.lengths(values).astype(float)
-    terms = np.log2(counts / ks.size) + t * ns
-    return log2_sum_exp(terms) / t
 
 
 def campbell_optimal_lengths(pmf: IndexPmf, alpha: float) -> CustomLengths:

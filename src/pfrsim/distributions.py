@@ -57,9 +57,8 @@ class Gaussian:
     def log_sf(self, u):
         return log_ndtr(-(np.asarray(u, dtype=float) - self.mu) / self.sigma)
 
-    def sample(self, rng: np.random.Generator, n: int | None = None):
-        z = rng.standard_normal() if n is None else rng.standard_normal(n)
-        return self.mu + self.sigma * z
+    def sample(self, rng: np.random.Generator, n: int):
+        return self.mu + self.sigma * rng.standard_normal(n)
 
 
 @dataclass(frozen=True)
@@ -97,13 +96,11 @@ class Laplace:
         z = (np.asarray(u, dtype=float) - self.theta) / self.lam
         return np.log1p(-0.5 * np.exp(np.minimum(z, 0.0))) - np.maximum(z, 0.0)
 
-    def sample(self, rng: np.random.Generator, n: int | None = None):
+    def sample(self, rng: np.random.Generator, n: int):
         # inverse CDF; the 1-2|u| term is floored to keep endpoint draws finite
-        u = rng.random() if n is None else rng.random(n)
-        c = np.asarray(u, dtype=float) - 0.5
+        c = rng.random(n) - 0.5
         mag = np.maximum(1.0 - 2.0 * np.abs(c), 5e-324)
-        x = self.theta - self.lam * np.sign(c) * np.log(mag)
-        return float(x) if n is None else x
+        return self.theta - self.lam * np.sign(c) * np.log(mag)
 
 
 @dataclass(frozen=True)
@@ -132,12 +129,9 @@ class Finite:
     def cdf(self, u):
         raise UnsupportedKindError("cdf is not defined for finite laws")
 
-    def sample(self, rng: np.random.Generator, n: int | None = None):
-        cum = np.cumsum(self.probs)
-        u = rng.random() if n is None else rng.random(n)
-        idx = np.searchsorted(cum, u, side="right")
-        idx = np.minimum(idx, len(self.probs) - 1)
-        return int(idx) if n is None else idx
+    def sample(self, rng: np.random.Generator, n: int):
+        idx = np.searchsorted(np.cumsum(self.probs), rng.random(n), side="right")
+        return np.minimum(idx, len(self.probs) - 1)
 
 
 Distribution = Union[Gaussian, Laplace, Finite]

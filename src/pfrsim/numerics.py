@@ -8,13 +8,15 @@ arbitrary truncation points appear anywhere.  Integrands are
 array-to-array: each panel evaluates its 15 nodes in one call, so an
 integrand maps an array of points to an array of values (or a float that
 broadcasts to it), with numpy operations rather than ``math`` ones or
-Python branches.  ``minimize_scalar`` searches one window per row of a
-batch, with the grid scan as one array evaluation and golden-section
-refinement run in lockstep over the rows.  Batched results rest on one
-condition: numpy's ufuncs give a value the same bits alone as inside an
-array (``log_gamma``, which numpy lacks, maps ``math.lgamma``), so a row
-of a batch gets the bits of its own one-row call.  ``open_text`` is the
-path-or-file opener that the CSV readers and writers share.
+Python branches.  ``minimize_scalar(f, lo, hi)`` searches the window
+[lo, hi], or one window per row of a batch when lo and hi are arrays,
+with the grid scan as one array evaluation and golden-section refinement
+run in lockstep over the rows; its grid size and refinement budget are
+fixed.  Batched results rest on one condition: numpy's ufuncs give a
+value the same bits alone as inside an array (``log_gamma``, which numpy
+lacks, maps ``math.lgamma``), so a row of a batch gets the bits of its
+own one-row call.  ``open_text`` is the path-or-file opener that the CSV
+writers share.
 """
 
 from __future__ import annotations
@@ -61,35 +63,6 @@ class QuadratureSpec:
             raise DomainError("quadrature tolerances must be positive")
         if self.max_subdivisions < 1:
             raise DomainError("max_subdivisions must be >= 1")
-
-
-@dataclass(frozen=True)
-class MinimizeSpec:
-    """Search windows and budget for scalar minimization.
-
-    ``lo`` and ``hi`` are floats for one window, or 1-D arrays of one
-    length for one window per row; a float applies to every row.
-    """
-
-    lo: float | np.ndarray
-    hi: float | np.ndarray
-    grid_points: int = 200
-    refine_iters: int = 60
-    tol: float = 1e-9
-
-    def __post_init__(self) -> None:
-        try:
-            lo, hi = np.broadcast_arrays(
-                np.asarray(self.lo, dtype=float), np.asarray(self.hi, dtype=float)
-            )
-        except ValueError as exc:
-            raise DomainError(f"lo and hi differ in length: {exc}") from None
-        if lo.ndim > 1:
-            raise DomainError("lo and hi must be floats or 1-D arrays")
-        if not np.all((0.0 < lo) & (lo < hi)):
-            raise DomainError("require 0 < lo < hi")
-        if self.grid_points < 2:
-            raise DomainError("grid_points must be >= 2")
 
 
 # Gauss-Kronrod 7/15 abscissae and weights on [-1, 1] (QUADPACK dqk15).
@@ -259,21 +232,26 @@ _RIGHT_NEXT = np.array([1, 2, 6, 3, 5, 7, 6, 7])
 _LEFT_NEXT = np.array([0, 6, 1, 2, 7, 4, 6, 7])
 
 
-def minimize_scalar(
-    f: Callable[[np.ndarray], np.ndarray],
-    spec: MinimizeSpec,
-):
+#: Grid points of the scan, golden-section steps at most, and the bracket
+#: width at which a row stops refining.
+_GRID_POINTS = 200
+_REFINE_ITERS = 60
+_TOL = 1e-9
+
+
+def minimize_scalar(f: Callable[[np.ndarray], np.ndarray], lo, hi):
     """Coarse grid scan followed by golden-section refinement, per row.
 
-    ``spec`` holds one search window, or one per row (see ``MinimizeSpec``).
-    ``f`` maps a (rows, k) array of points, row i inside window i, to the
-    values there (an array of that shape, or one that broadcasts to it).
-    The grid scan is one call on (rows, grid_points).  Golden-section
-    refinement then runs in lockstep, one probe per row per call; a row
-    stops once its bracket is narrower than ``spec.tol``, and every row
-    after ``spec.refine_iters`` steps.  A row's arithmetic and comparisons
-    are those of a search of its window alone, so each row returns what a
-    one-row search would.
+    ``lo`` and ``hi`` are floats for one search window, or 1-D arrays of
+    one length for one window per row (a float applies to every row); each
+    window needs 0 < lo < hi.  ``f`` maps a (rows, k) array of points, row
+    i inside window i, to the values there (an array of that shape, or one
+    that broadcasts to it).  The grid scan is one call on
+    (rows, ``_GRID_POINTS``).  Golden-section refinement then runs in
+    lockstep, one probe per row per call; a row stops once its bracket is
+    narrower than ``_TOL``, and every row after ``_REFINE_ITERS`` steps.  A row's arithmetic and comparisons are those of a
+    search of its window alone, so each row returns what a one-row search
+    would.
 
     Returns the best probed point and its value: floats for one float
     window, else arrays with one entry per row.  Each value is thus a
@@ -281,9 +259,14 @@ def minimize_scalar(
     +inf are treated as valid "infinitely bad" probes (divergent bounds
     rely on this); NaN and -inf raise.
     """
-    lo, hi = np.broadcast_arrays(
-        np.asarray(spec.lo, dtype=float), np.asarray(spec.hi, dtype=float)
-    )
+    try:
+        lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    except ValueError as exc:
+        raise DomainError(f"lo and hi differ in length: {exc}") from None
+    if lo.ndim > 1:
+        raise DomainError("lo and hi must be floats or 1-D arrays")
+    if not np.all((0.0 < lo) & (lo < hi)):
+        raise DomainError("require 0 < lo < hi")
     single = lo.ndim == 0
     lo, hi = np.atleast_1d(lo, hi)
     rows = np.arange(lo.size)
@@ -299,7 +282,7 @@ def minimize_scalar(
             raise NonFiniteError(f"objective non-finite at {x[~valid][0]!r}")
         return y
 
-    xs = np.linspace(lo, hi, spec.grid_points, axis=-1)
+    xs = np.linspace(lo, hi, _GRID_POINTS, axis=-1)
     ys = probe(xs)
     i = np.argmin(ys, axis=1)
     best_x, best_y = xs[rows, i], ys[rows, i]
@@ -307,13 +290,13 @@ def minimize_scalar(
     # when a == b the interior points repeat the grid minimum, which
     # changes nothing below
     a = xs[rows, np.maximum(i - 1, 0)]
-    b = xs[rows, np.minimum(i + 1, spec.grid_points - 1)]
+    b = xs[rows, np.minimum(i + 1, _GRID_POINTS - 1)]
     c = b - _INV_GOLDEN * (b - a)
     d = a + _INV_GOLDEN * (b - a)
     fc, fd = probe(np.stack([c, d], axis=1)).T
     state = np.stack([a, c, d, b, fc, fd, c, fc])
-    for _ in range(spec.refine_iters):
-        stopped = np.abs(state[3] - state[0]) < spec.tol
+    for _ in range(_REFINE_ITERS):
+        stopped = np.abs(state[3] - state[0]) < _TOL
         n_stopped = np.count_nonzero(stopped)
         if n_stopped == rows.size:
             break

@@ -11,8 +11,8 @@ Two samplers produce the transmitted index K with its accepted sample:
   it on the seeded streams ``derive_stream(root_seed, i)``, i < n, with
   the same draws per stream but one array pass per block across all of
   them, and returns arrays rather than one outcome per draw.
-* ``sample_index_exact`` draws the accepted sample from the target first
-  and then the index from its conditional geometric law with success
+* ``sample_indices`` draws n accepted samples from the target first and
+  then each index from its conditional geometric law with success
   probability beta(u); the joint law matches the selection rule exactly
   and the cost is O(1) per draw, which is the only tractable route when
   E[K] is astronomically large.
@@ -66,7 +66,7 @@ def derive_stream(root_seed: int, i: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class PfrOutcome:
-    """One run of a sampler: index, accepted sample, work done, and how it stopped."""
+    """One run of the selection rule: index, accepted sample, work done, and how it stopped."""
 
     index: int
     accepted: float | int
@@ -131,24 +131,6 @@ class IndexPmf:
                 f.write(f"{k},{p:.17g}\n")
             f.write(f"tail,{self.tail_mass:.17g}\n")
 
-    @classmethod
-    def from_csv(cls, f) -> "IndexPmf":
-        with open_text(f, "r") as f:
-            header = f.readline().strip()
-            if header != "k,prob":
-                raise DomainError(f"unexpected header {header!r}")
-            probs = []
-            tail = None
-            for line in f:
-                key, _, value = line.strip().partition(",")
-                if key == "tail":
-                    tail = float(value)
-                else:
-                    probs.append(float(value))
-        if tail is None:
-            raise DomainError("missing tail row")
-        return cls(np.array(probs), tail)
-
 
 def _log1m_from_log_beta(log_beta_vals: np.ndarray) -> np.ndarray:
     """log(1 - beta) from log(beta); -1e300 stands in for -inf at beta == 1."""
@@ -190,19 +172,6 @@ def _log_beta_quadrature(
     return -math.log(integrate(integrand, spec))
 
 
-def sample_index_exact(pair: DistributionPair, rng: np.random.Generator) -> PfrOutcome:
-    """Draw (K, U_K) from its exact joint law via the conditional geometric.
-
-    One draw of ``sample_indices``, with the same generator calls.
-    Mandatory for high-divergence pairs where running the selection rule
-    is intractable.
-    """
-    ks, us = sample_indices(pair, 1, rng)
-    k = int(ks[0])
-    u = int(us[0]) if pair.is_finite_kind else float(us[0])
-    return PfrOutcome(index=k, accepted=u, candidates_examined=k, termination="exact")
-
-
 def sample_indices(
     pair: DistributionPair, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -240,7 +209,7 @@ def _selection_rule(pair: DistributionPair, delta: float) -> tuple[float, bool, 
     if not exact and not math.isfinite(renyi_divergence(pair, 2.0)):
         raise DomainError(
             "unbounded density ratio with no finite ratio moment: "
-            "no stopping rule applies (use sample_index_exact)"
+            "no stopping rule applies (use sample_indices)"
         )
     return log_rmax, exact, math.log(delta)
 

@@ -41,11 +41,13 @@ def render_line_chart(
     y_label: str,
     series: Sequence[tuple[str, Sequence[float], Sequence[float]]],
 ) -> str:
-    """Render an SVG document; non-finite y values split the polylines."""
-    xs_all = [x for _, xs, ys in series for x, y in zip(xs, ys) if math.isfinite(y)]
-    ys_all = [y for _, xs, ys in series for x, y in zip(xs, ys) if math.isfinite(y)]
-    if not ys_all:
-        raise ValueError("no finite points to plot")
+    """Render an SVG document; non-finite y values split the polylines.
+
+    With no finite value at all, the axes and legend span [0, 1] and no
+    line is drawn.
+    """
+    finite = [(x, y) for _, xs, ys in series for x, y in zip(xs, ys) if math.isfinite(y)]
+    xs_all, ys_all = zip(*finite) if finite else ((0.0, 1.0), (0.0, 1.0))
     x_lo, x_hi = min(xs_all), max(xs_all)
     y_lo, y_hi = min(ys_all), max(ys_all)
     pad = 0.05 * (y_hi - y_lo or 1.0)

@@ -156,6 +156,18 @@ class TestOptimization:
         _, v2 = optimize_ub(NEAR, 0.9, "ub2")
         assert v1 < v2
 
+    def test_ub2_domain_is_the_computed_difference(self):
+        # one ulp above the float 2/3, 3 alpha - 2 rounds to 0: no epsilon
+        # is admissible, so that order is outside ub2's domain
+        just_above = math.nextafter(2.0 / 3.0, 1.0)
+        assert 3.0 * just_above - 2.0 == 0.0
+        with pytest.raises(OrderError):
+            optimize_ub(NEAR, just_above, "ub2")
+        next_up = math.nextafter(just_above, 1.0)
+        eps, val = optimize_ub(NEAR, next_up, "ub2")
+        assert 0.0 < eps <= ub2_epsilon_max(next_up)
+        assert math.isfinite(val)
+
     def test_unknown_bound_rejected(self):
         with pytest.raises(ValueError):
             optimize_ub(NEAR, 0.9, "ub3")
@@ -234,6 +246,12 @@ class TestSweep:
         for pr in (IDENT, NEAR, FAR, DistributionPair(Laplace(0, 1), Laplace(2, 1))):
             for r in sweep(pr, np.linspace(0.25, 0.99, 12)):
                 assert r.lb_max <= r.ub1 + 1e-9
+
+    def test_ub2_only_where_defined(self):
+        just_above = math.nextafter(2.0 / 3.0, 1.0)
+        rows = sweep(NEAR, [2.0 / 3.0, just_above, math.nextafter(just_above, 1.0), 0.9])
+        assert [r.ub2 is None for r in rows] == [True, True, False, False]
+        assert [r.ub2_eps is None for r in rows] == [True, True, False, False]
 
     def test_rows_sorted_by_alpha(self):
         rows = sweep(NEAR, [0.9, 0.3, 0.6])

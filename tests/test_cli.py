@@ -124,6 +124,26 @@ class TestSweepCommand:
         assert float(rows[0][0]) == 0.3
         assert float(rows[-1][0]) == 0.9
 
+    def test_no_ub2_one_ulp_above_two_thirds(self):
+        # the grid's seventh point is the float after 2/3, where 3 alpha - 2
+        # rounds to 0 and ub2 has no admissible epsilon
+        assert np.linspace(0.2, 0.9, 10)[6] == math.nextafter(2.0 / 3.0, 1.0)
+        res = run("sweep", "normal:0,1", "normal:1,1", "--alpha-range", "0.2,0.9,10")
+        assert res.exit_code == 0, res.output
+        _, rows = parse_csv(res.output)
+        assert [r[6:] == ["", ""] for r in rows] == [True] * 7 + [False] * 3
+
+    def test_svg_without_finite_values(self, tmp_path):
+        # every bound of this pair is infinite on the grid
+        res = run(
+            "sweep", "normal:0,10", "normal:0,1", "--alpha-range", "0.2,0.6,5",
+            "--format", "svg", "--out", str(tmp_path / "x"),
+        )
+        assert res.exit_code == 0, res.output
+        svg = (tmp_path / "x.svg").read_text()
+        assert svg.startswith("<svg")
+        assert "<polyline" not in svg
+
     def test_nonfinite_parameter_is_a_usage_error(self):
         res = run("sweep", "normal:0,inf", "normal:0,1")
         assert res.exit_code == 2, res.output
@@ -439,6 +459,25 @@ class TestVerifyCommand:
         assert res.exit_code == 2, res.output
         assert "Traceback" not in res.output
         assert "Error:" in res.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("sample", "normal:0,1", "normal:1,1", "-n", "5", "--out", "{tmp}/missing/x.csv"),
+        ("sweep", "normal:0,1", "normal:1,1", "--alpha-range", "0.3,0.9,3",
+         "--out", "{tmp}/missing/x.csv"),
+        # D/x.svg is a directory
+        ("sweep", "normal:0,1", "normal:1,1", "--alpha-range", "0.3,0.9,3",
+         "--format", "svg", "--out", "{tmp}/D/x"),
+    ],
+    ids=["sample", "sweep_csv", "sweep_svg"],
+)
+def test_unwritable_output_exits_3(tmp_path, args):
+    (tmp_path / "D" / "x.svg").mkdir(parents=True)
+    res = run(*(a.format(tmp=tmp_path) for a in args))
+    assert res.exit_code == 3, res.output
+    assert "cannot write" in res.output
 
 
 class TestGoldenFiles:

@@ -10,7 +10,6 @@ from pfrsim.codes import (
     Universal,
     campbell_cost,
     campbell_optimal_lengths,
-    empirical_campbell_cost,
     kraft_sum,
     length,
     lengths,
@@ -23,7 +22,7 @@ from pfrsim.errors import (
     OrderError,
     UnboundedTailError,
 )
-from pfrsim.pfr import IndexPmf, index_pmf, sample_indices
+from pfrsim.pfr import IndexPmf, index_pmf
 
 LN2 = math.log(2.0)
 
@@ -192,31 +191,6 @@ class TestRenyiEntropy:
             lo_b, _ = renyi_entropy(big, alpha)
             assert lo_s <= lo_b + 1e-12
             assert hi_s >= lo_b - 1e-12, f"alpha={alpha}"
-
-
-class TestEmpiricalCost:
-    def test_constant_samples(self):
-        assert empirical_campbell_cost([5] * 20, OneToOne(), 1.3) == pytest.approx(
-            length(OneToOne(), 5)
-        )
-
-    def test_two_point_hand_value(self):
-        val = empirical_campbell_cost([1, 2], CustomLengths((1, 2)), 1.0)
-        assert val == pytest.approx(math.log2(3.0), rel=1e-12)
-
-    def test_empty_rejected(self):
-        with pytest.raises(DomainError):
-            empirical_campbell_cost([], OneToOne(), 1.0)
-
-    def test_consistent_with_pmf_cost(self):
-        pair = DistributionPair(Gaussian(0, 1), Gaussian(1, 1))
-        rng = np.random.default_rng(17)
-        k, _ = sample_indices(pair, 10**5, rng)
-        est = empirical_campbell_cost(k.astype(np.int64), Universal(0.5), 0.2)
-        pmf = index_pmf(pair, 1000)
-        ceiling = length(Universal(0.5), 2**63)
-        cost = campbell_cost(pmf, Universal(0.5), 0.2, tail_length=ceiling)
-        assert cost.lower - 0.2 <= est <= cost.upper + 0.2
 
 
 class TestOrderCostDuality:

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from pfrsim import numerics
 from pfrsim.errors import DomainError, NonConvergenceError, NonFiniteError
 from pfrsim.numerics import (
-    MinimizeSpec,
     QuadratureSpec,
     integrate,
     log2_sum_exp,
@@ -71,16 +71,16 @@ class TestQuadratureGrid:
 
 class TestMinimizeScalar:
     def test_quadratic_vertex(self):
-        x, v = minimize_scalar(lambda e: (e - 1.0) ** 2, MinimizeSpec(0.1, 10.0))
+        x, v = minimize_scalar(lambda e: (e - 1.0) ** 2, 0.1, 10.0)
         assert x == pytest.approx(1.0, abs=1e-6)
         assert v == pytest.approx(0.0, abs=1e-12)
 
     def test_constant_function(self):
-        _, v = minimize_scalar(lambda e: 5.0, MinimizeSpec(1.0, 2.0))
+        _, v = minimize_scalar(lambda e: 5.0, 1.0, 2.0)
         assert v == 5.0
 
     def test_am_gm(self):
-        x, v = minimize_scalar(lambda e: e + 1.0 / e, MinimizeSpec(0.01, 100.0))
+        x, v = minimize_scalar(lambda e: e + 1.0 / e, 0.01, 100.0)
         assert x == pytest.approx(1.0, abs=1e-6)
         assert v == pytest.approx(2.0, abs=1e-6)
 
@@ -92,28 +92,27 @@ class TestMinimizeScalar:
             def f(x):
                 return np.sin(a * x) + 0.1 * (x - b) ** 2 + c * np.cos(x)
 
-            spec = MinimizeSpec(0.1, 20.0)
-            _, v = minimize_scalar(f, spec)
-            grid = np.linspace(spec.lo, spec.hi, 2000)
-            assert v <= min(f(float(x)) for x in grid) + spec.tol
+            _, v = minimize_scalar(f, 0.1, 20.0)
+            grid = np.linspace(0.1, 20.0, 2000)
+            assert v <= min(f(float(x)) for x in grid) + numerics._TOL
 
     def test_infinite_values_tolerated(self):
         def f(x):
             return np.where(x > 2.0, math.inf, (x - 1.5) ** 2)
 
-        x, v = minimize_scalar(f, MinimizeSpec(0.5, 10.0))
+        x, v = minimize_scalar(f, 0.5, 10.0)
         assert x == pytest.approx(1.5, abs=1e-5)
         assert v == pytest.approx(0.0, abs=1e-9)
 
     def test_nan_raises(self):
         with pytest.raises(NonFiniteError):
-            minimize_scalar(lambda x: float("nan"), MinimizeSpec(1.0, 2.0))
+            minimize_scalar(lambda x: float("nan"), 1.0, 2.0)
 
     def test_spec_validation(self):
         with pytest.raises(DomainError):
-            MinimizeSpec(0.0, 1.0)
+            minimize_scalar(lambda x: x, 0.0, 1.0)
         with pytest.raises(DomainError):
-            MinimizeSpec(2.0, 1.0)
+            minimize_scalar(lambda x: x, 2.0, 1.0)
 
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -173,36 +172,41 @@ class TestBatchedMinimizeScalar:
     @pytest.mark.parametrize(
         "grid_points,refine_iters,tol", [(200, 60, 1e-9), (17, 12, 1e-12), (5, 60, 1e-3)]
     )
-    def test_rows_match_one_row_searches(self, grid_points, refine_iters, tol):
+    def test_rows_match_one_row_searches(self, monkeypatch, grid_points, refine_iters, tol):
+        monkeypatch.setattr(numerics, "_GRID_POINTS", grid_points)
+        monkeypatch.setattr(numerics, "_REFINE_ITERS", refine_iters)
+        monkeypatch.setattr(numerics, "_TOL", tol)
         rng = np.random.default_rng(3)
         n = 40
         lo = rng.uniform(0.01, 2.0, n)
         hi = lo + 10.0 ** rng.uniform(-6, 1.5, n)
         shift = rng.uniform(0.0, 10.0, n)
         plateau = np.where(rng.random(n) < 0.3, lo + 0.5 * (hi - lo), math.inf)
-        spec = MinimizeSpec(lo, hi, grid_points, refine_iters, tol)
-        xs, ys = minimize_scalar(_wavy(shift[:, None], plateau[:, None]), spec)
+        xs, ys = minimize_scalar(_wavy(shift[:, None], plateau[:, None]), lo, hi)
         for i in range(n):
             f = _wavy(shift[i], plateau[i])
-            one = minimize_scalar(f, MinimizeSpec(lo[i], hi[i], grid_points, refine_iters, tol))
+            one = minimize_scalar(f, lo[i], hi[i])
             assert one == (xs[i], ys[i])
             assert one == _one_row_search(f, lo[i], hi[i], grid_points, refine_iters, tol)
 
     def test_shared_bound_and_shapes(self):
-        x, y = minimize_scalar(lambda e: (e - 1.0) ** 2, MinimizeSpec(0.1, np.array([10.0])))
+        x, y = minimize_scalar(lambda e: (e - 1.0) ** 2, 0.1, np.array([10.0]))
         assert x.shape == y.shape == (1,)
-        assert (x[0], y[0]) == minimize_scalar(lambda e: (e - 1.0) ** 2, MinimizeSpec(0.1, 10.0))
+        assert (x[0], y[0]) == minimize_scalar(lambda e: (e - 1.0) ** 2, 0.1, 10.0)
         with pytest.raises(DomainError):
-            MinimizeSpec(np.array([0.1, 0.2]), np.array([1.0, 2.0, 3.0]))
+            minimize_scalar(lambda e: e, np.array([0.1, 0.2]), np.array([1.0, 2.0, 3.0]))
         with pytest.raises(DomainError):
-            MinimizeSpec(np.array([0.1, 2.0]), np.array([1.0, 1.0]))
+            minimize_scalar(lambda e: e, np.array([0.1, 2.0]), np.array([1.0, 1.0]))
+        with pytest.raises(DomainError):
+            minimize_scalar(lambda e: e, np.full((2, 2), 0.1), 1.0)
 
     @pytest.mark.parametrize("bad", [math.nan, -math.inf])
     @pytest.mark.parametrize("region", [(0.45, 1.0), (0.61, 0.69)], ids=["grid", "refinement"])
-    def test_non_finite_in_any_row_raises(self, bad, region):
+    def test_non_finite_in_any_row_raises(self, monkeypatch, bad, region):
         # row 4 turns bad on the region; the grid 0.1, 0.2, .., 1.0 meets
         # the first one, and only the refinement around the minimum at 0.63
         # meets the second
+        monkeypatch.setattr(numerics, "_GRID_POINTS", 10)
         rows = np.arange(6)[:, None]
 
         def f(x):
@@ -210,8 +214,8 @@ class TestBatchedMinimizeScalar:
             return np.where(sick, bad, (x - 0.63) ** 2)
 
         with pytest.raises(NonFiniteError):
-            minimize_scalar(f, MinimizeSpec(np.full(6, 0.1), np.full(6, 1.0), grid_points=10))
-        healthy = minimize_scalar(lambda x: (x - 0.63) ** 2, MinimizeSpec(0.1, 1.0, grid_points=10))
+            minimize_scalar(f, np.full(6, 0.1), np.full(6, 1.0))
+        healthy = minimize_scalar(lambda x: (x - 0.63) ** 2, 0.1, 1.0)
         assert healthy[0] == pytest.approx(0.63, abs=1e-8)
 
 

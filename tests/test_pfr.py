@@ -24,7 +24,6 @@ from pfrsim.pfr import (
     log_beta,
     run_pfr,
     run_pfr_many,
-    sample_index_exact,
     sample_indices,
 )
 
@@ -260,7 +259,7 @@ class TestSampleIndexExact:
         pr = DistributionPair(Gaussian(0, 1), Gaussian(0, 1))
         rng = np.random.default_rng(0)
         for _ in range(20):
-            assert sample_index_exact(pr, rng).index == 1
+            assert sample_indices(pr, 1, rng)[0][0] == 1
 
     def test_log_index_bound_heavy_pair(self):
         # mean log2(K) stays below the divergence-plus-one bound
@@ -285,7 +284,7 @@ class TestSampleIndexExact:
             rng = np.random.default_rng(0)
             with pytest.raises(IndexOverflowError):
                 for _ in range(50):
-                    sample_index_exact(pr, rng)
+                    sample_indices(pr, 1, rng)
             with pytest.raises(IndexOverflowError):
                 sample_indices(pr, 50, rng)
 
@@ -408,11 +407,12 @@ class TestIndexPmf:
         buf = io.StringIO()
         pmf.to_csv(buf)
         text = buf.getvalue()
-        assert text.startswith("k,prob\n1,")
-        assert text.rstrip().splitlines()[-1].startswith("tail,")
-        back = IndexPmf.from_csv(io.StringIO(text))
-        assert np.allclose(back.probs, pmf.probs, rtol=0, atol=0)
-        assert back.tail_mass == pmf.tail_mass
+        lines = text.splitlines()
+        assert lines[0] == "k,prob"
+        keys, values = zip(*(line.split(",") for line in lines[1:]))
+        assert keys == tuple(str(k) for k in range(1, 26)) + ("tail",)
+        assert [float(v) for v in values[:-1]] == pmf.probs.tolist()
+        assert float(values[-1]) == pmf.tail_mass
 
     def test_validation(self):
         with pytest.raises(NegativeTailError):

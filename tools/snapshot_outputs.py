@@ -1,0 +1,94 @@
+#!/usr/bin/env python3
+"""Write the outputs of a fixed set of pfrsim CLI commands into one directory.
+
+    python tools/snapshot_outputs.py OUTDIR [--root REPO]
+
+Each command runs as ``python -m pfrsim.cli`` with ``PYTHONPATH=REPO/src``
+(REPO defaults to the checkout holding this script) and its working
+directory at OUTDIR, so every output lands there under a relative name:
+
+* the six golden sweeps, ``--format both`` (a .csv and a .svg each);
+* ``entropy-figure normal:0,1 normal:1,1 --n-max 1000 --format both``;
+* ``verify --seed 0``;
+* the three ``sample`` commands of the benchmark's ``sampling`` workload
+  (selection rule with delta 1e-8, selection rule on a bounded ratio, and
+  200,000 exact rows) at seeds 0, 1 and 2.
+
+The stdout of each command is kept as ``<name>.stdout``.  The script exits
+1 if any command fails.  Snapshots of two checkouts that ``diff -r`` finds
+equal show that a change left all of these outputs byte-identical.
+Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+GOLDEN_PAIRS = (
+    ("normal:0,1", "normal:1,1"),
+    ("normal:0,1", "normal:5,1"),
+    ("normal:0,1", "normal:10,1"),
+    ("laplace:0,1", "laplace:1,1"),
+    ("laplace:0,1", "laplace:5,1"),
+    ("laplace:0,1", "laplace:10,1"),
+)
+
+#: (name, pair, extra arguments) of the sampling commands.
+SAMPLES = (
+    ("pfr", ("normal:0,1", "normal:1,1"), ("-n", "2000", "--method", "pfr", "--delta", "1e-8")),
+    ("pfr_bounded", ("laplace:0,1", "laplace:1,1"), ("-n", "4000", "--method", "pfr")),
+    ("exact", ("normal:0,1", "normal:1,1"), ("-n", "200000", "--method", "exact")),
+)
+
+
+def stem(p: str, q: str) -> str:
+    """File-name stem of a pair, as in ``tests/golden``."""
+    return f"{p}_{q}".replace(":", "_").replace(",", "_")
+
+
+def commands() -> list[tuple[str, list[str]]]:
+    """(name, CLI arguments) of every command, in run order."""
+    out = []
+    for p, q in GOLDEN_PAIRS:
+        name = f"sweep_{stem(p, q)}"
+        out.append((name, ["sweep", p, q, "--format", "both", "--out", name]))
+    name = f"entropy_figure_{stem('normal:0,1', 'normal:1,1')}"
+    out.append((name, ["entropy-figure", "normal:0,1", "normal:1,1", "--n-max", "1000",
+                       "--format", "both", "--out", name]))
+    out.append(("verify_seed_0", ["verify", "--seed", "0"]))
+    for seed in range(3):
+        for kind, pair, extra in SAMPLES:
+            name = f"sample_{kind}_seed_{seed}"
+            out.append((name, ["sample", *pair, *extra, "--seed", str(seed),
+                               "--out", f"{name}.csv"]))
+    return out
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("outdir", type=Path)
+    parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
+                        help="checkout whose src/ is run (default: this one)")
+    args = parser.parse_args()
+    args.outdir.mkdir(parents=True, exist_ok=True)
+    env = dict(os.environ, PYTHONPATH=str(args.root.resolve() / "src"))
+    failed = []
+    for name, cli_args in commands():
+        res = subprocess.run([sys.executable, "-m", "pfrsim.cli", *cli_args], cwd=args.outdir,
+                             env=env, capture_output=True, text=True)
+        (args.outdir / f"{name}.stdout").write_text(res.stdout)
+        if res.returncode != 0:
+            failed.append(name)
+            print(f"{name}: exit {res.returncode}\n{res.stderr}", file=sys.stderr)
+    if failed:
+        print(f"snapshot_outputs: {len(failed)} command(s) failed", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
