@@ -195,7 +195,7 @@ class BoundSet:
     lb1: float
     lb2: float
     ub1: float
-    ub1_eps: float
+    ub1_eps: float | None
     ub2: float | None = None
     ub2_eps: float | None = None
 
@@ -218,17 +218,20 @@ def sweep(pair: DistributionPair, alpha_grid: Iterable[float]) -> list[BoundSet]
     Each bound is evaluated on the whole grid at once, and each upper
     bound's epsilon searches run together: one ``optimize_ub`` call for
     ub1 and one for ub2 on the orders where it is defined, those with
-    3 alpha - 2 > 0; the other rows get no ub2.
+    3 alpha - 2 > 0; the other rows get no ub2.  A row whose upper bound
+    is +inf gets no epsilon for it, since every epsilon gave +inf.
     """
     alphas = np.array(sorted(float(a) for a in alpha_grid))
     if not alphas.size:
         return []
     e1, v1 = optimize_ub(pair, alphas, "ub1")
+    e1 = np.where(np.isinf(v1), None, e1)
     # the orders where ub2 is defined are the tail of the sorted grid
     split = alphas.size - int(np.count_nonzero(_ub2_defined(alphas)))
     e2 = v2 = [None] * split
     if split < alphas.size:
         high_e, high_v = optimize_ub(pair, alphas[split:], "ub2")
+        high_e = np.where(np.isinf(high_v), None, high_e)
         e2, v2 = e2 + high_e.tolist(), v2 + high_v.tolist()
     columns = zip(
         alphas.tolist(),

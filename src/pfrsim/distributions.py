@@ -12,41 +12,54 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
 from scipy.special import log_ndtr, ndtr
 
-from .errors import (
-    AbsoluteContinuityError,
-    DomainError,
-    OrderError,
-    UnsupportedKindError,
-)
+from .errors import AbsoluteContinuityError, DomainError, OrderError, UnsupportedKindError
 from .numerics import LN2, QuadratureSpec, integrate
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
+class _Law:
+    """What the three laws share; sampling is a raw draw, then a transform.
+
+    A block of rows filled by ``raw`` from several generators transforms
+    in one pass to the values each generator's ``sample`` gives.
+    """
+
+    @staticmethod
+    def raw(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        """Fill ``out`` from one generator call (uniform on [0, 1) by default)."""
+        return rng.random(out=out)
+
+    def sample(self, rng: np.random.Generator, n: int):
+        """n draws: ``transform`` of one ``raw`` call on a new array."""
+        return self.transform(self.raw(rng, np.empty(n)))
+
+    def density(self, u):
+        return np.exp(self.log_density(u))
+
+    def __post_init__(self) -> None:
+        # the two fields of a continuous law: a location, then a scale
+        (a, loc), (b, scale) = vars(self).items()
+        if not (math.isfinite(loc) and 0.0 < scale < math.inf):
+            raise DomainError(f"{a} and {b} must be finite, {b} > 0; got {loc}, {scale}")
+
+
 @dataclass(frozen=True)
-class Gaussian:
+class Gaussian(_Law):
     """Normal law with mean mu and standard deviation sigma."""
 
     mu: float
     sigma: float
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.mu) and 0.0 < self.sigma < math.inf):
-            raise DomainError(
-                f"mu and sigma must be finite, sigma > 0; got {self.mu}, {self.sigma}"
-            )
-
     def log_density(self, u):
         z = (np.asarray(u, dtype=float) - self.mu) / self.sigma
         return -0.5 * z * z - math.log(self.sigma) - _HALF_LOG_2PI
-
-    def density(self, u):
-        return np.exp(self.log_density(u))
 
     def cdf(self, u):
         return ndtr((np.asarray(u, dtype=float) - self.mu) / self.sigma)
@@ -55,31 +68,26 @@ class Gaussian:
         return log_ndtr((np.asarray(u, dtype=float) - self.mu) / self.sigma)
 
     def log_sf(self, u):
-        return log_ndtr(-(np.asarray(u, dtype=float) - self.mu) / self.sigma)
+        return log_ndtr((self.mu - np.asarray(u, dtype=float)) / self.sigma)
 
-    def sample(self, rng: np.random.Generator, n: int):
-        return self.mu + self.sigma * rng.standard_normal(n)
+    @staticmethod
+    def raw(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        return rng.standard_normal(out=out)
+
+    def transform(self, z):
+        return self.mu + self.sigma * z
 
 
 @dataclass(frozen=True)
-class Laplace:
+class Laplace(_Law):
     """Laplace law with location theta and scale lam (variance 2*lam**2)."""
 
     theta: float
     lam: float
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.theta) and 0.0 < self.lam < math.inf):
-            raise DomainError(
-                f"theta and lam must be finite, lam > 0; got {self.theta}, {self.lam}"
-            )
-
     def log_density(self, u):
         z = np.abs(np.asarray(u, dtype=float) - self.theta) / self.lam
         return -z - math.log(2.0 * self.lam)
-
-    def density(self, u):
-        return np.exp(self.log_density(u))
 
     def cdf(self, u):
         z = (np.asarray(u, dtype=float) - self.theta) / self.lam
@@ -96,15 +104,15 @@ class Laplace:
         z = (np.asarray(u, dtype=float) - self.theta) / self.lam
         return np.log1p(-0.5 * np.exp(np.minimum(z, 0.0))) - np.maximum(z, 0.0)
 
-    def sample(self, rng: np.random.Generator, n: int):
-        # inverse CDF; the 1-2|u| term is floored to keep endpoint draws finite
-        c = rng.random(n) - 0.5
+    def transform(self, v):
+        # inverse CDF; the 1-2|c| term is floored to keep endpoint draws finite
+        c = v - 0.5
         mag = np.maximum(1.0 - 2.0 * np.abs(c), 5e-324)
-        return self.theta - self.lam * np.sign(c) * np.log(mag)
+        return self.theta + self.lam * np.copysign(np.log(mag), c)
 
 
 @dataclass(frozen=True)
-class Finite:
+class Finite(_Law):
     """Discrete law on support indices 0..len(probs)-1."""
 
     probs: tuple[float, ...]
@@ -116,6 +124,7 @@ class Finite:
         if abs(float(p.sum()) - 1.0) > 1e-12:
             raise DomainError(f"probabilities sum to {p.sum()}, not 1")
         object.__setattr__(self, "probs", tuple(float(x) for x in p))
+        object.__setattr__(self, "_cumulative", np.cumsum(p))
 
     def log_density(self, i):
         idx = np.asarray(i, dtype=int)
@@ -129,8 +138,8 @@ class Finite:
     def cdf(self, u):
         raise UnsupportedKindError("cdf is not defined for finite laws")
 
-    def sample(self, rng: np.random.Generator, n: int):
-        idx = np.searchsorted(np.cumsum(self.probs), rng.random(n), side="right")
+    def transform(self, v):
+        idx = np.searchsorted(self._cumulative, v, side="right")
         return np.minimum(idx, len(self.probs) - 1)
 
 
@@ -183,7 +192,7 @@ class DistributionPair:
     def is_finite_kind(self) -> bool:
         return isinstance(self.p, Finite)
 
-    @property
+    @cached_property
     def is_identical(self) -> bool:
         return self.p == self.q
 
@@ -248,7 +257,7 @@ class DistributionPair:
         if self.is_identical:
             edge = np.where(np.asarray(log_c) < 0.0, math.inf, -math.inf)
             return "below", edge, edge
-        same_scale, peaked, pivot = self._extremum()
+        same_scale, peaked, pivot, top = self._extremum
         if same_scale:
             # log r = slope * (u - midpoint), but a Laplace ratio is flat at
             # +-bound beyond the two locations: no point exceeds a level at or
@@ -266,7 +275,6 @@ class DistributionPair:
                     offset = np.divide(log_c / slope, (log_c < bound) & (log_c >= -bound))
             x = mid + offset
             return ("below" if slope < 0.0 else "above"), x, x
-        top = float(self.log_ratio(pivot))
         drop = np.maximum(top - log_c if peaked else log_c - top, 0.0)
         if isinstance(p, Gaussian):
             curv = 0.5 * abs(1.0 / q.sigma**2 - 1.0 / p.sigma**2)
@@ -281,19 +289,24 @@ class DistributionPair:
             left, right = (away, toward) if p.theta + q.theta >= 2.0 * pivot else (toward, away)
         return ("inside" if peaked else "outside"), pivot - left, pivot + right
 
-    def _extremum(self) -> tuple[bool, bool, float]:
-        """(equal scales, P narrower than Q, extremum of log r), continuous kinds.
+    @cached_property
+    def _extremum(self) -> tuple[bool, bool, float, float]:
+        """(equal scales, P narrower than Q, extremum of log r, log r there), continuous kinds.
 
         With unequal scales log r is monotone on each side of its extremum,
         a peak when P is narrower: quadratic for Gaussians, piecewise linear
         for Laplace laws with the extremum at the narrower law's location.
+        Equal scales have no extremum, and nan as the last entry.  Cached.
         """
         p, q = self.p, self.q
         if isinstance(p, Laplace):
-            return p.lam == q.lam, p.lam < q.lam, (p.theta if p.lam < q.lam else q.theta)
-        curv = 0.5 * (1.0 / q.sigma**2 - 1.0 / p.sigma**2)
-        pivot = (q.mu / q.sigma**2 - p.mu / p.sigma**2) / (2.0 * curv) if curv else math.nan
-        return p.sigma == q.sigma, p.sigma < q.sigma, pivot
+            same, peaked = p.lam == q.lam, p.lam < q.lam
+            pivot = p.theta if peaked else q.theta
+        else:
+            curv = 0.5 * (1.0 / q.sigma**2 - 1.0 / p.sigma**2)
+            same, peaked = p.sigma == q.sigma, p.sigma < q.sigma
+            pivot = (q.mu / q.sigma**2 - p.mu / p.sigma**2) / (2.0 * curv) if curv else math.nan
+        return same, peaked, pivot, (math.nan if same else float(self.log_ratio(pivot)))
 
     def log_ratio_sup(self) -> float:
         """Natural log of sup_u dP/dQ(u); may be +inf."""
@@ -302,10 +315,10 @@ class DistributionPair:
             return float(np.max(self.support_log_ratios()))
         if self.is_identical:
             return 0.0
-        same_scale, peaked, pivot = self._extremum()
+        same_scale, peaked, _, top = self._extremum
         if same_scale:
             return abs(p.theta - q.theta) / p.lam if isinstance(p, Laplace) else math.inf
-        return float(self.log_ratio(pivot)) if peaked else math.inf
+        return top if peaked else math.inf
 
 
 def _log_interval_mass(d: Gaussian | Laplace, lo, hi):

@@ -2,15 +2,16 @@
 
 Two samplers produce the transmitted index K with its accepted sample:
 
-* ``run_pfr`` runs the selection rule directly: arrival times of a
-  rate-one Poisson process are divided by the density ratio at i.i.d.
-  reference draws, and K is the argmin.  The argmin ranges over
-  infinitely many candidates, so iteration stops either exactly (bounded
-  ratio) or once the expected number of future improvements falls below
-  a caller-supplied ``delta`` (unbounded ratio).  ``run_pfr_many`` runs
-  it on the seeded streams ``derive_stream(root_seed, i)``, i < n, with
-  the same draws per stream but one array pass per block across all of
-  them, and returns arrays rather than one outcome per draw.
+* The selection rule: arrival times of a rate-one Poisson process are
+  divided by the density ratio at i.i.d. reference draws, and K is the
+  argmin.  The argmin ranges over infinitely many candidates, so
+  iteration stops either exactly (bounded ratio) or once the expected
+  number of future improvements falls below a caller-supplied ``delta``
+  (unbounded ratio).  One loop runs it on a list of generators side by
+  side, with each pair's constants prepared once: ``run_pfr`` is its
+  one-generator case and returns one outcome, and ``run_pfr_many`` runs
+  it on the seeded streams ``derive_stream(root_seed, i)``, i < n, and
+  returns arrays.  Every stream makes the draws it makes alone.
 * ``sample_indices`` draws n accepted samples from the target first and
   then each index from its conditional geometric law with success
   probability beta(u); the joint law matches the selection rule exactly
@@ -29,25 +30,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .distributions import DistributionPair, renyi_divergence
+from .distributions import DistributionPair, Gaussian, renyi_divergence
 from .errors import (
-    DomainError,
-    IndexOverflowError,
-    IterationCapError,
-    NegativeTailError,
-    NonConvergenceError,
+    DomainError, IndexOverflowError, IterationCapError, NegativeTailError, NonConvergenceError
 )
-from .numerics import (
-    LOG2E,
-    QuadratureSpec,
-    integrate,
-    log2_sum_exp,
-    open_text,
-    quadrature_grid,
-)
+from .numerics import LOG2E, QuadratureSpec, log2_sum_exp, open_text, quadrature_grid
 
 _UINT64_MAX = float(2**64 - 1)
 
@@ -160,18 +151,6 @@ def log_beta(pair: DistributionPair, u):
     return lb[np.asarray(u, dtype=int)] if pair.is_finite_kind else lb
 
 
-def _log_beta_quadrature(
-    pair: DistributionPair, u: float, spec: QuadratureSpec | None
-) -> float:
-    log_ru = float(pair.log_ratio(u))
-
-    def integrand(x: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):  # inf raises NonFiniteError
-            return np.exp(np.maximum(pair.log_ratio(x), log_ru) + pair.q.log_density(x))
-
-    return -math.log(integrate(integrand, spec))
-
-
 def sample_indices(
     pair: DistributionPair, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -194,9 +173,19 @@ def sample_indices(
     return np.maximum(k, 1.0), np.asarray(u, dtype=float)
 
 
+class _Rule(NamedTuple):
+    """A pair's selection rule for one delta, prepared by ``_selection_rule``."""
+
+    termination: str  # "exact" for a bounded ratio, else "approximate"
+    delta: float | None  # None when the stop is exact
+    log_rmax: float  # natural log of sup r
+    log_delta: float
+    log_ratio: Callable[[np.ndarray], np.ndarray]  # log r at samples of Q
+
+
 @lru_cache(maxsize=64)
-def _selection_rule(pair: DistributionPair, delta: float) -> tuple[float, bool, float]:
-    """Per-pair setup of the selection rule: (log sup r, exact stop, log delta).
+def _selection_rule(pair: DistributionPair, delta: float) -> _Rule:
+    """The selection rule's constants for one pair, prepared once.
 
     Unbounded ratios without a finite E_Q[r^2] raise DomainError up front.
     Cached, because ``run_pfr`` draws once per call, and a loop of draws on
@@ -205,13 +194,118 @@ def _selection_rule(pair: DistributionPair, delta: float) -> tuple[float, bool, 
     if not delta > 0.0:
         raise DomainError("delta must be positive")
     log_rmax = pair.log_ratio_sup()
-    exact = math.isfinite(log_rmax)
-    if not exact and not math.isfinite(renyi_divergence(pair, 2.0)):
+    if math.isfinite(log_rmax):
+        return _Rule("exact", None, log_rmax, math.log(delta), _prepared_log_ratio(pair))
+    if not math.isfinite(renyi_divergence(pair, 2.0)):
         raise DomainError(
             "unbounded density ratio with no finite ratio moment: "
             "no stopping rule applies (use sample_indices)"
         )
-    return log_rmax, exact, math.log(delta)
+    return _Rule("approximate", delta, log_rmax, math.log(delta), _prepared_log_ratio(pair))
+
+
+def _prepared_log_ratio(pair: DistributionPair) -> Callable[[np.ndarray], np.ndarray]:
+    """``pair.log_ratio`` in a few array operations, its constants computed once.
+
+    Its last bits may differ from those of ``pair.log_ratio``.  Finite
+    pairs gather from ``pair.support_log_ratios()``.
+    """
+    p, q = pair.p, pair.q
+    if pair.is_finite_kind:
+        return pair.support_log_ratios().take
+    if isinstance(p, Gaussian):  # a quadratic, linear for equal scales
+        a = 0.5 * (1.0 / q.sigma**2 - 1.0 / p.sigma**2)
+        b = p.mu / p.sigma**2 - q.mu / q.sigma**2
+        c = 0.5 * (q.mu**2 / q.sigma**2 - p.mu**2 / p.sigma**2) + math.log(q.sigma / p.sigma)
+        return (lambda u: b * u + c) if a == 0.0 else (lambda u: (a * u + b) * u + c)
+    if p.lam == q.lam:  # linear between the two locations, flat beyond them
+        mid, slope = 0.5 * (p.theta + q.theta), math.copysign(2.0 / p.lam, p.theta - q.theta)
+        bound = abs(p.theta - q.theta) / p.lam
+        return lambda u: np.minimum(np.maximum(slope * (u - mid), -bound), bound)
+    c = math.log(q.lam / p.lam)
+    return lambda u: np.abs(u - q.theta) / q.lam - np.abs(u - p.theta) / p.lam + c
+
+
+#: Streams that ``run_pfr_many`` runs side by side, and the most candidates
+#: it draws in one step (streams times block size).  They bound its
+#: working memory to about a megabyte; larger values are no faster.
+_BATCH_STREAMS = 256
+_BATCH_CANDIDATES = 64 * _BATCH_STREAMS
+
+
+def _select(
+    pair: DistributionPair, rule: _Rule, rngs: list[np.random.Generator], max_candidates: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
+    """The selection rule on each generator of ``rngs``, side by side.
+
+    Yields (streams, index, accepted, candidates examined) as streams stop,
+    ``streams`` being positions in ``rngs``; streams capped by
+    ``max_candidates`` come last, with index and accepted 0.  Per block,
+    each generator draws its ``b`` arrival gaps, then its ``b`` raw
+    reference draws, as it would alone; the arithmetic after the draws is
+    one array pass over the live streams, whose state is compacted when
+    some stop.  The block size depends only on the block count.
+    """
+    q = pair.q
+    live = np.arange(len(rngs))
+    # last arrival time and best candidate so far, set by the first block
+    t_last = np.empty(live.size)
+    best_score = np.empty(live.size)  # natural log of min T_i / r(U_i)
+    best_index = np.empty(live.size, dtype=np.int64)
+    best_u = np.empty(live.size, dtype=np.int64 if pair.is_finite_kind else float)
+    m, block = 0, 64
+    while m < max_candidates:
+        b = min(block, max_candidates - m)
+        step = _BATCH_CANDIDATES // b  # streams per step; b <= 8192
+        for lo in range(0, live.size, step):
+            rows = slice(lo, lo + step)
+            ids = live[rows].tolist()
+            times, raw = np.empty((2, len(ids), b))
+            for j, s in enumerate(ids):
+                rngs[s].standard_exponential(out=times[j])
+                q.raw(rngs[s], raw[j])
+            np.add.accumulate(times, axis=1, out=times)
+            if m:
+                times += t_last[rows, None]
+            t_last[rows] = times[:, -1]
+            us = q.transform(raw)
+            scores = np.log(times, out=times)
+            scores -= rule.log_ratio(us)
+            i = scores.argmin(axis=1)
+            if m:  # a later candidate replaces the best only with a lower score
+                score = np.minimum.reduce(scores, axis=1)
+                won = (score < best_score[rows]).nonzero()[0]
+                if won.size:
+                    at, i = won + lo, i[won]
+                    best_score[at] = score[won]
+                    best_index[at] = i + (m + 1)
+                    best_u[at] = us[won, i]
+            else:  # the first best; +inf (P zero at every draw) passes no stop test
+                at = np.arange(len(ids))
+                best_score[rows] = scores[at, i]
+                best_index[rows] = i + 1
+                best_u[rows] = us[at, i]
+        m += b
+        block = min(block * 2, 8192)
+        log_t = np.log(t_last)
+        if rule.delta is None:
+            stop = log_t - rule.log_rmax >= best_score
+        else:
+            # S P(r > c) - T Q(r > c) <= delta with c = T / S, tested as
+            # S P <= delta + T Q in logs
+            log_p, log_q = pair.superlevel_masses(log_t - best_score)
+            stop = best_score + log_p <= np.logaddexp(rule.log_delta, log_t + log_q)
+        stopped = np.count_nonzero(stop)
+        if stopped == live.size:
+            yield live, best_index, best_u, m
+            return
+        if stopped:
+            yield live[stop], best_index[stop], best_u[stop], m
+            keep = ~stop
+            live, t_last, best_score, best_index, best_u = (
+                a[keep] for a in (live, t_last, best_score, best_index, best_u)
+            )
+    yield live, np.zeros_like(best_index), np.zeros_like(best_u), m
 
 
 def run_pfr(
@@ -229,72 +323,15 @@ def run_pfr(
     superlevel masses.  It is zero once c reaches sup r, where a bounded
     ratio stops exactly; otherwise iteration stops once it is at most
     ``delta``, which bounds the chance that a later candidate wins.
-    Unbounded ratios without a finite E_Q[r^2] raise DomainError up front.
+    Unbounded ratios without a finite E_Q[r^2] raise DomainError up front,
+    and reaching ``max_candidates`` raises IterationCapError.  This is the
+    one-generator case of the loop ``run_pfr_many`` runs.
     """
-    log_rmax, exact, log_delta = _selection_rule(pair, delta)
-
-    t_last = 0.0
-    best_score = math.inf  # natural log of min T_i / r(U_i)
-    best_index = 0
-    best_u: float | int = 0
-    n = 0
-    block = 64
-    while True:
-        if n >= max_candidates:
-            raise IterationCapError(
-                f"no stopping decision after {n} candidates"
-            )
-        b = min(block, max_candidates - n)
-        gaps = rng.exponential(size=b)
-        times = t_last + np.cumsum(gaps)
-        t_last = float(times[-1])
-        us = pair.q.sample(rng, b)
-        log_r = np.asarray(pair.log_ratio(us), dtype=float)
-        with np.errstate(invalid="ignore"):
-            scores = np.log(times) - log_r
-        scores = np.where(np.isnan(scores), math.inf, scores)
-        i = int(np.argmin(scores))
-        if float(scores[i]) < best_score:
-            best_score = float(scores[i])
-            best_index = n + i + 1
-            best_u = us[i] if not pair.is_finite_kind else int(us[i])
-        n += b
-        block = min(block * 2, 8192)
-
-        log_t = np.log(t_last)
-        if exact:
-            if log_t - log_rmax >= best_score:
-                return PfrOutcome(
-                    index=best_index,
-                    accepted=best_u,
-                    candidates_examined=n,
-                    termination="exact",
-                )
-        else:
-            log_p, log_q = pair.superlevel_masses(log_t - best_score)
-            if _delta_stop(best_score, log_p, log_t + log_q, log_delta):
-                return PfrOutcome(
-                    index=best_index,
-                    accepted=best_u,
-                    candidates_examined=n,
-                    termination="approximate",
-                    delta=delta,
-                )
-
-
-def _delta_stop(best_score, log_p, log_tq, log_delta: float):
-    """S P(r > c) - T Q(r > c) <= delta, tested as S P <= delta + T Q in logs.
-
-    Elementwise over arrays of streams.
-    """
-    return best_score + log_p <= np.logaddexp(log_delta, log_tq)
-
-
-#: Streams that ``run_pfr_many`` runs side by side, and the most candidates
-#: it draws in one step (streams times block size).  They bound its
-#: working memory to about a megabyte; larger values are no faster.
-_BATCH_STREAMS = 256
-_BATCH_CANDIDATES = 64 * _BATCH_STREAMS
+    rule = _selection_rule(pair, delta)
+    _, index, accepted, examined = next(_select(pair, rule, [rng], max_candidates))
+    if index.item() == 0:
+        raise IterationCapError(f"no stopping decision after {examined} candidates")
+    return PfrOutcome(index.item(), accepted.item(), examined, rule.termination, rule.delta)
 
 
 @dataclass(frozen=True)
@@ -324,76 +361,20 @@ def run_pfr_many(
     """``run_pfr`` on streams ``derive_stream(root_seed, i)``, i < n, as one loop.
 
     Entry i equals ``run_pfr(pair, derive_stream(root_seed, i), delta,
-    max_candidates)``: each stream makes the same draws in the same order,
-    and only the arithmetic after the draws is shared, one array pass per
-    block over all live streams.  The block size depends only on the block
-    count, so every live stream has the same schedule.
+    max_candidates)``: the streams run side by side in chunks of
+    ``_BATCH_STREAMS``, each making the draws it makes alone.
     """
     if n < 0:
         raise DomainError("n must be >= 0")
-    log_rmax, exact, log_delta = _selection_rule(pair, delta)
+    rule = _selection_rule(pair, delta)
     index = np.zeros(n, dtype=np.int64)
     accepted = np.zeros(n, dtype=np.int64 if pair.is_finite_kind else float)
     examined = np.zeros(n, dtype=np.int64)
-    capped = np.zeros(n, dtype=bool)
     for start in range(0, n, _BATCH_STREAMS):
         rngs = [derive_stream(root_seed, i) for i in range(start, min(start + _BATCH_STREAMS, n))]
-        live = np.arange(len(rngs))  # positions in this chunk, in stream order
-        t_last = np.zeros(len(rngs))
-        best_score = np.full(len(rngs), np.inf)
-        best_index = np.zeros(len(rngs), dtype=np.int64)
-        best_u = np.zeros(len(rngs), dtype=accepted.dtype)
-        m = 0
-        block = 64
-        while live.size:
-            if m >= max_candidates:
-                capped[start + live] = True
-                examined[start + live] = m
-                break
-            b = min(block, max_candidates - m)
-            step = _BATCH_CANDIDATES // b  # streams per step; b <= 8192
-            for lo in range(0, live.size, step):
-                rows = live[lo : lo + step]
-                gaps = np.empty((rows.size, b))
-                us = np.empty((rows.size, b), dtype=accepted.dtype)
-                for j, r in enumerate(rows.tolist()):
-                    gaps[j] = rngs[r].exponential(size=b)
-                    us[j] = pair.q.sample(rngs[r], b)
-                times = np.cumsum(gaps, axis=1) + t_last[rows, None]
-                t_last[rows] = times[:, -1]
-                with np.errstate(invalid="ignore"):
-                    scores = np.log(times) - np.asarray(pair.log_ratio(us), dtype=float)
-                scores[np.isnan(scores)] = np.inf
-                i = np.argmin(scores, axis=1)
-                score = scores[np.arange(rows.size), i]
-                better = score < best_score[rows]
-                won = rows[better]
-                best_score[won] = score[better]
-                best_index[won] = m + i[better] + 1
-                best_u[won] = us[better, i[better]]
-            m += b
-            block = min(block * 2, 8192)
-
-            log_t = np.log(t_last[live])
-            score = best_score[live]
-            if exact:
-                stop = log_t - log_rmax >= score
-            else:
-                log_p, log_q = pair.superlevel_masses(log_t - score)
-                stop = _delta_stop(score, log_p, log_t + log_q, log_delta)
-            done = live[stop]
-            index[start + done] = best_index[done]
-            accepted[start + done] = best_u[done]
-            examined[start + done] = m
-            live = live[~stop]
-    return PfrBatch(
-        index,
-        accepted,
-        examined,
-        capped,
-        "exact" if exact else "approximate",
-        None if exact else delta,
-    )
+        for streams, *results in _select(pair, rule, rngs, max_candidates):
+            index[start + streams], accepted[start + streams], examined[start + streams] = results
+    return PfrBatch(index, accepted, examined, index == 0, rule.termination, rule.delta)
 
 
 def _certificate_checkpoints(n_max: int, ratio: float = 2.0**0.25, max_k: float = 1e12):

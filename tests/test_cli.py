@@ -133,6 +133,18 @@ class TestSweepCommand:
         _, rows = parse_csv(res.output)
         assert [r[6:] == ["", ""] for r in rows] == [True] * 7 + [False] * 3
 
+    def test_no_epsilon_for_an_infinite_bound(self):
+        # every epsilon gives ub1 = +inf here, so none is reported; from
+        # alpha = 0.7 on ub2 is defined and +inf as well
+        res = run("sweep", "normal:0,10", "normal:0,1", "--alpha-range", "0.2,0.6,5")
+        assert res.exit_code == 0, res.output
+        _, rows = parse_csv(res.output)
+        assert [r[4:] for r in rows] == [["inf", "", "", ""]] * 5
+        res = run("sweep", "normal:0,10", "normal:0,1", "--alpha-range", "0.7,0.9,3")
+        assert res.exit_code == 0, res.output
+        _, rows = parse_csv(res.output)
+        assert [r[4:] for r in rows] == [["inf", "", "inf", ""]] * 3
+
     def test_svg_without_finite_values(self, tmp_path):
         # every bound of this pair is infinite on the grid
         res = run(

@@ -13,12 +13,11 @@ from pfrsim.errors import (
     NegativeTailError,
     NonConvergenceError,
 )
-from pfrsim.numerics import QuadratureSpec
+from pfrsim.numerics import QuadratureSpec, integrate
 from pfrsim.pfr import (
     _BATCH_STREAMS,
     IndexPmf,
     PfrOutcome,
-    _log_beta_quadrature,
     derive_stream,
     index_pmf,
     log_beta,
@@ -65,6 +64,17 @@ CROSS_CHECK_CASES = {
         DistributionPair(Gaussian(0, 1), Gaussian(0, 1)), (-2.0, 0.0, 1.0)
     ),
 }
+
+
+def _log_beta_quadrature(pair: DistributionPair, u: float, spec: QuadratureSpec) -> float:
+    """log beta(u) = -log E_Q max{r(u), r(U)} by quadrature, a reference for ``log_beta``."""
+    log_ru = float(pair.log_ratio(u))
+
+    def integrand(x: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):  # inf raises NonFiniteError
+            return np.exp(np.maximum(pair.log_ratio(x), log_ru) + pair.q.log_density(x))
+
+    return -math.log(integrate(integrand, spec))
 
 
 class TestBeta:
@@ -195,6 +205,63 @@ class TestRunPfr:
         assert rng.bit_generator.state == state
 
 
+def _reference_sample(law, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n draws of ``law``: the generator calls and arithmetic of ``law.sample``, written out."""
+    if isinstance(law, Gaussian):
+        return law.mu + law.sigma * rng.standard_normal(n)
+    if isinstance(law, Laplace):
+        c = rng.random(n) - 0.5
+        mag = np.maximum(1.0 - 2.0 * np.abs(c), 5e-324)
+        return law.theta - law.lam * np.sign(c) * np.log(mag)
+    idx = np.searchsorted(np.cumsum(law.probs), rng.random(n), side="right")
+    return np.minimum(idx, len(law.probs) - 1)
+
+
+def _reference_run_pfr(
+    pair: DistributionPair,
+    rng: np.random.Generator,
+    delta: float = 1e-6,
+    max_candidates: int = 10**8,
+) -> PfrOutcome:
+    """The selection rule for one sample as a plain scalar loop, a reference for ``run_pfr``.
+
+    Same draws, blocks and stop tests, written with ``pair.log_ratio``,
+    ``pair.superlevel_masses`` and Python floats for the running state.
+    """
+    log_rmax = pair.log_ratio_sup()
+    exact = math.isfinite(log_rmax)
+    t_last = 0.0
+    best_score = math.inf  # natural log of min T_i / r(U_i)
+    best_index = 0
+    best_u: float | int = 0
+    n = 0
+    block = 64
+    while True:
+        if n >= max_candidates:
+            raise IterationCapError(f"no stopping decision after {n} candidates")
+        b = min(block, max_candidates - n)
+        times = t_last + np.cumsum(rng.exponential(size=b))
+        t_last = float(times[-1])
+        us = _reference_sample(pair.q, rng, b)
+        scores = np.log(times) - np.asarray(pair.log_ratio(us), dtype=float)
+        i = int(np.argmin(scores))
+        if float(scores[i]) < best_score:
+            best_score = float(scores[i])
+            best_index = n + i + 1
+            best_u = int(us[i]) if pair.is_finite_kind else float(us[i])
+        n += b
+        block = min(block * 2, 8192)
+        log_t = math.log(t_last)
+        if exact:
+            if log_t - log_rmax >= best_score:
+                return PfrOutcome(best_index, best_u, n, "exact")
+        else:
+            # the expected number of later improvements is at most delta
+            log_p, log_q = pair.superlevel_masses(log_t - best_score)
+            if best_score + log_p <= np.logaddexp(math.log(delta), log_t + log_q):
+                return PfrOutcome(best_index, best_u, n, "approximate", delta)
+
+
 #: (pair, run_pfr options): the delta rule, a bounded monotone ratio, a
 #: bounded non-monotone one, a finite pair with a point P never hits, the
 #: identical pair, and the iteration cap hit on some streams and on all.
@@ -211,18 +278,26 @@ BATCH_CASES = {
 }
 
 
+def _outcome_or_cap(run, pair, rng, options) -> PfrOutcome | str:
+    try:
+        return run(pair, rng, **options)
+    except IterationCapError as exc:
+        return str(exc)
+
+
 class TestRunPfrMany:
     @pytest.mark.parametrize("case", list(BATCH_CASES))
     def test_matches_run_pfr(self, case):
-        # more streams than one batch holds, so a batch boundary is crossed
+        # more streams than one batch holds, so a batch boundary is crossed;
+        # entry i, run_pfr on stream i and the reference loop all agree
         pr, options = BATCH_CASES[case]
         n = _BATCH_STREAMS + 40
         got = run_pfr_many(pr, 9, n, **options)
         for i in range(n):
-            try:
-                ref = run_pfr(pr, derive_stream(9, i), **options)
-            except IterationCapError:
-                assert got.capped[i], f"stream {i}"
+            ref = _outcome_or_cap(_reference_run_pfr, pr, derive_stream(9, i), options)
+            assert _outcome_or_cap(run_pfr, pr, derive_stream(9, i), options) == ref, f"stream {i}"
+            if isinstance(ref, str):
+                assert got.capped[i] and got.index[i] == 0, f"stream {i}"
                 continue
             assert not got.capped[i], f"stream {i}"
             assert (
@@ -246,6 +321,18 @@ class TestRunPfrMany:
     def test_rejected_up_front(self, pr, delta):
         with pytest.raises(DomainError):
             run_pfr_many(pr, 0, 10, delta=delta)
+
+    @pytest.mark.parametrize("case", list(BATCH_CASES))
+    def test_shared_generator_matches_reference(self, case):
+        # successive draws on one generator: each run_pfr call consumes
+        # exactly the draws of the reference loop, capped runs included
+        pr, options = BATCH_CASES[case]
+        rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
+        for k in range(1000):
+            assert _outcome_or_cap(run_pfr, pr, rng, options) == _outcome_or_cap(
+                _reference_run_pfr, pr, ref_rng, options
+            ), f"draw {k}"
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_stream_count(self):
         out = run_pfr_many(STD_PAIR, 0, 0)

@@ -12,7 +12,9 @@ directory at OUTDIR, so every output lands there under a relative name:
 * ``verify --seed 0``;
 * the three ``sample`` commands of the benchmark's ``sampling`` workload
   (selection rule with delta 1e-8, selection rule on a bounded ratio, and
-  200,000 exact rows) at seeds 0, 1 and 2.
+  200,000 exact rows), plus 2,000 selection-rule rows on each other kind
+  (non-monotone Gaussian and Laplace ratios, a finite pair with a point P
+  never hits) and 2,000 exact rows on the last two, at seeds 0, 1 and 2.
 
 The stdout of each command is kept as ``<name>.stdout``.  The script exits
 1 if any command fails.  Snapshots of two checkouts that ``diff -r`` finds
@@ -37,11 +39,20 @@ GOLDEN_PAIRS = (
     ("laplace:0,1", "laplace:10,1"),
 )
 
+NONMONOTONE_NORMAL = ("normal:0,1", "normal:0.5,1.6")
+NONMONOTONE_LAPLACE = ("laplace:0,1", "laplace:0.5,2")
+FINITE = ("finite:0.5,0,0.3,0.2", "finite:0.2,0.3,0.1,0.4")
+
 #: (name, pair, extra arguments) of the sampling commands.
 SAMPLES = (
     ("pfr", ("normal:0,1", "normal:1,1"), ("-n", "2000", "--method", "pfr", "--delta", "1e-8")),
     ("pfr_bounded", ("laplace:0,1", "laplace:1,1"), ("-n", "4000", "--method", "pfr")),
     ("exact", ("normal:0,1", "normal:1,1"), ("-n", "200000", "--method", "exact")),
+    ("pfr_nonmonotone_normal", NONMONOTONE_NORMAL, ("-n", "2000", "--method", "pfr")),
+    ("pfr_nonmonotone_laplace", NONMONOTONE_LAPLACE, ("-n", "2000", "--method", "pfr")),
+    ("pfr_finite", FINITE, ("-n", "2000", "--method", "pfr")),
+    ("exact_nonmonotone_laplace", NONMONOTONE_LAPLACE, ("-n", "2000", "--method", "exact")),
+    ("exact_finite", FINITE, ("-n", "2000", "--method", "exact")),
 )
 
 
