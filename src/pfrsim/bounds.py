@@ -21,7 +21,7 @@ import numpy as np
 
 from .distributions import DistributionPair, Laplace, kl_divergence, renyi_divergence
 from .errors import AbsoluteContinuityError, EpsilonRangeError, OrderError
-from .numerics import LOG2E, log_gamma, minimize_scalar, open_text
+from .numerics import LN2, LOG2E, log_gamma, minimize_scalar, open_text
 
 #: The epsilon window (lo, hi) that ``optimize_ub`` searches.
 _EPS_WINDOW = (1e-4, 50.0)
@@ -59,7 +59,8 @@ def lb2(pair: DistributionPair, alpha):
     _check_alpha(alpha)
     _require_mutual_ac(pair)
     d = renyi_divergence(pair, 2.0 - alpha)
-    return d + np.log2(1.0 / (2.0 - alpha)) / (1.0 - alpha)
+    # log2(1 / (2 - alpha)) / (1 - alpha), without cancellation near alpha = 1
+    return d - np.log1p(1.0 - alpha) / ((1.0 - alpha) * LN2)
 
 
 def c1(alpha, epsilon):

@@ -28,11 +28,13 @@ power sums over the untruncated tail.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .distributions import DistributionPair, Gaussian, renyi_divergence
 from .errors import (
@@ -50,9 +52,86 @@ def derive_stream(root_seed: int, i: int) -> np.random.Generator:
     """Stream i of a batch: seeded by root_seed XOR i.
 
     The same stream as ``np.random.default_rng(root_seed ^ i)``, built
-    without its argument checks, which cost a fifth of the time.
+    without its argument checks, which cost a fifth of the time.  This is
+    the definition of stream i: ``run_pfr_many`` seeds a chunk of streams
+    in one array pass and gets exactly these generators.
     """
+    if root_seed < 0 or i < 0:
+        raise DomainError("root_seed and i must be >= 0")
     return np.random.Generator(np.random.PCG64(root_seed ^ i))
+
+
+# numpy's SeedSequence hash on its default pool of four 32-bit words
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_WORD = 0xFFFFFFFF
+
+
+def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
+    """init * mult**k mod 2**32 for k <= n, as a uint32 column."""
+    out = [init]
+    for _ in range(n):
+        out.append(out[-1] * mult & _WORD)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """numpy's ``hashmix`` with constants ``consts[j]`` and ``consts[j + 1]`` on row j."""
+    value = value ^ consts[:-1]
+    value *= consts[1:]
+    value ^= value >> 16
+    return value
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """numpy's ``mix`` of pool words x and hashed words y."""
+    r = x * _MIX_L - y * _MIX_R
+    r ^= r >> 16
+    return r
+
+
+class _GivenState(ISeedSequence):
+    """A seed sequence that generates one given row: PCG64 asks it for four uint64 words."""
+
+    __slots__ = ("state",)
+
+    def __init__(self, state: np.ndarray) -> None:
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
+
+
+def _chunk_streams(root_seed: int, start: int, stop: int) -> list[np.random.Generator]:
+    """``derive_stream(root_seed, i)`` for start <= i < stop, seeded in one array pass.
+
+    PCG64 seeds from ``SeedSequence(root_seed ^ i).generate_state(4, np.uint64)``.
+    That hash runs here on every stream at once, in uint32 arithmetic: its
+    hash constants are the same for every stream.  Entropy shorter than the
+    pool hashes as if padded with zero words.  A root of 2**128 or more
+    takes one more mixing round per word beyond four, and ``i`` < 2**64
+    leaves its word count alone.
+    """
+    i = np.arange(start, stop, dtype=np.uint64)
+    n_words = max(4, -(-root_seed.bit_length() // 32))
+    entropy = np.empty((n_words, i.size), dtype=np.uint32)
+    for j in range(n_words):
+        entropy[j] = root_seed >> (32 * j) & _WORD
+    entropy[0] ^= (i & _WORD).astype(np.uint32)
+    entropy[1] ^= (i >> 32).astype(np.uint32)
+    consts = _hash_constants(_INIT_A, _MULT_A, 4 * n_words + 4)
+    pool = _hashmix(entropy[:4], consts[:5])
+    k = 4
+    for src in range(4):  # every pool word into every other
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[k : k + 4]))
+        k += 3
+    for src in range(4, n_words):  # entropy beyond the pool into every pool word
+        pool = _mix(pool, _hashmix(entropy[src], consts[k : k + 5]))
+        k += 4
+    words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _hash_constants(_INIT_B, _MULT_B, 8))
+    state = (words[0::2].astype(np.uint64) | words[1::2].astype(np.uint64) << 32).T.copy()
+    return [np.random.Generator(np.random.PCG64(_GivenState(row))) for row in state]
 
 
 @dataclass(frozen=True)
@@ -362,16 +441,22 @@ def run_pfr_many(
 
     Entry i equals ``run_pfr(pair, derive_stream(root_seed, i), delta,
     max_candidates)``: the streams run side by side in chunks of
-    ``_BATCH_STREAMS``, each making the draws it makes alone.
+    ``_BATCH_STREAMS``, each making the draws it makes alone.  Each chunk's
+    generators are seeded in one array pass, which computes numpy's seed
+    hash for every stream at once and yields exactly ``derive_stream``'s
+    streams, at a fraction of its cost.
     """
     if n < 0:
         raise DomainError("n must be >= 0")
+    root_seed = operator.index(root_seed)
+    if root_seed < 0:
+        raise DomainError("root_seed must be >= 0")
     rule = _selection_rule(pair, delta)
     index = np.zeros(n, dtype=np.int64)
     accepted = np.zeros(n, dtype=np.int64 if pair.is_finite_kind else float)
     examined = np.zeros(n, dtype=np.int64)
     for start in range(0, n, _BATCH_STREAMS):
-        rngs = [derive_stream(root_seed, i) for i in range(start, min(start + _BATCH_STREAMS, n))]
+        rngs = _chunk_streams(root_seed, start, min(start + _BATCH_STREAMS, n))
         for streams, *results in _select(pair, rule, rngs, max_candidates):
             index[start + streams], accepted[start + streams], examined[start + streams] = results
     return PfrBatch(index, accepted, examined, index == 0, rule.termination, rule.delta)

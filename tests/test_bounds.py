@@ -1,6 +1,7 @@
 import io
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -53,6 +54,16 @@ class TestLowerBounds:
 
         target = kl_divergence(NEAR) - 1.0 / LN2
         assert lb2(NEAR, 0.999) == pytest.approx(target, abs=0.01)
+
+    @pytest.mark.parametrize("j", range(3, 13))
+    def test_lb2_constant_near_one_matches_mpmath(self, j):
+        # log2(1 / (2 - alpha)) / (1 - alpha) cancels as alpha -> 1 unless
+        # written with log1p; the identical pair has divergence 0
+        alpha = 1.0 - 10.0**-j
+        with mpmath.workdps(40):
+            a = mpmath.mpf(alpha)
+            expect = float(mpmath.log(1 / (2 - a), 2) / (1 - a))
+        assert lb2(IDENT, alpha) == pytest.approx(expect, rel=0, abs=1e-15)
 
     def test_alpha_validation(self):
         for bad in (0.0, 1.0, 1.5, -0.2):

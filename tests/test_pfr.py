@@ -18,6 +18,7 @@ from pfrsim.pfr import (
     _BATCH_STREAMS,
     IndexPmf,
     PfrOutcome,
+    _chunk_streams,
     derive_stream,
     index_pmf,
     log_beta,
@@ -339,6 +340,31 @@ class TestRunPfrMany:
         assert out.index.shape == out.accepted.shape == out.capped.shape == (0,)
         with pytest.raises(DomainError):
             run_pfr_many(STD_PAIR, 0, -1)
+        with pytest.raises(DomainError):
+            run_pfr_many(STD_PAIR, -1, 3)
+        with pytest.raises(DomainError):
+            derive_stream(-5, 0)
+
+    @pytest.mark.parametrize(
+        "root",
+        [0, 2**32 - 1, 2**32, 2**64 + 5, 2**128 - 1, 2**128 + 3, 2**200 + 12345],
+        ids=["zero", "1_word", "2_words", "3_words", "4_words", "5_words", "7_words"],
+    )
+    def test_chunk_streams_are_numpys(self, root):
+        # chunked as run_pfr_many chunks them; default_rng runs numpy's own
+        # SeedSequence, an independent reference for every seed word count
+        n = _BATCH_STREAMS + 40
+        rngs = [
+            rng
+            for start in range(0, n, _BATCH_STREAMS)
+            for rng in _chunk_streams(root, start, min(start + _BATCH_STREAMS, n))
+        ]
+        assert len(rngs) == n
+        # and where i itself takes a second word
+        high = range(2**32 - 3, 2**32 + 3)
+        for i, rng in [*enumerate(rngs), *zip(high, _chunk_streams(root, high[0], high[-1] + 1))]:
+            ref = np.random.default_rng(root ^ i)
+            assert rng.bit_generator.state == ref.bit_generator.state, f"stream {i}"
 
 
 class TestSampleIndexExact:

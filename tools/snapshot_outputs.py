@@ -14,7 +14,9 @@ directory at OUTDIR, so every output lands there under a relative name:
   (selection rule with delta 1e-8, selection rule on a bounded ratio, and
   200,000 exact rows), plus 2,000 selection-rule rows on each other kind
   (non-monotone Gaussian and Laplace ratios, a finite pair with a point P
-  never hits) and 2,000 exact rows on the last two, at seeds 0, 1 and 2.
+  never hits) and 2,000 exact rows on the last two, at seeds 0, 1 and 2;
+* the first of those (selection rule, delta 1e-8) at the multi-word seeds
+  2**64 + 1 and 2**130 + 7, whose streams take longer seed hashes.
 
 The stdout of each command is kept as ``<name>.stdout``.  The script exits
 1 if any command fails.  Snapshots of two checkouts that ``diff -r`` finds
@@ -55,6 +57,9 @@ SAMPLES = (
     ("exact_finite", FINITE, ("-n", "2000", "--method", "exact")),
 )
 
+#: Seeds of three and five 32-bit words, for the selection rule.
+WIDE_SEEDS = (2**64 + 1, 2**130 + 7)
+
 
 def stem(p: str, q: str) -> str:
     """File-name stem of a pair, as in ``tests/golden``."""
@@ -76,6 +81,10 @@ def commands() -> list[tuple[str, list[str]]]:
             name = f"sample_{kind}_seed_{seed}"
             out.append((name, ["sample", *pair, *extra, "--seed", str(seed),
                                "--out", f"{name}.csv"]))
+    kind, pair, extra = SAMPLES[0]
+    for seed in WIDE_SEEDS:
+        name = f"sample_{kind}_seed_{seed}"
+        out.append((name, ["sample", *pair, *extra, "--seed", str(seed), "--out", f"{name}.csv"]))
     return out
 
 
