@@ -1,5 +1,9 @@
 import io
 import math
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,8 +18,10 @@ from pfrsim.errors import (
     NonConvergenceError,
 )
 from pfrsim.numerics import QuadratureSpec, integrate
+from pfrsim import pfr
 from pfrsim.pfr import (
     _BATCH_STREAMS,
+    _BLOCK,
     IndexPmf,
     PfrOutcome,
     _chunk_streams,
@@ -367,7 +373,131 @@ class TestRunPfrMany:
             assert rng.bit_generator.state == ref.bit_generator.state, f"stream {i}"
 
 
+def _reference_sample_indices(
+    pair: DistributionPair, n: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """The exact sampler in one pass over all n points, a reference for ``sample_indices``.
+
+    Same generator calls and arithmetic; log(1 - beta) is floored at
+    -1e300 by a select on -inf.
+    """
+    u = pair.p.sample(rng, n)
+    lb = np.asarray(log_beta(pair, u), dtype=float)
+    v = 1.0 - rng.random(n)
+    with np.errstate(divide="ignore"):
+        log1m = np.log1p(-np.exp(np.minimum(lb, 0.0)))
+    log1m = np.where(np.isneginf(log1m), -1e300, log1m)
+    if np.any(log1m == 0.0):
+        raise IndexOverflowError("beta underflows double precision")
+    with np.errstate(over="ignore"):
+        k = np.ceil(np.log(v) / log1m)
+    if np.any(k > float(2**64 - 1)):
+        raise IndexOverflowError("a geometric index exceeds the unsigned 64-bit range")
+    return np.maximum(k, 1.0), np.asarray(u, dtype=float)
+
+
+#: Pairs of every kind for the exact sampler: monotone and non-monotone
+#: ratios of both continuous kinds, and a finite pair with a point P never hits.
+EXACT_CASES = {
+    "normal_0_1-normal_1_1": STD_PAIR,
+    "normal_0_1-normal_0.5_1.6": DistributionPair(Gaussian(0, 1), Gaussian(0.5, 1.6)),
+    "laplace_0_1-laplace_1_1": DistributionPair(Laplace(0, 1), Laplace(1, 1)),
+    "laplace_0_1-laplace_0.5_2": DistributionPair(Laplace(0, 1), Laplace(0.5, 2)),
+    "finite_zero_point": BATCH_CASES["finite_zero_point"][0],
+}
+
+#: Draw counts around the block size: none, one, one block short, full or
+#: just over, and several blocks with a partial last one.
+EXACT_SIZES = (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7)
+
+
+def _assert_same_draws(got, ref, rng, ref_rng):
+    (k, u), (ref_k, ref_u) = got, ref
+    assert k.dtype == u.dtype == np.float64
+    np.testing.assert_array_equal(k, ref_k)
+    np.testing.assert_array_equal(u, ref_u)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 class TestSampleIndexExact:
+    @pytest.mark.parametrize("n", EXACT_SIZES)
+    @pytest.mark.parametrize("case", list(EXACT_CASES))
+    def test_matches_reference(self, case, n, monkeypatch):
+        # the same bits and generator state with the pool's helpers and
+        # with the caller's thread alone
+        pr = EXACT_CASES[case]
+        ref_rng = np.random.default_rng(n)
+        ref = _reference_sample_indices(pr, n, ref_rng)
+        rng = np.random.default_rng(n)
+        _assert_same_draws(sample_indices(pr, n, rng), ref, rng, ref_rng)
+        monkeypatch.setattr(pfr, "_pool", lambda: (None, 0))
+        rng = np.random.default_rng(n)
+        _assert_same_draws(sample_indices(pr, n, rng), ref, rng, ref_rng)
+
+    @pytest.mark.parametrize("fail_in", [None, "caller", "helper"])
+    def test_blocks_over_more_threads_than_cores(self, fail_in, monkeypatch):
+        # seven helpers and a short switch interval: every block is taken
+        # at most once, all of them when none fails, each taken block has
+        # finished on return, and a block's exception reaches the caller
+        pool = ThreadPoolExecutor(7)
+        monkeypatch.setattr(pfr, "_pool", lambda: (pool, 7))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            caller, lock = threading.current_thread(), threading.Lock()
+            taken, running, failed = [], [0], []
+
+            def run_block(i):
+                with lock:
+                    running[0] += 1
+                taken.append(i)
+                time.sleep(1e-4)
+                with lock:
+                    running[0] -= 1
+                    fails = (
+                        fail_in is not None and not failed
+                        and (threading.current_thread() is caller) == (fail_in == "caller")
+                    )
+                    if fails:
+                        failed.append(i)
+                if fails:
+                    raise ValueError(f"block {i}")
+
+            if fail_in is not None:
+                with pytest.raises(ValueError, match="^block "):
+                    pfr._run_blocks(151, run_block)
+                assert failed and len(set(taken)) == len(taken)
+                assert running[0] == 0
+                return
+            pfr._run_blocks(151, run_block)
+            assert sorted(taken) == list(range(151)) and running[0] == 0
+            # the sampler over many small blocks
+            monkeypatch.setattr(pfr, "_BLOCK", 64)
+            n = 150 * 64 + 5
+            for pr in EXACT_CASES.values():
+                ref_rng, rng = np.random.default_rng(3), np.random.default_rng(3)
+                ref = _reference_sample_indices(pr, n, ref_rng)
+                _assert_same_draws(sample_indices(pr, n, rng), ref, rng, ref_rng)
+        finally:
+            sys.setswitchinterval(interval)
+            pool.shutdown()
+
+    def test_caller_error_state_is_ignored(self):
+        # the blocks run under the sampler's own error state, whichever
+        # thread runs them: a caller's "raise" changes no draw, and exp's
+        # underflow at mean 40 still ends in the sampler's own error
+        n = 2 * _BLOCK + 3
+        for pr in EXACT_CASES.values():
+            ref_rng = np.random.default_rng(5)
+            ref = _reference_sample_indices(pr, n, ref_rng)
+            rng = np.random.default_rng(5)
+            with np.errstate(all="raise"):
+                got = sample_indices(pr, n, rng)
+            _assert_same_draws(got, ref, rng, ref_rng)
+        far = DistributionPair(Gaussian(0, 1), Gaussian(40, 1))
+        with np.errstate(all="raise"), pytest.raises(IndexOverflowError, match="underflows"):
+            sample_indices(far, n, np.random.default_rng(5))
+
     def test_identical_pair_always_one(self):
         pr = DistributionPair(Gaussian(0, 1), Gaussian(0, 1))
         rng = np.random.default_rng(0)
@@ -400,6 +530,22 @@ class TestSampleIndexExact:
                     sample_indices(pr, 1, rng)
             with pytest.raises(IndexOverflowError):
                 sample_indices(pr, 50, rng)
+            # over several blocks: the reference's error, raised by
+            # sample_indices itself, and the reference's draws made
+            n = 3 * _BLOCK + 7
+            ref_rng, rng = np.random.default_rng(1), np.random.default_rng(1)
+            with pytest.raises(IndexOverflowError) as ref_exc:
+                _reference_sample_indices(pr, n, ref_rng)
+            with pytest.raises(IndexOverflowError) as exc:
+                sample_indices(pr, n, rng)
+            assert type(exc.value) is IndexOverflowError
+            assert str(exc.value) == str(ref_exc.value)
+            assert exc.traceback[-1].name == "sample_indices"
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            # and the pool still serves the next call
+            ref_rng, rng = np.random.default_rng(2), np.random.default_rng(2)
+            ref = _reference_sample_indices(STD_PAIR, n, ref_rng)
+            _assert_same_draws(sample_indices(STD_PAIR, n, rng), ref, rng, ref_rng)
 
     def test_finite_pair_chi_square(self):
         pr = DistributionPair(Finite((0.9, 0.1)), Finite((0.5, 0.5)))

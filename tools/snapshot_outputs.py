@@ -9,12 +9,15 @@ directory at OUTDIR, so every output lands there under a relative name:
 
 * the six golden sweeps, ``--format both`` (a .csv and a .svg each);
 * ``entropy-figure normal:0,1 normal:1,1 --n-max 1000 --format both``;
-* ``verify --seed 0``;
+* ``verify --seed 0`` and ``verify --seed 1``;
 * the three ``sample`` commands of the benchmark's ``sampling`` workload
   (selection rule with delta 1e-8, selection rule on a bounded ratio, and
   200,000 exact rows), plus 2,000 selection-rule rows on each other kind
   (non-monotone Gaussian and Laplace ratios, a finite pair with a point P
   never hits) and 2,000 exact rows on the last two, at seeds 0, 1 and 2;
+* 100,003 exact rows at seed 0 on Laplace(0,1)|Laplace(1,1), on the two
+  non-monotone pairs and on the finite pair, several blocks of the exact
+  sampler each;
 * the first of those (selection rule, delta 1e-8) at the multi-word seeds
   2**64 + 1 and 2**130 + 7, whose streams take longer seed hashes.
 
@@ -57,6 +60,14 @@ SAMPLES = (
     ("exact_finite", FINITE, ("-n", "2000", "--method", "exact")),
 )
 
+#: (name, pair) of the exact sampler over several blocks, at seed 0.
+EXACT_BLOCKS = (
+    ("exact_blocks_laplace", ("laplace:0,1", "laplace:1,1")),
+    ("exact_blocks_nonmonotone_normal", NONMONOTONE_NORMAL),
+    ("exact_blocks_nonmonotone_laplace", NONMONOTONE_LAPLACE),
+    ("exact_blocks_finite", FINITE),
+)
+
 #: Seeds of three and five 32-bit words, for the selection rule.
 WIDE_SEEDS = (2**64 + 1, 2**130 + 7)
 
@@ -75,7 +86,8 @@ def commands() -> list[tuple[str, list[str]]]:
     name = f"entropy_figure_{stem('normal:0,1', 'normal:1,1')}"
     out.append((name, ["entropy-figure", "normal:0,1", "normal:1,1", "--n-max", "1000",
                        "--format", "both", "--out", name]))
-    out.append(("verify_seed_0", ["verify", "--seed", "0"]))
+    for seed in range(2):
+        out.append((f"verify_seed_{seed}", ["verify", "--seed", str(seed)]))
     for seed in range(3):
         for kind, pair, extra in SAMPLES:
             name = f"sample_{kind}_seed_{seed}"
@@ -85,6 +97,10 @@ def commands() -> list[tuple[str, list[str]]]:
     for seed in WIDE_SEEDS:
         name = f"sample_{kind}_seed_{seed}"
         out.append((name, ["sample", *pair, *extra, "--seed", str(seed), "--out", f"{name}.csv"]))
+    for kind, pair in EXACT_BLOCKS:
+        name = f"sample_{kind}_seed_0"
+        out.append((name, ["sample", *pair, "-n", "100003", "--method", "exact", "--seed", "0",
+                           "--out", f"{name}.csv"]))
     return out
 
 
