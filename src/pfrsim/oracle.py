@@ -1,8 +1,11 @@
 """Brute-force verification of the theory's inequalities.
 
 Monte Carlo checks use the exact conditional-geometric sampler and pass
-with three-standard-error margins; summation checks are direct partial
-sums plus analytic tail bounds.  Every check returns a report with a
+with three-standard-error margins; their statistics are computed in place
+on the sampler's own index array, with numpy's two-pass mean and standard
+deviation, so no other full-size array is made.  Summation checks are
+direct partial sums plus analytic tail bounds; they skip the terms that
+underflow to exactly zero.  Every check returns a report with a
 ``passed`` flag; ``run_suite`` evaluates the built-in pair matrix.
 """
 
@@ -10,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -44,6 +48,13 @@ DEFAULT_PAIRS: tuple[tuple[str, DistributionPair], ...] = (
 )
 
 CHECK_NAMES = ("geometric", "moments", "logmoment", "code", "soundness", "band")
+
+#: Indices relabeled per pass by ``verify_moment_bounds``.
+_RELABEL_CHUNK = 2**15
+
+#: A log-term below this is at least 0.8 under exp's underflow point
+#: (log of half the least subnormal, about -745.13): exp gives exactly 0.0.
+_LOG_UNDERFLOW = -746.0
 
 
 @dataclass(frozen=True)
@@ -134,14 +145,14 @@ def verify_moment_bounds(
         raise OrderError(f"alpha must lie in (0, 1), got {alpha}")
     d = renyi_divergence(pair, alpha + 1.0)
     scale = 2.0 ** (alpha * d)
-    k, _ = sample_indices(pair, n_samples, rng)
+    k = sample_indices(pair, n_samples, rng)[0]
     if permutation is not None:
-        small = k <= len(permutation)
-        k = k.copy()
-        k[small] = permutation[k[small].astype(np.int64) - 1]
-    x = k**alpha
-    emp = float(np.mean(x))
-    se = float(np.std(x) / math.sqrt(n_samples))
+        for start in range(0, n_samples, _RELABEL_CHUNK):
+            chunk = k[start : start + _RELABEL_CHUNK]
+            small = chunk <= len(permutation)
+            chunk[small] = permutation[chunk[small].astype(np.int64) - 1]
+    k **= alpha
+    emp, se = _mean_and_std_error(k)
     return MomentReport(
         alpha=alpha,
         empirical_moment=emp,
@@ -156,32 +167,66 @@ def verify_log_moment(
     pair: DistributionPair, n_samples: int, rng: np.random.Generator
 ) -> LogMomentReport:
     """Estimate E[log2 K] against D(P||Q) + 1."""
-    k, _ = sample_indices(pair, n_samples, rng)
-    logk = np.log2(k)
+    k = sample_indices(pair, n_samples, rng)[0]
+    emp, se = _mean_and_std_error(np.log2(k, out=k))
     return LogMomentReport(
-        empirical=float(np.mean(logk)),
+        empirical=emp,
         bound=kl_divergence(pair) + 1.0,
         n_samples=n_samples,
-        std_error=float(np.std(logk) / math.sqrt(n_samples)),
+        std_error=se,
     )
+
+
+def _mean_and_std_error(x: np.ndarray) -> tuple[float, float]:
+    """(mean, std / sqrt(n)) of x with the bits of ``np.mean`` and
+    ``np.std``: their two-pass formula, run in place, so x is overwritten."""
+    n = x.size
+    mean = x.sum() / n
+    x -= mean
+    np.multiply(x, x, out=x)
+    return float(mean), float(np.sqrt(x.sum() / n) / math.sqrt(n))
 
 
 def verify_geometric_moment(
     p: float, r: float, n_terms: int = 10**6
 ) -> GeometricMomentReport:
     """Directly sum E[X^r] for X geometric(p) and compare with
-    2^(r-1) (Gamma(r+1)/p^r + 1)."""
+    2^(r-1) (Gamma(r+1)/p^r + 1).
+
+    The sum runs over k <= n_terms (an integer >= 1) and stops early where
+    the terms underflow to 0.0; an analytic bound covers k > n_terms.
+    """
     if not 0.0 < p < 1.0:
         raise DomainError("p must lie in (0, 1)")
     if r < 1.0:
         raise DomainError("r must be >= 1")
-    ks = np.arange(1, n_terms + 1, dtype=float)
-    log_terms = r * np.log(ks) + math.log(p) + (ks - 1.0) * math.log1p(-p)
+    if not isinstance(n_terms, Integral) or n_terms < 1:
+        raise DomainError(f"n_terms must be an integer >= 1, got {n_terms!r}")
+    log_p, log_q = math.log(p), math.log1p(-p)
+
+    def newton(x: float) -> float:  # one step towards f(x) = _LOG_UNDERFLOW
+        f = r * math.log(x) + log_p + (x - 1.0) * log_q
+        return x - (f - _LOG_UNDERFLOW) / (r / x + log_q)
+
+    # The log-term f(k) = r log k + log p + (k-1) log q is concave, with its
+    # mode at r/(-log q) and f >= log p > _LOG_UNDERFLOW there.  A Newton
+    # step from twice the mode lands at or past the root beyond the mode;
+    # later steps fall towards it without crossing it.  Every term past an
+    # iterate is exactly 0.0, so the sum stops at one.
+    x = newton(2.0 * r / -log_q)
+    while x < n_terms:
+        nxt = newton(x)
+        if x - nxt < 1.0:
+            break
+        x = nxt
+    last = math.ceil(x) if x < n_terms else n_terms  # x is nan where 2r/(-log q) overflows
+    ks = np.arange(1, last + 1, dtype=float)
+    log_terms = r * np.log(ks) + log_p + (ks - 1.0) * log_q
     moment = float(np.exp(log_terms).sum())
     # beyond n the term ratio is at most exp(r/(n+1)) (1-p) < 1
     rho = math.exp(r / (n_terms + 1.0)) * (1.0 - p)
     if rho < 1.0:
-        log_next = r * math.log(n_terms + 1.0) + math.log(p) + n_terms * math.log1p(-p)
+        log_next = r * math.log(n_terms + 1.0) + log_p + n_terms * log_q
         tail = math.exp(log_next) / (1.0 - rho) if log_next > -745.0 else 0.0
     else:
         tail = math.inf
@@ -336,11 +381,11 @@ def _check_soundness(c1_offset: float) -> list[CheckReport]:
 
 def _check_band() -> list[CheckReport]:
     reports = []
+    alphas = np.linspace(0.05, 0.95, 19)
     for label, pair in DEFAULT_PAIRS:
         worst = math.inf
         ok = True
-        for alpha in np.linspace(0.05, 0.95, 19):
-            d = renyi_divergence(pair, alpha + 1.0)
+        for alpha, d in zip(alphas.tolist(), renyi_divergence(pair, alphas + 1.0).tolist()):
             scale = 2.0 ** (alpha * d)
             lo, hi = scale / (1.0 + alpha), scale + alpha
             worst = min(worst, hi - lo)

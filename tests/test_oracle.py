@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from pfrsim.distributions import DistributionPair, Finite, Gaussian
+from pfrsim import pfr
+from pfrsim.distributions import DistributionPair, Finite, Gaussian, renyi_divergence
 from pfrsim.errors import DomainError
 from pfrsim.oracle import (
+    DEFAULT_PAIRS,
     MomentReport,
     run_suite,
     verify_geometric_moment,
@@ -13,6 +16,50 @@ from pfrsim.oracle import (
     verify_log_moment,
     verify_moment_bounds,
 )
+
+MiB = 2**20
+
+
+def _reference_moment(pair, alpha, n_samples, rng, permutation=None):
+    """(empirical, std_error) of the whole-array moment check it replaced."""
+    k, _ = pfr.sample_indices(pair, n_samples, rng)
+    if permutation is not None:
+        small = k <= len(permutation)
+        k = k.copy()
+        k[small] = permutation[k[small].astype(np.int64) - 1]
+    x = k**alpha
+    return float(np.mean(x)), float(np.std(x) / math.sqrt(n_samples))
+
+
+def _reference_log_moment(pair, n_samples, rng):
+    """(empirical, std_error) of the whole-array log-moment check it replaced."""
+    k, _ = pfr.sample_indices(pair, n_samples, rng)
+    logk = np.log2(k)
+    return float(np.mean(logk)), float(np.std(logk) / math.sqrt(n_samples))
+
+
+def _reference_geometric_moment(p, r, n_terms=10**6):
+    """(moment_sum, tail_bound, bound) of the sum over all n_terms terms."""
+    ks = np.arange(1, n_terms + 1, dtype=float)
+    log_terms = r * np.log(ks) + math.log(p) + (ks - 1.0) * math.log1p(-p)
+    moment = float(np.exp(log_terms).sum())
+    rho = math.exp(r / (n_terms + 1.0)) * (1.0 - p)
+    if rho < 1.0:
+        log_next = r * math.log(n_terms + 1.0) + math.log(p) + n_terms * math.log1p(-p)
+        tail = math.exp(log_next) / (1.0 - rho) if log_next > -745.0 else 0.0
+    else:
+        tail = math.inf
+    bound = 2.0 ** (r - 1.0) * (math.exp(math.lgamma(r + 1.0) - r * math.log(p)) + 1.0)
+    return moment, tail, bound
+
+
+def _peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestMomentBounds:
@@ -38,6 +85,31 @@ class TestMomentBounds:
         with pytest.raises(DomainError):
             MomentReport(0.5, 1.0, 2.0, 1.0, 10, 0.1)
 
+    # not a multiple of the sampler's block or of the relabel chunk
+    N_PARTIAL = 3 * 2**15 + 7
+
+    @pytest.mark.parametrize("label,pair", DEFAULT_PAIRS)
+    def test_matches_whole_array_reference(self, label, pair):
+        perm = np.random.default_rng(7).permutation(10**4) + 1
+        for permutation in (None, perm):
+            rep = verify_moment_bounds(
+                pair, 0.5, self.N_PARTIAL, np.random.default_rng(11), permutation
+            )
+            emp, se = _reference_moment(
+                pair, 0.5, self.N_PARTIAL, np.random.default_rng(11), permutation
+            )
+            assert (rep.empirical_moment, rep.std_error) == (emp, se)
+
+    def test_permuted_peak_memory(self, monkeypatch):
+        # the sampler's k and u are 16 MB; the whole-array version peaked at 31.5 MiB
+        monkeypatch.setattr(pfr, "_pool", lambda: (None, 0))
+        pair = DEFAULT_PAIRS[3][1]
+        perm = np.random.default_rng(7).permutation(10**4) + 1
+        peak = _peak_bytes(
+            lambda: verify_moment_bounds(pair, 0.5, 10**6, np.random.default_rng(0), perm)
+        )
+        assert peak <= 20 * MiB
+
 
 class TestLogMoment:
     def test_identical_pair(self):
@@ -57,6 +129,19 @@ class TestLogMoment:
         rep = verify_log_moment(pr, 10**4, np.random.default_rng(4))
         assert rep.bound == pytest.approx(12.5 / math.log(2) + 1.0)
         assert rep.passed
+
+    @pytest.mark.parametrize("label,pair", DEFAULT_PAIRS)
+    def test_matches_whole_array_reference(self, label, pair):
+        n = TestMomentBounds.N_PARTIAL
+        rep = verify_log_moment(pair, n, np.random.default_rng(12))
+        emp, se = _reference_log_moment(pair, n, np.random.default_rng(12))
+        assert (rep.empirical, rep.std_error) == (emp, se)
+
+    def test_peak_memory(self, monkeypatch):
+        monkeypatch.setattr(pfr, "_pool", lambda: (None, 0))
+        pair = DEFAULT_PAIRS[3][1]
+        peak = _peak_bytes(lambda: verify_log_moment(pair, 10**6, np.random.default_rng(0)))
+        assert peak <= 20 * MiB
 
 
 class TestGeometricMoment:
@@ -87,6 +172,31 @@ class TestGeometricMoment:
             verify_geometric_moment(0.0, 2.0)
         with pytest.raises(DomainError):
             verify_geometric_moment(0.5, 0.5)
+        for n_terms in (-1, 0, 2.5, 3.0):
+            with pytest.raises(DomainError):
+                verify_geometric_moment(0.5, 2.0, n_terms=n_terms)
+
+    @pytest.mark.parametrize(
+        "p,r,n_terms",
+        [(p, r, 10**6) for p in (0.1, 0.5, 0.9) for r in (1.0, 1.5, 2.0, 3.0)]
+        # nothing underflows within 10**6 terms, so the tail is nonzero
+        + [(1e-4, 3.0, 10**6)]
+        # fewer terms than the underflow cutoff (about 7,300)
+        + [(0.1, 3.0, 1000)],
+    )
+    def test_matches_full_sum(self, p, r, n_terms):
+        rep = verify_geometric_moment(p, r, n_terms)
+        moment, tail, bound = _reference_geometric_moment(p, r, n_terms)
+        assert (rep.n_terms, rep.tail_bound, rep.bound) == (n_terms, tail, bound)
+        assert rep.passed == (moment + tail <= bound * (1.0 + 1e-12))
+        # skipping the zero terms changes numpy's pairwise summation order
+        assert rep.moment_sum == pytest.approx(moment, rel=1e-15, abs=0.0)
+        if p == 1e-4:
+            assert tail > 0.0
+
+    def test_peak_memory(self):
+        # the full 10**6-term sum peaked at 22.9 MiB
+        assert _peak_bytes(lambda: verify_geometric_moment(0.1, 3.0)) < MiB
 
 
 class TestCodeLowerBound:
@@ -126,6 +236,15 @@ class TestSuite:
     def test_unknown_filter_rejected(self):
         with pytest.raises(DomainError):
             run_suite(only="nonsense")
+
+    def test_band_matches_scalar_orders(self):
+        reports = run_suite(seed=42, only="band")
+        for (_, pair), rep in zip(DEFAULT_PAIRS, reports):
+            worst = math.inf
+            for alpha in np.linspace(0.05, 0.95, 19):
+                scale = 2.0 ** (alpha * renyi_divergence(pair, alpha + 1.0))
+                worst = min(worst, scale + alpha - scale / (1.0 + alpha))
+            assert rep.details == f"min_width={worst:.4g}"
 
     def test_report_lines_format(self):
         reports = run_suite(seed=42, only="band")

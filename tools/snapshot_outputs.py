@@ -9,7 +9,9 @@ directory at OUTDIR, so every output lands there under a relative name:
 
 * the six golden sweeps, ``--format both`` (a .csv and a .svg each);
 * ``entropy-figure normal:0,1 normal:1,1 --n-max 1000 --format both``;
-* ``verify --seed 0`` and ``verify --seed 1``;
+* ``verify --seed 0`` and ``verify --seed 1``, and ``verify --seed 2
+  --samples 100003``, a count that is a multiple of neither the exact
+  sampler's block nor the relabel chunk of the permuted moment check;
 * the three ``sample`` commands of the benchmark's ``sampling`` workload
   (selection rule with delta 1e-8, selection rule on a bounded ratio, and
   200,000 exact rows), plus 2,000 selection-rule rows on each other kind
@@ -88,6 +90,7 @@ def commands() -> list[tuple[str, list[str]]]:
                        "--format", "both", "--out", name]))
     for seed in range(2):
         out.append((f"verify_seed_{seed}", ["verify", "--seed", str(seed)]))
+    out.append(("verify_seed_2_samples_100003", ["verify", "--seed", "2", "--samples", "100003"]))
     for seed in range(3):
         for kind, pair, extra in SAMPLES:
             name = f"sample_{kind}_seed_{seed}"
