@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 from scipy.special import log_ndtr, ndtr
@@ -192,10 +192,6 @@ class DistributionPair:
     def is_finite_kind(self) -> bool:
         return isinstance(self.p, Finite)
 
-    @cached_property
-    def is_identical(self) -> bool:
-        return self.p == self.q
-
     def mutually_absolutely_continuous(self) -> bool:
         if not self.is_finite_kind:
             return True
@@ -206,12 +202,10 @@ class DistributionPair:
 
     def log_ratio(self, u):
         """Natural log of dP/dQ at u (index for finite kinds)."""
-        if self.is_finite_kind:
-            idx = np.asarray(u, dtype=int)
-            qv = np.asarray(self.q.probs)[idx]
-            if np.any(qv == 0.0):
-                raise AbsoluteContinuityError("point outside the support of Q")
-        return self.p.log_density(u) - self.q.log_density(u)
+        u = np.asarray(u, dtype=int if self.is_finite_kind else float)
+        if self.is_finite_kind and np.any(np.asarray(self.q.probs)[u] == 0.0):
+            raise AbsoluteContinuityError("point outside the support of Q")
+        return self._ratio.log(u)
 
     def support_log_ratios(self) -> np.ndarray:
         """log dP/dQ at each support point of a finite pair; -inf where Q is zero."""
@@ -238,7 +232,7 @@ class DistributionPair:
             tails = [np.cumsum(np.asarray(d.probs)[order][::-1])[::-1] for d in (p, q)]
             with np.errstate(divide="ignore"):
                 return tuple(np.log(np.append(t, 0.0)[j]) for t in tails)
-        shape, lo, hi = self._superlevel_set(log_c)
+        shape, lo, hi = self._ratio.level_set(log_c)
         if shape == "below":
             return p.log_cdf(hi), q.log_cdf(hi)
         if shape == "above":
@@ -247,78 +241,102 @@ class DistributionPair:
             return _log_interval_mass(p, lo, hi), _log_interval_mass(q, lo, hi)
         return tuple(np.logaddexp(d.log_cdf(lo), d.log_sf(hi)) for d in (p, q))
 
-    def _superlevel_set(self, log_c):
-        """{r > c} for continuous kinds as (shape, lo, hi).
+    def log_ratio_sup(self) -> float:
+        """Natural log of sup_u dP/dQ(u); may be +inf."""
+        return self._ratio.sup
 
-        "below" is (-inf, hi), "above" is (lo, inf), "inside" is (lo, hi)
-        and "outside" is the complement of [lo, hi].
+    @cached_property
+    def _ratio(self) -> _Ratio:
+        """The density ratio, worked out once from (p, q); each of its shapes is here.
+
+        Continuous level sets {r > c} are (shape, lo, hi): "below" is
+        (-inf, hi), "above" is (lo, inf), "inside" is (lo, hi) and "outside"
+        is the complement of [lo, hi].
         """
         p, q = self.p, self.q
-        if self.is_identical:
-            edge = np.where(np.asarray(log_c) < 0.0, math.inf, -math.inf)
-            return "below", edge, edge
-        same_scale, peaked, pivot, top = self._extremum
-        if same_scale:
-            # log r = slope * (u - midpoint), but a Laplace ratio is flat at
-            # +-bound beyond the two locations: no point exceeds a level at or
-            # above +bound, and every point exceeds one below -bound.  There
-            # the offset from the midpoint is divided by zero, which sends
-            # the edge to the infinity of its sign, without a data branch.
-            if isinstance(p, Gaussian):
+        if self.is_finite_kind:
+            lr = self.support_log_ratios()
+            return _Ratio(lr.take, float(np.max(lr)), None)
+        if p == q:
+
+            def level_set(log_c):
+                edge = np.where(np.asarray(log_c) < 0.0, math.inf, -math.inf)
+                return "below", edge, edge
+
+            return _Ratio(lambda u: np.zeros_like(u), 0.0, level_set)
+        if isinstance(p, Gaussian):  # a quadratic, a line for equal scales
+            a = 0.5 * (1.0 / q.sigma**2 - 1.0 / p.sigma**2)
+            b = p.mu / p.sigma**2 - q.mu / q.sigma**2
+            c = 0.5 * (q.mu**2 / q.sigma**2 - p.mu**2 / p.sigma**2) + math.log(q.sigma / p.sigma)
+            if a == 0.0:
                 mid, slope = 0.5 * (p.mu + q.mu), (p.mu - q.mu) / p.sigma**2
-                offset = log_c / slope
-            else:
-                mid = 0.5 * (p.theta + q.theta)
-                slope = math.copysign(2.0 / p.lam, p.theta - q.theta)
-                bound = abs(p.theta - q.theta) / p.lam
+                shape = "below" if slope < 0.0 else "above"
+
+                def level_set(log_c):
+                    x = mid + log_c / slope
+                    return shape, x, x
+
+                return _Ratio(lambda u: b * u + c, math.inf, level_set)
+            curv = abs(a)
+            log_r = lambda u: (a * u + b) * u + c  # noqa: E731
+            return _around(log_r, -b / (2.0 * a), a < 0.0, lambda drop: (np.sqrt(drop / curv),) * 2)
+        if p.lam == q.lam:
+            # log r = slope * (u - midpoint), but flat at +-bound beyond the two
+            # locations: no point exceeds a level at or above +bound, and every
+            # point exceeds one below -bound.  There the offset from the
+            # midpoint is divided by zero, which sends the edge to the infinity
+            # of its sign, without a data branch.
+            mid, bound = 0.5 * (p.theta + q.theta), abs(p.theta - q.theta) / p.lam
+            slope = math.copysign(2.0 / p.lam, p.theta - q.theta)
+            shape = "below" if slope < 0.0 else "above"
+
+            def level_set(log_c):
                 with np.errstate(divide="ignore"):
                     offset = np.divide(log_c / slope, (log_c < bound) & (log_c >= -bound))
-            x = mid + offset
-            return ("below" if slope < 0.0 else "above"), x, x
-        drop = np.maximum(top - log_c if peaked else log_c - top, 0.0)
-        if isinstance(p, Gaussian):
-            curv = 0.5 * abs(1.0 / q.sigma**2 - 1.0 / p.sigma**2)
-            left = right = np.sqrt(drop / curv)
-        else:
-            narrow, wide = sorted((p.lam, q.lam))
-            steep, shallow = 1.0 / narrow + 1.0 / wide, 1.0 / narrow - 1.0 / wide
-            gap = abs(p.theta - q.theta)
+                x = mid + offset
+                return shape, x, x
+
+            log_r = lambda u: np.minimum(np.maximum(slope * (u - mid), -bound), bound)  # noqa: E731
+            return _Ratio(log_r, bound, level_set)
+        # two kinks, with the extremum at the narrower law's location
+        c = math.log(q.lam / p.lam)
+        log_r = lambda u: np.abs(u - q.theta) / q.lam - np.abs(u - p.theta) / p.lam + c  # noqa: E731
+        peaked = p.lam < q.lam
+        pivot = p.theta if peaked else q.theta
+        narrow, wide = sorted((p.lam, q.lam))
+        steep, shallow = 1.0 / narrow + 1.0 / wide, 1.0 / narrow - 1.0 / wide
+        gap = abs(p.theta - q.theta)
+
+        def widths(drop):
             # past the other location's kink the slope flattens
             toward = np.maximum(drop / steep, gap + (drop - steep * gap) / shallow)
             away = drop / shallow
-            left, right = (away, toward) if p.theta + q.theta >= 2.0 * pivot else (toward, away)
-        return ("inside" if peaked else "outside"), pivot - left, pivot + right
+            return (away, toward) if p.theta + q.theta >= 2.0 * pivot else (toward, away)
 
-    @cached_property
-    def _extremum(self) -> tuple[bool, bool, float, float]:
-        """(equal scales, P narrower than Q, extremum of log r, log r there), continuous kinds.
+        return _around(log_r, pivot, peaked, widths)
 
-        With unequal scales log r is monotone on each side of its extremum,
-        a peak when P is narrower: quadratic for Gaussians, piecewise linear
-        for Laplace laws with the extremum at the narrower law's location.
-        Equal scales have no extremum, and nan as the last entry.  Cached.
-        """
-        p, q = self.p, self.q
-        if isinstance(p, Laplace):
-            same, peaked = p.lam == q.lam, p.lam < q.lam
-            pivot = p.theta if peaked else q.theta
-        else:
-            curv = 0.5 * (1.0 / q.sigma**2 - 1.0 / p.sigma**2)
-            same, peaked = p.sigma == q.sigma, p.sigma < q.sigma
-            pivot = (q.mu / q.sigma**2 - p.mu / p.sigma**2) / (2.0 * curv) if curv else math.nan
-        return same, peaked, pivot, (math.nan if same else float(self.log_ratio(pivot)))
 
-    def log_ratio_sup(self) -> float:
-        """Natural log of sup_u dP/dQ(u); may be +inf."""
-        p, q = self.p, self.q
-        if self.is_finite_kind:
-            return float(np.max(self.support_log_ratios()))
-        if self.is_identical:
-            return 0.0
-        same_scale, peaked, _, top = self._extremum
-        if same_scale:
-            return abs(p.theta - q.theta) / p.lam if isinstance(p, Laplace) else math.inf
-        return top if peaked else math.inf
+class _Ratio(NamedTuple):
+    """A pair's density ratio r = dP/dQ, from ``DistributionPair._ratio``."""
+
+    log: Callable[[np.ndarray], np.ndarray]  # log r on arrays
+    sup: float  # log sup r; may be +inf
+    level_set: Callable | None  # log c -> {r > c} as (shape, lo, hi); None for finite pairs
+
+
+def _around(log_r, pivot: float, peaked: bool, widths) -> _Ratio:
+    """A ratio monotone on each side of its extremum at ``pivot``, a peak or a trough.
+
+    ``widths(drop)``: how far left and right of ``pivot`` log r moves by ``drop``.
+    """
+    top = float(log_r(pivot))
+    shape = "inside" if peaked else "outside"
+
+    def level_set(log_c):
+        left, right = widths(np.maximum(top - log_c if peaked else log_c - top, 0.0))
+        return shape, pivot - left, pivot + right
+
+    return _Ratio(log_r, top if peaked else math.inf, level_set)
 
 
 def _log_interval_mass(d: Gaussian | Laplace, lo, hi):

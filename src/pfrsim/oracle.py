@@ -28,6 +28,7 @@ from .distributions import (
     renyi_divergence,
 )
 from .errors import DomainError, OrderError
+from .numerics import LOG2E
 from .pfr import IndexPmf, derive_stream, index_pmf, log_beta, sample_indices
 
 #: Matrix of distribution pairs exercised by the full suite.  Pairs with a
@@ -230,7 +231,10 @@ def verify_geometric_moment(
         tail = math.exp(log_next) / (1.0 - rho) if log_next > -745.0 else 0.0
     else:
         tail = math.inf
-    bound = 2.0 ** (r - 1.0) * (math.exp(math.lgamma(r + 1.0) - r * math.log(p)) + 1.0)
+    # the cap 2^(r-1) (Gamma(r+1)/p^r + 1); +inf where it passes the largest double, 2^1024
+    log_cap = math.lgamma(r + 1.0) - r * math.log(p)
+    fits = r - 1.0 + log_cap * LOG2E < 1024.0
+    bound = 2.0 ** (r - 1.0) * (math.exp(log_cap) + 1.0) if fits else math.inf
     return GeometricMomentReport(
         p=p, r=r, n_terms=n_terms, moment_sum=moment, tail_bound=tail, bound=bound
     )

@@ -8,10 +8,10 @@ Two samplers produce the transmitted index K with its accepted sample:
   iteration stops either exactly (bounded ratio) or once the expected
   number of future improvements falls below a caller-supplied ``delta``
   (unbounded ratio).  One loop runs it on a list of generators side by
-  side, with each pair's constants prepared once: ``run_pfr`` is its
-  one-generator case and returns one outcome, and ``run_pfr_many`` runs
-  it on the seeded streams ``derive_stream(root_seed, i)``, i < n, and
-  returns arrays.  Every stream makes the draws it makes alone.
+  side, reading r through the one closed form the pair holds: ``run_pfr``
+  is its one-generator case and returns one outcome, and ``run_pfr_many``
+  runs it on the seeded streams ``derive_stream(root_seed, i)``, i < n,
+  and returns arrays.  Every stream makes the draws it makes alone.
 * ``sample_indices`` draws n accepted samples from the target first and
   then each index from its conditional geometric law with success
   probability beta(u); the joint law matches the selection rule exactly
@@ -22,10 +22,10 @@ Two samplers produce the transmitted index K with its accepted sample:
   results do not depend on how many CPUs there are.
 
 ``index_pmf`` integrates the conditional geometric law against the
-target density on a cached quadrature grid, reporting the truncated pmf,
-the exact tail mass, and optional tail certificates (checkpoint
-probabilities plus moment bounds) that let downstream code bound
-power sums over the untruncated tail.
+target density on one quadrature grid shared by every k, reporting the
+truncated pmf, the exact tail mass, and optional tail certificates
+(checkpoint probabilities plus moment bounds) that let downstream code
+bound power sums over the untruncated tail.
 """
 
 from __future__ import annotations
@@ -37,12 +37,12 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .distributions import DistributionPair, Gaussian, renyi_divergence
+from .distributions import DistributionPair, renyi_divergence
 from .errors import (
     DomainError, IndexOverflowError, IterationCapError, NegativeTailError, NonConvergenceError
 )
@@ -340,19 +340,9 @@ def sample_indices(
     return k, u
 
 
-class _Rule(NamedTuple):
-    """A pair's selection rule for one delta, prepared by ``_selection_rule``."""
-
-    termination: str  # "exact" for a bounded ratio, else "approximate"
-    delta: float | None  # None when the stop is exact
-    log_rmax: float  # natural log of sup r
-    log_delta: float
-    log_ratio: Callable[[np.ndarray], np.ndarray]  # log r at samples of Q
-
-
 @lru_cache(maxsize=64)
-def _selection_rule(pair: DistributionPair, delta: float) -> _Rule:
-    """The selection rule's constants for one pair, prepared once.
+def _stop_delta(pair: DistributionPair, delta: float) -> float | None:
+    """The delta of the pair's stop test, or None where a bounded ratio stops exactly.
 
     Unbounded ratios without a finite E_Q[r^2] raise DomainError up front.
     Cached, because ``run_pfr`` draws once per call, and a loop of draws on
@@ -360,37 +350,14 @@ def _selection_rule(pair: DistributionPair, delta: float) -> _Rule:
     """
     if not delta > 0.0:
         raise DomainError("delta must be positive")
-    log_rmax = pair.log_ratio_sup()
-    if math.isfinite(log_rmax):
-        return _Rule("exact", None, log_rmax, math.log(delta), _prepared_log_ratio(pair))
+    if math.isfinite(pair.log_ratio_sup()):
+        return None
     if not math.isfinite(renyi_divergence(pair, 2.0)):
         raise DomainError(
             "unbounded density ratio with no finite ratio moment: "
             "no stopping rule applies (use sample_indices)"
         )
-    return _Rule("approximate", delta, log_rmax, math.log(delta), _prepared_log_ratio(pair))
-
-
-def _prepared_log_ratio(pair: DistributionPair) -> Callable[[np.ndarray], np.ndarray]:
-    """``pair.log_ratio`` in a few array operations, its constants computed once.
-
-    Its last bits may differ from those of ``pair.log_ratio``.  Finite
-    pairs gather from ``pair.support_log_ratios()``.
-    """
-    p, q = pair.p, pair.q
-    if pair.is_finite_kind:
-        return pair.support_log_ratios().take
-    if isinstance(p, Gaussian):  # a quadratic, linear for equal scales
-        a = 0.5 * (1.0 / q.sigma**2 - 1.0 / p.sigma**2)
-        b = p.mu / p.sigma**2 - q.mu / q.sigma**2
-        c = 0.5 * (q.mu**2 / q.sigma**2 - p.mu**2 / p.sigma**2) + math.log(q.sigma / p.sigma)
-        return (lambda u: b * u + c) if a == 0.0 else (lambda u: (a * u + b) * u + c)
-    if p.lam == q.lam:  # linear between the two locations, flat beyond them
-        mid, slope = 0.5 * (p.theta + q.theta), math.copysign(2.0 / p.lam, p.theta - q.theta)
-        bound = abs(p.theta - q.theta) / p.lam
-        return lambda u: np.minimum(np.maximum(slope * (u - mid), -bound), bound)
-    c = math.log(q.lam / p.lam)
-    return lambda u: np.abs(u - q.theta) / q.lam - np.abs(u - p.theta) / p.lam + c
+    return delta
 
 
 #: Streams that ``run_pfr_many`` runs side by side, and the most candidates
@@ -401,9 +368,9 @@ _BATCH_CANDIDATES = 64 * _BATCH_STREAMS
 
 
 def _select(
-    pair: DistributionPair, rule: _Rule, rngs: list[np.random.Generator], max_candidates: int
+    pair: DistributionPair, delta: float | None, rngs: list[np.random.Generator], max_candidates: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
-    """The selection rule on each generator of ``rngs``, side by side.
+    """The selection rule on each generator of ``rngs``, side by side; a None ``delta`` stops exactly.
 
     Yields (streams, index, accepted, candidates examined) as streams stop,
     ``streams`` being positions in ``rngs``; streams capped by
@@ -413,7 +380,7 @@ def _select(
     one array pass over the live streams, whose state is compacted when
     some stop.  The block size depends only on the block count.
     """
-    q = pair.q
+    q, log_rmax = pair.q, pair.log_ratio_sup()
     live = np.arange(len(rngs))
     # last arrival time and best candidate so far, set by the first block
     t_last = np.empty(live.size)
@@ -437,7 +404,7 @@ def _select(
             t_last[rows] = times[:, -1]
             us = q.transform(raw)
             scores = np.log(times, out=times)
-            scores -= rule.log_ratio(us)
+            scores -= pair.log_ratio(us)
             i = scores.argmin(axis=1)
             if m:  # a later candidate replaces the best only with a lower score
                 score = np.minimum.reduce(scores, axis=1)
@@ -455,13 +422,13 @@ def _select(
         m += b
         block = min(block * 2, 8192)
         log_t = np.log(t_last)
-        if rule.delta is None:
-            stop = log_t - rule.log_rmax >= best_score
+        if delta is None:
+            stop = log_t - log_rmax >= best_score
         else:
             # S P(r > c) - T Q(r > c) <= delta with c = T / S, tested as
             # S P <= delta + T Q in logs
             log_p, log_q = pair.superlevel_masses(log_t - best_score)
-            stop = best_score + log_p <= np.logaddexp(rule.log_delta, log_t + log_q)
+            stop = best_score + log_p <= np.logaddexp(math.log(delta), log_t + log_q)
         stopped = np.count_nonzero(stop)
         if stopped == live.size:
             yield live, best_index, best_u, m
@@ -494,11 +461,12 @@ def run_pfr(
     and reaching ``max_candidates`` raises IterationCapError.  This is the
     one-generator case of the loop ``run_pfr_many`` runs.
     """
-    rule = _selection_rule(pair, delta)
-    _, index, accepted, examined = next(_select(pair, rule, [rng], max_candidates))
+    delta = _stop_delta(pair, delta)
+    _, index, accepted, examined = next(_select(pair, delta, [rng], max_candidates))
     if index.item() == 0:
         raise IterationCapError(f"no stopping decision after {examined} candidates")
-    return PfrOutcome(index.item(), accepted.item(), examined, rule.termination, rule.delta)
+    termination = "exact" if delta is None else "approximate"
+    return PfrOutcome(index.item(), accepted.item(), examined, termination, delta)
 
 
 @dataclass(frozen=True)
@@ -539,15 +507,16 @@ def run_pfr_many(
     root_seed = operator.index(root_seed)
     if root_seed < 0:
         raise DomainError("root_seed must be >= 0")
-    rule = _selection_rule(pair, delta)
+    delta = _stop_delta(pair, delta)
     index = np.zeros(n, dtype=np.int64)
     accepted = np.zeros(n, dtype=np.int64 if pair.is_finite_kind else float)
     examined = np.zeros(n, dtype=np.int64)
     for start in range(0, n, _BATCH_STREAMS):
         rngs = _chunk_streams(root_seed, start, min(start + _BATCH_STREAMS, n))
-        for streams, *results in _select(pair, rule, rngs, max_candidates):
+        for streams, *results in _select(pair, delta, rngs, max_candidates):
             index[start + streams], accepted[start + streams], examined[start + streams] = results
-    return PfrBatch(index, accepted, examined, index == 0, rule.termination, rule.delta)
+    termination = "exact" if delta is None else "approximate"
+    return PfrBatch(index, accepted, examined, index == 0, termination, delta)
 
 
 def _certificate_checkpoints(n_max: int, ratio: float = 2.0**0.25, max_k: float = 1e12):

@@ -12,6 +12,7 @@ from pfrsim.distributions import (
     Finite,
     Gaussian,
     Laplace,
+    _log_interval_mass,
     kl_divergence,
     numeric_renyi_divergence,
     parse_distribution,
@@ -531,3 +532,171 @@ class TestRatioStructure:
             sup = pr.log_ratio_sup()
             xs = rng.uniform(-30, 30, 2000)
             assert float(np.max(pr.log_ratio(xs))) <= sup + 1e-9
+
+
+def _reference_extremum(pr):
+    """(equal scales, P narrower, extremum of log r, log r there), case by case.
+
+    With ``_reference_superlevel_set``, ``_reference_masses`` and
+    ``_reference_sup``, a reference for ``superlevel_masses`` and
+    ``log_ratio_sup`` that derives each shape again from the parameters
+    and reads log r only through ``pair.log_ratio``.
+    """
+    p, q = pr.p, pr.q
+    if isinstance(p, Laplace):
+        same, peaked = p.lam == q.lam, p.lam < q.lam
+        pivot = p.theta if peaked else q.theta
+    else:
+        curv = 0.5 * (1.0 / q.sigma**2 - 1.0 / p.sigma**2)
+        same, peaked = p.sigma == q.sigma, p.sigma < q.sigma
+        pivot = (q.mu / q.sigma**2 - p.mu / p.sigma**2) / (2.0 * curv) if curv else math.nan
+    return same, peaked, pivot, (math.nan if same else float(pr.log_ratio(pivot)))
+
+
+def _reference_superlevel_set(pr, log_c):
+    """{r > c} as (shape, lo, hi), worked out from the extremum for each kind."""
+    p, q = pr.p, pr.q
+    if p == q:
+        edge = np.where(np.asarray(log_c) < 0.0, math.inf, -math.inf)
+        return "below", edge, edge
+    same_scale, peaked, pivot, top = _reference_extremum(pr)
+    if same_scale:
+        if isinstance(p, Gaussian):
+            mid, slope = 0.5 * (p.mu + q.mu), (p.mu - q.mu) / p.sigma**2
+            offset = log_c / slope
+        else:
+            mid = 0.5 * (p.theta + q.theta)
+            slope = math.copysign(2.0 / p.lam, p.theta - q.theta)
+            bound = abs(p.theta - q.theta) / p.lam
+            with np.errstate(divide="ignore"):
+                offset = np.divide(log_c / slope, (log_c < bound) & (log_c >= -bound))
+        x = mid + offset
+        return ("below" if slope < 0.0 else "above"), x, x
+    drop = np.maximum(top - log_c if peaked else log_c - top, 0.0)
+    if isinstance(p, Gaussian):
+        curv = 0.5 * abs(1.0 / q.sigma**2 - 1.0 / p.sigma**2)
+        left = right = np.sqrt(drop / curv)
+    else:
+        narrow, wide = sorted((p.lam, q.lam))
+        steep, shallow = 1.0 / narrow + 1.0 / wide, 1.0 / narrow - 1.0 / wide
+        gap = abs(p.theta - q.theta)
+        toward = np.maximum(drop / steep, gap + (drop - steep * gap) / shallow)
+        away = drop / shallow
+        left, right = (away, toward) if p.theta + q.theta >= 2.0 * pivot else (toward, away)
+    return ("inside" if peaked else "outside"), pivot - left, pivot + right
+
+
+def _reference_masses(pr, log_c):
+    """(log P(r > c), log Q(r > c)) of a continuous pair from the set above."""
+    p, q = pr.p, pr.q
+    shape, lo, hi = _reference_superlevel_set(pr, log_c)
+    if shape == "below":
+        return p.log_cdf(hi), q.log_cdf(hi)
+    if shape == "above":
+        return p.log_sf(lo), q.log_sf(lo)
+    if shape == "inside":
+        return _log_interval_mass(p, lo, hi), _log_interval_mass(q, lo, hi)
+    return tuple(np.logaddexp(d.log_cdf(lo), d.log_sf(hi)) for d in (p, q))
+
+
+def _reference_sup(pr):
+    p, q = pr.p, pr.q
+    if p == q:
+        return 0.0
+    same_scale, peaked, _, top = _reference_extremum(pr)
+    if same_scale:
+        return abs(p.theta - q.theta) / p.lam if isinstance(p, Laplace) else math.inf
+    return top if peaked else math.inf
+
+
+#: One pair of each continuous shape of log r, with both orientations.
+CONTINUOUS_SHAPES = {
+    "identical_normal": pair(Gaussian(0.3, 1.5), Gaussian(0.3, 1.5)),
+    "identical_laplace": pair(Laplace(-1, 0.7), Laplace(-1, 0.7)),
+    "line_normal_falling": pair(Gaussian(0, 1), Gaussian(1, 1)),
+    "line_normal_rising": pair(Gaussian(5, 2), Gaussian(-3, 2)),
+    "line_laplace_falling": pair(Laplace(0, 1), Laplace(4, 1)),
+    "line_laplace_rising": pair(Laplace(2, 0.5), Laplace(-1, 0.5)),
+    "quadratic_normal_peak": pair(Gaussian(0, 1), Gaussian(0.5, 1.6)),
+    "quadratic_normal_trough": pair(Gaussian(0, 1.2), Gaussian(0.3, 1)),
+    "kinks_laplace_peak_other_right": pair(Laplace(0, 1), Laplace(0.5, 2)),
+    "kinks_laplace_peak_other_left": pair(Laplace(3, 1), Laplace(-2, 3)),
+    "kinks_laplace_trough_other_right": pair(Laplace(1, 2), Laplace(0, 1)),
+    "kinks_laplace_trough_other_left": pair(Laplace(-4, 5), Laplace(1, 0.5)),
+}
+
+
+class TestRatioPinned:
+    @pytest.mark.parametrize("name", sorted(CONTINUOUS_SHAPES))
+    def test_level_sets_match_reference(self, name):
+        # the pair's one closed form gives, bit for bit, the masses and the
+        # sup that the case-by-case reference gives from the same log r
+        pr = CONTINUOUS_SHAPES[name]
+        sup = pr.log_ratio_sup()
+        assert sup == _reference_sup(pr)
+        # +-bound (sup of a bounded ratio), the extremum, +-inf and their neighbours
+        top = _reference_extremum(pr)[3]
+        special = [x for x in (0.0, sup, -sup, top, math.inf, -math.inf) if not math.isnan(x)]
+        near = [np.nextafter(x, d) for x in special for d in (-math.inf, math.inf)]
+        spread = np.random.default_rng(5).normal(0.0, 3.0, 10**4 - len(special) - len(near))
+        levels = np.concatenate([special, near, spread])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = pr.superlevel_masses(levels)
+            want = _reference_masses(pr, levels)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+
+
+def _mp_log_density(d, u):
+    """log density of a Gaussian or Laplace law at u, in mpmath."""
+    u = mpmath.mpf(u)
+    if isinstance(d, Gaussian):
+        mu, s = mpmath.mpf(d.mu), mpmath.mpf(d.sigma)
+        return -((u - mu) ** 2) / (2 * s**2) - mpmath.log(s) - mpmath.log(2 * mpmath.pi) / 2
+    theta, lam = mpmath.mpf(d.theta), mpmath.mpf(d.lam)
+    return -abs(u - theta) / lam - mpmath.log(2 * lam)
+
+
+#: (pair, probes): each shape with its locations, kinks and extremum.
+LOG_RATIO_SHAPES = {
+    "identical_normal": (pair(Gaussian(0.3, 1.5), Gaussian(0.3, 1.5)), [0.3]),
+    "identical_laplace": (pair(Laplace(-1, 0.7), Laplace(-1, 0.7)), [-1.0]),
+    "line_normal": (pair(Gaussian(0, 1), Gaussian(5, 1)), [0.0, 2.5, 5.0]),
+    "line_laplace": (pair(Laplace(0, 1), Laplace(5, 1)), [0.0, 2.5, 5.0]),
+    "quadratic_normal_peak": (pair(Gaussian(0, 1), Gaussian(0.5, 1.6)), [0.0, 0.5]),
+    "quadratic_normal_trough": (pair(Gaussian(0, 1.2), Gaussian(0.3, 1)), [0.0, 0.3]),
+    "kinks_laplace_peak": (pair(Laplace(0, 1), Laplace(0.5, 2)), [0.0, 0.5]),
+    "kinks_laplace_trough": (pair(Laplace(1, 2), Laplace(0, 1)), [0.0, 1.0]),
+}
+
+
+class TestLogRatioAccuracy:
+    @pytest.mark.parametrize("name", sorted(LOG_RATIO_SHAPES))
+    def test_against_40_digits(self, name):
+        # log r against log p - log q in 40 digits, within 4 ulp of
+        # |log p| + |log q| + 1, between, at and beyond the locations
+        pr, probes = LOG_RATIO_SHAPES[name]
+        extremum = _reference_extremum(pr)[2]  # nan for a line
+        mags = 10.0 ** np.arange(-3, 5)  # |u| up to 1e4
+        us = np.concatenate([probes, [extremum], mags, -mags, np.linspace(-12.0, 17.0, 59)])
+        us = us[~np.isnan(us)]
+        got = pr.log_ratio(us)
+        with mpmath.workdps(40):
+            for u, g in zip(us, got):
+                lp, lq = _mp_log_density(pr.p, u), _mp_log_density(pr.q, u)
+                scale = abs(float(lp)) + abs(float(lq)) + 1.0
+                err = abs(mpmath.mpf(float(g)) - (lp - lq))
+                assert float(err) <= 4.0 * np.spacing(scale), (u, g, float(lp - lq))
+
+    def test_finite_against_40_digits(self):
+        pr = pair(Finite((0.5, 0.0, 0.3, 0.2)), Finite((0.2, 0.3, 0.1, 0.4)))
+        got = pr.log_ratio(np.arange(4))
+        with mpmath.workdps(40):
+            for i, g in enumerate(got):
+                lp = mpmath.log(pr.p.probs[i]) if pr.p.probs[i] else -mpmath.inf
+                lq = mpmath.log(pr.q.probs[i])
+                if lp == -mpmath.inf:
+                    assert g == -math.inf
+                    continue
+                scale = abs(float(lp)) + abs(float(lq)) + 1.0
+                assert float(abs(mpmath.mpf(float(g)) - (lp - lq))) <= 4.0 * np.spacing(scale)

@@ -194,6 +194,15 @@ class TestGeometricMoment:
         if p == 1e-4:
             assert tail > 0.0
 
+    @pytest.mark.parametrize("p,r", [(1e-100, 4.0), (1e-200, 4.0), (1e-310, 1.0)])
+    def test_overflowing_cap_is_infinite(self, p, r):
+        # Gamma(r+1)/p^r exceeds the double range: the cap is +inf, as other
+        # divergent bounds are, and the check passes
+        rep = verify_geometric_moment(p, r)
+        assert rep.bound == math.inf
+        assert math.isfinite(rep.moment_sum)
+        assert rep.passed
+
     def test_peak_memory(self):
         # the full 10**6-term sum peaked at 22.9 MiB
         assert _peak_bytes(lambda: verify_geometric_moment(0.1, 3.0)) < MiB

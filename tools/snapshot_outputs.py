@@ -18,8 +18,9 @@ directory at OUTDIR, so every output lands there under a relative name:
   (non-monotone Gaussian and Laplace ratios, a finite pair with a point P
   never hits) and 2,000 exact rows on the last two, at seeds 0, 1 and 2;
 * 100,003 exact rows at seed 0 on Laplace(0,1)|Laplace(1,1), on the two
-  non-monotone pairs and on the finite pair, several blocks of the exact
-  sampler each;
+  non-monotone pairs, on the finite pair and on N(0,1)|N(5,1), several
+  blocks of the exact sampler each; the last is the one command whose
+  indices pass 2**40, where one ulp of beta can move an index by a unit;
 * the first of those (selection rule, delta 1e-8) at the multi-word seeds
   2**64 + 1 and 2**130 + 7, whose streams take longer seed hashes.
 
@@ -68,6 +69,7 @@ EXACT_BLOCKS = (
     ("exact_blocks_nonmonotone_normal", NONMONOTONE_NORMAL),
     ("exact_blocks_nonmonotone_laplace", NONMONOTONE_LAPLACE),
     ("exact_blocks_finite", FINITE),
+    ("exact_blocks_heavy", ("normal:0,1", "normal:5,1")),
 )
 
 #: Seeds of three and five 32-bit words, for the selection rule.
