@@ -195,18 +195,20 @@ def divergence(p_spec, q_spec, orders, numeric, out, quad):
     pair = _parse_pair(p_spec, q_spec)
     lines = ["order,bits" + (",numeric_bits" if numeric else "")]
     for order in orders:
+        # the shortest text that reads back as this order: 1 + 1e-12 is not 1
+        label = repr(order).removesuffix(".0")
         try:
             val = renyi_divergence(pair, order)
         except PfrsimError as exc:
             raise click.UsageError(str(exc))
-        row = f"{order:g},{bounds_mod.format_cell(val)}"
+        row = f"{label},{bounds_mod.format_cell(val)}"
         if numeric:
             # a divergent order has no finite integral to check: inf stays
             if not math.isinf(val):
                 try:
                     val = numeric_renyi_divergence(pair, order, quad)
                 except PfrsimError as exc:
-                    raise click.UsageError(f"numeric divergence at order {order:g}: {exc}")
+                    raise click.UsageError(f"numeric divergence at order {label}: {exc}")
             row += f",{bounds_mod.format_cell(val)}"
         lines.append(row)
     text = "\n".join(lines) + "\n"

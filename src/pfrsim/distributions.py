@@ -16,12 +16,29 @@ from functools import cached_property
 from typing import Callable, NamedTuple, Union
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
 
 from .errors import AbsoluteContinuityError, DomainError, OrderError, UnsupportedKindError
 from .numerics import LN2, QuadratureSpec, integrate
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+class _Special:
+    """Stands in for scipy.special until first used, then binds it in its place.
+
+    Python's import lock makes a thread that arrives during another's
+    import wait for it, so the blocks of the exact sampler may race here.
+    """
+
+    def __getattr__(self, name: str):
+        global _special
+        import scipy.special
+
+        _special = scipy.special
+        return getattr(scipy.special, name)
+
+
+_special = _Special()
 
 
 class _Law:
@@ -62,13 +79,13 @@ class Gaussian(_Law):
         return -0.5 * z * z - math.log(self.sigma) - _HALF_LOG_2PI
 
     def cdf(self, u):
-        return ndtr((np.asarray(u, dtype=float) - self.mu) / self.sigma)
+        return _special.ndtr((np.asarray(u, dtype=float) - self.mu) / self.sigma)
 
     def log_cdf(self, u):
-        return log_ndtr((np.asarray(u, dtype=float) - self.mu) / self.sigma)
+        return _special.log_ndtr((np.asarray(u, dtype=float) - self.mu) / self.sigma)
 
     def log_sf(self, u):
-        return log_ndtr((self.mu - np.asarray(u, dtype=float)) / self.sigma)
+        return _special.log_ndtr((self.mu - np.asarray(u, dtype=float)) / self.sigma)
 
     @staticmethod
     def raw(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
@@ -470,23 +487,31 @@ def renyi_divergence(pair: DistributionPair, order):
 def numeric_renyi_divergence(
     pair: DistributionPair, order: float, spec: QuadratureSpec | None = None
 ) -> float:
-    """D_order(P||Q) in bits by quadrature of p**order * q**(1 - order).
+    """D_order(P||Q) in bits by quadrature.
 
     An independent reference for the continuous closed forms of
     ``renyi_divergence``, which it returns as they are for finite pairs
-    and at order 1.  Where the closed form is +inf the integral diverges,
-    and the quadrature raises a PfrsimError.
+    and at order 1.  The integral of p**order * q**(1 - order) is
+    1 + (order - 1) I, with I the integral of p expm1(t) / (order - 1) at
+    t = (order - 1) log r, a term of the size of the KL integrand; so
+    log1p((order - 1) I) / (order - 1) keeps its precision as the order
+    nears 1, where the log of the first integral would lose it.  Where the
+    closed form is +inf the integral diverges, and the quadrature raises a
+    PfrsimError.
     """
     if pair.is_finite_kind or not (0.0 < order < math.inf and order != 1.0):
         return renyi_divergence(pair, order)  # the closed form, or its OrderError
-    a = float(order)
-    p, q = pair.p, pair.q
+    a1 = float(order) - 1.0
 
     def integrand(x: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):  # inf raises NonFiniteError
-            return np.exp(a * p.log_density(x) + (1.0 - a) * q.log_density(x))
+        t = a1 * pair.log_ratio(x)
+        # p |expm1(t)| as one exp of log p + log|expm1(t)|, the latter as
+        # max(t, 0) + log(1 - e^-|t|): no 0 * inf where p underflows
+        with np.errstate(over="ignore", divide="ignore"):  # inf raises NonFiniteError
+            log_size = pair.p.log_density(x) + np.maximum(t, 0.0) + np.log(-np.expm1(-np.abs(t)))
+            return np.sign(t) * np.exp(log_size) / a1
 
-    return math.log(integrate(integrand, spec)) / ((a - 1.0) * LN2)
+    return math.log1p(a1 * integrate(integrand, spec)) / (a1 * LN2)
 
 
 def kl_divergence(pair: DistributionPair) -> float:

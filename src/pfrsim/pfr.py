@@ -34,7 +34,6 @@ import itertools
 import math
 import operator
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterator
@@ -257,6 +256,8 @@ def _pool() -> tuple[ThreadPoolExecutor | None, int]:
         helpers = (os.cpu_count() or 1) - 1
     if helpers < 1:
         return None, 0
+    from concurrent.futures import ThreadPoolExecutor  # ~7 ms to import (logging among it)
+
     return ThreadPoolExecutor(helpers, thread_name_prefix="pfrsim-block"), helpers
 
 

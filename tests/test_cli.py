@@ -67,6 +67,27 @@ class TestDivergenceCommand:
         assert "after 2000 panels" in res.output
         assert res.exception is None or isinstance(res.exception, SystemExit)
 
+    def test_order_labels_read_back(self):
+        # each row names its order in the shortest text that reads back as
+        # it; 1 + 1e-12, 1 - 1e-7 and 1 no longer all print as "1"
+        orders = ("1.000000000001", "0.9999999", "1", "2", "1.5", "0.5", "1e-05")
+        args = [a for o in orders for a in ("--order", o)]
+        res = run("divergence", "laplace:0,1", "laplace:0.5,2", *args, "--numeric")
+        assert res.exit_code == 0, res.output
+        _, rows = parse_csv(res.output)
+        assert [row[0] for row in rows] == list(orders)
+        assert [float(row[0]) for row in rows] == [float(o) for o in orders]
+        # near order 1 the quadrature column is the KL divergence, 0.3555 bits
+        assert float(rows[0][2]) == pytest.approx(0.355498108, abs=1e-8)
+
+    def test_order_label_in_numeric_error(self):
+        res = run(
+            "divergence", "normal:0,1", "normal:1,1", "--order", "1.000000000001",
+            "--numeric", "--quad-tol", "1e-300",
+        )
+        assert res.exit_code == 2
+        assert "numeric divergence at order 1.000000000001:" in res.output
+
     def test_parse_error_exits_2(self):
         res = run("divergence", "normal:0", "normal:1,1", "--order", "2")
         assert res.exit_code == 2
