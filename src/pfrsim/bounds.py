@@ -4,7 +4,8 @@ Two lower bounds hold for any sampling algorithm over shared randomness,
 two upper bounds are achieved by the Poisson-process selection rule with
 suitable integer codes.  All values are in bits, parameterized by the
 entropy order alpha in (0, 1) (equivalently t = (1 - alpha) / alpha).
-Upper bounds carry a slack parameter epsilon that callers optimize out.
+Upper bounds carry a slack parameter epsilon that ``optimize_ub``
+optimizes out: ub1's by a search, ub2's as its closed-form minimizer.
 Every bound broadcasts over arrays of alpha and epsilon, so a sweep
 optimizes epsilon for all its orders at once.  Their logarithms are numpy
 ufuncs, which give a value the same bits alone as inside an array, so
@@ -23,7 +24,7 @@ from .distributions import DistributionPair, Laplace, kl_divergence, renyi_diver
 from .errors import AbsoluteContinuityError, EpsilonRangeError, OrderError
 from .numerics import LN2, LOG2E, log_gamma, minimize_scalar, open_text
 
-#: The epsilon window (lo, hi) that ``optimize_ub`` searches.
+#: The epsilon window (lo, hi) that ``optimize_ub`` searches for ub1.
 _EPS_WINDOW = (1e-4, 50.0)
 
 
@@ -149,43 +150,36 @@ def ub2(pair: DistributionPair, alpha, epsilon):
         ceiling = f"{eps_max:.6g}" if np.ndim(eps_max) == 0 else "ub2_epsilon_max(alpha)"
         raise EpsilonRangeError(f"epsilon must lie in (0, {ceiling}], got {epsilon}")
     d = renyi_divergence(pair, (2.0 - alpha) / alpha)
-    return _ub2(d, kl_divergence(pair), epsilon)
-
-
-def _ub2(d, kl: float, epsilon):
-    """ub2 from D_{(2-alpha)/alpha}(P||Q) and the KL divergence, both in bits."""
-    return d + (1.0 + epsilon) * math.log2(kl + 1.0) + c2(epsilon)
+    return d + (1.0 + epsilon) * math.log2(kl_divergence(pair) + 1.0) + c2(epsilon)
 
 
 def optimize_ub(pair: DistributionPair, alpha, which: str = "ub1"):
     """Minimize an upper bound over its admissible epsilon range.
 
-    ``alpha`` is a float, or a 1-D array of orders: each order is one row
-    of one ``minimize_scalar`` search, and its result is the one a float
-    order gives.  Returns (epsilon, value), floats for a float alpha and
-    arrays shaped like alpha otherwise; a value may be +inf when every
-    admissible epsilon hits an infinite divergence.  Every row searches
-    the window [1e-4, 50], capped for ub2 at ``ub2_epsilon_max``.
+    ``alpha`` is a float, or a 1-D array of orders, each with the result a
+    float order gives.  Returns (epsilon, value), floats for a float alpha
+    and arrays shaped like alpha otherwise; a value may be +inf when every
+    admissible epsilon hits an infinite divergence.  ub1's epsilon is
+    searched, each order one row of one ``minimize_scalar`` call over
+    [1e-4, 50].  ub2 depends on epsilon only through the convex
+    (1 + eps) log2(KL + 1) + c2(eps), so its epsilon is that term's
+    closed-form minimizer, capped at ``ub2_epsilon_max``.
     """
     orders = np.asarray(alpha, dtype=float)
-    column = orders.reshape(-1, 1)
-    lo, hi = _EPS_WINDOW
-    # orders are checked here and epsilons by the window, not on each probe
     if which == "ub1":
-        _check_alpha(orders)
-        objective = lambda e: _ub1(pair, column, e)
-    elif which == "ub2":
-        hi = np.minimum(hi, ub2_epsilon_max(orders))
-        lo = np.minimum(lo, hi / 2.0)
-        # neither divergence depends on epsilon
-        d = renyi_divergence(pair, (2.0 - column) / column)
-        kl = kl_divergence(pair)
-        objective = lambda e: _ub2(d, kl, e)
-    else:
+        _check_alpha(orders)  # epsilons are checked by the window, not on each probe
+        column = orders.reshape(-1, 1)
+        lo, hi = (np.broadcast_to(x, orders.shape) for x in _EPS_WINDOW)
+        return minimize_scalar(lambda e: _ub1(pair, column, e), lo, hi)
+    if which != "ub2":
         raise ValueError(f"unknown bound {which!r}")
-    return minimize_scalar(
-        objective, np.broadcast_to(lo, orders.shape), np.broadcast_to(hi, orders.shape)
-    )
+    # the term's derivative A - 1 / (eps ln 2 + 1.5 eps^2), A = log2(KL + 1) + 1,
+    # vanishes at (sqrt(ln^2 2 + 6/A) - ln 2) / 3, here rationalized
+    slope = math.log2(kl_divergence(pair) + 1.0) + 1.0
+    root = 2.0 / (slope * (LN2 + math.sqrt(LN2 * LN2 + 6.0 / slope)))
+    eps = np.minimum(root, ub2_epsilon_max(orders))
+    value = ub2(pair, orders, eps)
+    return (float(eps), float(value)) if orders.ndim == 0 else (eps, value)
 
 
 @dataclass(frozen=True)
@@ -216,11 +210,11 @@ class BoundSet:
 def sweep(pair: DistributionPair, alpha_grid: Iterable[float]) -> list[BoundSet]:
     """Evaluate every bound on a grid of orders, epsilon-optimized per row.
 
-    Each bound is evaluated on the whole grid at once, and each upper
-    bound's epsilon searches run together: one ``optimize_ub`` call for
-    ub1 and one for ub2 on the orders where it is defined, those with
-    3 alpha - 2 > 0; the other rows get no ub2.  A row whose upper bound
-    is +inf gets no epsilon for it, since every epsilon gave +inf.
+    Each bound is evaluated on the whole grid at once: one ``optimize_ub``
+    call for ub1, whose epsilon searches run together, and one for ub2 on
+    the orders where it is defined, those with 3 alpha - 2 > 0; the other
+    rows get no ub2.  A row whose upper bound is +inf gets no epsilon for
+    it, since every epsilon gave +inf.
     """
     alphas = np.array(sorted(float(a) for a in alpha_grid))
     if not alphas.size:
@@ -229,11 +223,9 @@ def sweep(pair: DistributionPair, alpha_grid: Iterable[float]) -> list[BoundSet]
     e1 = np.where(np.isinf(v1), None, e1)
     # the orders where ub2 is defined are the tail of the sorted grid
     split = alphas.size - int(np.count_nonzero(_ub2_defined(alphas)))
-    e2 = v2 = [None] * split
-    if split < alphas.size:
-        high_e, high_v = optimize_ub(pair, alphas[split:], "ub2")
-        high_e = np.where(np.isinf(high_v), None, high_e)
-        e2, v2 = e2 + high_e.tolist(), v2 + high_v.tolist()
+    e2, v2 = optimize_ub(pair, alphas[split:], "ub2")
+    e2 = [None] * split + np.where(np.isinf(v2), None, e2).tolist()
+    v2 = [None] * split + v2.tolist()
     columns = zip(
         alphas.tolist(),
         lb1(pair, alphas).tolist(),

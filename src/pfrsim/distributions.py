@@ -368,13 +368,16 @@ def _log_interval_mass(d: Gaussian | Laplace, lo, hi):
 
 
 def _gaussian_renyi_nats(p: Gaussian, q: Gaussian, a: np.ndarray) -> np.ndarray:
-    s2 = a * q.sigma**2 + (1.0 - a) * p.sigma**2
+    # s^2 = a sq^2 + (1 - a) sp^2 = sq^2 (1 + x): log(sq^2 / s^2) as -log1p(x)
+    # keeps its precision as the order nears 1, where x vanishes
+    x = (1.0 - a) * ((p.sigma / q.sigma) ** 2 - 1.0)
+    s2 = 1.0 + x  # s^2 / sq^2
     infinite = s2 <= 0.0
-    s2[infinite] = 1.0
+    x[infinite], s2[infinite] = 0.0, 1.0
     d = (
         math.log(q.sigma / p.sigma)
-        + np.log(q.sigma**2 / s2) / (2.0 * (a - 1.0))
-        + 0.5 * a * (p.mu - q.mu) ** 2 / s2
+        - np.log1p(x) / (2.0 * (a - 1.0))
+        + (0.5 * (p.mu - q.mu) ** 2 / q.sigma**2) * a / s2
     )
     d[infinite] = math.inf
     return d
@@ -406,41 +409,19 @@ def _laplace_renyi_nats(p: Laplace, q: Laplace, a: np.ndarray) -> np.ndarray:
     dtheta = abs(p.theta - q.theta)
     # orders with a * l2 + (1 - a) * l1 <= 0 keep the infinite value
     finite = a * l2 + (1.0 - a) * l1 > 0.0
-    # the ratio below is 0/0 at the removable singularity l1 / (l1 + l2)
-    # and loses about 1e-16 / |a - l1 / (l1 + l2)| of its relative
-    # precision near it; there, it is written without the cancelling
-    # difference, which is exact to ~1e-15 (checked against 30-digit
-    # quadrature in the tests)
-    near = np.abs(a - l1 / (l1 + l2)) < 1e-4
-    ratio = np.empty(a.shape)
-    if np.count_nonzero(near):
-        ratio[near] = _laplace_ratio_near_singular(l1, l2, dtheta, a[near])
-    regular = finite & ~near
-    b = a[regular]
-    g = (b / l1) * np.exp(-(1.0 - b) * dtheta / l2) - ((1.0 - b) / l2) * np.exp(
-        -b * dtheta / l1
-    )
-    ratio[regular] = l1 * l2**2 * g / (b**2 * l2**2 - (1.0 - b) ** 2 * l1**2)
-    log_ratio = np.log(ratio[finite])
-    out[finite] = math.log(l2 / l1) + log_ratio / (a[finite] - 1.0)
+    b = a[finite]
+    # the integral of p^b q^(1-b) is (l2 / l1)^(b-1) h / (b + (1 - b) l1 / l2),
+    # where h = (r e^-s - s e^-r) / (r - s) with r = b dtheta / l1 and
+    # s = (1 - b) dtheta / l2.  h is symmetric in r and s; written as
+    # e^-m (1 + m (1 - e^-d) / d), m = min(r, s) and d = |r - s|, it neither
+    # overflows at any order nor cancels near order 1, and it is e^-m (1 + m)
+    # at r = s, the removable singularity b = l1 / (l1 + l2)
+    r, s = b * dtheta / l1, (1.0 - b) * dtheta / l2
+    m, d = np.minimum(r, s), np.abs(r - s)
+    damp = np.divide(-np.expm1(-d), d, out=np.ones_like(d), where=d != 0.0)
+    log_ratio = np.log1p(m * damp) - m - np.log1p((1.0 - b) * (l1 / l2 - 1.0))
+    out[finite] = math.log(l2 / l1) + log_ratio / (b - 1.0)
     return out
-
-
-def _laplace_ratio_near_singular(
-    l1: float, l2: float, dtheta: float, b: np.ndarray
-) -> np.ndarray:
-    """The unequal-scale Laplace ratio near b = l1 / (l1 + l2), without cancellation.
-
-    With x = b (l1 + l2) - l1, which vanishes there, and y = dtheta x / (l1 l2),
-    the ratio is l2 e^(-s) (1 + s (1 - e^(-y)) / y) / (b l2 + (1 - b) l1) with
-    s = (1 - b) dtheta / l2.  At x = 0 it is the limit
-    e^(-s) (1 + s) (l1 + l2) / (2 l1), with s = dtheta / (l1 + l2).
-    """
-    s = (1.0 - b) * dtheta / l2
-    y = dtheta * (b * (l1 + l2) - l1) / (l1 * l2)
-    # (1 - e^(-y)) / y, which is 1 at y = 0
-    damp = np.divide(-np.expm1(-y), y, out=np.ones_like(y), where=y != 0.0)
-    return l2 * np.exp(-s) * (1.0 + s * damp) / (b * l2 + (1.0 - b) * l1)
 
 
 def _finite_renyi_nats(p: Finite, q: Finite, a: np.ndarray) -> np.ndarray:

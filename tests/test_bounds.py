@@ -19,7 +19,7 @@ from pfrsim.bounds import (
     ub2,
     ub2_epsilon_max,
 )
-from pfrsim.distributions import DistributionPair, Finite, Gaussian, Laplace
+from pfrsim.distributions import DistributionPair, Finite, Gaussian, Laplace, kl_divergence
 from pfrsim.errors import AbsoluteContinuityError, EpsilonRangeError, OrderError
 
 LN2 = math.log(2.0)
@@ -182,6 +182,56 @@ class TestOptimization:
     def test_unknown_bound_rejected(self):
         with pytest.raises(ValueError):
             optimize_ub(NEAR, 0.9, "ub3")
+
+
+# the six golden pairs and two with a non-monotone ratio
+SCAN_PAIRS = {
+    "N(0,1)|N(1,1)": DistributionPair(Gaussian(0, 1), Gaussian(1, 1)),
+    "N(0,1)|N(5,1)": DistributionPair(Gaussian(0, 1), Gaussian(5, 1)),
+    "N(0,1)|N(10,1)": DistributionPair(Gaussian(0, 1), Gaussian(10, 1)),
+    "L(0,1)|L(1,1)": DistributionPair(Laplace(0, 1), Laplace(1, 1)),
+    "L(0,1)|L(5,1)": DistributionPair(Laplace(0, 1), Laplace(5, 1)),
+    "L(0,1)|L(10,1)": DistributionPair(Laplace(0, 1), Laplace(10, 1)),
+    "L(0,1)|L(0.5,2)": DistributionPair(Laplace(0, 1), Laplace(0.5, 2)),
+    "N(0,1)|N(0.5,1.6)": DistributionPair(Gaussian(0, 1), Gaussian(0.5, 1.6)),
+}
+
+
+class TestUb2ClosedFormEpsilon:
+    """ub2's epsilon is the closed-form minimizer, capped at ``ub2_epsilon_max``."""
+
+    ORDERS = np.linspace(0.667, 0.995, 12)
+
+    @pytest.mark.parametrize("name", SCAN_PAIRS)
+    def test_no_worse_than_a_dense_scan(self, name):
+        pr = SCAN_PAIRS[name]
+        eps, vals = optimize_ub(pr, self.ORDERS, "ub2")
+        slope = math.log2(kl_divergence(pr) + 1.0) + 1.0
+        root = (math.sqrt(LN2**2 + 6.0 / slope) - LN2) / 3.0
+        for a, e, v in zip(self.ORDERS.tolist(), eps.tolist(), vals.tolist()):
+            cap = ub2_epsilon_max(a)
+            assert e == pytest.approx(min(root, cap), rel=1e-12)
+            # a geometric scan up to the cap, then a second one between the
+            # neighbours of its best point; ub2 is convex in epsilon
+            grid = np.geomspace(min(1e-6, cap / 2.0), cap, 10_001)
+            scan = ub2(pr, a, grid)
+            i = int(np.argmin(scan))
+            fine = np.geomspace(grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)], 10_001)
+            fine_scan = ub2(pr, a, fine)
+            assert v <= min(scan.min(), fine_scan.min()) + 1e-9
+            if root < cap:
+                assert abs(e - fine[np.argmin(fine_scan)]) <= 1e-6
+
+    def test_never_searches(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ub2 searched for its epsilon")
+
+        monkeypatch.setattr("pfrsim.bounds.minimize_scalar", refuse)
+        for pr in SCAN_PAIRS.values():
+            optimize_ub(pr, self.ORDERS, "ub2")
+            optimize_ub(pr, 0.9, "ub2")
+        with pytest.raises(AssertionError):
+            optimize_ub(NEAR, 0.9, "ub1")
 
 
 BATCH_PAIRS = [

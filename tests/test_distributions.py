@@ -187,17 +187,37 @@ class TestRenyiDivergence:
                     renyi_divergence(pr, order)
 
     def test_finite_large_orders_stay_below_the_max_ratio(self):
-        # every D_a is at most log2 max p/q = log2 70; the terms p**a q**(1-a)
-        # overflow long before the orders of the ub1 epsilon search (~970)
-        pr = pair(Finite((0.3, 0.7)), Finite((0.99, 0.01)))
-        orders = np.array([0.5, 2.0, 10.0, 300.0, 970.0, 1000.0, 1e4])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            vals = renyi_divergence(pr, orders)
-        assert np.all(np.isfinite(vals))
-        assert np.all(np.diff(vals) >= 0.0)
-        assert np.all(vals <= math.log2(70.0))
-        assert vals[-1] == pytest.approx(math.log2(70.0), abs=1e-3)
+        # every D_a is at most log2 sup r.  Finite: sup r = 70, and the terms
+        # p**a q**(1-a) overflow long before the orders of the ub1 epsilon
+        # search (~970).  Unequal-scale Laplace: log sup r = log 2 + 0.25 at
+        # the narrower law's location, and the closed form's exponentials
+        # overflow from order ~1.4e3 on
+        cases = (
+            (
+                pair(Finite((0.3, 0.7)), Finite((0.99, 0.01))),
+                [0.5, 2.0, 10.0, 300.0, 970.0, 1000.0, 1e4],
+                math.log2(70.0),
+            ),
+            (
+                pair(Laplace(0, 1), Laplace(0.5, 2)),
+                [0.5, 2.0, 10.0, 300.0, 2e3, 1e4, 1e6, 3e20, 1e100, 1e300],
+                (math.log(2.0) + 0.25) / LN2,
+            ),
+        )
+        for pr, orders, sup in cases:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                vals = renyi_divergence(pr, np.array(orders))
+            assert np.all(np.isfinite(vals))
+            assert np.all(np.diff(vals) >= 0.0)
+            assert np.all(vals <= sup)
+            assert vals[-1] == pytest.approx(sup, abs=1e-3)
+
+    def test_laplace_large_orders_match_reference(self):
+        pr = pair(Laplace(0, 1), Laplace(0.5, 2))
+        for order in (2e3, 1e4, 1e6):
+            expect = _laplace_reference(pr.p, pr.q, order)
+            assert renyi_divergence(pr, order) == pytest.approx(expect, rel=1e-13), order
 
     def test_numeric_reference_is_the_closed_form_where_exact(self):
         # finite pairs are exact sums, and order 1 is the KL closed form
@@ -348,6 +368,60 @@ class TestNumericNearOrderOne:
         for order in (1.0 + 10.0**-j, 1.0 - 10.0**-j):
             expect = reference(pr.p, pr.q, order, dps=40)
             assert numeric_renyi_divergence(pr, order) == pytest.approx(expect, rel=0, abs=1e-8)
+
+
+class TestClosedFormNearOrderOne:
+    """The Gaussian and unequal-scale Laplace closed forms keep their
+    precision as the order nears 1.
+
+    Written with log(integral) / (a - 1), they lost ~1e-16 / |a - 1|: at
+    order 1 + 1e-12 they were off by 8e-5 bits on N(0,2)|N(0,1) and 3e-5 on
+    Laplace(0,1)|Laplace(0.5,2).
+    """
+
+    PAIRS = {
+        "gauss_nonmonotone": pair(Gaussian(0, 1), Gaussian(0.5, 1.6)),
+        "gauss_scale": pair(Gaussian(0, 2), Gaussian(0, 1)),
+        "laplace_nonmonotone": pair(Laplace(0, 1), Laplace(0.5, 2)),
+    }
+
+    @staticmethod
+    def reference(p, q, order):
+        """The textbook closed form, in 40-digit arithmetic from the float inputs."""
+        with mpmath.workdps(40):
+            a = mpmath.mpf(order)
+            if isinstance(p, Gaussian):
+                var_p, var_q = mpmath.mpf(p.sigma) ** 2, mpmath.mpf(q.sigma) ** 2
+                s2 = a * var_q + (1 - a) * var_p
+                nats = (
+                    mpmath.log(mpmath.mpf(q.sigma) / p.sigma)
+                    + mpmath.log(var_q / s2) / (2 * (a - 1))
+                    + a * (mpmath.mpf(p.mu) - q.mu) ** 2 / (2 * s2)
+                )
+                return float(nats / mpmath.log(2))
+            l1, l2 = mpmath.mpf(p.lam), mpmath.mpf(q.lam)
+            dtheta = abs(mpmath.mpf(p.theta) - q.theta)
+            g = (a / l1) * mpmath.exp(-(1 - a) * dtheta / l2) - ((1 - a) / l2) * mpmath.exp(
+                -a * dtheta / l1
+            )
+            ratio = l1 * l2**2 * g / (a**2 * l2**2 - (1 - a) ** 2 * l1**2)
+            return float(mpmath.log(l2 / l1, 2)) + _bits(ratio, a)
+
+    @pytest.mark.parametrize("j", range(3, 13))
+    @pytest.mark.parametrize("name", PAIRS)
+    def test_matches_mpmath(self, name, j):
+        pr = self.PAIRS[name]
+        for order in (1.0 + 10.0**-j, 1.0 - 10.0**-j):
+            expect = self.reference(pr.p, pr.q, order)
+            assert renyi_divergence(pr, order) == pytest.approx(expect, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("name", ["gauss_nonmonotone", "laplace_nonmonotone"])
+    def test_reference_matches_quadrature(self, name):
+        pr = self.PAIRS[name]
+        quadrature = _gaussian_reference if isinstance(pr.p, Gaussian) else _laplace_reference
+        for order in (1.0 - 1e-6, 1.0 + 1e-3):
+            expect = quadrature(pr.p, pr.q, order, dps=40)
+            assert self.reference(pr.p, pr.q, order) == pytest.approx(expect, rel=0, abs=1e-15)
 
 
 class TestRenyiReference:

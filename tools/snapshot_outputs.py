@@ -7,8 +7,12 @@ Each command runs as ``python -m pfrsim.cli`` with ``PYTHONPATH=REPO/src``
 (REPO defaults to the checkout holding this script) and its working
 directory at OUTDIR, so every output lands there under a relative name:
 
-* the six golden sweeps, ``--format both`` (a .csv and a .svg each);
-* ``entropy-figure normal:0,1 normal:1,1 --n-max 1000 --format both``;
+* the six golden sweeps, ``--format both`` (a .csv and a .svg each),
+  and the sweep of Laplace(0,1)|Laplace(0.5,2), whose scales differ;
+* ``entropy-figure --n-max 1000 --format both`` on N(0,1)|N(1,1) and on
+  N(0,1)|N(0.5,1.6), whose ratio is not monotone;
+* ``divergence`` on Laplace(0,1)|Laplace(0.5,2) at orders 2000 to 3e20,
+  and on N(0,1)|N(0.5,1.6) at orders 1 +- 1e-9 and 1 +- 1e-12;
 * ``verify --seed 0`` and ``verify --seed 1``, and ``verify --seed 2
   --samples 100003``, a count that is a multiple of neither the exact
   sampler's block nor the relabel chunk of the permuted moment check;
@@ -75,6 +79,13 @@ EXACT_BLOCKS = (
 #: Seeds of three and five 32-bit words, for the selection rule.
 WIDE_SEEDS = (2**64 + 1, 2**130 + 7)
 
+#: (name, pair, orders) of the divergence tables.
+DIVERGENCES = (
+    ("large_orders", NONMONOTONE_LAPLACE, ("2000", "1e4", "1e6", "3e20")),
+    ("near_one", NONMONOTONE_NORMAL, ("0.999999999999", "0.999999999", "1.000000001",
+                                      "1.000000000001")),
+)
+
 
 def stem(p: str, q: str) -> str:
     """File-name stem of a pair, as in ``tests/golden``."""
@@ -84,12 +95,17 @@ def stem(p: str, q: str) -> str:
 def commands() -> list[tuple[str, list[str]]]:
     """(name, CLI arguments) of every command, in run order."""
     out = []
-    for p, q in GOLDEN_PAIRS:
+    for p, q in (*GOLDEN_PAIRS, NONMONOTONE_LAPLACE):
         name = f"sweep_{stem(p, q)}"
-        out.append((name, ["sweep", p, q, "--format", "both", "--out", name]))
-    name = f"entropy_figure_{stem('normal:0,1', 'normal:1,1')}"
-    out.append((name, ["entropy-figure", "normal:0,1", "normal:1,1", "--n-max", "1000",
-                       "--format", "both", "--out", name]))
+        out.append((name, ["sweep", p, q, "--format", "both", "--out", f"{name}.csv"]))
+    for p, q in (("normal:0,1", "normal:1,1"), NONMONOTONE_NORMAL):
+        name = f"entropy_figure_{stem(p, q)}"
+        out.append((name, ["entropy-figure", p, q, "--n-max", "1000",
+                           "--format", "both", "--out", f"{name}.csv"]))
+    for kind, pair, orders in DIVERGENCES:
+        name = f"divergence_{kind}"
+        out.append((name, ["divergence", *pair, *(f"--order={o}" for o in orders),
+                           "--out", f"{name}.csv"]))
     for seed in range(2):
         out.append((f"verify_seed_{seed}", ["verify", "--seed", str(seed)]))
     out.append(("verify_seed_2_samples_100003", ["verify", "--seed", "2", "--samples", "100003"]))
