@@ -105,7 +105,7 @@ _quad_tol_option = click.option("--quad-tol", "quad", type=float, default=None, 
 def _sweep_options(f):
     """The options of the commands that write a bound sweep."""
     f = click.option("--alpha-range", type=_AlphaRange(), default=None, help="Grid as lo,hi,points.")(f)
-    f = click.option("--format", "fmt", type=click.Choice(["csv", "svg", "both"]), default="csv", show_default=True, help="With both, --out is the base name of the .csv and the .svg.")(f)
+    f = click.option("--format", "fmt", type=click.Choice(["csv", "svg", "both"]), default="csv", show_default=True, help="Each format writes --out, less one .csv or .svg suffix, plus its own suffix.")(f)
     return _out_option(f)
 
 
@@ -128,13 +128,25 @@ def _sweep_rows(p_spec: str, q_spec: str, alpha_range, out, fmt):
     return pair, bounds_mod.sweep(pair, grid)
 
 
-def _write_text(path, text: str) -> None:
+def _write(path, write) -> None:
+    """Call ``write(path)``; an OSError ends the command with exit status 3."""
     try:
-        with open(path, "w", newline="") as f:
-            f.write(text)
+        write(path)
     except OSError as exc:
         click.echo(f"cannot write {path}: {exc}", err=True)
         sys.exit(_EXIT_IO)
+
+
+def _write_text(path, text: str) -> None:
+    _write(path, lambda path: Path(path).write_text(text, newline=""))
+
+
+def _named(out: str, suffix: str) -> str:
+    """``out`` without one trailing .csv or .svg, then ``suffix``.
+
+    Only those two are dropped, so a name with any other dot keeps it whole.
+    """
+    return (out[:-4] if out.endswith((".csv", ".svg")) else out) + suffix
 
 
 def _sweep_outputs(rows, out, fmt, title, extra=None):
@@ -165,16 +177,9 @@ def _sweep_outputs(rows, out, fmt, title, extra=None):
         if out is None:
             click.echo(csv_text, nl=False)
         else:
-            path = Path(out)
-            if fmt == "both" or path.suffix != ".csv":
-                path = path.with_suffix(".csv")
-            _write_text(path, csv_text)
+            _write_text(_named(out, ".csv"), csv_text)
     if fmt in ("svg", "both"):
-        try:
-            write_line_chart(Path(out).with_suffix(".svg"), title, "alpha", "bits", series)
-        except OSError as exc:
-            click.echo(f"cannot write SVG: {exc}", err=True)
-            sys.exit(_EXIT_IO)
+        _write(_named(out, ".svg"), lambda path: write_line_chart(path, title, "alpha", "bits", series))
 
 
 @click.group()

@@ -383,59 +383,51 @@ def _gaussian_renyi_nats(p: Gaussian, q: Gaussian, a: np.ndarray) -> np.ndarray:
     return d
 
 
-def _sinhc(h: np.ndarray) -> np.ndarray:
-    """sinh(h) / h, with its Taylor form 1 + h^2/6 for |h| < 1e-8."""
-    return np.divide(np.sinh(h), h, out=1.0 + h * h / 6.0, where=np.abs(h) >= 1e-8)
-
-
 def _laplace_renyi_nats(p: Laplace, q: Laplace, a: np.ndarray) -> np.ndarray:
     l1, l2 = p.lam, q.lam
-    if l1 == l2:
-        # equal scales: exact form with no parametrization singularity
-        delta = abs(p.theta - q.theta) / l1
-        h = (a - 0.5) * delta
-        near = np.abs(h) <= 30.0
-        log_m = np.empty(a.shape)
-        if np.count_nonzero(near):
-            hn = h[near]
-            log_m[near] = np.log(np.cosh(hn) + 0.5 * delta * _sinhc(hn))
-        far = ~near
-        if np.count_nonzero(far):
-            # cosh/sinh collapse to exp(|h|)/2 beyond double precision
-            hf = np.abs(h[far])
-            log_m[far] = hf - LN2 + np.log1p(0.5 * delta / hf)
-        return (-0.5 * delta + log_m) / (a - 1.0)
-    out = np.full(a.shape, math.inf)
     dtheta = abs(p.theta - q.theta)
-    # orders with a * l2 + (1 - a) * l1 <= 0 keep the infinite value
-    finite = a * l2 + (1.0 - a) * l1 > 0.0
-    b = a[finite]
-    # the integral of p^b q^(1-b) is (l2 / l1)^(b-1) h / (b + (1 - b) l1 / l2),
-    # where h = (r e^-s - s e^-r) / (r - s) with r = b dtheta / l1 and
-    # s = (1 - b) dtheta / l2.  h is symmetric in r and s; written as
+    # the integral of p^a q^(1-a) is (l2 / l1)^(a-1) h / (a + (1 - a) l1 / l2),
+    # where h = (r e^-s - s e^-r) / (r - s) with r = a dtheta / l1 and
+    # s = (1 - a) dtheta / l2.  h is symmetric in r and s; written as
     # e^-m (1 + m (1 - e^-d) / d), m = min(r, s) and d = |r - s|, it neither
     # overflows at any order nor cancels near order 1, and it is e^-m (1 + m)
-    # at r = s, the removable singularity b = l1 / (l1 + l2)
-    r, s = b * dtheta / l1, (1.0 - b) * dtheta / l2
+    # at r = s, the removable singularity a = l1 / (l1 + l2).  Every order is
+    # evaluated; those with a l2 + (1 - a) l1 <= 0 then take the infinite
+    # value, a test written as l1 + a (l2 - l1) to be exact at equal scales
+    r, s = a * dtheta / l1, (1.0 - a) * dtheta / l2
     m, d = np.minimum(r, s), np.abs(r - s)
-    damp = np.divide(-np.expm1(-d), d, out=np.ones_like(d), where=d != 0.0)
-    log_ratio = np.log1p(m * damp) - m - np.log1p((1.0 - b) * (l1 / l2 - 1.0))
-    out[finite] = math.log(l2 / l1) + log_ratio / (b - 1.0)
-    return out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        damp = np.divide(-np.expm1(-d), d, out=np.ones_like(d), where=d != 0.0)
+        log_ratio = np.log1p(m * damp) - m - np.log1p((1.0 - a) * (l1 / l2 - 1.0))
+        nats = math.log(l2 / l1) + log_ratio / (a - 1.0)
+    return np.where(l1 + a * (l2 - l1) > 0.0, nats, math.inf)
 
 
 def _finite_renyi_nats(p: Finite, q: Finite, a: np.ndarray) -> np.ndarray:
-    """log(sum p**a * q**(1 - a)) / (a - 1), summed in log space.
+    """log(sum p**a * q**(1 - a)) / (a - 1).
 
-    The terms are exponentiated after the largest log term is taken out,
-    so that no term overflows at large orders.  P << Q, so q > 0 wherever
-    p > 0 and every log term is finite.
+    With t = (a - 1) log(p / q) the sum is 1 + sum p expm1(t); orders with
+    every |t| < 1 take log1p of that, which keeps its precision as the order
+    nears 1.  The other orders sum in log space: the terms are exponentiated
+    after the largest log term is taken out, so that none overflows at large
+    orders.  P << Q, so q > 0 wherever p > 0 and every log term is finite;
+    log p and log q are taken apart, so that p / q cannot overflow.  Sums
+    run down the support one point after another, whatever the number of
+    orders, so that an array entry has the bits of its order alone.
     """
     pi, qi = np.asarray(p.probs), np.asarray(q.probs)
     support = pi > 0.0
-    terms = np.outer(np.log(pi[support]), a) + np.outer(np.log(qi[support]), 1.0 - a)
+    pi, log_p, log_q = pi[support], np.log(pi[support]), np.log(qi[support])
+    log_r = log_p - log_q
+    near = np.abs(a - 1.0) * np.abs(log_r).max() < 1.0
+    out = np.empty(a.shape)
+    t = np.outer(log_r, a[near] - 1.0)
+    out[near] = np.log1p(np.cumsum(pi[:, None] * np.expm1(t), axis=0)[-1]) / (a[near] - 1.0)
+    far = a[~near]
+    terms = np.outer(log_p, far) + np.outer(log_q, 1.0 - far)
     top = terms.max(axis=0)
-    return (top + np.log(np.exp(terms - top).sum(axis=0))) / (a - 1.0)
+    out[~near] = (top + np.log(np.cumsum(np.exp(terms - top), axis=0)[-1])) / (far - 1.0)
+    return out
 
 
 def renyi_divergence(pair: DistributionPair, order):

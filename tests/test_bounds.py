@@ -234,6 +234,40 @@ class TestUb2ClosedFormEpsilon:
             optimize_ub(NEAR, 0.9, "ub1")
 
 
+class TestLimitAtOrderOne:
+    """As alpha -> 1 the bounds reduce to their KL forms, those of Harsha et
+    al.: lb1 -> D - log2 e - 1, lb2 -> D - log2 e and ub2 -> D + (1 + e2)
+    log2(D + 1) + c2(e2), with D the KL divergence and e2 ub2's epsilon.
+
+    On these pairs each bound is at most 1.45 (1 - alpha) from its limit,
+    so 3 (1 - alpha) holds the gap; a closed form that loses
+    1e-16 / (1 - alpha) near order 1 misses it from j = 9 on.
+    """
+
+    PAIRS = {
+        "gauss_shift": NEAR,
+        "laplace_shift": DistributionPair(Laplace(0, 1), Laplace(1, 1)),
+        "laplace_nonmonotone": DistributionPair(Laplace(0, 1), Laplace(0.5, 2)),
+        "finite": DistributionPair(Finite((0.9, 0.1)), Finite((0.5, 0.5))),
+    }
+
+    @pytest.mark.parametrize("j", range(6, 13))
+    @pytest.mark.parametrize("name", PAIRS)
+    def test_bounds_reach_their_kl_forms(self, name, j):
+        pr = self.PAIRS[name]
+        alpha = 1.0 - 10.0**-j
+        d = kl_divergence(pr)
+        tol = 3.0 * 10.0**-j + 1e-12
+        assert lb1(pr, alpha) == pytest.approx(d - LOG2E - 1.0, rel=0, abs=tol)
+        assert lb2(pr, alpha) == pytest.approx(d - LOG2E, rel=0, abs=tol)
+        slope = math.log2(d + 1.0) + 1.0
+        root = (math.sqrt(LN2**2 + 6.0 / slope) - LN2) / 3.0
+        eps, value = optimize_ub(pr, alpha, "ub2")
+        assert eps == pytest.approx(root, rel=1e-12)
+        limit = d + (1.0 + root) * math.log2(d + 1.0) + c2(root)
+        assert value == pytest.approx(limit, rel=0, abs=tol)
+
+
 BATCH_PAIRS = [
     DistributionPair(Gaussian(0, 1), Gaussian(1, 1.5)),
     DistributionPair(Laplace(0, 1), Laplace(1, 2)),

@@ -134,6 +134,41 @@ class TestSweepCommand:
         assert svg.count("<polyline") >= 4
         assert (tmp_path / "fig.csv").exists()
 
+    def test_out_keeps_dots_that_are_not_a_suffix(self, tmp_path):
+        # only a trailing .csv or .svg is dropped before each format's suffix,
+        # so two pairs that differ after the dot of 0.5 keep their own files
+        for q in ("0.5,2", "0.5,3"):
+            name = f"sweep_laplace_0_1_laplace_{q.replace(',', '_')}"
+            res = run(
+                "sweep", "laplace:0,1", f"laplace:{q}", "--alpha-range", "0.3,0.9,3",
+                "--format", "both", "--out", str(tmp_path / name),
+            )
+            assert res.exit_code == 0, res.output
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "sweep_laplace_0_1_laplace_0.5_2.csv",
+            "sweep_laplace_0_1_laplace_0.5_2.svg",
+            "sweep_laplace_0_1_laplace_0.5_3.csv",
+            "sweep_laplace_0_1_laplace_0.5_3.svg",
+        ]
+
+    @pytest.mark.parametrize(
+        "out,fmt,written",
+        [
+            ("x.csv", "both", ["x.csv", "x.svg"]),
+            ("x.svg", "both", ["x.csv", "x.svg"]),
+            ("x", "csv", ["x.csv"]),
+            ("x.csv", "svg", ["x.svg"]),
+            ("x.txt", "csv", ["x.txt.csv"]),
+        ],
+    )
+    def test_out_suffix_rule(self, tmp_path, out, fmt, written):
+        res = run(
+            "sweep", "normal:0,1", "normal:1,1", "--alpha-range", "0.3,0.9,3",
+            "--format", fmt, "--out", str(tmp_path / out),
+        )
+        assert res.exit_code == 0, res.output
+        assert sorted(p.name for p in tmp_path.iterdir()) == written
+
     def test_custom_alpha_range(self, tmp_path):
         out = tmp_path / "s.csv"
         run(

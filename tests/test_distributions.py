@@ -191,7 +191,8 @@ class TestRenyiDivergence:
         # p**a q**(1-a) overflow long before the orders of the ub1 epsilon
         # search (~970).  Unequal-scale Laplace: log sup r = log 2 + 0.25 at
         # the narrower law's location, and the closed form's exponentials
-        # overflow from order ~1.4e3 on
+        # overflow from order ~1.4e3 on.  Equal-scale Laplace: log sup r = 1,
+        # where a l2 + (1 - a) l1 rounds to 0 at order 1e300
         cases = (
             (
                 pair(Finite((0.3, 0.7)), Finite((0.99, 0.01))),
@@ -203,6 +204,11 @@ class TestRenyiDivergence:
                 [0.5, 2.0, 10.0, 300.0, 2e3, 1e4, 1e6, 3e20, 1e100, 1e300],
                 (math.log(2.0) + 0.25) / LN2,
             ),
+            (
+                pair(Laplace(0, 1), Laplace(1, 1)),
+                [0.5, 2.0, 10.0, 300.0, 2e3, 1e4, 1e6, 3e20, 1e100, 1e300],
+                1.0 / LN2,
+            ),
         )
         for pr, orders, sup in cases:
             with warnings.catch_warnings():
@@ -212,6 +218,7 @@ class TestRenyiDivergence:
             assert np.all(np.diff(vals) >= 0.0)
             assert np.all(vals <= sup)
             assert vals[-1] == pytest.approx(sup, abs=1e-3)
+        assert vals[-1] == 1.4426950408889634  # Laplace(0,1)|Laplace(1,1) at 1e300
 
     def test_laplace_large_orders_match_reference(self):
         pr = pair(Laplace(0, 1), Laplace(0.5, 2))
@@ -371,23 +378,42 @@ class TestNumericNearOrderOne:
 
 
 class TestClosedFormNearOrderOne:
-    """The Gaussian and unequal-scale Laplace closed forms keep their
-    precision as the order nears 1.
+    """The closed forms of all three kinds keep their precision as the
+    order nears 1.
 
     Written with log(integral) / (a - 1), they lost ~1e-16 / |a - 1|: at
-    order 1 + 1e-12 they were off by 8e-5 bits on N(0,2)|N(0,1) and 3e-5 on
-    Laplace(0,1)|Laplace(0.5,2).
+    order 1 + 1e-12 they were off by 8e-5 bits on N(0,2)|N(0,1), 3e-5 on
+    Laplace(0,1)|Laplace(0.5,2), 2.4e-4 on Laplace(0,1)|Laplace(3,1) and
+    9.7e-5 on the finite pairs.
     """
 
     PAIRS = {
         "gauss_nonmonotone": pair(Gaussian(0, 1), Gaussian(0.5, 1.6)),
         "gauss_scale": pair(Gaussian(0, 2), Gaussian(0, 1)),
         "laplace_nonmonotone": pair(Laplace(0, 1), Laplace(0.5, 2)),
+        "laplace_shift": pair(Laplace(0, 1), Laplace(1, 1)),
+        "laplace_far_shift": pair(Laplace(0, 1), Laplace(3, 1)),
+        "finite_skewed": pair(Finite((0.9, 0.1)), Finite((0.5, 0.5))),
+        "finite_balanced": pair(Finite((0.5, 0.5)), Finite((0.25, 0.75))),
+        "finite_extreme": pair(Finite((0.99, 0.01)), Finite((0.5, 0.5))),
     }
 
     @staticmethod
     def reference(p, q, order):
-        """The textbook closed form, in 40-digit arithmetic from the float inputs."""
+        """The textbook closed form, in 40-digit arithmetic from the float inputs.
+
+        Finite pairs are the exact sum over probabilities normalized in
+        50 digits: 0.9 + 0.1 as doubles is 1 + 2.8e-17, which would shift
+        the sum's log by 2.8e-17 and its divergence by 2.8e-17 / |a - 1|.
+        """
+        if isinstance(p, Finite):
+            with mpmath.workdps(50):
+                ps, qs = (
+                    [mpmath.mpf(x) / mpmath.fsum(map(mpmath.mpf, d.probs)) for x in d.probs]
+                    for d in (p, q)
+                )
+                a = mpmath.mpf(order)
+                return _bits(mpmath.fsum(x**a * y ** (1 - a) for x, y in zip(ps, qs) if x), a)
         with mpmath.workdps(40):
             a = mpmath.mpf(order)
             if isinstance(p, Gaussian):
@@ -415,7 +441,7 @@ class TestClosedFormNearOrderOne:
             expect = self.reference(pr.p, pr.q, order)
             assert renyi_divergence(pr, order) == pytest.approx(expect, rel=0, abs=1e-12)
 
-    @pytest.mark.parametrize("name", ["gauss_nonmonotone", "laplace_nonmonotone"])
+    @pytest.mark.parametrize("name", ["gauss_nonmonotone", "laplace_nonmonotone", "laplace_shift"])
     def test_reference_matches_quadrature(self, name):
         pr = self.PAIRS[name]
         quadrature = _gaussian_reference if isinstance(pr.p, Gaussian) else _laplace_reference
@@ -451,11 +477,12 @@ class TestRenyiReference:
         order=st.floats(0.05, 6.0),
         offset=st.sampled_from([-1e-4, -1e-6, -1e-8, -3e-10, 0.0, 2e-10, 1e-8, 1e-6, 1e-4]),
     )
-    @example(theta=(0.0, 30.0), lam=(1.0, 1.0), equal_scales=True, order=3.0, offset=0.0)  # |h| > 30
+    @example(theta=(0.0, 30.0), lam=(1.0, 1.0), equal_scales=True, order=3.0, offset=0.0)  # far apart
     @example(theta=(0.0, 1.0), lam=(1.0, 2.0), equal_scales=False, order=2.5, offset=1e-8)
+    @example(theta=(0.497, 0.0), lam=(1.635, 1.635), equal_scales=True, order=0.99999, offset=0.0)
     def test_laplace_matches_quadrature(self, theta, lam, equal_scales, order, offset):
         # the second order sits near l1 / (l1 + l2), the removable
-        # singularity of the unequal-scale closed form
+        # singularity of the closed form
         l1, l2 = lam[0], lam[0] if equal_scales else lam[1]
         p, q = Laplace(theta[0], l1), Laplace(theta[1], l2)
         singular = l1 / (l1 + l2)
@@ -465,13 +492,8 @@ class TestRenyiReference:
             if a * l2 + (1.0 - a) * l1 <= 0.0:
                 assert value == math.inf
                 continue
-            # near the singular order the closed form cancels, losing about
-            # 1e-16 / |a - singular| in absolute terms; within 1e-4 of it the
-            # form is rewritten without the cancelling difference
-            gap = abs(a - singular)
-            cancel = 0.0 if l1 == l2 or gap < 1e-4 else 1e-15 / gap
             ref = _laplace_reference(p, q, a)
-            assert value == pytest.approx(ref, rel=1e-11, abs=1e-12 + cancel), (p, q, a)
+            assert value == pytest.approx(ref, rel=1e-11, abs=1e-12), (p, q, a)
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(
@@ -492,6 +514,13 @@ class TestRenyiReference:
                     continue
                 total = mpmath.fsum(pi**a * qi ** (1 - a) for pi, qi in zip(ps, qs) if pi > 0)
                 assert value == pytest.approx(_bits(total, mpmath.mpf(a)), rel=1e-11, abs=1e-12)
+
+    def test_finite_array_matches_scalars_on_a_wide_support(self):
+        # numpy sums a lone column pairwise from 8 rows on, but several
+        # columns row by row, which can differ in the last bit
+        w, v = np.random.default_rng(3).random((2, 20))
+        pr = pair(Finite(tuple(w / w.sum())), Finite(tuple(v / v.sum())))
+        _assert_array_matches_scalars(pr, [0.3, 0.9, 1.0 - 1e-9, 1.0 + 1e-6, 2.0, 7.0, 300.0])
 
     def test_singularity_matches_reference_without_warning(self):
         pr = pair(Laplace(0, 1), Laplace(1, 2))

@@ -9,10 +9,14 @@ directory at OUTDIR, so every output lands there under a relative name:
 
 * the six golden sweeps, ``--format both`` (a .csv and a .svg each),
   and the sweep of Laplace(0,1)|Laplace(0.5,2), whose scales differ;
+* the sweep of Laplace(0,1)|Laplace(0.5,3) with ``--out`` set to its
+  stem, which has a dot and no suffix;
 * ``entropy-figure --n-max 1000 --format both`` on N(0,1)|N(1,1) and on
   N(0,1)|N(0.5,1.6), whose ratio is not monotone;
 * ``divergence`` on Laplace(0,1)|Laplace(0.5,2) at orders 2000 to 3e20,
-  and on N(0,1)|N(0.5,1.6) at orders 1 +- 1e-9 and 1 +- 1e-12;
+  on N(0,1)|N(0.5,1.6) at orders 1 +- 1e-9 and 1 +- 1e-12, and on
+  Laplace(0,1)|Laplace(1,1) and finite (0.9,0.1)|(0.5,0.5) at those four
+  orders and 1e300;
 * ``verify --seed 0`` and ``verify --seed 1``, and ``verify --seed 2
   --samples 100003``, a count that is a multiple of neither the exact
   sampler's block nor the relabel chunk of the permuted moment check;
@@ -79,11 +83,15 @@ EXACT_BLOCKS = (
 #: Seeds of three and five 32-bit words, for the selection rule.
 WIDE_SEEDS = (2**64 + 1, 2**130 + 7)
 
+#: Orders 1 +- 1e-12 and 1 +- 1e-9.
+NEAR_ONE = ("0.999999999999", "0.999999999", "1.000000001", "1.000000000001")
+
 #: (name, pair, orders) of the divergence tables.
 DIVERGENCES = (
     ("large_orders", NONMONOTONE_LAPLACE, ("2000", "1e4", "1e6", "3e20")),
-    ("near_one", NONMONOTONE_NORMAL, ("0.999999999999", "0.999999999", "1.000000001",
-                                      "1.000000000001")),
+    ("near_one", NONMONOTONE_NORMAL, NEAR_ONE),
+    ("near_one_laplace_shift", ("laplace:0,1", "laplace:1,1"), (*NEAR_ONE, "1e300")),
+    ("near_one_finite", ("finite:0.9,0.1", "finite:0.5,0.5"), (*NEAR_ONE, "1e300")),
 )
 
 
@@ -98,6 +106,8 @@ def commands() -> list[tuple[str, list[str]]]:
     for p, q in (*GOLDEN_PAIRS, NONMONOTONE_LAPLACE):
         name = f"sweep_{stem(p, q)}"
         out.append((name, ["sweep", p, q, "--format", "both", "--out", f"{name}.csv"]))
+    name = f"sweep_{stem('laplace:0,1', 'laplace:0.5,3')}"
+    out.append((name, ["sweep", "laplace:0,1", "laplace:0.5,3", "--format", "both", "--out", name]))
     for p, q in (("normal:0,1", "normal:1,1"), NONMONOTONE_NORMAL):
         name = f"entropy_figure_{stem(p, q)}"
         out.append((name, ["entropy-figure", p, q, "--n-max", "1000",
