@@ -393,13 +393,19 @@ def _laplace_renyi_nats(p: Laplace, q: Laplace, a: np.ndarray) -> np.ndarray:
     # overflows at any order nor cancels near order 1, and it is e^-m (1 + m)
     # at r = s, the removable singularity a = l1 / (l1 + l2).  Every order is
     # evaluated; those with a l2 + (1 - a) l1 <= 0 then take the infinite
-    # value, a test written as l1 + a (l2 - l1) to be exact at equal scales
-    r, s = a * dtheta / l1, (1.0 - a) * dtheta / l2
-    m, d = np.minimum(r, s), np.abs(r - s)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # value, a test written as l1 + a (l2 - l1) to be exact at equal scales.
+    # Where r and s both overflow, m is infinite and the value is its limit
+    # log(l2 / l1) + dtheta / l2 (order above 1, m = s = -inf) or +inf (order
+    # below 1): the rest is O(log(a) / a) against a term above one nat
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        r, s = a * dtheta / l1, (1.0 - a) * dtheta / l2
+        m, d = np.minimum(r, s), np.abs(r - s)
         damp = np.divide(-np.expm1(-d), d, out=np.ones_like(d), where=d != 0.0)
         log_ratio = np.log1p(m * damp) - m - np.log1p((1.0 - a) * (l1 / l2 - 1.0))
         nats = math.log(l2 / l1) + log_ratio / (a - 1.0)
+    both = np.isinf(m)
+    if both.any():
+        nats[both] = np.where(a[both] > 1.0, math.log(l2 / l1) + dtheta / l2, math.inf)
     return np.where(l1 + a * (l2 - l1) > 0.0, nats, math.inf)
 
 

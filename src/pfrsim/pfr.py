@@ -16,10 +16,12 @@ Two samplers produce the transmitted index K with its accepted sample:
   then each index from its conditional geometric law with success
   probability beta(u); the joint law matches the selection rule exactly
   and the cost is O(1) per draw, which is the only tractable route when
-  E[K] is astronomically large.  The generator makes its two calls up
-  front; the elementwise rest runs in cache-sized blocks on the caller's
-  thread and a private thread pool, one helper per further CPU, and the
-  results do not depend on how many CPUs there are.
+  E[K] is astronomically large.  The work runs in cache-sized blocks on
+  the caller's thread and a private thread pool, one helper per further
+  CPU: the caller's thread draws from the generator block by block, in
+  the order of two whole-array calls, while the helpers run the
+  elementwise work of the blocks already drawn.  The results do not
+  depend on how many CPUs there are.
 
 ``index_pmf`` integrates the conditional geometric law against the
 target density on one quadrature grid shared by every k, reporting the
@@ -30,10 +32,10 @@ bound power sums over the untruncated tail.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import os
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterator
@@ -216,6 +218,18 @@ def _log1m_from_log_beta(log_beta_vals: np.ndarray) -> np.ndarray:
     return np.maximum(out, -1e300, out=out)
 
 
+def _log1m_beta(pair: DistributionPair, u) -> np.ndarray:
+    """log(1 - beta(u)) on an array, -1e300 standing in for -inf at beta == 1.
+
+    beta takes one value per support point of a finite pair, so there it
+    is worked out once per support point and gathered at the indices ``u``.
+    """
+    if pair.is_finite_kind:
+        support = np.arange(len(pair.p.probs))
+        return _log1m_from_log_beta(log_beta(pair, support))[u]
+    return _log1m_from_log_beta(log_beta(pair, u))
+
+
 def log_beta(pair: DistributionPair, u):
     """Natural log of the geometric success probability beta(u).
 
@@ -265,29 +279,82 @@ if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's thr
     os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
-def _run_blocks(n_blocks: int, run_block: Callable[[int], None]) -> None:
-    """Call ``run_block(i)`` once for each i < n_blocks.
+def _run_blocks(
+    n_blocks: int,
+    fill: Callable[[int], None],
+    run_block: Callable[[int], None],
+    finish: Callable[[int], None],
+) -> None:
+    """Call ``fill(i)``, ``run_block(i)`` and ``finish(i)`` once for each i < n_blocks.
 
-    The caller's thread and up to ``n_blocks - 1`` pool helpers take
-    blocks from one counter until none is left.  Returns once every taken
-    block has finished; an exception of any block is then raised in the
-    caller's thread.
+    The caller's thread calls ``fill(i)`` for each i in order first, and
+    then ``finish(i)`` for each i in order.  ``run_block(i)`` runs after
+    ``fill(i)`` has returned and before ``finish(i)`` is called: the
+    caller's thread and up to ``n_blocks - 1`` pool helpers take the
+    filled blocks in order from one counter, the helpers from the first
+    fill on, the caller's thread while it waits to finish a block that
+    is not done.  Returns once every taken block has finished; an
+    exception of any call is then raised in the caller's thread, and no
+    block is taken after it.
     """
-    blocks = itertools.count()  # one next() at a time under the GIL
-
-    def work() -> None:
-        for i in blocks:
-            if i >= n_blocks:
-                return
-            run_block(i)
-
     pool, helpers = _pool() if n_blocks > 1 else (None, 0)
-    futures = [pool.submit(work) for _ in range(min(helpers, n_blocks - 1))]
+    ready = threading.Condition()  # guards the counts and the flags below
+    filled = taken = 0
+    done = [False] * n_blocks
+    stop = False
+
+    def assist() -> None:
+        nonlocal taken, stop
+        while True:
+            with ready:
+                while taken == filled < n_blocks and not stop:
+                    ready.wait()
+                if stop or taken == n_blocks:
+                    return
+                i, taken = taken, taken + 1
+            try:
+                run_block(i)
+            except BaseException:
+                with ready:
+                    stop = True
+                    ready.notify_all()
+                raise
+            with ready:
+                done[i] = True
+                ready.notify_all()
+
+    def drive() -> None:
+        nonlocal filled, taken
+        for i in range(n_blocks):
+            if stop:
+                return
+            fill(i)
+            with ready:
+                filled = i + 1
+                ready.notify()
+        for i in range(n_blocks):
+            while not done[i]:
+                with ready:
+                    while not (done[i] or stop or taken < n_blocks):
+                        ready.wait()
+                    if stop:  # a helper's block failed
+                        return
+                    if done[i]:
+                        break
+                    j, taken = taken, taken + 1
+                run_block(j)
+                done[j] = True  # read by this thread alone
+            finish(i)
+
+    futures = [pool.submit(assist) for _ in range(min(helpers, n_blocks - 1))]
     try:
-        work()
+        drive()
     finally:
+        with ready:
+            stop = True
+            ready.notify_all()
         for f in futures:
-            if not f.cancel():  # a helper that has not started would find no block left
+            if not f.cancel():  # a helper that has not started would take no block
                 f.exception()  # waits for the helper, raising nothing
     for f in futures:
         if not f.cancelled():
@@ -299,41 +366,58 @@ def sample_indices(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized exact sampler: n draws of (K, U_K).
 
-    The generator makes two calls, whatever n: ``pair.p.raw`` for all n
-    accepted samples, then ``random(n)`` for the geometric draws.  The
-    rest is elementwise and runs in blocks of ``_BLOCK`` points (sample
-    transform, ``log_beta``, then K) spread over the CPUs the process may
-    use, each block under the sampler's own numpy error state rather than
-    the caller's; every entry gets the bits it gets alone, whatever the
-    CPU count.  beta is in closed form for every pair, so the cost is O(1)
-    per draw.
+    The generator draws as two whole-array calls would, ``pair.p.raw``
+    for all n accepted samples and then ``random(n)`` for the geometric
+    draws, but in blocks of ``_BLOCK`` points on the caller's thread:
+    numpy fills an array in order, so the draws and the final generator
+    state are the same.  The rest is elementwise and runs per block over
+    the CPUs the process may use (see ``_run_blocks``).  Once a block's
+    samples are drawn, its transform and log(1 - beta) run while the
+    generator draws on, log(1 - beta) going into the block's slice of the
+    index array; then the caller's thread draws the block's uniforms into
+    one reused buffer and turns them into its indices.  Each block runs
+    under the sampler's own numpy error state rather than the caller's,
+    and every entry gets the bits it gets alone, whatever the CPU count.
+    beta is in closed form for every pair, so the cost is O(1) per draw.
 
     Indices are returned as float64 (they can exceed int64 for heavy
     pairs).  ``IndexOverflowError`` is raised once every block has
     finished: first where beta underflows, else where an index exceeds
     the unsigned 64-bit range.
     """
-    u = pair.p.raw(rng, np.empty(n))
-    k = rng.random(n)  # each block overwrites its uniforms with its indices
+    u, k = np.empty(n), np.empty(n)
+    v = np.empty(min(n, _BLOCK))  # one block's uniforms at a time
     n_blocks = -(-n // _BLOCK)
     underflow, overflow = [False] * n_blocks, [False] * n_blocks
+    # the sampler's own error state, whichever thread runs a block;
+    # overflow only makes the +inf indices of a subnormal beta
+    errstate = dict(divide="warn", over="ignore", under="ignore", invalid="warn")
+
+    def fill(i: int) -> None:
+        pair.p.raw(rng, u[i * _BLOCK : (i + 1) * _BLOCK])
 
     def run_block(i: int) -> None:
         s = slice(i * _BLOCK, (i + 1) * _BLOCK)
-        # the sampler's own error state, whichever thread runs the block;
-        # overflow only makes the +inf indices of a subnormal beta
-        with np.errstate(divide="warn", over="ignore", under="ignore", invalid="warn"):
+        with np.errstate(**errstate):
             ub = pair.p.transform(u[s])
-            log1m = _log1m_from_log_beta(np.asarray(log_beta(pair, ub), dtype=float))
-            if (log1m == 0.0).any():
-                underflow[i] = True
-                return
-            kb = np.ceil(np.log(1.0 - k[s]) / log1m)
-        overflow[i] = (kb > _UINT64_MAX).any()
-        np.maximum(kb, 1.0, out=k[s])
+            k[s] = _log1m_beta(pair, ub)
+        underflow[i] = (k[s] == 0.0).any()
         u[s] = ub
 
-    _run_blocks(n_blocks, run_block)
+    def finish(i: int) -> None:
+        s = slice(i * _BLOCK, (i + 1) * _BLOCK)
+        ks = k[s]
+        vb = rng.random(out=v[: ks.size])
+        if underflow[i]:
+            return
+        # out of place: the same bits in place left glibc's heap fragmented
+        # across calls, and the peak RSS of repeated ``verify`` runs 6 MB higher
+        with np.errstate(**errstate):
+            kb = np.ceil(np.log(1.0 - vb) / ks)
+        overflow[i] = (kb > _UINT64_MAX).any()
+        np.maximum(kb, 1.0, out=ks)
+
+    _run_blocks(n_blocks, fill, run_block, finish)
     if any(underflow):
         raise IndexOverflowError("beta underflows double precision")
     if any(overflow):

@@ -220,6 +220,26 @@ class TestRenyiDivergence:
             assert vals[-1] == pytest.approx(sup, abs=1e-3)
         assert vals[-1] == 1.4426950408889634  # Laplace(0,1)|Laplace(1,1) at 1e300
 
+    def test_laplace_orders_past_the_double_range_give_the_max_ratio(self):
+        # a dtheta / l1 and (1 - a) dtheta / l2 both overflow; the value is
+        # log2 sup r to within O(log(a) / a), with no warning
+        cases = (
+            (pair(Laplace(0, 1), Laplace(1e10, 1)), [1e300], 1.4426950408889634e10),
+            (pair(Laplace(0, 1), Laplace(40, 1)), [1e308, 1.7e308], 57.7078016355585),
+            (pair(Laplace(0, 1), Laplace(40, 2)), [1e308, 1.7e308], 29.8539008177793),
+        )
+        for pr, orders, bits in cases:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                vals = renyi_divergence(pr, np.array(orders))
+                assert renyi_divergence(pr, orders[0]) == vals[0]
+            sup = pr.log_ratio_sup() / LN2
+            assert vals.tolist() == pytest.approx([sup] * len(orders), rel=1e-15)
+            assert vals.tolist() == pytest.approx([bits] * len(orders), rel=1e-13)
+        # the limit holds at order 1e300 before anything overflows
+        near = renyi_divergence(pair(Laplace(0, 1), Laplace(40, 1)), 1e300)
+        assert near == pytest.approx(40.0 / LN2, rel=1e-15)
+
     def test_laplace_large_orders_match_reference(self):
         pr = pair(Laplace(0, 1), Laplace(0.5, 2))
         for order in (2e3, 1e4, 1e6):

@@ -1,8 +1,10 @@
 import io
+import itertools
 import math
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -446,8 +448,18 @@ class TestSampleIndexExact:
         try:
             caller, lock = threading.current_thread(), threading.Lock()
             taken, running, failed = [], [0], []
+            caller_took = threading.Event()
+
+            def skip(i):  # nothing to fill or finish
+                pass
 
             def run_block(i):
+                # helpers hold their blocks until the caller's thread has
+                # taken one, so that the caller surely runs a block
+                if threading.current_thread() is caller:
+                    caller_took.set()
+                else:
+                    caller_took.wait(10)
                 with lock:
                     running[0] += 1
                 taken.append(i)
@@ -465,11 +477,11 @@ class TestSampleIndexExact:
 
             if fail_in is not None:
                 with pytest.raises(ValueError, match="^block "):
-                    pfr._run_blocks(151, run_block)
+                    pfr._run_blocks(151, skip, run_block, skip)
                 assert failed and len(set(taken)) == len(taken)
                 assert running[0] == 0
                 return
-            pfr._run_blocks(151, run_block)
+            pfr._run_blocks(151, skip, run_block, skip)
             assert sorted(taken) == list(range(151)) and running[0] == 0
             # the sampler over many small blocks
             monkeypatch.setattr(pfr, "_BLOCK", 64)
@@ -481,6 +493,110 @@ class TestSampleIndexExact:
         finally:
             sys.setswitchinterval(interval)
             pool.shutdown()
+
+    def test_blocks_run_between_their_fill_and_finish(self, monkeypatch):
+        # a block is taken only once filled, every fill comes first, and
+        # each finish follows its block's run, in order, on the caller's thread
+        pool = ThreadPoolExecutor(3)
+        monkeypatch.setattr(pfr, "_pool", lambda: (pool, 3))
+        try:
+            caller, events = threading.current_thread(), []
+
+            def fill(i):
+                assert threading.current_thread() is caller
+                time.sleep(1e-4)
+                events.append(("fill", i))
+
+            def run_block(i):
+                events.append(("run", i))
+                time.sleep(1e-4)
+                events.append(("ran", i))
+
+            def finish(i):
+                assert threading.current_thread() is caller
+                events.append(("finish", i))
+
+            pfr._run_blocks(40, fill, run_block, finish)
+        finally:
+            pool.shutdown()
+        at = {event: j for j, event in enumerate(events)}
+        assert len(at) == len(events) == 4 * 40
+        fills = [at["fill", i] for i in range(40)]
+        finishes = [at["finish", i] for i in range(40)]
+        assert fills == sorted(fills) and finishes == sorted(finishes)
+        assert max(fills) < min(finishes)
+        for i in range(40):
+            assert at["fill", i] < at["run", i] < at["ran", i] < at["finish", i]
+
+    @pytest.mark.parametrize("fails", ["raw", "transform"])
+    def test_failure_leaves_no_helper_waiting(self, fails, monkeypatch):
+        # a law whose raw draw (on the caller's thread) or transform (on
+        # any thread) raises in its third block: the error reaches the
+        # caller, every helper is free again, and the next call on the
+        # same pool matches the reference.  The raw draw fails late, once
+        # the helpers have run the two blocks drawn and wait for more.
+        calls = itertools.count(1)
+
+        class Failing(Gaussian):
+            def raw(self, rng, out):
+                if fails == "raw" and next(calls) == 3:
+                    time.sleep(0.2)
+                    raise ValueError("failed draw")
+                return rng.standard_normal(out=out)
+
+            def transform(self, z):
+                if fails == "transform" and next(calls) == 3:
+                    raise ValueError("failed draw")
+                return super().transform(z)
+
+        helpers, errors = 2, []
+        pool = ThreadPoolExecutor(helpers)
+        monkeypatch.setattr(pfr, "_pool", lambda: (pool, helpers))
+        pr = DistributionPair(Failing(0, 1), Failing(1, 1))
+
+        def call():
+            try:
+                sample_indices(pr, 6 * _BLOCK + 5, np.random.default_rng(0))
+            except ValueError as exc:
+                errors.append(exc)
+
+        # on a thread of its own, so that a hang fails the test
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        caller.join(30)
+        try:
+            assert not caller.is_alive()
+            assert [str(e) for e in errors] == ["failed draw"]
+            # every helper takes a task at once
+            free = threading.Barrier(helpers + 1)
+            for _ in range(helpers):
+                pool.submit(free.wait, 10)
+            free.wait(10)
+            n = 3 * _BLOCK + 7
+            ref_rng, rng = np.random.default_rng(2), np.random.default_rng(2)
+            ref = _reference_sample_indices(STD_PAIR, n, ref_rng)
+            _assert_same_draws(sample_indices(STD_PAIR, n, rng), ref, rng, ref_rng)
+        finally:
+            pool.shutdown(wait=not caller.is_alive())  # report a hang, not join it
+
+    @pytest.mark.parametrize("case", list(EXACT_CASES))
+    def test_memory_stays_within_the_outputs_and_a_few_blocks(self, case, monkeypatch):
+        # beyond the two returned arrays, each of the caller's thread and
+        # one helper holds a dozen blocks at most, and the uniforms one
+        pool = ThreadPoolExecutor(1)
+        monkeypatch.setattr(pfr, "_pool", lambda: (pool, 1))
+        pr, n, block_bytes = EXACT_CASES[case], 2**20, 8 * _BLOCK
+        try:
+            sample_indices(pr, 2 * _BLOCK, np.random.default_rng(0))  # imports, caches
+            tracemalloc.start()
+            try:
+                sample_indices(pr, n, np.random.default_rng(0))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        finally:
+            pool.shutdown()
+        assert peak <= 16 * n + (2 * 12 + 1) * block_bytes
 
     def test_caller_error_state_is_ignored(self):
         # the blocks run under the sampler's own error state, whichever
