@@ -14,6 +14,7 @@ import json
 import math
 import sys
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
@@ -55,6 +56,15 @@ class _AlphaRange(click.ParamType):
         if not (0.0 < lo < hi < 1.0) or n < 2:
             self.fail("alpha range must satisfy 0 < lo < hi < 1, points >= 2", param, ctx)
         return lo, hi, n
+
+
+@contextmanager
+def _usage_errors(prefix: str = ""):
+    """Turn a ``PfrsimError`` raised inside into a usage error: exit status 2, no output."""
+    try:
+        yield
+    except PfrsimError as exc:
+        raise click.UsageError(f"{prefix}{exc}")
 
 
 def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
@@ -110,10 +120,8 @@ def _sweep_options(f):
 
 
 def _parse_pair(p_spec: str, q_spec: str) -> DistributionPair:
-    try:
+    with _usage_errors():
         return DistributionPair(parse_distribution(p_spec), parse_distribution(q_spec))
-    except PfrsimError as exc:
-        raise click.UsageError(str(exc))
 
 
 def _sweep_rows(p_spec: str, q_spec: str, alpha_range, out, fmt):
@@ -121,11 +129,12 @@ def _sweep_rows(p_spec: str, q_spec: str, alpha_range, out, fmt):
     if fmt != "csv" and out is None:
         raise click.UsageError("--out is required for SVG output")
     pair = _parse_pair(p_spec, q_spec)
-    if alpha_range is None:
-        grid = bounds_mod.default_alpha_grid(pair)
-    else:
-        grid = np.linspace(*alpha_range)
-    return pair, bounds_mod.sweep(pair, grid)
+    with _usage_errors():
+        if alpha_range is None:
+            grid = bounds_mod.default_alpha_grid(pair)
+        else:
+            grid = np.linspace(*alpha_range)
+        return pair, bounds_mod.sweep(pair, grid)
 
 
 def _write(path, write) -> None:
@@ -202,18 +211,14 @@ def divergence(p_spec, q_spec, orders, numeric, out, quad):
     for order in orders:
         # the shortest text that reads back as this order: 1 + 1e-12 is not 1
         label = repr(order).removesuffix(".0")
-        try:
+        with _usage_errors():
             val = renyi_divergence(pair, order)
-        except PfrsimError as exc:
-            raise click.UsageError(str(exc))
         row = f"{label},{bounds_mod.format_cell(val)}"
         if numeric:
             # a divergent order has no finite integral to check: inf stays
             if not math.isinf(val):
-                try:
+                with _usage_errors(f"numeric divergence at order {label}: "):
                     val = numeric_renyi_divergence(pair, order, quad)
-                except PfrsimError as exc:
-                    raise click.UsageError(f"numeric divergence at order {label}: {exc}")
             row += f",{bounds_mod.format_cell(val)}"
         lines.append(row)
     text = "\n".join(lines) + "\n"
@@ -243,7 +248,8 @@ def sweep(p_spec, q_spec, out, fmt, alpha_range):
 def entropy_figure(p_spec, q_spec, n_max, out, fmt, alpha_range, quad):
     """Bound sweep plus the truncated-pmf entropy column h_alpha_plus1."""
     pair, rows = _sweep_rows(p_spec, q_spec, alpha_range, out, fmt)
-    pmf = pfr_mod.index_pmf(pair, n_max, quad)
+    with _usage_errors():
+        pmf = pfr_mod.index_pmf(pair, n_max, quad)
     heavy = pmf.tail_mass > 1e-4
     if heavy:
         warnings.warn(
@@ -253,9 +259,10 @@ def entropy_figure(p_spec, q_spec, n_max, out, fmt, alpha_range, quad):
             stacklevel=2,
         )
     h_col = []
-    for r in rows:
-        lo, hi = codes_mod.renyi_entropy(pmf, r.alpha)
-        h_col.append((lo if heavy else hi) + 1.0)
+    with _usage_errors():
+        for r in rows:
+            lo, hi = codes_mod.renyi_entropy(pmf, r.alpha)
+            h_col.append((lo if heavy else hi) + 1.0)
     _sweep_outputs(
         rows,
         out,
@@ -277,7 +284,7 @@ def entropy_figure(p_spec, q_spec, n_max, out, fmt, alpha_range, quad):
 def sample(p_spec, q_spec, count, method, delta, out, seed):
     """Draw (index, accepted sample) pairs; rows are k,u_k,termination."""
     pair = _parse_pair(p_spec, q_spec)
-    try:
+    with _usage_errors():
         if method == "exact":
             ks, us = pfr_mod.sample_indices(pair, count, np.random.default_rng(seed))
             termination, capped = "exact", np.zeros(count, dtype=bool)
@@ -286,8 +293,6 @@ def sample(p_spec, q_spec, count, method, delta, out, seed):
             ks, us, termination, capped = (
                 batch.index, batch.accepted, batch.termination, batch.capped
             )
-    except PfrsimError as exc:
-        raise click.UsageError(str(exc))
     text = _sample_csv(ks, us, termination, capped, pair.is_finite_kind)
     if out is None:
         click.echo(text, nl=False)

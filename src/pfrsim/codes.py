@@ -206,7 +206,7 @@ def _tail_power_sum_bound(pmf: IndexPmf, alpha: float) -> float:
             (1.0 - s) * log2m - math.log2(s - 1.0)
         )
         best = min(best, log2_rem)
-    if not math.isfinite(best):
+    if not best < 1024.0:  # 2**best overflows a double
         return math.inf
     return total + 2.0**best
 
@@ -216,19 +216,20 @@ def renyi_entropy(pmf: IndexPmf, alpha: float) -> tuple[float, float]:
 
     The truncated power sum gives the lower end exactly; the upper end
     adds a certified bound on the tail power sum (infinite when the pmf
-    carries tail mass but no certificate data).
+    carries tail mass but no certificate data).  Both are floored at 0,
+    since H_alpha >= 0: a head of little mass has a power sum below 1.
     """
     if not 0.0 < alpha < 1.0:
         raise OrderError(f"alpha must lie in (0, 1), got {alpha}")
     p = pmf.probs[pmf.probs > 0.0]
     head = float(np.sum(p**alpha))
-    lower = math.log2(head) / (1.0 - alpha)
+    lower = max(math.log2(head) / (1.0 - alpha), 0.0)
     if pmf.tail_mass <= _DUST_TAIL:
         return lower, lower
     tail = _tail_power_sum_bound(pmf, alpha)
     if not math.isfinite(tail):
         return lower, math.inf
-    upper = math.log2(head + tail) / (1.0 - alpha)
+    upper = max(math.log2(head + tail) / (1.0 - alpha), 0.0)
     return lower, upper
 
 

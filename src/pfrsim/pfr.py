@@ -19,9 +19,11 @@ Two samplers produce the transmitted index K with its accepted sample:
   E[K] is astronomically large.  The work runs in cache-sized blocks on
   the caller's thread and a private thread pool, one helper per further
   CPU: the caller's thread draws from the generator block by block, in
-  the order of two whole-array calls, while the helpers run the
-  elementwise work of the blocks already drawn.  The results do not
-  depend on how many CPUs there are.
+  the order of two whole-array calls, and hands each block drawn to the
+  pool as a future; it runs the blocks no helper has started while it
+  waits for one.  The results do not depend on how many CPUs there are.
+  An exception in a block reaches the caller once every started block
+  is done and the rest are cancelled.
 
 ``index_pmf`` integrates the conditional geometric law against the
 target density on one quadrature grid shared by every k, reporting the
@@ -35,7 +37,6 @@ from __future__ import annotations
 import math
 import operator
 import os
-import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterator
@@ -258,8 +259,8 @@ _BLOCK = 2**15
 
 
 @lru_cache(maxsize=1)
-def _pool() -> tuple[ThreadPoolExecutor | None, int]:
-    """The block helpers: a thread pool created on first use, and its size.
+def _pool() -> ThreadPoolExecutor | None:
+    """The block helpers: a thread pool created on first use.
 
     One helper per CPU this process may run on, besides the caller's
     thread; no pool on one CPU.
@@ -269,10 +270,10 @@ def _pool() -> tuple[ThreadPoolExecutor | None, int]:
     except AttributeError:  # not on every platform
         helpers = (os.cpu_count() or 1) - 1
     if helpers < 1:
-        return None, 0
+        return None
     from concurrent.futures import ThreadPoolExecutor  # ~7 ms to import (logging among it)
 
-    return ThreadPoolExecutor(helpers, thread_name_prefix="pfrsim-block"), helpers
+    return ThreadPoolExecutor(helpers, thread_name_prefix="pfrsim-block")
 
 
 if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's threads
@@ -287,78 +288,42 @@ def _run_blocks(
 ) -> None:
     """Call ``fill(i)``, ``run_block(i)`` and ``finish(i)`` once for each i < n_blocks.
 
-    The caller's thread calls ``fill(i)`` for each i in order first, and
-    then ``finish(i)`` for each i in order.  ``run_block(i)`` runs after
-    ``fill(i)`` has returned and before ``finish(i)`` is called: the
-    caller's thread and up to ``n_blocks - 1`` pool helpers take the
-    filled blocks in order from one counter, the helpers from the first
-    fill on, the caller's thread while it waits to finish a block that
-    is not done.  Returns once every taken block has finished; an
-    exception of any call is then raised in the caller's thread, and no
-    block is taken after it.
+    The caller's thread calls ``fill(i)`` for each i in order, handing
+    ``run_block(i)`` to the pool once block i is filled, and then
+    ``finish(i)`` for each i in order once block i has run.  While block
+    i is not done, it runs the next block no helper has started (whose
+    future it cancels), so no pool task ever waits for another.  An
+    exception is raised once the blocks not started are cancelled and
+    the started ones are done: the caller's thread's at once, a helper's
+    when the caller's thread reaches its block, other blocks running
+    until then.
     """
-    pool, helpers = _pool() if n_blocks > 1 else (None, 0)
-    ready = threading.Condition()  # guards the counts and the flags below
-    filled = taken = 0
-    done = [False] * n_blocks
-    stop = False
-
-    def assist() -> None:
-        nonlocal taken, stop
-        while True:
-            with ready:
-                while taken == filled < n_blocks and not stop:
-                    ready.wait()
-                if stop or taken == n_blocks:
-                    return
-                i, taken = taken, taken + 1
-            try:
-                run_block(i)
-            except BaseException:
-                with ready:
-                    stop = True
-                    ready.notify_all()
-                raise
-            with ready:
-                done[i] = True
-                ready.notify_all()
-
-    def drive() -> None:
-        nonlocal filled, taken
-        for i in range(n_blocks):
-            if stop:
-                return
-            fill(i)
-            with ready:
-                filled = i + 1
-                ready.notify()
-        for i in range(n_blocks):
-            while not done[i]:
-                with ready:
-                    while not (done[i] or stop or taken < n_blocks):
-                        ready.wait()
-                    if stop:  # a helper's block failed
-                        return
-                    if done[i]:
-                        break
-                    j, taken = taken, taken + 1
-                run_block(j)
-                done[j] = True  # read by this thread alone
-            finish(i)
-
-    futures = [pool.submit(assist) for _ in range(min(helpers, n_blocks - 1))]
+    pool = _pool() if n_blocks > 1 else None
+    futures = []  # block i's future; cancelled where the caller's thread ran it
     try:
-        drive()
-    finally:
-        with ready:
-            stop = True
-            ready.notify_all()
-        for f in futures:
-            if not f.cancel():  # a helper that has not started would take no block
-                f.exception()  # waits for the helper, raising nothing
-    for f in futures:
-        if not f.cancelled():
-            f.result()  # a helper's exception, raised here
+        for i in range(n_blocks):
+            fill(i)
+            if pool is not None:
+                futures.append(pool.submit(run_block, i))
+        if pool is None:
+            for i in range(n_blocks):
+                run_block(i)
+                finish(i)
+            return
+        j = 0  # blocks below j are started or done
+        for i, future in enumerate(futures):
+            while j < n_blocks and not future.done():  # a cancelled future is done
+                if futures[j].cancel():
+                    run_block(j)
+                j += 1
+            if not future.cancelled():
+                future.result()  # waits for the block; a helper's exception, raised here
+            finish(i)
+    except BaseException:
+        for f in reversed(futures):  # last first: the pool starts blocks in order
+            if not f.cancel():
+                f.exception()  # waits for a started block, raising nothing
+        raise
 
 
 def sample_indices(
@@ -385,6 +350,8 @@ def sample_indices(
     finished: first where beta underflows, else where an index exceeds
     the unsigned 64-bit range.
     """
+    if n < 0:
+        raise DomainError("n must be >= 0")
     u, k = np.empty(n), np.empty(n)
     v = np.empty(min(n, _BLOCK))  # one block's uniforms at a time
     n_blocks = -(-n // _BLOCK)
@@ -433,8 +400,8 @@ def _stop_delta(pair: DistributionPair, delta: float) -> float | None:
     Cached, because ``run_pfr`` draws once per call, and a loop of draws on
     one pair should pay for the setup (a divergence evaluation among it) once.
     """
-    if not delta > 0.0:
-        raise DomainError("delta must be positive")
+    if not 0.0 < delta < math.inf:
+        raise DomainError("delta must be positive and finite")
     if math.isfinite(pair.log_ratio_sup()):
         return None
     if not math.isfinite(renyi_divergence(pair, 2.0)):

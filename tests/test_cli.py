@@ -218,6 +218,17 @@ class TestSweepCommand:
         assert "Traceback" not in res.output
         assert "mu and sigma must be finite, sigma > 0; got 0.0, inf" in res.output
 
+    @pytest.mark.parametrize("command", ["sweep", "entropy-figure"])
+    def test_pair_without_mutual_continuity_is_a_usage_error(self, tmp_path, command):
+        # P = (1, 0) puts no mass where Q does: the lower bounds are undefined
+        out = tmp_path / "s"
+        for extra in ((), ("--format", "both", "--out", str(out))):
+            res = run(command, "finite:1,0", "finite:0.5,0.5", *extra)
+            assert res.exit_code == 2, res.output
+            assert "Traceback" not in res.output and "alpha," not in res.output
+            assert "lower bounds require mutually absolutely continuous" in res.output
+        assert list(tmp_path.iterdir()) == []
+
     def test_config_file_defaults(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"alpha_range": "0.4,0.8,5"}))
@@ -413,6 +424,15 @@ class TestEntropyFigureCommand:
             )
         assert res.exit_code == 0
 
+    def test_far_pair_column_is_floored(self):
+        # N(0,1)|N(30,1) at n_max 3 keeps about 2e-54 of the mass: the tail
+        # bound overflowed a double, and the bracket's lower end was -1605
+        with pytest.warns(TailTooHeavyWarning):
+            res = run("entropy-figure", "normal:0,1", "normal:30,1", "--n-max", "3")
+        assert res.exit_code == 0, res.output
+        _, rows = parse_csv(res.output)
+        assert len(rows) == 160 and all(r[8] == "1" for r in rows)
+
 
 class TestSampleCommand:
     def test_identical_pair_rows(self):
@@ -445,6 +465,7 @@ class TestSampleCommand:
         "args",
         [
             ("normal:0,1", "normal:1,1", "--method", "pfr", "--delta", "0"),
+            ("laplace:0,1", "laplace:1,1", "--method", "pfr", "--delta", "inf"),
             ("normal:0,1", "normal:1,1", "--seed", "-1"),
             ("normal:0,1", "normal:1,1", "--method", "pfr", "--seed", "-1"),
             ("normal:0,2", "normal:0,1", "--method", "pfr"),
@@ -454,7 +475,7 @@ class TestSampleCommand:
             ("normal:nan,1", "normal:0,1", "-n", "3"),
             ("finite:0.5,nan", "finite:0.5,0.5", "-n", "3"),
         ],
-        ids=["delta_zero", "negative_seed", "negative_seed_pfr", "no_stopping_rule",
+        ids=["delta_zero", "delta_inf", "negative_seed", "negative_seed_pfr", "no_stopping_rule",
              "index_overflow", "negative_count", "negative_count_pfr", "nan_mean",
              "nan_probability"],
     )

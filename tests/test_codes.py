@@ -14,6 +14,7 @@ from pfrsim.codes import (
     length,
     lengths,
     renyi_entropy,
+    _tail_power_sum_bound,
 )
 from pfrsim.distributions import DistributionPair, Gaussian
 from pfrsim.errors import (
@@ -179,6 +180,21 @@ class TestRenyiEntropy:
         lo, hi = renyi_entropy(pmf, 0.5)
         assert math.isfinite(lo)
         assert hi == math.inf
+
+    def test_tail_bound_past_the_double_range_is_infinite(self):
+        # N(0,1)|N(30,1) truncated at 3 keeps almost no mass: its tail power
+        # sum bound is 2**1298 or more at every order, where 2.0**best overflowed
+        pmf = index_pmf(DistributionPair(Gaussian(0, 1), Gaussian(30, 1)), 3)
+        for alpha in (0.2, 0.5, 0.9):
+            assert _tail_power_sum_bound(pmf, alpha) == math.inf
+            assert renyi_entropy(pmf, alpha) == (0.0, math.inf)
+
+    def test_bracket_is_floored_at_zero(self):
+        # a head of little mass has a power sum below 1, and H_alpha >= 0
+        pmf = IndexPmf(np.array([1e-60, 1e-61]), 1.0 - 1.1e-60)
+        assert renyi_entropy(pmf, 0.5) == (0.0, math.inf)
+        lo, hi = renyi_entropy(IndexPmf(np.array([0.5, 0.25]), 0.25), 0.5)
+        assert lo == pytest.approx(2.0 * math.log2(0.5**0.5 + 0.25**0.5)) and hi == math.inf
 
     def test_bracket_contains_better_truncation(self):
         # the certified upper bound at small N must dominate the lower

@@ -187,8 +187,12 @@ class TestRunPfr:
             run_pfr(STD_PAIR, rng, delta=1e-300, max_candidates=2000)
 
     def test_delta_validation(self):
-        with pytest.raises(DomainError):
-            run_pfr(STD_PAIR, np.random.default_rng(0), delta=0.0)
+        # an infinite delta stopped after the first 64 candidates, with
+        # termination "approximate": the argmin of those, a biased law
+        bounded = DistributionPair(Laplace(0, 1), Laplace(1, 1))
+        for pr, delta in itertools.product((STD_PAIR, bounded), (0.0, -1e-6, math.inf, math.nan)):
+            with pytest.raises(DomainError, match="delta"):
+                run_pfr(pr, np.random.default_rng(0), delta=delta)
 
     def test_index_does_not_depend_on_delta(self):
         # a smaller delta only runs longer; the argmin it returns is the same
@@ -432,7 +436,7 @@ class TestSampleIndexExact:
         ref = _reference_sample_indices(pr, n, ref_rng)
         rng = np.random.default_rng(n)
         _assert_same_draws(sample_indices(pr, n, rng), ref, rng, ref_rng)
-        monkeypatch.setattr(pfr, "_pool", lambda: (None, 0))
+        monkeypatch.setattr(pfr, "_pool", lambda: None)
         rng = np.random.default_rng(n)
         _assert_same_draws(sample_indices(pr, n, rng), ref, rng, ref_rng)
 
@@ -442,7 +446,7 @@ class TestSampleIndexExact:
         # at most once, all of them when none fails, each taken block has
         # finished on return, and a block's exception reaches the caller
         pool = ThreadPoolExecutor(7)
-        monkeypatch.setattr(pfr, "_pool", lambda: (pool, 7))
+        monkeypatch.setattr(pfr, "_pool", lambda: pool)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -498,7 +502,7 @@ class TestSampleIndexExact:
         # a block is taken only once filled, every fill comes first, and
         # each finish follows its block's run, in order, on the caller's thread
         pool = ThreadPoolExecutor(3)
-        monkeypatch.setattr(pfr, "_pool", lambda: (pool, 3))
+        monkeypatch.setattr(pfr, "_pool", lambda: pool)
         try:
             caller, events = threading.current_thread(), []
 
@@ -534,7 +538,7 @@ class TestSampleIndexExact:
         # any thread) raises in its third block: the error reaches the
         # caller, every helper is free again, and the next call on the
         # same pool matches the reference.  The raw draw fails late, once
-        # the helpers have run the two blocks drawn and wait for more.
+        # the helpers have run the two blocks drawn.
         calls = itertools.count(1)
 
         class Failing(Gaussian):
@@ -551,7 +555,7 @@ class TestSampleIndexExact:
 
         helpers, errors = 2, []
         pool = ThreadPoolExecutor(helpers)
-        monkeypatch.setattr(pfr, "_pool", lambda: (pool, helpers))
+        monkeypatch.setattr(pfr, "_pool", lambda: pool)
         pr = DistributionPair(Failing(0, 1), Failing(1, 1))
 
         def call():
@@ -584,7 +588,7 @@ class TestSampleIndexExact:
         # beyond the two returned arrays, each of the caller's thread and
         # one helper holds a dozen blocks at most, and the uniforms one
         pool = ThreadPoolExecutor(1)
-        monkeypatch.setattr(pfr, "_pool", lambda: (pool, 1))
+        monkeypatch.setattr(pfr, "_pool", lambda: pool)
         pr, n, block_bytes = EXACT_CASES[case], 2**20, 8 * _BLOCK
         try:
             sample_indices(pr, 2 * _BLOCK, np.random.default_rng(0))  # imports, caches
@@ -613,6 +617,45 @@ class TestSampleIndexExact:
         far = DistributionPair(Gaussian(0, 1), Gaussian(40, 1))
         with np.errstate(all="raise"), pytest.raises(IndexOverflowError, match="underflows"):
             sample_indices(far, n, np.random.default_rng(5))
+
+    def test_negative_count_rejected(self):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(DomainError, match="n must be"):
+            sample_indices(STD_PAIR, -1, rng)
+        assert rng.bit_generator.state == state
+
+    def test_two_callers_share_one_pool(self, monkeypatch):
+        # two threads sample different pairs at once, 20 calls each, through
+        # one one-helper pool: each call gets the draws it gets with no pool
+        cases = [(STD_PAIR, 2**32 + 7), (EXACT_CASES["finite_zero_point"], 1)]
+        n = 3 * _BLOCK + 7
+        monkeypatch.setattr(pfr, "_pool", lambda: None)
+        refs = [
+            [sample_indices(pr, n, np.random.default_rng(seed + call)) for call in range(20)]
+            for pr, seed in cases
+        ]
+        pool = ThreadPoolExecutor(1)
+        monkeypatch.setattr(pfr, "_pool", lambda: pool)
+        matched, start = [[], []], threading.Barrier(len(cases))
+
+        def call(c):
+            (pr, seed), ref = cases[c], refs[c]
+            start.wait(10)
+            for j in range(20):
+                k, u = sample_indices(pr, n, np.random.default_rng(seed + j))
+                matched[c].append(np.array_equal(k, ref[j][0]) and np.array_equal(u, ref[j][1]))
+
+        callers = [threading.Thread(target=call, args=(c,), daemon=True) for c in range(2)]
+        try:
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(60)
+            assert not any(t.is_alive() for t in callers)
+            assert matched == [[True] * 20] * 2
+        finally:
+            pool.shutdown(wait=not any(t.is_alive() for t in callers))
 
     def test_identical_pair_always_one(self):
         pr = DistributionPair(Gaussian(0, 1), Gaussian(0, 1))

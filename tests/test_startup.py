@@ -36,7 +36,7 @@ if os.environ.get("PRELOAD"):
     import scipy.special
 
 record = {"asked": [], "loads": [], "in_blocks": False,
-          "helpers": pfr._pool()[1], "preloaded": "scipy" in sys.modules}
+          "helpers": pfr._pool() is not None, "preloaded": "scipy" in sys.modules}
 both_asked = threading.Event()
 
 run_blocks = pfr._run_blocks

@@ -32,10 +32,15 @@ directory at OUTDIR, so every output lands there under a relative name:
 * the first of those (selection rule, delta 1e-8) at the multi-word seeds
   2**64 + 1 and 2**130 + 7, whose streams take longer seed hashes.
 
-The stdout of each command is kept as ``<name>.stdout``.  The script exits
-1 if any command fails.  Snapshots of two checkouts that ``diff -r`` finds
-equal show that a change left all of these outputs byte-identical.
-Standard library only.
+The stdout of each command is kept as ``<name>.stdout``.  Where the
+platform can pin a process to CPUs, the 100,003-row exact commands run a
+second time pinned to one CPU, in a temporary directory, where the exact
+sampler has no thread pool; their output files and stdout must keep the
+bytes of the unpinned run, which shows that the output does not depend on
+the CPU count.  The script exits 1 if any command fails or a pinned run
+differs.  Snapshots of two checkouts that ``diff -r`` finds equal show
+that a change left all of these outputs byte-identical.  Standard library
+only.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ import argparse
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 GOLDEN_PAIRS = (
@@ -128,11 +134,38 @@ def commands() -> list[tuple[str, list[str]]]:
     for seed in WIDE_SEEDS:
         name = f"sample_{kind}_seed_{seed}"
         out.append((name, ["sample", *pair, *extra, "--seed", str(seed), "--out", f"{name}.csv"]))
+    return out + exact_block_commands()
+
+
+def exact_block_commands() -> list[tuple[str, list[str]]]:
+    """(name, CLI arguments) of the exact sampler over several blocks."""
+    out = []
     for kind, pair in EXACT_BLOCKS:
         name = f"sample_{kind}_seed_0"
         out.append((name, ["sample", *pair, "-n", "100003", "--method", "exact", "--seed", "0",
                            "--out", f"{name}.csv"]))
     return out
+
+
+def run(cli_args: list[str], cwd: Path, env: dict, preexec_fn=None) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "pfrsim.cli", *cli_args], cwd=cwd, env=env,
+                          capture_output=True, text=True, preexec_fn=preexec_fn)
+
+
+def pinned_differences(outdir: Path, env: dict) -> list[str]:
+    """Names of the exact-block commands whose output changes on one CPU."""
+    cpu = min(os.sched_getaffinity(0))
+    differ = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, cli_args in exact_block_commands():
+            res = run(cli_args, Path(tmp), env, lambda: os.sched_setaffinity(0, {cpu}))
+            csv = Path(tmp) / f"{name}.csv"
+            if (res.returncode != 0 or res.stdout != (outdir / f"{name}.stdout").read_text()
+                    or not csv.exists() or csv.read_bytes() != (outdir / csv.name).read_bytes()):
+                differ.append(name)
+                print(f"{name}: differs on one CPU (exit {res.returncode})\n{res.stderr}",
+                      file=sys.stderr)
+    return differ
 
 
 def main() -> int:
@@ -145,8 +178,7 @@ def main() -> int:
     env = dict(os.environ, PYTHONPATH=str(args.root.resolve() / "src"))
     failed = []
     for name, cli_args in commands():
-        res = subprocess.run([sys.executable, "-m", "pfrsim.cli", *cli_args], cwd=args.outdir,
-                             env=env, capture_output=True, text=True)
+        res = run(cli_args, args.outdir, env)
         (args.outdir / f"{name}.stdout").write_text(res.stdout)
         if res.returncode != 0:
             failed.append(name)
@@ -154,6 +186,11 @@ def main() -> int:
     if failed:
         print(f"snapshot_outputs: {len(failed)} command(s) failed", file=sys.stderr)
         return 1
+    if hasattr(os, "sched_setaffinity"):  # not on every platform
+        differ = pinned_differences(args.outdir, env)
+        if differ:
+            print(f"snapshot_outputs: {len(differ)} command(s) differ on one CPU", file=sys.stderr)
+            return 1
     return 0
 
 
