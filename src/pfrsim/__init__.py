@@ -61,7 +61,6 @@ from .errors import (
     OrderError,
     PfrsimError,
     TailTooHeavyWarning,
-    UnboundedTailError,
     UnsupportedKindError,
 )
 from .numerics import (
@@ -86,7 +85,6 @@ from .pfr import (
     IndexPmf,
     PfrBatch,
     PfrOutcome,
-    TailCertificate,
     derive_stream,
     index_pmf,
     log_beta,

@@ -256,7 +256,6 @@ def entropy_figure(p_spec, q_spec, n_max, out, fmt, alpha_range, quad):
             f"tail mass {pmf.tail_mass:.3g} exceeds 1e-4; h_alpha_plus1 is only "
             "a lower bracket of the entropy",
             TailTooHeavyWarning,
-            stacklevel=2,
         )
     h_col = []
     with _usage_errors():

@@ -15,18 +15,9 @@ from typing import Union
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    LengthTableError,
-    OrderError,
-    UnboundedTailError,
-)
+from .errors import DomainError, LengthTableError, OrderError
 from .numerics import LN2, log2_sum_exp
 from .pfr import IndexPmf
-
-#: Tail mass at or below this level is treated as renormalization dust
-#: (floating-point residue of an exact pmf), not as genuine tail.
-_DUST_TAIL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -137,26 +128,19 @@ def kraft_sum(lf: LengthFunction, n_terms: int) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class CampbellCost:
-    """Order-t cost of a truncated pmf: point value plus a bracket for the
-    untruncated cost."""
+    """Order-t cost of a truncated pmf: the truncated value, and the upper end
+    of a bracket [value, upper] for the untruncated cost."""
 
     value: float
-    lower: float
     upper: float
 
 
-def campbell_cost(
-    pmf: IndexPmf,
-    lf: LengthFunction,
-    t: float,
-    tail_length: int | None = None,
-) -> CampbellCost:
+def campbell_cost(pmf: IndexPmf, lf: LengthFunction, t: float) -> CampbellCost:
     """(1/t) log2 sum p(k) 2**(t n_k) over the truncated pmf.
 
     The truncated value is itself a lower bound on the untruncated cost.
-    The upper bound additionally charges the tail mass at ``tail_length``
-    bits per symbol; with positive tail mass and no ceiling there is no
-    finite upper bound and the call fails.
+    The upper end equals it where the tail is dust and is +inf otherwise:
+    nothing bounds the lengths a code gives the tail.
     """
     if not t > 0.0:
         raise DomainError("t must be positive")
@@ -166,57 +150,14 @@ def campbell_cost(
         logp = np.log2(pmf.probs)
     terms = logp + t * ns
     value = log2_sum_exp(terms[np.isfinite(terms)]) / t
-    if pmf.tail_mass <= _DUST_TAIL:
-        return CampbellCost(value, value, value)
-    if tail_length is None:
-        raise UnboundedTailError(
-            "pmf has positive tail mass; supply tail_length to bound the cost"
-        )
-    tail_term = math.log2(pmf.tail_mass) + t * float(tail_length)
-    upper = log2_sum_exp(np.append(terms[np.isfinite(terms)], tail_term)) / t
-    return CampbellCost(value, value, upper)
-
-
-def _tail_power_sum_bound(pmf: IndexPmf, alpha: float) -> float:
-    """Upper bound on sum_{k > n_max} P(K=k)**alpha.
-
-    Monotonicity makes each checkpoint block at most (block width) times
-    the leading checkpoint probability to the alpha; the remainder past
-    the last checkpoint M combines Holder's inequality with a stored
-    moment bound:  sum p^a <= (E[K^r 1{K>M}])^a (sum_{k>M} k^-s)^(1-a),
-    s = r a / (1-a) > 1.
-    """
-    cert = pmf.tail_certificate
-    if cert is None or not cert.checkpoints:
-        return math.inf
-    ks = [pmf.n_max] + [k for k, _ in cert.checkpoints]
-    ps = [float(pmf.probs[-1])] + [p for _, p in cert.checkpoints]
-    total = 0.0
-    for (ka, pa), kb in zip(zip(ks, ps), ks[1:]):
-        if kb > ka and pa > 0.0:
-            total += (kb - ka) * pa**alpha
-    m = ks[-1]
-    log2m = math.log2(m)
-    best = math.inf
-    for r, log2_moment in cert.moment_log2_bounds:
-        s = r * alpha / (1.0 - alpha)
-        if s <= 1.0 + 1e-9:
-            continue
-        log2_rem = alpha * log2_moment + (1.0 - alpha) * (
-            (1.0 - s) * log2m - math.log2(s - 1.0)
-        )
-        best = min(best, log2_rem)
-    if not best < 1024.0:  # 2**best overflows a double
-        return math.inf
-    return total + 2.0**best
+    return CampbellCost(value, value if pmf.tail_is_dust else math.inf)
 
 
 def renyi_entropy(pmf: IndexPmf, alpha: float) -> tuple[float, float]:
     """Bracket [lower, upper] for the order-alpha entropy of the full law.
 
     The truncated power sum gives the lower end exactly; the upper end
-    adds a certified bound on the tail power sum (infinite when the pmf
-    carries tail mass but no certificate data).  Both are floored at 0,
+    adds the pmf's bound on the tail power sum.  Both are floored at 0,
     since H_alpha >= 0: a head of little mass has a power sum below 1.
     """
     if not 0.0 < alpha < 1.0:
@@ -224,12 +165,7 @@ def renyi_entropy(pmf: IndexPmf, alpha: float) -> tuple[float, float]:
     p = pmf.probs[pmf.probs > 0.0]
     head = float(np.sum(p**alpha))
     lower = max(math.log2(head) / (1.0 - alpha), 0.0)
-    if pmf.tail_mass <= _DUST_TAIL:
-        return lower, lower
-    tail = _tail_power_sum_bound(pmf, alpha)
-    if not math.isfinite(tail):
-        return lower, math.inf
-    upper = max(math.log2(head + tail) / (1.0 - alpha), 0.0)
+    upper = max(math.log2(head + pmf.tail_power_sum_bound(alpha)) / (1.0 - alpha), 0.0)
     return lower, upper
 
 

@@ -37,10 +37,6 @@ class NegativeTailError(PfrsimError, ValueError):
     """Accumulated quadrature error drove a truncated pmf's tail mass below -1e-9."""
 
 
-class UnboundedTailError(PfrsimError, ValueError):
-    """Cost upper bound requested for a pmf with positive tail mass but no tail length ceiling."""
-
-
 class LengthTableError(PfrsimError, IndexError):
     """Custom code-length table indexed beyond its last entry."""
 

@@ -258,11 +258,18 @@ def verify_lb_via_optimal_code(
 
     Costs are evaluated under the optimal one-to-one lengths and under
     prefix codes; the pmf is sorted nonincreasing first (the one-to-one
-    optimum assumes it).
+    optimum assumes it).  A law whose truncation leaves more than dust in
+    the tail raises DomainError: its truncated costs may fall below the
+    floor with no code at fault.
     """
     if not isinstance(pair.p, Finite) or len(pair.p.probs) > 12:
         raise DomainError("exact verification needs a finite pair with support <= 12")
     pmf = _exact_finite_pmf(pair)
+    if not pmf.tail_is_dust:
+        raise DomainError(
+            f"the exact index law leaves tail mass {pmf.tail_mass:.3g} beyond "
+            f"{pmf.n_max} indices; its code costs cannot be checked"
+        )
     ordered = IndexPmf(np.sort(pmf.probs)[::-1], pmf.tail_mass)
     label = f"finite:{','.join(f'{x:g}' for x in pair.p.probs)}"
     reports = []

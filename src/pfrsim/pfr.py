@@ -27,9 +27,10 @@ Two samplers produce the transmitted index K with its accepted sample:
 
 ``index_pmf`` integrates the conditional geometric law against the
 target density on one quadrature grid shared by every k, reporting the
-truncated pmf, the exact tail mass, and optional tail certificates
-(checkpoint probabilities plus moment bounds) that let downstream code
-bound power sums over the untruncated tail.
+truncated pmf and the exact tail mass.  ``IndexPmf`` alone decides about
+the untruncated tail: whether it is dust, and a bound on its power sums
+from checkpoint probabilities and moment bounds that ``index_pmf``
+attaches.
 """
 
 from __future__ import annotations
@@ -52,21 +53,23 @@ from .numerics import LOG2E, QuadratureSpec, log2_sum_exp, open_text, quadrature
 
 _UINT64_MAX = float(2**64 - 1)
 
-#: Moment orders stored as tail certificates on IndexPmf.
+#: Moment orders whose bounds ``index_pmf`` attaches to an IndexPmf.
 _CERT_MOMENT_ORDERS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
+
+#: Tail mass at or below this level is renormalization dust (floating-point
+#: residue of an exact pmf), not genuine tail.
+_DUST_TAIL = 1e-12
 
 
 def derive_stream(root_seed: int, i: int) -> np.random.Generator:
     """Stream i of a batch: seeded by root_seed XOR i.
 
-    The same stream as ``np.random.default_rng(root_seed ^ i)``, built
-    without its argument checks, which cost a fifth of the time.  This is
-    the definition of stream i: ``run_pfr_many`` seeds a chunk of streams
-    in one array pass and gets exactly these generators.
+    This is the definition of stream i: ``run_pfr_many`` seeds a chunk of
+    streams in one array pass and gets exactly these generators.
     """
     if root_seed < 0 or i < 0:
         raise DomainError("root_seed and i must be >= 0")
-    return np.random.Generator(np.random.PCG64(root_seed ^ i))
+    return np.random.default_rng(root_seed ^ i)
 
 
 # numpy's SeedSequence hash on its default pool of four 32-bit words
@@ -161,28 +164,21 @@ class PfrOutcome:
             raise DomainError(f"unknown termination {self.termination!r}")
 
 
-@dataclass(frozen=True)
-class TailCertificate:
-    """Data licensing upper bounds on sums over the truncated tail.
-
-    ``checkpoints`` holds (k, P(K=k)) on a geometric ladder beyond the
-    truncation point; the pmf is nonincreasing, so each block of indices
-    is dominated by its leading checkpoint.  ``moment_log2_bounds`` holds
-    (r, log2 B_r) with E[K^r] <= B_r, derived from closed-form divergences,
-    which bounds the remainder beyond the last checkpoint.
-    """
-
-    checkpoints: tuple[tuple[int, float], ...]
-    moment_log2_bounds: tuple[tuple[float, float], ...]
-
-
 @dataclass
 class IndexPmf:
-    """Truncated index distribution: P(K=k) for k=1..N plus explicit tail mass."""
+    """Truncated index distribution: P(K=k) for k=1..N plus explicit tail mass.
+
+    The tail beyond N is bounded here alone.  ``index_pmf`` attaches
+    ``_checkpoints``, (k, P(K=k)) on a geometric ladder beyond N, and
+    ``_moment_log2_bounds``, (r, log2 B_r) with E[K^r] <= B_r from
+    closed-form divergences; a pmf built without them bounds no tail that
+    is not dust.
+    """
 
     probs: np.ndarray
     tail_mass: float
-    tail_certificate: TailCertificate | None = field(default=None, repr=False)
+    _checkpoints: tuple[tuple[int, float], ...] = field(default=(), repr=False)
+    _moment_log2_bounds: tuple[tuple[float, float], ...] = field(default=(), repr=False)
 
     def __post_init__(self) -> None:
         self.probs = np.asarray(self.probs, dtype=float)
@@ -200,6 +196,45 @@ class IndexPmf:
     @property
     def n_max(self) -> int:
         return len(self.probs)
+
+    @property
+    def tail_is_dust(self) -> bool:
+        """Whether the tail mass is floating-point residue (at most 1e-12), not genuine tail."""
+        return self.tail_mass <= _DUST_TAIL
+
+    def tail_power_sum_bound(self, alpha: float) -> float:
+        """Upper bound on sum_{k > n_max} P(K=k)**alpha, for 0 < alpha < 1.
+
+        0.0 for a dust tail, and +inf for any other tail without checkpoints.
+        Otherwise monotonicity makes each checkpoint block at most (block
+        width) times the leading checkpoint probability to the alpha; the
+        remainder past the last checkpoint M combines Holder's inequality
+        with a moment bound:  sum p^a <= (E[K^r 1{K>M}])^a (sum_{k>M} k^-s)^(1-a),
+        s = r a / (1-a) > 1.
+        """
+        if self.tail_is_dust:
+            return 0.0
+        if not self._checkpoints:
+            return math.inf
+        ks = [self.n_max] + [k for k, _ in self._checkpoints]
+        ps = [float(self.probs[-1])] + [p for _, p in self._checkpoints]
+        total = 0.0
+        for (ka, pa), kb in zip(zip(ks, ps), ks[1:]):
+            if kb > ka and pa > 0.0:
+                total += (kb - ka) * pa**alpha
+        log2m = math.log2(ks[-1])
+        best = math.inf
+        for r, log2_moment in self._moment_log2_bounds:
+            s = r * alpha / (1.0 - alpha)
+            if s <= 1.0 + 1e-9:
+                continue
+            log2_rem = alpha * log2_moment + (1.0 - alpha) * (
+                (1.0 - s) * log2m - math.log2(s - 1.0)
+            )
+            best = min(best, log2_rem)
+        if not best < 1024.0:  # 2**best overflows a double
+            return math.inf
+        return total + 2.0**best
 
     def to_csv(self, f) -> None:
         """Write rows ``k,prob`` followed by a final ``tail,<tail_mass>`` row."""
@@ -434,11 +469,12 @@ def _select(
     """
     q, log_rmax = pair.q, pair.log_ratio_sup()
     live = np.arange(len(rngs))
-    # last arrival time and best candidate so far, set by the first block
-    t_last = np.empty(live.size)
-    best_score = np.empty(live.size)  # natural log of min T_i / r(U_i)
-    best_index = np.empty(live.size, dtype=np.int64)
-    best_u = np.empty(live.size, dtype=np.int64 if pair.is_finite_kind else float)
+    # last arrival time and best candidate so far; a +inf score (P zero at
+    # every draw) never wins and passes no stop test
+    t_last = np.zeros(live.size)
+    best_score = np.full(live.size, np.inf)  # natural log of min T_i / r(U_i)
+    best_index = np.zeros(live.size, dtype=np.int64)
+    best_u = np.zeros(live.size, dtype=np.int64 if pair.is_finite_kind else float)
     m, block = 0, 64
     while m < max_candidates:
         b = min(block, max_candidates - m)
@@ -451,26 +487,20 @@ def _select(
                 rngs[s].standard_exponential(out=times[j])
                 q.raw(rngs[s], raw[j])
             np.add.accumulate(times, axis=1, out=times)
-            if m:
-                times += t_last[rows, None]
+            times += t_last[rows, None]
             t_last[rows] = times[:, -1]
             us = q.transform(raw)
             scores = np.log(times, out=times)
             scores -= pair.log_ratio(us)
             i = scores.argmin(axis=1)
-            if m:  # a later candidate replaces the best only with a lower score
-                score = np.minimum.reduce(scores, axis=1)
-                won = (score < best_score[rows]).nonzero()[0]
-                if won.size:
-                    at, i = won + lo, i[won]
-                    best_score[at] = score[won]
-                    best_index[at] = i + (m + 1)
-                    best_u[at] = us[won, i]
-            else:  # the first best; +inf (P zero at every draw) passes no stop test
-                at = np.arange(len(ids))
-                best_score[rows] = scores[at, i]
-                best_index[rows] = i + 1
-                best_u[rows] = us[at, i]
+            # a candidate replaces the best only with a lower score
+            score = np.minimum.reduce(scores, axis=1)
+            won = (score < best_score[rows]).nonzero()[0]
+            if won.size:
+                at, i = won + lo, i[won]
+                best_score[at] = score[won]
+                best_index[at] = i + (m + 1)
+                best_u[at] = us[won, i]
         m += b
         block = min(block * 2, 8192)
         log_t = np.log(t_last)
@@ -655,5 +685,5 @@ def _index_pmf_on_grid(pair: DistributionPair, n_max: int, nodes, weights) -> In
             (k, float(np.exp((k - 1) * log1m + lb) @ base))
             for k in _certificate_checkpoints(n_max)
         )
-    cert = TailCertificate(checkpoints, _moment_bounds_log2(pair))
-    return IndexPmf(probs, tail, cert)
+    return IndexPmf(probs, tail, _checkpoints=checkpoints,
+                    _moment_log2_bounds=_moment_bounds_log2(pair))

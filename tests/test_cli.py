@@ -424,6 +424,14 @@ class TestEntropyFigureCommand:
             )
         assert res.exit_code == 0
 
+    def test_heavy_tail_warning_names_the_cli(self):
+        with pytest.warns(TailTooHeavyWarning) as record:
+            res = run("entropy-figure", "normal:0,1", "normal:30,1", "--n-max", "3",
+                      "--alpha-range", "0.5,0.9,2")
+        assert res.exit_code == 0, res.output
+        path = Path(record[0].filename)
+        assert (path.parent.name, path.name) == ("pfrsim", "cli.py")
+
     def test_far_pair_column_is_floored(self):
         # N(0,1)|N(30,1) at n_max 3 keeps about 2e-54 of the mass: the tail
         # bound overflowed a double, and the bracket's lower end was -1605
@@ -582,20 +590,36 @@ class TestGoldenFiles:
         ],
     )
     def test_sweep_matches_golden(self, tmp_path, name, p, q):
-        golden = (GOLDEN_DIR / name).read_text()
-        out = tmp_path / "fresh.csv"
-        res = run("sweep", p, q, "--out", str(out))
-        assert res.exit_code == 0, res.output
-        fresh = out.read_text()
-        g_header, g_rows = parse_csv(golden)
-        f_header, f_rows = parse_csv(fresh)
-        assert f_header == g_header
-        assert len(f_rows) == len(g_rows)
-        for grow, frow in zip(g_rows, f_rows):
-            for gcell, fcell in zip(grow, frow):
-                if gcell == "" or fcell == "":
-                    assert gcell == fcell
-                elif gcell == "inf" or fcell == "inf":
-                    assert gcell == fcell
-                else:
-                    assert float(fcell) == pytest.approx(float(gcell), abs=1e-6)
+        assert_matches_golden(tmp_path, name, "sweep", p, q)
+
+    @pytest.mark.parametrize(
+        "name,p,q",
+        [
+            ("entropy_figure_normal_0_1_normal_1_1.csv", "normal:0,1", "normal:1,1"),
+            ("entropy_figure_normal_0_1_normal_0.5_1.6.csv", "normal:0,1", "normal:0.5,1.6"),
+        ],
+    )
+    def test_entropy_figure_matches_golden(self, tmp_path, name, p, q):
+        # h_alpha_plus1 is the upper end of the certified entropy bracket
+        assert_matches_golden(tmp_path, name, "entropy-figure", p, q, "--n-max", "1000")
+
+
+def assert_matches_golden(tmp_path, name, *args):
+    """The CSV that the CLI writes for ``args`` matches golden ``name`` within 1e-6 per cell."""
+    golden = (GOLDEN_DIR / name).read_text()
+    out = tmp_path / "fresh.csv"
+    res = run(*args, "--out", str(out))
+    assert res.exit_code == 0, res.output
+    fresh = out.read_text()
+    g_header, g_rows = parse_csv(golden)
+    f_header, f_rows = parse_csv(fresh)
+    assert f_header == g_header
+    assert len(f_rows) == len(g_rows)
+    for grow, frow in zip(g_rows, f_rows):
+        for gcell, fcell in zip(grow, frow):
+            if gcell == "" or fcell == "":
+                assert gcell == fcell
+            elif gcell == "inf" or fcell == "inf":
+                assert gcell == fcell
+            else:
+                assert float(fcell) == pytest.approx(float(gcell), abs=1e-6)

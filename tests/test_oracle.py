@@ -226,6 +226,13 @@ class TestCodeLowerBound:
         with pytest.raises(DomainError):
             verify_lb_via_optimal_code(DistributionPair(Gaussian(0, 1), Gaussian(1, 1)))
 
+    def test_rejects_a_law_with_more_than_dust_in_the_tail(self):
+        # 2*10**6 indices leave a tail of 0.335, and the truncated costs fall
+        # below the floor with no code at fault
+        pr = DistributionPair(Finite((0.5, 0.5)), Finite((1 - 1e-7, 1e-7)))
+        with pytest.raises(DomainError, match="tail mass 0.335"):
+            verify_lb_via_optimal_code(pr)
+
 
 class TestSuite:
     def test_full_suite_passes(self):

@@ -810,15 +810,21 @@ class TestIndexPmf:
 
     def test_certificate_checkpoints_continue_the_decay(self):
         pmf = index_pmf(STD_PAIR, 100)
-        cert = pmf.tail_certificate
-        assert cert is not None and len(cert.checkpoints) > 50
-        ks = [k for k, _ in cert.checkpoints]
-        ps = [p for _, p in cert.checkpoints]
+        assert len(pmf._checkpoints) > 50
+        ks = [k for k, _ in pmf._checkpoints]
+        ps = [p for _, p in pmf._checkpoints]
         assert ks == sorted(ks)
         assert ps[0] <= pmf.probs[-1] + 1e-15
         finite_drop = [a >= b - 1e-18 for a, b in zip(ps, ps[1:])]
         assert all(finite_drop)
-        assert len(cert.moment_log2_bounds) >= 4
+        assert len(pmf._moment_log2_bounds) >= 4
+
+    def test_tail_bound_is_zero_for_dust_and_inf_without_checkpoints(self):
+        dust = IndexPmf(np.array([0.5, 0.5 - 1e-12]), 1e-12)
+        assert dust.tail_is_dust and dust.tail_power_sum_bound(0.5) == 0.0
+        bare = IndexPmf(np.array([0.9]), 0.1)
+        assert not bare.tail_is_dust and bare.tail_power_sum_bound(0.5) == math.inf
+        assert 0.0 < index_pmf(STD_PAIR, 100).tail_power_sum_bound(0.5) < math.inf
 
     def test_csv_roundtrip(self):
         pmf = index_pmf(STD_PAIR, 25)

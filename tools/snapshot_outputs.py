@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Write the outputs of a fixed set of pfrsim CLI commands into one directory.
 
-    python tools/snapshot_outputs.py OUTDIR [--root REPO]
+    python tools/snapshot_outputs.py OUTDIR [--root REPO] [--record | --check]
 
 Each command runs as ``python -m pfrsim.cli`` with ``PYTHONPATH=REPO/src``
 (REPO defaults to the checkout holding this script) and its working
@@ -38,19 +38,35 @@ second time pinned to one CPU, in a temporary directory, where the exact
 sampler has no thread pool; their output files and stdout must keep the
 bytes of the unpinned run, which shows that the output does not depend on
 the CPU count.  The script exits 1 if any command fails or a pinned run
-differs.  Snapshots of two checkouts that ``diff -r`` finds equal show
-that a change left all of these outputs byte-identical.  Standard library
-only.
+differs.
+
+``tools/snapshot_digests.json`` records the SHA-256 and size of every
+output, with the Python, numpy and scipy versions they were made with:
+
+    python tools/snapshot_outputs.py OUTDIR --record   # rewrite the manifest
+    python tools/snapshot_outputs.py OUTDIR --check    # compare with it
+
+``--check`` first says so if the library versions differ from the
+recorded ones (numpy's transcendentals may change bits between
+versions), then lists each output that differs, is missing or is new,
+and exits 1 if there is any.  Use an empty OUTDIR: a file left there by
+an earlier run counts as new.  Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
+import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
+from importlib import metadata
 from pathlib import Path
+
+MANIFEST = Path(__file__).with_name("snapshot_digests.json")
 
 GOLDEN_PAIRS = (
     ("normal:0,1", "normal:1,1"),
@@ -147,6 +163,56 @@ def exact_block_commands() -> list[tuple[str, list[str]]]:
     return out
 
 
+def output_files(name: str, cli_args: list[str]) -> list[str]:
+    """Names of the files a command leaves in OUTDIR: its stdout, then what ``--out`` names."""
+    files = [f"{name}.stdout"]
+    if "--out" in cli_args:
+        out = cli_args[cli_args.index("--out") + 1]
+        fmt = cli_args[cli_args.index("--format") + 1] if "--format" in cli_args else None
+        if fmt is None:  # a command without formats writes --out as given
+            files.append(out)
+        else:
+            base = out[:-4] if out.endswith((".csv", ".svg")) else out
+            files += [base + ext for ext in ((".csv", ".svg") if fmt == "both" else (f".{fmt}",))]
+    return files
+
+
+def expected_files() -> set[str]:
+    """Every file a snapshot holds."""
+    return {f for name, cli_args in commands() for f in output_files(name, cli_args)}
+
+
+def versions() -> dict[str, str]:
+    """Versions of Python and of the libraries whose arithmetic the outputs depend on."""
+    return {"python": platform.python_version(), "numpy": metadata.version("numpy"),
+            "scipy": metadata.version("scipy")}
+
+
+def digests(outdir: Path) -> dict[str, dict]:
+    """SHA-256 and size of every file in OUTDIR, by name."""
+    return {p.name: {"sha256": hashlib.sha256(p.read_bytes()).hexdigest(), "size": p.stat().st_size}
+            for p in sorted(outdir.iterdir()) if p.is_file()}
+
+
+def check(outdir: Path) -> int:
+    """Compare OUTDIR with the manifest; 1 if any file differs, is missing or is new."""
+    manifest = json.loads(MANIFEST.read_text())
+    if manifest["versions"] != versions():
+        print(f"snapshot_outputs: recorded with {manifest['versions']}, running {versions()}; "
+              "outputs may differ for that reason alone", file=sys.stderr)
+    want, have = manifest["files"], digests(outdir)
+    problems = ([f"differs: {n}" for n in sorted(want.keys() & have.keys()) if want[n] != have[n]]
+                + [f"missing: {n}" for n in sorted(want.keys() - have.keys())]
+                + [f"new: {n}" for n in sorted(have.keys() - want.keys())])
+    for line in problems:
+        print(line)
+    if problems:
+        print(f"snapshot_outputs: {len(problems)} file(s) differ from the manifest", file=sys.stderr)
+        return 1
+    print(f"snapshot_outputs: all {len(want)} files match the manifest")
+    return 0
+
+
 def run(cli_args: list[str], cwd: Path, env: dict, preexec_fn=None) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, "-m", "pfrsim.cli", *cli_args], cwd=cwd, env=env,
                           capture_output=True, text=True, preexec_fn=preexec_fn)
@@ -173,6 +239,9 @@ def main() -> int:
     parser.add_argument("outdir", type=Path)
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
                         help="checkout whose src/ is run (default: this one)")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--record", action="store_true", help=f"write {MANIFEST.name}")
+    mode.add_argument("--check", action="store_true", help=f"compare with {MANIFEST.name}")
     args = parser.parse_args()
     args.outdir.mkdir(parents=True, exist_ok=True)
     env = dict(os.environ, PYTHONPATH=str(args.root.resolve() / "src"))
@@ -191,7 +260,10 @@ def main() -> int:
         if differ:
             print(f"snapshot_outputs: {len(differ)} command(s) differ on one CPU", file=sys.stderr)
             return 1
-    return 0
+    if args.record:
+        manifest = {"versions": versions(), "files": digests(args.outdir)}
+        MANIFEST.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+    return check(args.outdir) if args.check else 0
 
 
 if __name__ == "__main__":
