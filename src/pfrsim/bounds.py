@@ -22,10 +22,13 @@ import numpy as np
 
 from .distributions import DistributionPair, Laplace, kl_divergence, renyi_divergence
 from .errors import AbsoluteContinuityError, EpsilonRangeError, OrderError
-from .numerics import LN2, LOG2E, log_gamma, minimize_scalar, open_text
+from .numerics import LN2, LOG2E, log_gamma, minimize_scalar, write_text
 
 #: The epsilon window (lo, hi) that ``optimize_ub`` searches for ub1.
 _EPS_WINDOW = (1e-4, 50.0)
+
+#: The columns of a sweep table, each named after a ``BoundSet`` attribute.
+SWEEP_COLUMNS = ("alpha", "lb1", "lb2", "lb_max", "ub1", "ub1_eps", "ub2", "ub2_eps")
 
 
 def _check_alpha(alpha) -> None:
@@ -206,6 +209,11 @@ class BoundSet:
     def lb_max(self) -> float:
         return max(self.lb1, self.lb2)
 
+    @property
+    def cells(self) -> tuple:
+        """The row's cells, in the order of ``SWEEP_COLUMNS``."""
+        return tuple(getattr(self, name) for name in SWEEP_COLUMNS)
+
 
 def sweep(pair: DistributionPair, alpha_grid: Iterable[float]) -> list[BoundSet]:
     """Evaluate every bound on a grid of orders, epsilon-optimized per row.
@@ -247,19 +255,23 @@ def default_alpha_grid(pair: DistributionPair, points: int = 160) -> np.ndarray:
     return np.linspace(lo, 0.995, points)
 
 
-def format_cell(x: float | None) -> str:
-    """A CSV cell: ``.12g``, ``inf`` for an infinite value, empty for None."""
+def format_cell(x: float | str | None) -> str:
+    """A CSV cell: ``.12g``, ``inf`` for an infinite value, empty for None; text as it is."""
     if x is None:
         return ""
+    if isinstance(x, str):
+        return x
     if math.isinf(x):
         return "inf"
     return f"{x:.12g}"
 
 
+def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """A CSV table: the header line, then one line of ``format_cell`` cells per row."""
+    lines = [",".join(header), *(",".join(map(format_cell, row)) for row in rows)]
+    return "\n".join(lines) + "\n"
+
+
 def sweep_to_csv(rows: Sequence[BoundSet], f) -> None:
-    """Write the sweep schema: alpha,lb1,lb2,lb_max,ub1,ub1_eps,ub2,ub2_eps."""
-    with open_text(f, "w") as f:
-        f.write("alpha,lb1,lb2,lb_max,ub1,ub1_eps,ub2,ub2_eps\n")
-        for r in rows:
-            cells = (r.alpha, r.lb1, r.lb2, r.lb_max, r.ub1, r.ub1_eps, r.ub2, r.ub2_eps)
-            f.write(",".join(map(format_cell, cells)) + "\n")
+    """Write a sweep table, ``SWEEP_COLUMNS`` then a row per BoundSet, to a path or open file."""
+    write_text(f, csv_text(SWEEP_COLUMNS, (r.cells for r in rows)))

@@ -5,11 +5,14 @@ Every command is deterministic: the two that draw random numbers,
 wall-clock).  Numeric cells use a fixed format so repeated runs are
 byte-identical.  Any option may also come from a JSON file via
 ``--config``; explicit flags win over file values.
+
+Tables go through ``bounds.csv_text`` and every file through
+``numerics.write_text``; a failed write exits with status 3.  ``sample``
+keeps its block-wise ``%`` template, which a per-cell formatter would slow.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import sys
@@ -31,13 +34,17 @@ from .distributions import (
     renyi_divergence,
 )
 from .errors import PfrsimError, TailTooHeavyWarning
-from .numerics import QuadratureSpec
+from .numerics import QuadratureSpec, write_text
 from .svg import write_line_chart
 
 _EXIT_IO = 3
 
 #: Rows that ``sample`` formats in one piece.
 _ROW_BLOCK = 2**14
+
+#: The legend label of each sweep-table column that the SVG chart plots against alpha.
+_SERIES = {"lb1": "lower bound 1", "lb2": "lower bound 2", "ub1": "upper bound 1",
+           "ub2": "upper bound 2", "h_alpha_plus1": "index entropy + 1"}
 
 
 class _AlphaRange(click.ParamType):
@@ -146,8 +153,12 @@ def _write(path, write) -> None:
         sys.exit(_EXIT_IO)
 
 
-def _write_text(path, text: str) -> None:
-    _write(path, lambda path: Path(path).write_text(text, newline=""))
+def _emit(out, text: str) -> None:
+    """Write ``text`` to the path ``out``, or to stdout when ``out`` is None."""
+    if out is None:
+        click.echo(text, nl=False)
+    else:
+        _write(out, lambda path: write_text(path, text))
 
 
 def _named(out: str, suffix: str) -> str:
@@ -158,36 +169,14 @@ def _named(out: str, suffix: str) -> str:
     return (out[:-4] if out.endswith((".csv", ".svg")) else out) + suffix
 
 
-def _sweep_outputs(rows, out, fmt, title, extra=None):
-    """Write a bound sweep as CSV and/or SVG.
-
-    ``extra`` is an optional (column header, series label, values) triple
-    that adds one value per row as a last CSV column and a fifth series.
-    """
-    buf = io.StringIO()
-    bounds_mod.sweep_to_csv(rows, buf)
-    csv_text = buf.getvalue()
-    alphas = [r.alpha for r in rows]
-    series = [
-        ("lower bound 1", alphas, [r.lb1 for r in rows]),
-        ("lower bound 2", alphas, [r.lb2 for r in rows]),
-        ("upper bound 1", alphas, [r.ub1 for r in rows]),
-        ("upper bound 2", alphas, [r.ub2 if r.ub2 is not None else math.nan for r in rows]),
-    ]
-    if extra is not None:
-        header, label, values = extra
-        lines = csv_text.splitlines()
-        lines[0] += f",{header}"
-        for i, v in enumerate(values):
-            lines[i + 1] += f",{bounds_mod.format_cell(v)}"
-        csv_text = "\n".join(lines) + "\n"
-        series.append((label, alphas, values))
+def _sweep_outputs(header, table, out, fmt, title) -> None:
+    """Write a sweep table as CSV and/or SVG; the chart plots each ``_SERIES`` column it has."""
     if fmt in ("csv", "both"):
-        if out is None:
-            click.echo(csv_text, nl=False)
-        else:
-            _write_text(_named(out, ".csv"), csv_text)
+        _emit(None if out is None else _named(out, ".csv"), bounds_mod.csv_text(header, table))
     if fmt in ("svg", "both"):
+        columns = dict(zip(header, zip(*table)))
+        series = [(label, columns["alpha"], columns[name])
+                  for name, label in _SERIES.items() if name in columns]
         _write(_named(out, ".svg"), lambda path: write_line_chart(path, title, "alpha", "bits", series))
 
 
@@ -207,24 +196,24 @@ def main() -> None:
 def divergence(p_spec, q_spec, orders, numeric, out, quad):
     """Print Renyi divergences of order ORDER between two distributions, in bits."""
     pair = _parse_pair(p_spec, q_spec)
-    lines = ["order,bits" + (",numeric_bits" if numeric else "")]
+    table = []
     for order in orders:
         # the shortest text that reads back as this order: 1 + 1e-12 is not 1
         label = repr(order).removesuffix(".0")
         with _usage_errors():
             val = renyi_divergence(pair, order)
-        row = f"{label},{bounds_mod.format_cell(val)}"
+        row = [label, val]
         if numeric:
             # a divergent order has no finite integral to check: inf stays
             if not math.isinf(val):
                 with _usage_errors(f"numeric divergence at order {label}: "):
                     val = numeric_renyi_divergence(pair, order, quad)
-            row += f",{bounds_mod.format_cell(val)}"
-        lines.append(row)
-    text = "\n".join(lines) + "\n"
+            row.append(val)
+        table.append(row)
+    text = bounds_mod.csv_text(("order", "bits", "numeric_bits")[: 2 + numeric], table)
     click.echo(text, nl=False)
     if out is not None:
-        _write_text(out, text)
+        _write(out, lambda path: write_text(path, text))
 
 
 @main.command()
@@ -235,7 +224,7 @@ def divergence(p_spec, q_spec, orders, numeric, out, quad):
 def sweep(p_spec, q_spec, out, fmt, alpha_range):
     """Evaluate all four bounds over an alpha grid; write CSV and/or SVG."""
     _, rows = _sweep_rows(p_spec, q_spec, alpha_range, out, fmt)
-    _sweep_outputs(rows, out, fmt, f"{p_spec} vs {q_spec}")
+    _sweep_outputs(bounds_mod.SWEEP_COLUMNS, [r.cells for r in rows], out, fmt, f"{p_spec} vs {q_spec}")
 
 
 @main.command("entropy-figure")
@@ -257,18 +246,13 @@ def entropy_figure(p_spec, q_spec, n_max, out, fmt, alpha_range, quad):
             "a lower bracket of the entropy",
             TailTooHeavyWarning,
         )
-    h_col = []
+    table = []
     with _usage_errors():
         for r in rows:
             lo, hi = codes_mod.renyi_entropy(pmf, r.alpha)
-            h_col.append((lo if heavy else hi) + 1.0)
-    _sweep_outputs(
-        rows,
-        out,
-        fmt,
-        f"{p_spec} vs {q_spec} (N={n_max})",
-        ("h_alpha_plus1", "index entropy + 1", h_col),
-    )
+            table.append((*r.cells, (lo if heavy else hi) + 1.0))
+    header = (*bounds_mod.SWEEP_COLUMNS, "h_alpha_plus1")
+    _sweep_outputs(header, table, out, fmt, f"{p_spec} vs {q_spec} (N={n_max})")
 
 
 @main.command()
@@ -292,11 +276,7 @@ def sample(p_spec, q_spec, count, method, delta, out, seed):
             ks, us, termination, capped = (
                 batch.index, batch.accepted, batch.termination, batch.capped
             )
-    text = _sample_csv(ks, us, termination, capped, pair.is_finite_kind)
-    if out is None:
-        click.echo(text, nl=False)
-    else:
-        _write_text(out, text)
+    _emit(out, _sample_csv(ks, us, termination, capped, pair.is_finite_kind))
 
 
 def _sample_csv(ks, us, termination: str, capped, finite: bool) -> str:

@@ -78,9 +78,6 @@ class Gaussian(_Law):
         z = (np.asarray(u, dtype=float) - self.mu) / self.sigma
         return -0.5 * z * z - math.log(self.sigma) - _HALF_LOG_2PI
 
-    def cdf(self, u):
-        return _special.ndtr((np.asarray(u, dtype=float) - self.mu) / self.sigma)
-
     def log_cdf(self, u):
         return _special.log_ndtr((np.asarray(u, dtype=float) - self.mu) / self.sigma)
 
@@ -105,10 +102,6 @@ class Laplace(_Law):
     def log_density(self, u):
         z = np.abs(np.asarray(u, dtype=float) - self.theta) / self.lam
         return -z - math.log(2.0 * self.lam)
-
-    def cdf(self, u):
-        z = (np.asarray(u, dtype=float) - self.theta) / self.lam
-        return np.where(z <= 0.0, 0.5 * np.exp(z), 1.0 - 0.5 * np.exp(-z))
 
     def log_cdf(self, u):
         # log(e^z / 2) left of theta, log(1 - e^-z / 2) right of it, without
@@ -151,9 +144,6 @@ class Finite(_Law):
 
     def density(self, i):
         return np.asarray(self.probs)[np.asarray(i, dtype=int)]
-
-    def cdf(self, u):
-        raise UnsupportedKindError("cdf is not defined for finite laws")
 
     def transform(self, v):
         idx = np.searchsorted(self._cumulative, v, side="right")
@@ -204,6 +194,17 @@ class DistributionPair:
                     raise AbsoluteContinuityError(
                         "P is not absolutely continuous w.r.t. Q"
                     )
+        else:
+            # the closed forms and the ratio square each location, the gap, these over
+            # a scale, each scale and the scale ratio, and divide by the last two
+            (mp, sp), (mq, sq) = (vars(d).values() for d in (self.p, self.q))
+            with np.errstate(all="ignore"):
+                scales = np.array([sp, sq, sp / sq])
+                locations = np.outer([mp, mq, mp - mq], [1.0, 1.0 / sp, 1.0 / sq])
+                squares = np.square([*locations.flat, *scales, *(1.0 / scales)])
+            if not np.isfinite(squares).all():
+                raise DomainError(f"{self.p} and {self.q}: a squared location, scale, "
+                                  "scale ratio or location gap leaves the double range")
 
     @property
     def is_finite_kind(self) -> bool:

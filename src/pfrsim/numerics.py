@@ -15,15 +15,15 @@ run in lockstep over the rows; its grid size and refinement budget are
 fixed.  Batched results rest on one condition: numpy's ufuncs give a
 value the same bits alone as inside an array (``log_gamma``, which numpy
 lacks, maps ``math.lgamma``), so a row of a batch gets the bits of its
-own one-row call.  ``open_text`` is the path-or-file opener that the CSV
-writers share.
+own one-row call.  ``write_text`` writes every CSV table and SVG chart of
+pfrsim, to a path or to an open file.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from contextlib import contextmanager
+import os
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -35,14 +35,15 @@ LN2 = math.log(2.0)
 LOG2E = 1.0 / LN2
 
 
-@contextmanager
-def open_text(f, mode: str):
-    """The text file at path ``f`` opened in ``mode`` (and closed after), or ``f`` itself."""
-    if isinstance(f, (str, bytes)) or hasattr(f, "__fspath__"):
-        with open(f, mode, newline="") as opened:
-            yield opened
+def write_text(f, text: str) -> None:
+    """Write ``text`` to the file at path ``f``, replacing it, or to the open text file ``f``.
+
+    A path is opened with ``newline=""``, so ``\n`` stays ``\n`` on every platform."""
+    if isinstance(f, (str, bytes, os.PathLike)):
+        with open(f, "w", newline="") as opened:
+            opened.write(text)
     else:
-        yield f
+        f.write(text)
 
 
 @dataclass(frozen=True)

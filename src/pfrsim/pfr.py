@@ -49,12 +49,15 @@ from .distributions import DistributionPair, renyi_divergence
 from .errors import (
     DomainError, IndexOverflowError, IterationCapError, NegativeTailError, NonConvergenceError
 )
-from .numerics import LOG2E, QuadratureSpec, log2_sum_exp, open_text, quadrature_grid
+from .numerics import LOG2E, QuadratureSpec, log2_sum_exp, quadrature_grid, write_text
 
 _UINT64_MAX = float(2**64 - 1)
 
 #: Moment orders whose bounds ``index_pmf`` attaches to an IndexPmf.
 _CERT_MOMENT_ORDERS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
+
+#: Tail checkpoints past n_max grow by this ratio, up to this index.
+_CERT_RATIO, _CERT_MAX_K = 2.0**0.25, 1e12
 
 #: Tail mass at or below this level is renormalization dust (floating-point
 #: residue of an exact pmf), not genuine tail.
@@ -238,11 +241,8 @@ class IndexPmf:
 
     def to_csv(self, f) -> None:
         """Write rows ``k,prob`` followed by a final ``tail,<tail_mass>`` row."""
-        with open_text(f, "w") as f:
-            f.write("k,prob\n")
-            for k, p in enumerate(self.probs, start=1):
-                f.write(f"{k},{p:.17g}\n")
-            f.write(f"tail,{self.tail_mass:.17g}\n")
+        rows = [f"{k},{p:.17g}\n" for k, p in enumerate(self.probs.tolist(), start=1)]
+        write_text(f, "".join(["k,prob\n", *rows, f"tail,{self.tail_mass:.17g}\n"]))
 
 
 def _log1m_from_log_beta(log_beta_vals: np.ndarray) -> np.ndarray:
@@ -601,16 +601,12 @@ def run_pfr_many(
     return PfrBatch(index, accepted, examined, index == 0, termination, delta)
 
 
-def _certificate_checkpoints(n_max: int, ratio: float = 2.0**0.25, max_k: float = 1e12):
-    ks = []
-    k = float(n_max)
-    while k < max_k:
-        nk = int(math.ceil(k * ratio))
-        if nk <= (ks[-1] if ks else n_max):
-            nk = (ks[-1] if ks else n_max) + 1
-        ks.append(nk)
-        k = k * ratio
-    return ks
+def _certificate_checkpoints(n_max: int):
+    ks, k = [n_max], float(n_max)
+    while k < _CERT_MAX_K:
+        k *= _CERT_RATIO
+        ks.append(max(int(math.ceil(k)), ks[-1] + 1))
+    return ks[1:]
 
 
 def _moment_bounds_log2(pair: DistributionPair) -> tuple[tuple[float, float], ...]:

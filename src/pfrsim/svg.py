@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+from .numerics import write_text
+
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
 
 _W, _H = 900, 560
@@ -18,6 +20,10 @@ def _escape(text: str) -> str:
         .replace(">", "&gt;")
         .replace('"', "&quot;")
     )
+
+
+def _plotted(y: float | None) -> bool:
+    return y is not None and math.isfinite(y)
 
 
 def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
@@ -41,12 +47,12 @@ def render_line_chart(
     y_label: str,
     series: Sequence[tuple[str, Sequence[float], Sequence[float]]],
 ) -> str:
-    """Render an SVG document; non-finite y values split the polylines.
+    """Render an SVG document; a None or non-finite y value splits its polyline.
 
     With no finite value at all, the axes and legend span [0, 1] and no
     line is drawn.
     """
-    finite = [(x, y) for _, xs, ys in series for x, y in zip(xs, ys) if math.isfinite(y)]
+    finite = [(x, y) for _, xs, ys in series for x, y in zip(xs, ys) if _plotted(y)]
     xs_all, ys_all = zip(*finite) if finite else ((0.0, 1.0), (0.0, 1.0))
     x_lo, x_hi = min(xs_all), max(xs_all)
     y_lo, y_hi = min(ys_all), max(ys_all)
@@ -102,7 +108,7 @@ def render_line_chart(
         segment: list[str] = []
         segments: list[list[str]] = []
         for x, y in zip(xs, ys):
-            if math.isfinite(y):
+            if _plotted(y):
                 segment.append(f"{px(x):.2f},{py(y):.2f}")
             elif segment:
                 segments.append(segment)
@@ -141,6 +147,5 @@ def render_line_chart(
 
 
 def write_line_chart(path, title, x_label, y_label, series) -> None:
-    doc = render_line_chart(title, x_label, y_label, series)
-    with open(path, "w", newline="") as f:
-        f.write(doc)
+    """Write ``render_line_chart``'s document to a path or open file."""
+    write_text(path, render_line_chart(title, x_label, y_label, series))

@@ -577,6 +577,26 @@ def test_unwritable_output_exits_3(tmp_path, args):
     assert "cannot write" in res.output
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("divergence", "normal:0,1", "normal:1e155,1", "--order", "2"),
+        ("divergence", "normal:0,1e200", "normal:0,1e-200", "--order", "0.5"),
+        ("divergence", "laplace:0,1e200", "laplace:0,1e-200", "--order", "0.5"),
+        ("sample", "normal:0,1e-200", "normal:0,1", "-n", "3"),
+        ("divergence", "laplace:0,1e-200", "laplace:0,1e200", "--order", "1"),
+        ("sweep", "laplace:0,1e-320", "laplace:0,1", "--alpha-range", "0.3,0.9,3"),
+    ],
+    ids=["location_gap", "scale_ratio", "laplace_scale_ratio", "tiny_scale",
+         "laplace_kl", "subnormal_scale"],
+)
+def test_pair_out_of_the_double_range_is_a_usage_error(args):
+    res = run(*args)
+    assert res.exit_code == 2, res.output
+    assert "Traceback" not in res.output
+    assert "leaves the double range" in res.output
+
+
 class TestGoldenFiles:
     @pytest.mark.parametrize(
         "name,p,q",

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from pfrsim import numerics
+from pfrsim.bounds import sweep, sweep_to_csv
+from pfrsim.distributions import DistributionPair, Gaussian
 from pfrsim.errors import DomainError, NonConvergenceError, NonFiniteError
 from pfrsim.numerics import (
     QuadratureSpec,
@@ -13,6 +15,8 @@ from pfrsim.numerics import (
     minimize_scalar,
     quadrature_grid,
 )
+from pfrsim.pfr import index_pmf
+from pfrsim.svg import write_line_chart
 
 
 def std_normal_pdf(x):
@@ -255,3 +259,35 @@ class TestLog2SumExp:
         assert log2_sum_exp([-math.inf, 3.0]) == pytest.approx(3.0)
         assert log2_sum_exp([-math.inf, -math.inf]) == -math.inf
         assert log2_sum_exp([]) == -math.inf
+
+
+
+_PAIR = DistributionPair(Gaussian(0, 1), Gaussian(1, 1))
+
+#: The callers of ``write_text``, each writing a small fixed table to ``f``.
+_WRITERS = {
+    "sweep_to_csv": lambda f: sweep_to_csv(sweep(_PAIR, [0.5, 0.9]), f),
+    "to_csv": lambda f: index_pmf(_PAIR, 5).to_csv(f),
+    "write_line_chart": lambda f: write_line_chart(
+        f, "t", "x", "y", [("a", [0.0, 1.0, 2.0], [1.0, None, 3.0])]
+    ),
+}
+
+
+class TestWriteText:
+    @pytest.mark.parametrize("name", list(_WRITERS))
+    def test_path_and_open_file_get_the_same_bytes(self, tmp_path, name):
+        write = _WRITERS[name]
+        write(str(tmp_path / "str"))
+        write(tmp_path / "path")
+        with open(tmp_path / "file", "w", newline="") as f:
+            write(f)
+        data = [(tmp_path / n).read_bytes() for n in ("str", "path", "file")]
+        assert data[0] == data[1] == data[2]
+        assert data[0].endswith(b"\n") and b"\r" not in data[0]
+
+    def test_a_path_is_replaced(self, tmp_path):
+        path = tmp_path / "x"
+        path.write_text("old text that is longer\n")
+        numerics.write_text(path, "new\n")
+        assert path.read_bytes() == b"new\n"

@@ -13,10 +13,16 @@ directory at OUTDIR, so every output lands there under a relative name:
   stem, which has a dot and no suffix;
 * ``entropy-figure --n-max 1000 --format both`` on N(0,1)|N(1,1) and on
   N(0,1)|N(0.5,1.6), whose ratio is not monotone;
+* the writer paths the commands above leave out: the sweep of
+  N(0,1)|N(1,1) and ``entropy-figure --format csv`` on it to stdout, with
+  no ``--out``, and ``entropy-figure --format svg`` on
+  Laplace(0,1)|Laplace(1,1), which writes the SVG alone;
 * ``divergence`` on Laplace(0,1)|Laplace(0.5,2) at orders 2000 to 3e20,
   on N(0,1)|N(0.5,1.6) at orders 1 +- 1e-9 and 1 +- 1e-12, and on
   Laplace(0,1)|Laplace(1,1) and finite (0.9,0.1)|(0.5,0.5) at those four
   orders and 1e300;
+* ``divergence --numeric`` on N(0,1)|N(0.5,1.6) and on
+  Laplace(0,2)|Laplace(0.5,1), whose divergence is infinite from order 2;
 * ``verify --seed 0`` and ``verify --seed 1``, and ``verify --seed 2
   --samples 100003``, a count that is a multiple of neither the exact
   sampler's block nor the relabel chunk of the permuted moment check;
@@ -116,6 +122,12 @@ DIVERGENCES = (
     ("near_one_finite", ("finite:0.9,0.1", "finite:0.5,0.5"), (*NEAR_ONE, "1e300")),
 )
 
+#: (name, pair, orders) of the divergence tables with the quadrature column.
+NUMERIC_DIVERGENCES = (
+    ("numeric_normal", NONMONOTONE_NORMAL, ("0.5", "1", "1.5", "2")),
+    ("numeric_laplace_wide", ("laplace:0,2", "laplace:0.5,1"), ("0.5", "1", "1.5", "3")),
+)
+
 
 def stem(p: str, q: str) -> str:
     """File-name stem of a pair, as in ``tests/golden``."""
@@ -134,9 +146,20 @@ def commands() -> list[tuple[str, list[str]]]:
         name = f"entropy_figure_{stem(p, q)}"
         out.append((name, ["entropy-figure", p, q, "--n-max", "1000",
                            "--format", "both", "--out", f"{name}.csv"]))
+    p, q = GOLDEN_PAIRS[0]
+    out.append((f"sweep_stdout_{stem(p, q)}", ["sweep", p, q]))
+    out.append((f"entropy_figure_stdout_{stem(p, q)}",
+                ["entropy-figure", p, q, "--n-max", "1000", "--format", "csv"]))
+    p, q = GOLDEN_PAIRS[3]
+    name = f"entropy_figure_svg_{stem(p, q)}"
+    out.append((name, ["entropy-figure", p, q, "--n-max", "1000", "--format", "svg", "--out", name]))
     for kind, pair, orders in DIVERGENCES:
         name = f"divergence_{kind}"
         out.append((name, ["divergence", *pair, *(f"--order={o}" for o in orders),
+                           "--out", f"{name}.csv"]))
+    for kind, pair, orders in NUMERIC_DIVERGENCES:
+        name = f"divergence_{kind}"
+        out.append((name, ["divergence", *pair, *(f"--order={o}" for o in orders), "--numeric",
                            "--out", f"{name}.csv"]))
     for seed in range(2):
         out.append((f"verify_seed_{seed}", ["verify", "--seed", str(seed)]))
