@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .distributions import DistributionPair, Laplace, kl_divergence, renyi_divergence
-from .errors import AbsoluteContinuityError, EpsilonRangeError, OrderError
+from .errors import AbsoluteContinuityError, DomainError, EpsilonRangeError, OrderError
 from .numerics import LN2, LOG2E, log_gamma, minimize_scalar, write_text
 
 #: The epsilon window (lo, hi) that ``optimize_ub`` searches for ub1.
@@ -178,7 +178,11 @@ def optimize_ub(pair: DistributionPair, alpha, which: str = "ub1"):
         raise ValueError(f"unknown bound {which!r}")
     # the term's derivative A - 1 / (eps ln 2 + 1.5 eps^2), A = log2(KL + 1) + 1,
     # vanishes at (sqrt(ln^2 2 + 6/A) - ln 2) / 3, here rationalized
-    slope = math.log2(kl_divergence(pair) + 1.0) + 1.0
+    kl = kl_divergence(pair)
+    if not math.isfinite(kl):
+        raise DomainError(f"the KL divergence of {pair.p} from {pair.q} is infinite: "
+                          "ub2 has no admissible epsilon")
+    slope = math.log2(kl + 1.0) + 1.0
     root = 2.0 / (slope * (LN2 + math.sqrt(LN2 * LN2 + 6.0 / slope)))
     eps = np.minimum(root, ub2_epsilon_max(orders))
     value = ub2(pair, orders, eps)

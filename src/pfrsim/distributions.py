@@ -27,7 +27,10 @@ class _Special:
     """Stands in for scipy.special until first used, then binds it in its place.
 
     Python's import lock makes a thread that arrives during another's
-    import wait for it, so the blocks of the exact sampler may race here.
+    import wait for it, so the blocks of the exact sampler may race here
+    when they compute beta.  A squeeze table is built on the calling
+    thread before any block runs, so a Gaussian pair that has one loads
+    scipy there.
     """
 
     def __getattr__(self, name: str):
@@ -121,6 +124,10 @@ class Laplace(_Law):
         return self.theta + self.lam * np.copysign(np.log(mag), c)
 
 
+#: ``Finite.transform`` counts comparisons up to this many support points, and searches beyond.
+_FINITE_COUNTED = 16
+
+
 @dataclass(frozen=True)
 class Finite(_Law):
     """Discrete law on support indices 0..len(probs)-1."""
@@ -146,8 +153,15 @@ class Finite(_Law):
         return np.asarray(self.probs)[np.asarray(i, dtype=int)]
 
     def transform(self, v):
-        idx = np.searchsorted(self._cumulative, v, side="right")
-        return np.minimum(idx, len(self.probs) - 1)
+        # the count of cumulative entries at or below v, searchsorted's
+        # side="right" index capped at the last point: on a few support
+        # points, a comparison per entry costs a fraction of a search
+        if len(self.probs) > _FINITE_COUNTED:
+            return np.minimum(np.searchsorted(self._cumulative, v, side="right"), len(self.probs) - 1)
+        idx = np.zeros(np.shape(v), dtype=np.intp)
+        for c in self._cumulative[:-1].tolist():
+            idx += v >= c
+        return idx
 
 
 Distribution = Union[Gaussian, Laplace, Finite]
@@ -318,7 +332,17 @@ class DistributionPair:
             return _Ratio(log_r, bound, level_set)
         # two kinks, with the extremum at the narrower law's location
         c = math.log(q.lam / p.lam)
-        log_r = lambda u: np.abs(u - q.theta) / q.lam - np.abs(u - p.theta) / p.lam + c  # noqa: E731
+        far = math.inf if q.lam < p.lam else -math.inf  # the narrower law's term wins
+
+        def log_r(u):
+            # far out, both terms overflow and their difference is inf - inf
+            with np.errstate(invalid="ignore"):
+                out = np.abs(u - q.theta) / q.lam - np.abs(u - p.theta) / p.lam + c
+            lost = np.isnan(out)
+            if lost.any():
+                out = np.where(lost & ~np.isnan(u), far, out)
+            return out
+
         peaked = p.lam < q.lam
         pivot = p.theta if peaked else q.theta
         narrow, wide = sorted((p.lam, q.lam))

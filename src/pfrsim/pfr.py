@@ -23,7 +23,15 @@ Two samplers produce the transmitted index K with its accepted sample:
   pool as a future; it runs the blocks no helper has started while it
   waits for one.  The results do not depend on how many CPUs there are.
   An exception in a block reaches the caller once every started block
-  is done and the rest are cancelled.
+  is done and the rest are cancelled.  From ``_SQUEEZE_MIN_DRAWS`` draws
+  on, K comes from a squeeze (Marsaglia 1977; Devroye 1986, section
+  II.5): t = log(1 - beta) depends on u only through ell = log r(u) and
+  does not decrease in it, so a table of t on evenly spaced nodes of
+  ell, each widened by a relative margin that bounds its rounding error,
+  brackets K = max(ceil(log(1 - v) / t), 1) between its values at the
+  two nodes around a point.  Where they agree that integer is K, and
+  beta is worked out only at the other points, so every index keeps
+  the bits it has without the table.
 
 ``index_pmf`` integrates the conditional geometric law against the
 target density on one quadrature grid shared by every k, reporting the
@@ -40,12 +48,12 @@ import operator
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .distributions import DistributionPair, renyi_divergence
+from .distributions import DistributionPair, Gaussian, renyi_divergence
 from .errors import (
     DomainError, IndexOverflowError, IterationCapError, NegativeTailError, NonConvergenceError
 )
@@ -245,24 +253,21 @@ class IndexPmf:
         write_text(f, "".join(["k,prob\n", *rows, f"tail,{self.tail_mass:.17g}\n"]))
 
 
+#: log(1 - beta) at beta == 1, standing in for -inf.
+_LOG1M_FLOOR = -1e300
+
+
 def _log1m_from_log_beta(log_beta_vals: np.ndarray) -> np.ndarray:
-    """log(1 - beta) from log(beta); -1e300 stands in for -inf at beta == 1."""
+    """log(1 - beta) from log(beta); ``_LOG1M_FLOOR`` stands in for -inf at beta == 1."""
     b = np.exp(np.minimum(log_beta_vals, 0.0))
     with np.errstate(divide="ignore"):
         out = np.log1p(-b)
     # log1p(-b) is -inf or above about -745, so the floor changes only -inf
-    return np.maximum(out, -1e300, out=out)
+    return np.maximum(out, _LOG1M_FLOOR, out=out)
 
 
 def _log1m_beta(pair: DistributionPair, u) -> np.ndarray:
-    """log(1 - beta(u)) on an array, -1e300 standing in for -inf at beta == 1.
-
-    beta takes one value per support point of a finite pair, so there it
-    is worked out once per support point and gathered at the indices ``u``.
-    """
-    if pair.is_finite_kind:
-        support = np.arange(len(pair.p.probs))
-        return _log1m_from_log_beta(log_beta(pair, support))[u]
+    """log(1 - beta(u)) on an array, -1e300 standing in for -inf at beta == 1."""
     return _log1m_from_log_beta(log_beta(pair, u))
 
 
@@ -276,14 +281,23 @@ def log_beta(pair: DistributionPair, u):
     support indices.
     """
     # finite pairs: once per support point, then gathered
-    log_c = pair.support_log_ratios() if pair.is_finite_kind else pair.log_ratio(u)
+    if pair.is_finite_kind:
+        return _log_beta_at(pair, pair.support_log_ratios())[0][np.asarray(u, dtype=int)]
+    return _log_beta_at(pair, pair.log_ratio(u))[0]
+
+
+def _log_beta_at(pair: DistributionPair, log_c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log beta at the level log r = ``log_c``, and log P(r > c) there.
+
+    beta depends on u only through r(u), so ``log_beta`` is this function
+    of ``log_ratio(u)``, and the squeeze table takes it at its nodes.
+    """
     log_p, log_q = pair.superlevel_masses(log_c)
     with np.errstate(divide="ignore"):
         a = log_c + np.log(-np.expm1(log_q))
-    del log_c, log_q  # large batches: keep few full-size arrays alive at once
+    del log_q  # large batches: keep few full-size arrays alive at once
     # np.logaddexp, written out: several times faster on arrays
-    lb = -(np.maximum(a, log_p) + np.log1p(np.exp(-np.abs(a - log_p))))
-    return lb[np.asarray(u, dtype=int)] if pair.is_finite_kind else lb
+    return -(np.maximum(a, log_p) + np.log1p(np.exp(-np.abs(a - log_p)))), log_p
 
 
 #: Points per block of ``sample_indices``.  A block's arrays are 256 kB,
@@ -291,6 +305,191 @@ def log_beta(pair: DistributionPair, u):
 #: few dozen numpy calls stays a few percent of its work.  2**14 and 2**16
 #: were no faster on ``verify``.
 _BLOCK = 2**15
+
+
+#: From this many draws on, ``sample_indices`` reads K from the pair's
+#: squeeze table (``_squeeze_table``) and works out beta only where the
+#: table leaves K undecided.  Below it, the table's build, a few ms once
+#: per pair, would outweigh what it saves on a few blocks.
+_SQUEEZE_MIN_DRAWS = 2**16
+
+#: Node budgets of a squeeze table, doubling: it takes the first whose
+#: predicted undecided share is at most the target, else the last.  At a
+#: power-of-two spacing, a table holds between half and all of its budget.
+_SQUEEZE_NODES = (2**12, 2**13, 2**14, 2**15, 2**16)
+_SQUEEZE_TARGET = 0.005
+
+#: A pair whose table leaves a larger share undecided keeps the exact path.
+_SQUEEZE_MAX_SHARE = 0.25
+
+#: A node whose relative margin would exceed this is left undecided.
+_SQUEEZE_MAX_MARGIN = 1e-6
+
+#: Nodes per pass of the table's build: its temporaries stay small.
+_BUILD_CHUNK = 2**12
+
+_EPS = float(np.finfo(float).eps)
+_FLOAT32_TINY = float(np.finfo(np.float32).tiny)
+
+
+class _Squeeze(NamedTuple):
+    """Bounds on t = log(1 - beta) on nodes of ell = log r, for ``sample_indices``.
+
+    Node j, 1 <= j <= N, sits at ell = (base + j) / scale; ``scale`` is a
+    power of two, so ell * scale is exact and so is a point's cell.  t does
+    not decrease in ell, so at a point between nodes j and j + 1 it lies
+    between ``lo[j]``, t at node j widened by the table's relative margin,
+    and ``hi[j + 1]``, t at node j + 1 narrowed by it; a point on node j
+    lies between ``lo[j]`` and ``hi[j]``.  Both are float32, rounded
+    outward.  Entries 0 and N + 1 stand for the points below and above the
+    nodes, and they and the nodes that decide nothing are nan.  At beta == 1
+    (t at the floor) both ends are -inf: every x gives K = 1 there.
+    """
+
+    scale: float
+    base: float
+    lo: np.ndarray
+    hi: np.ndarray
+
+    def ends(self, log_r: np.ndarray, out: np.ndarray) -> None:
+        """Each point's bracket on t into ``out``, float64 read as pairs of float32; uses ``log_r``."""
+        pos = np.multiply(log_r, self.scale, out=log_r)
+        # fmax sends nan below the first node
+        np.fmin(np.fmax(pos, self.base, out=pos), self.base + len(self.lo) - 1, out=pos)
+        pairs = out.view(np.float32).reshape(-1, 2)
+        below = np.floor(pos)
+        below -= self.base
+        pairs[:, 0] = self.lo[below.astype(np.intp)]
+        np.ceil(pos, out=pos)
+        pos -= self.base
+        pairs[:, 1] = self.hi[pos.astype(np.intp)]
+
+    @staticmethod
+    def decide(ends: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """ceil(x / t) at the lower ends of the brackets ``ends``, and where the upper ends differ.
+
+        With x = log(1 - v) <= 0, x / t does not decrease from the lower
+        end of a bracket to the upper, nor does its ceiling once rounded,
+        so where the two agree they are ceil(x / t) at the point.
+        """
+        pairs = ends.view(np.float32).reshape(-1, 2)
+        lo = np.ceil(x / pairs[:, 0])
+        return lo, np.flatnonzero(lo != np.ceil(x / pairs[:, 1]))  # nan decides nothing
+
+
+def _float32_toward(x: np.ndarray, bound: float) -> np.ndarray:
+    """x in float32, rounded toward ``bound`` (-inf or inf) where it is not exact."""
+    y = x.astype(np.float32)
+    off = y > x if bound < 0.0 else y < x
+    y[off] = np.nextafter(y[off], np.float32(bound))
+    return y
+
+
+def _node_margins(ell: np.ndarray, lb: np.ndarray, log_p: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Relative margin each node asks of its cells: twice a bound on t's relative error.
+
+    log beta sums terms of the size of ell, log beta and log P(r > c),
+    each to a few ulps.  1 - beta takes beta's error, and an ulp of a
+    subnormal beta; its relative error grows as beta nears 1 and 1 - beta
+    cancels, and log(1 - beta) divides it by |t| once more.  At the floor
+    (beta == 1) no computed t lies lower, so the node needs no margin.
+    """
+    err_lb = 64.0 * _EPS * (1.0 + np.abs(ell) + np.abs(lb) + np.where(log_p > -math.inf, -log_p, 0.0))
+    beta = np.exp(np.minimum(lb, 0.0))
+    margin = 2.0 * ((beta * err_lb + 2.0**-1074) / (np.exp(t) * -t) + 4.0 * _EPS)
+    return np.where(t == _LOG1M_FLOOR, 0.0, margin)
+
+
+@lru_cache(maxsize=64)
+def _squeeze_table(pair: DistributionPair) -> _Squeeze | None:
+    """The pair's squeeze table, or None where the exact path stays.
+
+    The nodes cover the values of ell on all but about 2e-9 of P's mass,
+    at a power-of-two spacing.  t comes from the pair alone, in chunks of
+    ``_BUILD_CHUNK`` nodes; no generator draws.  A node decides nothing
+    where its margin exceeds ``_SQUEEZE_MAX_MARGIN`` (1 - beta cancels,
+    or beta underflows), below the last node at the floor (where beta is
+    1, a computed t may lie above the floor), and at either end of a cell
+    whose widened ends cross.  The table's margin is the largest that
+    remains.  Its predicted undecided share, the sum over cells of
+    P(cell) min(1, |1/t_hi - 1/t_lo|), is the mean number of integers
+    between the ends of a bracket, x = log(1 - v) being -1 on average.
+    The node budget doubles through ``_SQUEEZE_NODES``; each coarser
+    table takes every other node of the next, so t is worked out once, on
+    the finest nodes.  Cached, as ``_stop_delta`` is.
+
+    Finite pairs read their support table instead.  Gaussian pairs of
+    unequal variances keep the exact path: their level sets take a square
+    root that loses half the digits near the ratio's extremum, an error
+    that this margin does not bound.
+    """
+    p, q = pair.p, pair.q
+    if pair.is_finite_kind or isinstance(p, Gaussian) and p.sigma != q.sigma:
+        return None
+    with np.errstate(all="ignore"):
+        # all but about 2e-9 of P's mass, and the locations, where a Laplace ratio bends
+        if isinstance(p, Gaussian):
+            span, bends = p.transform(np.array([-6.0, 6.0])), []
+        else:
+            span, bends = p.transform(np.array([1e-9, 1.0 - 1e-9])), [p.theta, q.theta]
+        ell = pair.log_ratio(np.clip([*span, *bends], span[0], span[1]))
+        ell_lo, ell_hi = float(ell.min()), float(ell.max())
+        if not (math.isfinite(ell_lo) and math.isfinite(ell_hi)):
+            return None
+        steps = _SQUEEZE_NODES[-1] // _SQUEEZE_NODES[0]
+        coarse = 2.0 ** math.ceil(math.log2(max(ell_hi - ell_lo, 1e-200) / (_SQUEEZE_NODES[0] - 3)))
+        fine = coarse / steps
+        if not max(-ell_lo, ell_hi) / fine < 2.0**50:  # node numbers exact in a double
+            return None
+        first = math.floor(ell_lo / coarse) * steps
+        size = math.ceil(ell_hi / coarse) * steps - first + 1
+        t, margin, above, at = np.empty((4, size))
+        for start in range(0, size, _BUILD_CHUNK):
+            s = slice(start, min(start + _BUILD_CHUNK, size))
+            nodes = np.arange(first + s.start, first + s.stop) * fine
+            lb, log_p = _log_beta_at(pair, nodes)
+            t[s] = _log1m_from_log_beta(lb)
+            margin[s] = _node_margins(nodes, lb, log_p, t[s])
+            above[s] = np.exp(log_p)  # P(ell > node)
+            # P(ell >= node): the mass on the node is decided by the node alone
+            at[s] = np.exp(pair.superlevel_masses(np.nextafter(nodes, -math.inf))[0])
+        # beta below float32's normal range makes K > 2**126, past the index range anyway
+        t[~(margin <= _SQUEEZE_MAX_MARGIN) | (t > -_FLOAT32_TINY)] = math.nan
+        for budget in _SQUEEZE_NODES:
+            step = _SQUEEZE_NODES[-1] // budget
+            share, table, w = _squeeze_level(t[::step], margin[::step], above[::step], at[::step])
+            if share <= _SQUEEZE_TARGET:
+                break
+        if share > _SQUEEZE_MAX_SHARE:
+            return None
+        lo = _float32_toward(table * (1.0 + w), -math.inf)
+        hi = _float32_toward(table * (1.0 - w), math.inf)
+    hi[table == _LOG1M_FLOOR] = -math.inf
+    return _Squeeze(1.0 / (fine * step), first / step - 1.0, lo, hi)
+
+
+def _squeeze_level(t, margin, above, at) -> tuple[float, np.ndarray, float]:
+    """The predicted undecided share, the table and its margin, on the nodes given.
+
+    ``above`` and ``at`` are P(ell > node) and P(ell >= node).
+    """
+    table = np.concatenate([[math.nan], t, [math.nan]])
+    floor = np.flatnonzero(table == _LOG1M_FLOOR)
+    if floor.size:
+        table[: floor[-1]] = math.nan
+    w = float(np.max(margin, where=~np.isnan(table[1:-1]), initial=0.0))
+    # 1 / t at the ends of the brackets: widened at a lower end, narrowed at an upper
+    inv_lo, inv_hi = 1.0 / (table * (1.0 + w)), 1.0 / (table * (1.0 - w))
+    crossed = np.flatnonzero(inv_hi[1:] > inv_lo[:-1])  # t < 0: the upper end below the lower
+    for j in (crossed, crossed + 1):
+        table[j] = inv_lo[j] = inv_hi[j] = math.nan
+    # the mean number of integers between the ends of a bracket, at most 1
+    # (fmin: a nan end leaves the bracket undecided), in each cell and on each node
+    cells = np.fmin(np.abs(inv_hi[1:] - inv_lo[:-1]), 1.0)
+    nodes = np.fmin(np.abs(np.subtract(inv_hi, inv_lo, out=inv_hi), out=inv_hi), 1.0, out=inv_hi)[1:-1]
+    # P(between nodes i and i + 1) = P(ell > node i) - P(ell >= node i + 1)
+    share = cells[0] + above @ cells[1:] - at @ cells[:-1] + (at - above) @ nodes
+    return float(share), table, w
 
 
 @lru_cache(maxsize=1)
@@ -378,7 +577,20 @@ def sample_indices(
     one reused buffer and turns them into its indices.  Each block runs
     under the sampler's own numpy error state rather than the caller's,
     and every entry gets the bits it gets alone, whatever the CPU count.
-    beta is in closed form for every pair, so the cost is O(1) per draw.
+    beta is in closed form for every pair, so the cost is O(1) per draw;
+    a finite pair's is worked out once per support point, on the caller's
+    thread, and gathered.
+
+    From ``_SQUEEZE_MIN_DRAWS`` draws on, the pair's squeeze table
+    (``_squeeze_table``: built once per pair on the caller's thread, and
+    None where it does not pay) replaces most of that work.  The helpers
+    then write each point's bracket on log(1 - beta), read from the table
+    at ell = log r(u), into the block's slice of the index array in place
+    of log(1 - beta).  The caller's thread takes K where the two ends of
+    the bracket give the same index.  At the other points alone it
+    computes log(1 - beta), after drawing the block's uniforms; beta's
+    underflow shows there, since no bracket decides a point where it
+    underflows.  Nothing the table computes outlives its block.
 
     Indices are returned as float64 (they can exceed int64 for heavy
     pairs).  ``IndexOverflowError`` is raised once every block has
@@ -387,6 +599,10 @@ def sample_indices(
     """
     if n < 0:
         raise DomainError("n must be >= 0")
+    table = _squeeze_table(pair) if n >= _SQUEEZE_MIN_DRAWS else None
+    # beta takes one value per support point of a finite pair: worked out
+    # once, on the caller's thread, and gathered in each block
+    support = _log1m_beta(pair, np.arange(len(pair.p.probs))) if pair.is_finite_kind else None
     u, k = np.empty(n), np.empty(n)
     v = np.empty(min(n, _BLOCK))  # one block's uniforms at a time
     n_blocks = -(-n // _BLOCK)
@@ -402,8 +618,11 @@ def sample_indices(
         s = slice(i * _BLOCK, (i + 1) * _BLOCK)
         with np.errstate(**errstate):
             ub = pair.p.transform(u[s])
-            k[s] = _log1m_beta(pair, ub)
-        underflow[i] = (k[s] == 0.0).any()
+            if table is not None:
+                table.ends(pair.log_ratio(ub), k[s])
+            else:
+                k[s] = _log1m_beta(pair, ub) if support is None else support[ub]
+                underflow[i] = (k[s] == 0.0).any()
         u[s] = ub
 
     def finish(i: int) -> None:
@@ -415,7 +634,17 @@ def sample_indices(
         # out of place: the same bits in place left glibc's heap fragmented
         # across calls, and the peak RSS of repeated ``verify`` runs 6 MB higher
         with np.errstate(**errstate):
-            kb = np.ceil(np.log(1.0 - vb) / ks)
+            x = np.log(1.0 - vb)
+            if table is None:
+                kb = np.ceil(x / ks)
+            else:
+                kb, undecided = table.decide(ks, x)
+                if undecided.size:  # the exact path, on these points alone
+                    t = _log1m_beta(pair, u[s][undecided])
+                    if (t == 0.0).any():
+                        underflow[i] = True
+                        return
+                    kb[undecided] = np.ceil(x[undecided] / t)
         overflow[i] = (kb > _UINT64_MAX).any()
         np.maximum(kb, 1.0, out=ks)
 

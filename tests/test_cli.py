@@ -597,6 +597,16 @@ def test_pair_out_of_the_double_range_is_a_usage_error(args):
     assert "leaves the double range" in res.output
 
 
+def test_sweep_with_an_infinite_kl_divergence_names_it():
+    # the squared location gap over the reference's variance overflows;
+    # ub2's epsilon depends on the KL divergence, so the sweep stops there
+    res = run("sweep", "normal:0,1.3e154", "normal:1.3e154,1")
+    assert res.exit_code == 2, res.output
+    assert "Traceback" not in res.output
+    assert "KL divergence" in res.output and "is infinite" in res.output
+    assert "epsilon must lie" not in res.output
+
+
 class TestGoldenFiles:
     @pytest.mark.parametrize(
         "name,p,q",

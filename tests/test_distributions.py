@@ -27,6 +27,7 @@ from pfrsim.errors import (
     UnsupportedKindError,
 )
 from pfrsim.numerics import QuadratureSpec, integrate
+from pfrsim.oracle import DEFAULT_PAIRS
 
 LN2 = math.log(2.0)
 
@@ -92,19 +93,27 @@ class TestConstruction:
     )
     @example(kind=Gaussian, locs=((0.0, 1.0), (1.0, 1e155)), scales=(1.0, 1.0))
     @example(kind=Laplace, locs=((0.0, 1.0), (0.0, 1.0)), scales=(1e-320, 1.0))
+    @example(kind=Laplace, locs=((0.0, 1.0), (0.0, 1.0)), scales=(4.08e-80, 1.09e-97))
     def test_extreme_parameters_give_a_number_or_a_pfrsim_error(self, kind, locs, scales):
         # a pair out of the double range is rejected when it is built;
         # every pair built gets a value that is not nan, at each of its
-        # locations and one scale from the first
+        # locations, one scale from the first, and far outside both scales
         (mp, mq) = (sign * size for sign, size in locs)
         try:
             pr = pair(kind(mp, scales[0]), kind(mq, scales[1]))
         except DomainError:
             return
+        far = 1e8 * max(scales)  # may overflow to inf
+
+        def far_log_ratio(u):
+            with np.errstate(over="ignore"):  # the ratio's terms may overflow to inf
+                return pr.log_ratio(u)
+
         for f in (
             lambda: renyi_divergence(pr, np.array([0.3, 1.0, 2.5])),
             lambda: kl_divergence(pr),
             lambda: pr.log_ratio(np.array([mp, mq, mp + scales[0]])),
+            lambda: far_log_ratio(np.array([mp - far, mp + far, mq - far, mq + far, -1e300, 1e300])),
             lambda: [c for r in sweep(pr, [0.3, 0.7, 0.9]) for c in r.cells if c is not None],
         ):
             try:
@@ -115,6 +124,19 @@ class TestConstruction:
 
 
 class TestDensityRatio:
+    def test_laplace_ratio_far_out_is_its_limit(self):
+        # both kink terms overflow to inf; the narrower law's term wins
+        pr = pair(Laplace(0, 4.08e-80), Laplace(0, 1.09e-97))
+        swapped = pair(Laplace(0, 1.09e-97), Laplace(0, 4.08e-80))
+        with np.errstate(over="ignore"):
+            assert pr.log_ratio(np.array([1e300, -1e300])).tolist() == [math.inf, math.inf]
+            assert swapped.log_ratio(np.array([1e300, -math.inf])).tolist() == [-math.inf] * 2
+        # a nan point stays nan, and finite values keep the bits of the two-kink form
+        assert np.isnan(pr.log_ratio(np.array([math.nan]))).all()
+        u = np.array([-3.0, 0.0, 1e-90, 2e-80, 5.0])
+        form = np.abs(u) / 1.09e-97 - np.abs(u) / 4.08e-80 + math.log(1.09e-97 / 4.08e-80)
+        np.testing.assert_array_equal(pr.log_ratio(u), form)
+
     def test_identical_pair_is_zero(self):
         assert pair(Gaussian(0, 1), Gaussian(0, 1)).log_ratio(3.7) / LN2 == 0.0
 
@@ -183,6 +205,23 @@ class TestSampling:
         rng = np.random.default_rng(2)
         x = Laplace(5, 1).sample(rng, 10**5)
         assert abs(float(np.median(x)) - 5.0) < 0.03
+
+    @pytest.mark.parametrize("label", [label for label, pr in DEFAULT_PAIRS if pr.is_finite_kind])
+    def test_finite_transform_is_searchsorted(self, label):
+        # searchsorted's side="right" index, capped at the last point: at
+        # random v, at each cumulative entry and next to it, and just below 1
+        for law in (dict(DEFAULT_PAIRS)[label].p, dict(DEFAULT_PAIRS)[label].q):
+            cum = np.cumsum(law.probs)
+            v = np.concatenate([
+                np.random.default_rng(0).random(10**4),
+                cum, np.nextafter(cum, 0.0), np.nextafter(cum, 2.0),
+                [0.0, np.nextafter(1.0, 0.0)],
+            ])
+            v = v[v < 1.0]  # the raw draw is uniform on [0, 1)
+            ref = np.minimum(np.searchsorted(cum, v, side="right"), len(law.probs) - 1)
+            got = law.transform(v)
+            assert got.dtype == ref.dtype
+            np.testing.assert_array_equal(got, ref)
 
     def test_finite_frequencies(self):
         rng = np.random.default_rng(3)

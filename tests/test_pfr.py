@@ -9,6 +9,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from pfrsim.distributions import DistributionPair, Finite, Gaussian, Laplace
@@ -20,6 +22,7 @@ from pfrsim.errors import (
     NonConvergenceError,
 )
 from pfrsim.numerics import QuadratureSpec, integrate
+from pfrsim.oracle import DEFAULT_PAIRS
 from pfrsim import pfr
 from pfrsim.pfr import (
     _BATCH_STREAMS,
@@ -713,6 +716,183 @@ class TestSampleIndexExact:
         freq = np.bincount(u.astype(int), minlength=2)
         res = stats.chisquare(freq, f_exp=[90000, 10000])
         assert res.pvalue > 0.01
+
+
+def _draws_or_error(pr: DistributionPair, n: int, seed: int):
+    """``sample_indices``' k, u and final generator state, or its error's message and that state."""
+    rng = np.random.default_rng(seed)
+    try:
+        k, u = sample_indices(pr, n, rng)
+    except IndexOverflowError as exc:
+        return str(exc), None, rng.bit_generator.state
+    return k, u, rng.bit_generator.state
+
+
+def _assert_squeeze_is_exact(pr: DistributionPair, n: int, seed: int, monkeypatch) -> None:
+    """The squeezed draws against the exact path's: the same bits, state and error."""
+    squeezed = _draws_or_error(pr, n, seed)
+    with monkeypatch.context() as m:
+        m.setattr(pfr, "_squeeze_table", lambda pair: None)
+        exact = _draws_or_error(pr, n, seed)
+    if exact[1] is None:
+        assert squeezed[0] == exact[0] and squeezed[1] is None
+    else:
+        np.testing.assert_array_equal(squeezed[0], exact[0])
+        np.testing.assert_array_equal(squeezed[1], exact[1])
+    assert squeezed[2] == exact[2]
+
+
+@pytest.fixture
+def every_table(monkeypatch):
+    """Keep a squeeze table whatever share it leaves undecided, with a fresh cache."""
+    monkeypatch.setattr(pfr, "_SQUEEZE_MAX_SHARE", math.inf)
+    pfr._squeeze_table.cache_clear()
+    yield
+    pfr._squeeze_table.cache_clear()
+
+
+#: Continuous pairs for the squeeze table: monotone ratios of both kinds,
+#: an unequal-scale Laplace ratio, a near-identical pair (beta near 1
+#: everywhere), and pairs whose beta nears underflow.
+SQUEEZE_CASES = {
+    label: pr for label, pr in DEFAULT_PAIRS if not pr.is_finite_kind
+} | {
+    "laplace:0,1|laplace:0.5,2": DistributionPair(Laplace(0, 1), Laplace(0.5, 2)),
+    "laplace:0,2|laplace:1,1": DistributionPair(Laplace(0, 2), Laplace(1, 1)),
+    "laplace:0,1|laplace:0.3,1": DistributionPair(Laplace(0, 1), Laplace(0.3, 1)),
+    "normal:0,1|normal:1e-6,1": DistributionPair(Gaussian(0, 1), Gaussian(1e-6, 1)),
+    "normal:0,1|normal:30,1": DistributionPair(Gaussian(0, 1), Gaussian(30, 1)),
+    "normal:0,1|normal:38,1": DistributionPair(Gaussian(0, 1), Gaussian(38, 1)),
+}
+
+
+class TestSqueeze:
+    @pytest.mark.parametrize("case", list(SQUEEZE_CASES))
+    def test_bracket_decides_only_the_exact_index(self, case, every_table):
+        # on every node, next to it on both sides and between nodes, for
+        # x from v uniform, from v just below 1, and x at or next to an
+        # integer multiple of t at the point, where a computed t that is
+        # not quite monotone would show: where the bracket's ends agree,
+        # they are ceil(x / t) at the point itself
+        pr = SQUEEZE_CASES[case]
+        table = pfr._squeeze_table(pr)
+        nodes = (table.base + np.arange(1, len(table.lo) - 1)) / table.scale
+        rng = np.random.default_rng(0)
+        ell = np.concatenate([
+            nodes, np.nextafter(nodes, -math.inf), np.nextafter(nodes, math.inf),
+            rng.uniform(nodes[0] - 1.0 / table.scale, nodes[-1] + 1.0 / table.scale, 2 * nodes.size),
+        ])
+        with np.errstate(all="ignore"):
+            t = pfr._log1m_from_log_beta(pfr._log_beta_at(pr, ell)[0])
+            multiple = t * (np.floor(rng.random(ell.size) * np.minimum(36.0 / -t, 2.0**40)) + 1.0)
+        multiple = np.maximum(multiple, -40.0)
+        xs = [np.log(1.0 - rng.random(ell.size)), np.log(np.full(ell.size, 2.0**-53)),
+              multiple, np.nextafter(multiple, 0.0), np.nextafter(multiple, -math.inf)]
+        ends = np.empty(ell.size)
+        table.ends(ell.copy(), ends)
+        for x in xs:
+            with np.errstate(over="ignore"):  # x / t past the double range, as in the sampler
+                k, undecided = table.decide(ends, x)
+            decided = np.ones(ell.size, dtype=bool)
+            decided[undecided] = False
+            assert not (t[decided] == 0.0).any()
+            with np.errstate(all="ignore"):
+                exact = np.ceil(x[decided] / t[decided])
+            # K = max(ceil(x / t), 1): at beta == 1 the table's ends are -inf
+            np.testing.assert_array_equal(np.maximum(k[decided], 1.0), np.maximum(exact, 1.0))
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        laplace=st.booleans(),
+        gap=st.sampled_from([0.0, 1e-9, 1e-4, 0.3, 1.0, 2.5, 7.0, 20.0, 38.0, 40.0]),
+        sign=st.sampled_from([-1.0, 1.0]),
+        scales=st.tuples(st.floats(0.05, 20.0), st.floats(0.05, 20.0)),
+        seed=st.integers(0, 2**32),
+    )
+    def test_squeezed_draws_match_exact(self, laplace, gap, sign, scales, seed):
+        # random pairs and seeds, beta near 1 (small gaps, a Laplace flat)
+        # and near underflow (Gaussian gaps near 40): the same k, u,
+        # generator state and error as the exact path, with every table kept
+        s = scales[0]
+        if laplace:
+            pr = DistributionPair(Laplace(0.0, s), Laplace(sign * gap * s, scales[1]))
+        else:
+            pr = DistributionPair(Gaussian(0.0, s), Gaussian(sign * gap * s, s))
+        try:
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(pfr, "_SQUEEZE_MAX_SHARE", math.inf)
+                pfr._squeeze_table.cache_clear()
+                _assert_squeeze_is_exact(pr, 2 * _BLOCK + 5, seed, m)
+        finally:
+            pfr._squeeze_table.cache_clear()
+
+    @pytest.mark.parametrize("mean", [10, 40])
+    def test_overflow_through_the_table(self, mean, every_table, monkeypatch):
+        # indices past 2**64 at mean 10, beta's underflow at mean 40: the
+        # exact path's error, raised over several squeezed blocks
+        pr = DistributionPair(Gaussian(0, 1), Gaussian(mean, 1))
+        assert pfr._squeeze_table(pr) is not None
+        _assert_squeeze_is_exact(pr, 3 * _BLOCK + 7, 1, monkeypatch)
+        message = "underflows" if mean == 40 else "exceeds the unsigned 64-bit range"
+        with pytest.raises(IndexOverflowError, match=message):
+            sample_indices(pr, 3 * _BLOCK + 7, np.random.default_rng(1))
+
+    @pytest.mark.parametrize(
+        "label,share",
+        [
+            ("normal:0,1|normal:1,1", 0.005),
+            ("normal:0,1|normal:2,1", 0.03),
+            ("normal:0,1|normal:5,1", None),
+            ("laplace:0,1|laplace:1,1", 0.005),
+            ("laplace:0,1|laplace:3,1", 0.005),
+            ("laplace:0,1|laplace:5,1", 0.007),
+        ],
+    )
+    def test_undecided_share(self, label, share, monkeypatch):
+        # the share of draws that takes the exact path; a pair whose
+        # table would leave most of them undecided keeps that path
+        pr = dict(DEFAULT_PAIRS)[label]
+        table = pfr._squeeze_table(pr)
+        assert (table is None) == (share is None)
+        if table is None:
+            return
+        exact = []
+        log1m_beta = pfr._log1m_beta
+        monkeypatch.setattr(pfr, "_log1m_beta", lambda pair, u: exact.append(u.size) or log1m_beta(pair, u))
+        n = 2**18
+        sample_indices(pr, n, np.random.default_rng(3))
+        assert sum(exact) <= share * n
+        assert len(table.lo) - 2 <= pfr._SQUEEZE_NODES[-1]
+
+    def test_laplace_flats_sit_on_nodes_and_decide(self):
+        # log r is +-1 on two flats holding 68% of P's mass; both are nodes,
+        # and beta == 1 on the lower one, where t sits at the floor
+        pr = dict(DEFAULT_PAIRS)["laplace:0,1|laplace:1,1"]
+        table = pfr._squeeze_table(pr)
+        ell = np.repeat([-1.0, 1.0], 5000)
+        ends = np.empty(ell.size)
+        table.ends(ell.copy(), ends)
+        # on a node: the node's own bracket, -inf at both ends where beta == 1
+        top = int(table.scale - table.base)  # the node at log r = 1
+        pairs = ends.view(np.float32).reshape(-1, 2)
+        np.testing.assert_array_equal(pairs[:5000], [[-math.inf, -math.inf]] * 5000)
+        np.testing.assert_array_equal(pairs[5000:], [[table.lo[top], table.hi[top]]] * 5000)
+        assert -0.46 < table.lo[top] < table.hi[top] < -0.45  # log(1 - 1/e)
+        v = np.random.default_rng(0).random(ell.size)
+        k, undecided = table.decide(ends, np.log(1.0 - v))
+        assert undecided.size == 0
+        assert (np.maximum(k[:5000], 1.0) == 1.0).all()
+
+    def test_table_is_built_once_and_only_for_many_draws(self):
+        pr = DistributionPair(Gaussian(0, 1), Gaussian(1.5, 1))
+        pfr._squeeze_table.cache_clear()
+        rng = np.random.default_rng(0)
+        sample_indices(pr, pfr._SQUEEZE_MIN_DRAWS - 1, rng)
+        assert pfr._squeeze_table.cache_info().currsize == 0
+        for _ in range(2):
+            sample_indices(pr, pfr._SQUEEZE_MIN_DRAWS, rng)
+        info = pfr._squeeze_table.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
 
 class TestSamplerAgreement:

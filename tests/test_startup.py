@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from pfrsim.pfr import _SQUEEZE_MIN_DRAWS
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Runs the CLI on argv, then prints whether scipy is loaded.
@@ -101,12 +103,15 @@ def test_commands_without_gaussian_tail_masses_leave_scipy_out(args):
 
 
 def test_first_load_inside_the_exact_sampler_pool():
-    args = ("sample", "normal:0,1", "normal:1,1", "-n", "100003", "--method", "exact",
+    # fewer draws than the squeeze takes, whose table would load scipy on
+    # the caller's thread before any block runs
+    args = ("sample", "normal:0,1", "normal:1,1", "-n", "40003", "--method", "exact",
             "--seed", "1")
+    assert 40003 < _SQUEEZE_MIN_DRAWS
     out, report = run_child(RACE, *args)
     record = json.loads(report.splitlines()[-1])
     assert not record["preloaded"]
-    # one import, in a block of the sampler (4 blocks of 2**15 points)
+    # one import, in a block of the sampler (2 blocks of 2**15 points)
     assert len(record["loads"]) == 1 and record["loads"][0][1]
     if record["helpers"]:
         # the caller's thread and a helper both asked before it finished
