@@ -29,8 +29,8 @@ class _Special:
     Python's import lock makes a thread that arrives during another's
     import wait for it, so the blocks of the exact sampler may race here
     when they compute beta.  A squeeze table is built on the calling
-    thread before any block runs, so a Gaussian pair that has one loads
-    scipy there.
+    thread at a pair's first draw, before any block runs, so a Gaussian
+    pair that has one loads scipy there whatever the draw count.
     """
 
     def __getattr__(self, name: str):
@@ -394,16 +394,20 @@ def _log_interval_mass(d: Gaussian | Laplace, lo, hi):
 
 def _gaussian_renyi_nats(p: Gaussian, q: Gaussian, a: np.ndarray) -> np.ndarray:
     # s^2 = a sq^2 + (1 - a) sp^2 = sq^2 (1 + x): log(sq^2 / s^2) as -log1p(x)
-    # keeps its precision as the order nears 1, where x vanishes
-    x = (1.0 - a) * ((p.sigma / q.sigma) ** 2 - 1.0)
-    s2 = 1.0 + x  # s^2 / sq^2
-    infinite = s2 <= 0.0
-    x[infinite], s2[infinite] = 0.0, 1.0
-    d = (
-        math.log(q.sigma / p.sigma)
-        - np.log1p(x) / (2.0 * (a - 1.0))
-        + (0.5 * (p.mu - q.mu) ** 2 / q.sigma**2) * a / s2
-    )
+    # keeps its precision as the order nears 1, where x vanishes.  x
+    # overflows only below -1, where the divergence is infinite; where the
+    # location term's product with the order overflows, it is taken with
+    # a / s^2 instead, and is infinite only past the double range
+    shift = 0.5 * (p.mu - q.mu) ** 2 / q.sigma**2
+    with np.errstate(over="ignore"):
+        x = (1.0 - a) * ((p.sigma / q.sigma) ** 2 - 1.0)
+        s2 = 1.0 + x  # s^2 / sq^2
+        infinite = s2 <= 0.0
+        x[infinite], s2[infinite] = 0.0, 1.0
+        located = shift * a / s2
+        over = np.isinf(located)
+        located[over] = shift * (a[over] / s2[over])
+    d = math.log(q.sigma / p.sigma) - np.log1p(x) / (2.0 * (a - 1.0)) + located
     d[infinite] = math.inf
     return d
 

@@ -23,15 +23,15 @@ Two samplers produce the transmitted index K with its accepted sample:
   pool as a future; it runs the blocks no helper has started while it
   waits for one.  The results do not depend on how many CPUs there are.
   An exception in a block reaches the caller once every started block
-  is done and the rest are cancelled.  From ``_SQUEEZE_MIN_DRAWS`` draws
-  on, K comes from a squeeze (Marsaglia 1977; Devroye 1986, section
-  II.5): t = log(1 - beta) depends on u only through ell = log r(u) and
-  does not decrease in it, so a table of t on evenly spaced nodes of
-  ell, each widened by a relative margin that bounds its rounding error,
-  brackets K = max(ceil(log(1 - v) / t), 1) between its values at the
-  two nodes around a point.  Where they agree that integer is K, and
-  beta is worked out only at the other points, so every index keeps
-  the bits it has without the table.
+  is done and the rest are cancelled.  At every draw count, K comes from
+  a squeeze (Marsaglia 1977; Devroye 1986, section II.5): t = log(1 -
+  beta) depends on u only through ell = log r(u) and does not decrease
+  in it, so a table of t on evenly spaced nodes of ell, each widened by
+  a relative margin that bounds its rounding error, brackets K =
+  max(ceil(log(1 - v) / t), 1) between its values at the two nodes
+  around a point.  Where they agree that integer is K, and beta is
+  worked out only at the other points, so every index keeps the bits it
+  has without the table.
 
 ``index_pmf`` integrates the conditional geometric law against the
 target density on one quadrature grid shared by every k, reporting the
@@ -307,17 +307,9 @@ def _log_beta_at(pair: DistributionPair, log_c: np.ndarray) -> tuple[np.ndarray,
 _BLOCK = 2**15
 
 
-#: From this many draws on, ``sample_indices`` reads K from the pair's
-#: squeeze table (``_squeeze_table``) and works out beta only where the
-#: table leaves K undecided.  Below it, the table's build, a few ms once
-#: per pair, would outweigh what it saves on a few blocks.
-_SQUEEZE_MIN_DRAWS = 2**16
-
-#: Node budgets of a squeeze table, doubling: it takes the first whose
-#: predicted undecided share is at most the target, else the last.  At a
-#: power-of-two spacing, a table holds between half and all of its budget.
-_SQUEEZE_NODES = (2**12, 2**13, 2**14, 2**15, 2**16)
-_SQUEEZE_TARGET = 0.005
+#: Nodes of a squeeze table at most.  At a power-of-two spacing, a table
+#: holds between half and all of them.
+_SQUEEZE_NODES = 2**16
 
 #: A pair whose table leaves a larger share undecided keeps the exact path.
 _SQUEEZE_MAX_SHARE = 0.25
@@ -405,18 +397,17 @@ def _squeeze_table(pair: DistributionPair) -> _Squeeze | None:
     """The pair's squeeze table, or None where the exact path stays.
 
     The nodes cover the values of ell on all but about 2e-9 of P's mass,
-    at a power-of-two spacing.  t comes from the pair alone, in chunks of
-    ``_BUILD_CHUNK`` nodes; no generator draws.  A node decides nothing
-    where its margin exceeds ``_SQUEEZE_MAX_MARGIN`` (1 - beta cancels,
-    or beta underflows), below the last node at the floor (where beta is
-    1, a computed t may lie above the floor), and at either end of a cell
-    whose widened ends cross.  The table's margin is the largest that
-    remains.  Its predicted undecided share, the sum over cells of
-    P(cell) min(1, |1/t_hi - 1/t_lo|), is the mean number of integers
-    between the ends of a bracket, x = log(1 - v) being -1 on average.
-    The node budget doubles through ``_SQUEEZE_NODES``; each coarser
-    table takes every other node of the next, so t is worked out once, on
-    the finest nodes.  Cached, as ``_stop_delta`` is.
+    at most ``_SQUEEZE_NODES`` of them at a power-of-two spacing.  t comes
+    from the pair alone, in chunks of ``_BUILD_CHUNK`` nodes; no generator
+    draws.  A node decides nothing where its margin exceeds
+    ``_SQUEEZE_MAX_MARGIN`` (1 - beta cancels, or beta underflows), below
+    the last node at the floor (where beta is 1, a computed t may lie above
+    the floor), and at either end of a cell whose widened ends cross.  The
+    table's margin is the largest that remains.  A table whose predicted
+    undecided share exceeds ``_SQUEEZE_MAX_SHARE`` is not kept: that share,
+    the sum over cells of P(cell) min(1, |1/t_hi - 1/t_lo|), is the mean
+    number of integers between the ends of a bracket, x = log(1 - v) being
+    -1 on average.  Cached, as ``_stop_delta`` is.
 
     Finite pairs read their support table instead.  Gaussian pairs of
     unequal variances keep the exact path: their level sets take a square
@@ -436,17 +427,18 @@ def _squeeze_table(pair: DistributionPair) -> _Squeeze | None:
         ell_lo, ell_hi = float(ell.min()), float(ell.max())
         if not (math.isfinite(ell_lo) and math.isfinite(ell_hi)):
             return None
-        steps = _SQUEEZE_NODES[-1] // _SQUEEZE_NODES[0]
-        coarse = 2.0 ** math.ceil(math.log2(max(ell_hi - ell_lo, 1e-200) / (_SQUEEZE_NODES[0] - 3)))
-        fine = coarse / steps
-        if not max(-ell_lo, ell_hi) / fine < 2.0**50:  # node numbers exact in a double
+        h = 2.0 ** math.ceil(math.log2(max(ell_hi - ell_lo, 1e-200) / (_SQUEEZE_NODES - 3)))
+        if not max(-ell_lo, ell_hi) / h < 2.0**50:  # node numbers exact in a double
             return None
-        first = math.floor(ell_lo / coarse) * steps
-        size = math.ceil(ell_hi / coarse) * steps - first + 1
-        t, margin, above, at = np.empty((4, size))
+        first = math.floor(ell_lo / h)
+        size = math.ceil(ell_hi / h) - first + 1
+        # t, with a nan at either end for the points below and above the nodes
+        table = np.full(size + 2, math.nan)
+        t = table[1:-1]
+        margin, above, at = np.empty((3, size))
         for start in range(0, size, _BUILD_CHUNK):
             s = slice(start, min(start + _BUILD_CHUNK, size))
-            nodes = np.arange(first + s.start, first + s.stop) * fine
+            nodes = np.arange(first + s.start, first + s.stop) * h
             lb, log_p = _log_beta_at(pair, nodes)
             t[s] = _log1m_from_log_beta(lb)
             margin[s] = _node_margins(nodes, lb, log_p, t[s])
@@ -455,41 +447,37 @@ def _squeeze_table(pair: DistributionPair) -> _Squeeze | None:
             at[s] = np.exp(pair.superlevel_masses(np.nextafter(nodes, -math.inf))[0])
         # beta below float32's normal range makes K > 2**126, past the index range anyway
         t[~(margin <= _SQUEEZE_MAX_MARGIN) | (t > -_FLOAT32_TINY)] = math.nan
-        for budget in _SQUEEZE_NODES:
-            step = _SQUEEZE_NODES[-1] // budget
-            share, table, w = _squeeze_level(t[::step], margin[::step], above[::step], at[::step])
-            if share <= _SQUEEZE_TARGET:
-                break
-        if share > _SQUEEZE_MAX_SHARE:
+        floor = np.flatnonzero(table == _LOG1M_FLOOR)
+        if floor.size:
+            table[: floor[-1]] = math.nan
+        w = float(np.max(margin, where=~np.isnan(t), initial=0.0))
+        if _undecided_share(table, w, above, at) > _SQUEEZE_MAX_SHARE:
             return None
         lo = _float32_toward(table * (1.0 + w), -math.inf)
         hi = _float32_toward(table * (1.0 - w), math.inf)
     hi[table == _LOG1M_FLOOR] = -math.inf
-    return _Squeeze(1.0 / (fine * step), first / step - 1.0, lo, hi)
+    return _Squeeze(1.0 / h, first - 1.0, lo, hi)
 
 
-def _squeeze_level(t, margin, above, at) -> tuple[float, np.ndarray, float]:
-    """The predicted undecided share, the table and its margin, on the nodes given.
+def _undecided_share(table: np.ndarray, w: float, above: np.ndarray, at: np.ndarray) -> float:
+    """The share of points that ``table`` with margin ``w`` is predicted to leave undecided.
 
-    ``above`` and ``at`` are P(ell > node) and P(ell >= node).
+    Both ends of each cell whose widened ends cross are first set to nan
+    in ``table``.  ``above`` and ``at`` are P(ell > node) and P(ell >= node).
     """
-    table = np.concatenate([[math.nan], t, [math.nan]])
-    floor = np.flatnonzero(table == _LOG1M_FLOOR)
-    if floor.size:
-        table[: floor[-1]] = math.nan
-    w = float(np.max(margin, where=~np.isnan(table[1:-1]), initial=0.0))
     # 1 / t at the ends of the brackets: widened at a lower end, narrowed at an upper
     inv_lo, inv_hi = 1.0 / (table * (1.0 + w)), 1.0 / (table * (1.0 - w))
     crossed = np.flatnonzero(inv_hi[1:] > inv_lo[:-1])  # t < 0: the upper end below the lower
     for j in (crossed, crossed + 1):
         table[j] = inv_lo[j] = inv_hi[j] = math.nan
     # the mean number of integers between the ends of a bracket, at most 1
-    # (fmin: a nan end leaves the bracket undecided), in each cell and on each node
-    cells = np.fmin(np.abs(inv_hi[1:] - inv_lo[:-1]), 1.0)
+    # (fmin: a nan end leaves the bracket undecided), in each cell and on each node;
+    # in place, so that the build's peak memory stays near its arrays
+    cells = np.subtract(inv_hi[1:], inv_lo[:-1])
+    np.fmin(np.abs(cells, out=cells), 1.0, out=cells)
     nodes = np.fmin(np.abs(np.subtract(inv_hi, inv_lo, out=inv_hi), out=inv_hi), 1.0, out=inv_hi)[1:-1]
     # P(between nodes i and i + 1) = P(ell > node i) - P(ell >= node i + 1)
-    share = cells[0] + above @ cells[1:] - at @ cells[:-1] + (at - above) @ nodes
-    return float(share), table, w
+    return float(cells[0] + above @ cells[1:] - at @ cells[:-1] + (at - above) @ nodes)
 
 
 @lru_cache(maxsize=1)
@@ -581,8 +569,8 @@ def sample_indices(
     a finite pair's is worked out once per support point, on the caller's
     thread, and gathered.
 
-    From ``_SQUEEZE_MIN_DRAWS`` draws on, the pair's squeeze table
-    (``_squeeze_table``: built once per pair on the caller's thread, and
+    At every draw count, the pair's squeeze table (``_squeeze_table``:
+    built once per pair on the caller's thread, at its first draw, and
     None where it does not pay) replaces most of that work.  The helpers
     then write each point's bracket on log(1 - beta), read from the table
     at ell = log r(u), into the block's slice of the index array in place
@@ -599,7 +587,7 @@ def sample_indices(
     """
     if n < 0:
         raise DomainError("n must be >= 0")
-    table = _squeeze_table(pair) if n >= _SQUEEZE_MIN_DRAWS else None
+    table = _squeeze_table(pair) if n else None
     # beta takes one value per support point of a finite pair: worked out
     # once, on the caller's thread, and gathered in each block
     support = _log1m_beta(pair, np.arange(len(pair.p.probs))) if pair.is_finite_kind else None

@@ -243,6 +243,23 @@ class TestRenyiDivergence:
         d = renyi_divergence(pair(Laplace(0, 3), Laplace(0, 1)), 2.0)
         assert d == math.inf
 
+    def test_gaussian_terms_past_the_double_range_warn_nothing(self):
+        # x overflows where the divergence is infinite; the location term
+        # times the order overflows at 1e10 on the second pair, where the
+        # divergence is finite: mpmath's value, and no warning on either
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            infinite = renyi_divergence(
+                pair(Gaussian(0, 1.3e154), Gaussian(1.3e154, 1)), np.array([1.5, 5.0, 1e10])
+            )
+            finite = renyi_divergence(pair(Gaussian(0, 0.5), Gaussian(1e150, 1)), 1e10)
+        assert (infinite == math.inf).all()
+        with mpmath.workdps(40):
+            a = mpmath.mpf(1e10)
+            s2 = a + (1 - a) * mpmath.mpf(0.25)
+            nats = mpmath.log(2) - mpmath.log(s2) / (2 * (a - 1)) + mpmath.mpf(1e150) ** 2 * a / (2 * s2)
+            assert finite == pytest.approx(float(nats / mpmath.log(2)), rel=1e-14)
+
     def test_order_validation(self):
         with pytest.raises(OrderError):
             renyi_divergence(pair(Gaussian(0, 1), Gaussian(1, 1)), 0.0)

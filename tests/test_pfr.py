@@ -862,7 +862,7 @@ class TestSqueeze:
         n = 2**18
         sample_indices(pr, n, np.random.default_rng(3))
         assert sum(exact) <= share * n
-        assert len(table.lo) - 2 <= pfr._SQUEEZE_NODES[-1]
+        assert len(table.lo) - 2 <= pfr._SQUEEZE_NODES
 
     def test_laplace_flats_sit_on_nodes_and_decide(self):
         # log r is +-1 on two flats holding 68% of P's mass; both are nodes,
@@ -883,14 +883,14 @@ class TestSqueeze:
         assert undecided.size == 0
         assert (np.maximum(k[:5000], 1.0) == 1.0).all()
 
-    def test_table_is_built_once_and_only_for_many_draws(self):
+    def test_table_is_built_once_at_the_first_draw(self):
         pr = DistributionPair(Gaussian(0, 1), Gaussian(1.5, 1))
         pfr._squeeze_table.cache_clear()
         rng = np.random.default_rng(0)
-        sample_indices(pr, pfr._SQUEEZE_MIN_DRAWS - 1, rng)
+        sample_indices(pr, 0, rng)
         assert pfr._squeeze_table.cache_info().currsize == 0
         for _ in range(2):
-            sample_indices(pr, pfr._SQUEEZE_MIN_DRAWS, rng)
+            sample_indices(pr, 1, rng)
         info = pfr._squeeze_table.cache_info()
         assert (info.misses, info.hits) == (1, 1)
 

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from pfrsim.pfr import _SQUEEZE_MIN_DRAWS
+from pfrsim.distributions import DistributionPair, Gaussian
+from pfrsim.pfr import _squeeze_table
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -25,9 +26,10 @@ print("scipy" in sys.modules, file=sys.stderr)
 
 # Runs the CLI on argv with probes on the first import of scipy.special: it
 # records which thread imports it and whether the exact sampler's blocks are
-# running, and holds the import until a second thread has asked for it (when
-# the sampler has pool helpers), so that two blocks race for it.  Prints the
-# record as JSON.  With PRELOAD set, scipy.special is imported first instead.
+# running, and holds an import inside the blocks until a second thread has
+# asked for it (when the sampler has pool helpers), so that two blocks race
+# for it.  Prints the record as JSON.  With PRELOAD set, scipy.special is
+# imported first instead.
 RACE = """
 import json, os, sys, threading
 import pfrsim.distributions as dist
@@ -62,7 +64,7 @@ class Hold:
     def find_spec(self, name, path=None, target=None):
         if name == "scipy.special":
             record["loads"].append([threading.current_thread().name, record["in_blocks"]])
-            if record["helpers"]:
+            if record["helpers"] and record["in_blocks"]:
                 both_asked.wait(30)
         return None
 sys.meta_path.insert(0, Hold())
@@ -103,11 +105,11 @@ def test_commands_without_gaussian_tail_masses_leave_scipy_out(args):
 
 
 def test_first_load_inside_the_exact_sampler_pool():
-    # fewer draws than the squeeze takes, whose table would load scipy on
-    # the caller's thread before any block runs
-    args = ("sample", "normal:0,1", "normal:1,1", "-n", "40003", "--method", "exact",
+    # a Gaussian pair of unequal variances has no squeeze table, so its
+    # first tail mass is worked out in a block
+    args = ("sample", "normal:0,1", "normal:0.5,1.6", "-n", "40003", "--method", "exact",
             "--seed", "1")
-    assert 40003 < _SQUEEZE_MIN_DRAWS
+    assert _squeeze_table(DistributionPair(Gaussian(0, 1), Gaussian(0.5, 1.6))) is None
     out, report = run_child(RACE, *args)
     record = json.loads(report.splitlines()[-1])
     assert not record["preloaded"]
@@ -116,6 +118,23 @@ def test_first_load_inside_the_exact_sampler_pool():
     if record["helpers"]:
         # the caller's thread and a helper both asked before it finished
         assert len(set(record["asked"])) > 1
+    preloaded_out, preloaded_report = run_child(RACE, *args, preload=True)
+    preloaded = json.loads(preloaded_report.splitlines()[-1])
+    assert preloaded["preloaded"] and not preloaded["loads"]
+    assert out == preloaded_out
+
+
+def test_first_load_with_a_squeeze_table_on_the_callers_thread():
+    # a squeezed pair builds its table, and loads scipy, on the caller's
+    # thread before any block runs; no block asks for it after that
+    args = ("sample", "normal:0,1", "normal:1,1", "-n", "40003", "--method", "exact",
+            "--seed", "1")
+    assert _squeeze_table(DistributionPair(Gaussian(0, 1), Gaussian(1, 1))) is not None
+    out, report = run_child(RACE, *args)
+    record = json.loads(report.splitlines()[-1])
+    assert not record["preloaded"]
+    assert record["loads"] == [["MainThread", False]]
+    assert record["asked"] == ["MainThread"]
     preloaded_out, preloaded_report = run_child(RACE, *args, preload=True)
     preloaded = json.loads(preloaded_report.splitlines()[-1])
     assert preloaded["preloaded"] and not preloaded["loads"]

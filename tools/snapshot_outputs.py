@@ -32,14 +32,15 @@ directory at OUTDIR, so every output lands there under a relative name:
   (non-monotone Gaussian and Laplace ratios, a finite pair with a point P
   never hits) and 2,000 exact rows on the last two, at seeds 0, 1 and 2;
 * 100,003 exact rows at seed 0 on Laplace(0,1)|Laplace(1,1), on the two
-  non-monotone pairs, on the finite pair and on N(0,1)|N(5,1), several
-  blocks of the exact sampler each; the last is the one command whose
-  indices pass 2**40, where one ulp of beta can move an index by a unit;
+  non-monotone pairs, on the finite pair and on N(0,1)|N(5,1), and 40,003
+  on N(0,1)|N(1,1), read through its squeeze table: several blocks of the
+  exact sampler each.  N(0,1)|N(5,1) is the one command whose indices
+  pass 2**40, where one ulp of beta can move an index by a unit;
 * the first of those (selection rule, delta 1e-8) at the multi-word seeds
   2**64 + 1 and 2**130 + 7, whose streams take longer seed hashes.
 
 The stdout of each command is kept as ``<name>.stdout``.  Where the
-platform can pin a process to CPUs, the 100,003-row exact commands run a
+platform can pin a process to CPUs, the multi-block exact commands run a
 second time pinned to one CPU, in a temporary directory, where the exact
 sampler has no thread pool; their output files and stdout must keep the
 bytes of the unpinned run, which shows that the output does not depend on
@@ -99,13 +100,14 @@ SAMPLES = (
     ("exact_finite", FINITE, ("-n", "2000", "--method", "exact")),
 )
 
-#: (name, pair) of the exact sampler over several blocks, at seed 0.
+#: (name, pair, rows) of the exact sampler over several blocks, at seed 0.
 EXACT_BLOCKS = (
-    ("exact_blocks_laplace", ("laplace:0,1", "laplace:1,1")),
-    ("exact_blocks_nonmonotone_normal", NONMONOTONE_NORMAL),
-    ("exact_blocks_nonmonotone_laplace", NONMONOTONE_LAPLACE),
-    ("exact_blocks_finite", FINITE),
-    ("exact_blocks_heavy", ("normal:0,1", "normal:5,1")),
+    ("exact_blocks_laplace", ("laplace:0,1", "laplace:1,1"), "100003"),
+    ("exact_blocks_nonmonotone_normal", NONMONOTONE_NORMAL, "100003"),
+    ("exact_blocks_nonmonotone_laplace", NONMONOTONE_LAPLACE, "100003"),
+    ("exact_blocks_finite", FINITE, "100003"),
+    ("exact_blocks_heavy", ("normal:0,1", "normal:5,1"), "100003"),
+    ("exact_two_blocks", ("normal:0,1", "normal:1,1"), "40003"),
 )
 
 #: Seeds of three and five 32-bit words, for the selection rule.
@@ -179,9 +181,9 @@ def commands() -> list[tuple[str, list[str]]]:
 def exact_block_commands() -> list[tuple[str, list[str]]]:
     """(name, CLI arguments) of the exact sampler over several blocks."""
     out = []
-    for kind, pair in EXACT_BLOCKS:
+    for kind, pair, rows in EXACT_BLOCKS:
         name = f"sample_{kind}_seed_0"
-        out.append((name, ["sample", *pair, "-n", "100003", "--method", "exact", "--seed", "0",
+        out.append((name, ["sample", *pair, "-n", rows, "--method", "exact", "--seed", "0",
                            "--out", f"{name}.csv"]))
     return out
 
