@@ -26,13 +26,11 @@ from .bounds import (
 )
 from .codes import (
     CampbellCost,
-    CustomLengths,
     LengthFunction,
     OneToOne,
     PowerLaw,
     Universal,
     campbell_cost,
-    campbell_optimal_lengths,
     kraft_sum,
     length,
     lengths,
@@ -54,7 +52,6 @@ from .errors import (
     EpsilonRangeError,
     IndexOverflowError,
     IterationCapError,
-    LengthTableError,
     NegativeTailError,
     NonConvergenceError,
     NonFiniteError,

@@ -15,7 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DomainError, LengthTableError, OrderError
+from .errors import DomainError, OrderError
 from .numerics import LN2, log2_sum_exp
 from .pfr import IndexPmf
 
@@ -62,26 +62,7 @@ class OneToOne:
         return np.floor(np.log2(np.asarray(k, dtype=float) + 1.0))
 
 
-@dataclass(frozen=True)
-class CustomLengths:
-    """Explicit length table for k = 1..len(table)."""
-
-    table: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.table) == 0 or any(n < 1 for n in self.table):
-            raise DomainError("length table must be nonempty with positive entries")
-
-    def lengths(self, k: np.ndarray) -> np.ndarray:
-        idx = np.asarray(k, dtype=np.int64) - 1
-        if np.any(idx < 0) or np.any(idx >= len(self.table)):
-            raise LengthTableError(
-                f"index outside the custom table of size {len(self.table)}"
-            )
-        return np.asarray(self.table, dtype=float)[idx]
-
-
-LengthFunction = Union[PowerLaw, Universal, OneToOne, CustomLengths]
+LengthFunction = Union[PowerLaw, Universal, OneToOne]
 
 
 def length(lf: LengthFunction, k: int) -> int:
@@ -103,15 +84,10 @@ def kraft_sum(lf: LengthFunction, n_terms: int) -> tuple[float, float]:
     bound on the remaining series.
 
     Tail bounds come from integral comparison of the un-ceiled length
-    formulas; the one-to-one code's series diverges (tail bound +inf) and
-    a custom table has no tail at all.
+    formulas; the one-to-one code's series diverges (tail bound +inf).
     """
     if n_terms < 1:
         raise DomainError("n_terms must be >= 1")
-    if isinstance(lf, CustomLengths):
-        upto = min(n_terms, len(lf.table))
-        partial = float(np.exp2(-lf.lengths(np.arange(1, upto + 1))).sum())
-        return partial, 0.0
     ks = np.arange(1, n_terms + 1, dtype=np.int64)
     partial = float(np.exp2(-lf.lengths(ks).astype(float)).sum())
     if isinstance(lf, PowerLaw):
@@ -168,21 +144,3 @@ def renyi_entropy(pmf: IndexPmf, alpha: float) -> tuple[float, float]:
     upper = max(math.log2(head + pmf.tail_power_sum_bound(alpha)) / (1.0 - alpha), 0.0)
     return lower, upper
 
-
-def campbell_optimal_lengths(pmf: IndexPmf, alpha: float) -> CustomLengths:
-    """Length table achieving cost within one bit of the entropy.
-
-    Classical escort construction: n_k = ceil(-log2 w_k) for the escort
-    weights w_k = p_k**alpha / sum p**alpha.  Zero-probability indices
-    (which never occur) get a sentinel length.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise OrderError(f"alpha must lie in (0, 1), got {alpha}")
-    p = np.asarray(pmf.probs, dtype=float)
-    pos = p > 0.0
-    escort = np.zeros_like(p)
-    escort[pos] = p[pos] ** alpha
-    escort[pos] /= escort[pos].sum()
-    table = np.full(len(p), 64, dtype=np.int64)
-    table[pos] = np.maximum(np.ceil(-np.log2(escort[pos])), 1.0).astype(np.int64)
-    return CustomLengths(tuple(int(n) for n in table))

@@ -281,6 +281,23 @@ class DistributionPair:
     def _ratio(self) -> _Ratio:
         """The density ratio, worked out once from (p, q); each of its shapes is here.
 
+        Each continuous ratio is written about its centre: a (centre, slope
+        or curvature, top) triple gives its level sets and its sup, and far
+        from the origin log r errs by no more than the rounding of a centre
+        moves it.  No coefficient is taken in absolute coordinates.
+
+        * Equal scales (``_line``): centre the midpoint of the locations,
+          slope (mu_p - mu_q) / sigma^2 or +-2 / lambda, top the bound at
+          which a Laplace ratio is flat beyond the locations (+inf for
+          Gaussians).  The triple gives log r too.
+        * Gaussians of unequal scales: centre the vertex (pivot), curvature
+          (1 / sigma_q^2 - 1 / sigma_p^2) / 2, top log r at the vertex.  log r
+          itself is the same parabola about the narrower law's location.
+        * Laplace laws of unequal scales: centre the narrower law's
+          location, slope 1 / lambda_narrow + 1 / lambda_wide up to the
+          other location and 1 / lambda_narrow - 1 / lambda_wide beyond it,
+          top log r at the centre.
+
         Continuous level sets {r > c} are (shape, lo, hi): "below" is
         (-inf, hi), "above" is (lo, inf), "inside" is (lo, hi) and "outside"
         is the complement of [lo, hi].
@@ -296,40 +313,37 @@ class DistributionPair:
                 return "below", edge, edge
 
             return _Ratio(lambda u: np.zeros_like(u), 0.0, level_set)
-        if isinstance(p, Gaussian):  # a quadratic, a line for equal scales
-            a = 0.5 * (1.0 / q.sigma**2 - 1.0 / p.sigma**2)
-            b = p.mu / p.sigma**2 - q.mu / q.sigma**2
-            c = 0.5 * (q.mu**2 / q.sigma**2 - p.mu**2 / p.sigma**2) + math.log(q.sigma / p.sigma)
+        if isinstance(p, Gaussian):
+            gap = p.mu - q.mu
+            # sq^2 - sp^2 without the cancellation of the squares
+            spread = (q.sigma - p.sigma) * (q.sigma + p.sigma)
+            a = -0.5 * spread / q.sigma**2 / p.sigma**2
             if a == 0.0:
-                mid, slope = 0.5 * (p.mu + q.mu), (p.mu - q.mu) / p.sigma**2
-                shape = "below" if slope < 0.0 else "above"
+                return _line(0.5 * (p.mu + q.mu), gap / p.sigma**2, math.inf)
+            # the vertex as an offset from mu_p, the squared gap halved before it
+            # is divided: neither mu_p sq^2 nor 2 (sq^2 - sp^2), which may overflow
+            log_scales = math.log(q.sigma / p.sigma)
+            pivot = p.mu + gap * (p.sigma**2 / spread)
+            top = log_scales + 0.5 * gap * gap / spread
+            if not (math.isfinite(pivot) and math.isfinite(top)):
+                raise DomainError(f"{p} and {q}: the vertex of the log ratio leaves the double range")
+            # log r about the narrower law's location: each term is then at most
+            # about |log p| + |log q|, where a (u - pivot)^2 + top cancels once
+            # nearly equal scales send the vertex far from both locations
+            if p.sigma < q.sigma:
+                centre, slope, at_centre = p.mu, gap / q.sigma**2, log_scales + 0.5 * (gap / q.sigma) ** 2
+            else:
+                centre, slope, at_centre = q.mu, gap / p.sigma**2, log_scales - 0.5 * (gap / p.sigma) ** 2
 
-                def level_set(log_c):
-                    x = mid + log_c / slope
-                    return shape, x, x
+            def log_r(u):
+                x = u - centre
+                return (a * x + slope) * x + at_centre
 
-                return _Ratio(lambda u: b * u + c, math.inf, level_set)
             curv = abs(a)
-            log_r = lambda u: (a * u + b) * u + c  # noqa: E731
-            return _around(log_r, -b / (2.0 * a), a < 0.0, lambda drop: (np.sqrt(drop / curv),) * 2)
+            return _around(log_r, pivot, top, a < 0.0, lambda drop: (np.sqrt(drop / curv),) * 2)
         if p.lam == q.lam:
-            # log r = slope * (u - midpoint), but flat at +-bound beyond the two
-            # locations: no point exceeds a level at or above +bound, and every
-            # point exceeds one below -bound.  There the offset from the
-            # midpoint is divided by zero, which sends the edge to the infinity
-            # of its sign, without a data branch.
-            mid, bound = 0.5 * (p.theta + q.theta), abs(p.theta - q.theta) / p.lam
-            slope = math.copysign(2.0 / p.lam, p.theta - q.theta)
-            shape = "below" if slope < 0.0 else "above"
-
-            def level_set(log_c):
-                with np.errstate(divide="ignore"):
-                    offset = np.divide(log_c / slope, (log_c < bound) & (log_c >= -bound))
-                x = mid + offset
-                return shape, x, x
-
-            log_r = lambda u: np.minimum(np.maximum(slope * (u - mid), -bound), bound)  # noqa: E731
-            return _Ratio(log_r, bound, level_set)
+            gap = p.theta - q.theta
+            return _line(0.5 * (p.theta + q.theta), math.copysign(2.0 / p.lam, gap), abs(gap) / p.lam)
         # two kinks, with the extremum at the narrower law's location
         c = math.log(q.lam / p.lam)
         far = math.inf if q.lam < p.lam else -math.inf  # the narrower law's term wins
@@ -344,10 +358,10 @@ class DistributionPair:
             return out
 
         peaked = p.lam < q.lam
-        pivot = p.theta if peaked else q.theta
+        gap = abs(p.theta - q.theta)
+        pivot, top = (p.theta, c + gap / q.lam) if peaked else (q.theta, c - gap / p.lam)
         narrow, wide = sorted((p.lam, q.lam))
         steep, shallow = 1.0 / narrow + 1.0 / wide, 1.0 / narrow - 1.0 / wide
-        gap = abs(p.theta - q.theta)
 
         def widths(drop):
             # past the other location's kink the slope flattens
@@ -355,7 +369,7 @@ class DistributionPair:
             away = drop / shallow
             return (away, toward) if p.theta + q.theta >= 2.0 * pivot else (toward, away)
 
-        return _around(log_r, pivot, peaked, widths)
+        return _around(log_r, pivot, top, peaked, widths)
 
 
 class _Ratio(NamedTuple):
@@ -366,12 +380,39 @@ class _Ratio(NamedTuple):
     level_set: Callable | None  # log c -> {r > c} as (shape, lo, hi); None for finite pairs
 
 
-def _around(log_r, pivot: float, peaked: bool, widths) -> _Ratio:
-    """A ratio monotone on each side of its extremum at ``pivot``, a peak or a trough.
+def _line(mid: float, slope: float, bound: float) -> _Ratio:
+    """log r = slope * (u - mid), clipped to [-bound, bound]; its top is bound.
 
-    ``widths(drop)``: how far left and right of ``pivot`` log r moves by ``drop``.
+    No point exceeds a level at or above +bound, and every point exceeds
+    one below -bound.  There the offset from the midpoint is divided by
+    zero, which sends the edge to the infinity of its sign, without a data
+    branch.  An unbounded line (bound +inf) clips nothing.
     """
-    top = float(log_r(pivot))
+    shape = "below" if slope < 0.0 else "above"
+
+    def level_set(log_c):
+        with np.errstate(divide="ignore"):
+            offset = np.divide(log_c / slope, (log_c < bound) & (log_c >= -bound))
+        x = mid + offset
+        return shape, x, x
+
+    def log_r(u):
+        # in place: one new array instead of four, for the exact sampler's blocks
+        x = np.subtract(u, mid, out=np.empty(np.shape(u)))
+        x *= slope
+        np.maximum(x, -bound, out=x)
+        return np.minimum(x, bound, out=x)
+
+    return _Ratio(log_r, bound, level_set)
+
+
+def _around(log_r, pivot: float, top: float, peaked: bool, widths) -> _Ratio:
+    """A ratio monotone on each side of its extremum: a peak (``peaked``) or a trough.
+
+    Centre ``pivot``, where log r is ``top``; the slopes or the curvature
+    enter through ``widths(drop)``, how far left and right of ``pivot``
+    log r moves by ``drop``.
+    """
     shape = "inside" if peaked else "outside"
 
     def level_set(log_c):

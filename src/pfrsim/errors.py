@@ -37,10 +37,6 @@ class NegativeTailError(PfrsimError, ValueError):
     """Accumulated quadrature error drove a truncated pmf's tail mass below -1e-9."""
 
 
-class LengthTableError(PfrsimError, IndexError):
-    """Custom code-length table indexed beyond its last entry."""
-
-
 class OrderError(PfrsimError, ValueError):
     """Entropy/divergence order outside the range the operation supports."""
 

@@ -1,22 +1,21 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from pfrsim.codes import (
-    CustomLengths,
     OneToOne,
     PowerLaw,
     Universal,
     campbell_cost,
-    campbell_optimal_lengths,
     kraft_sum,
     length,
     lengths,
     renyi_entropy,
 )
 from pfrsim.distributions import DistributionPair, Gaussian
-from pfrsim.errors import DomainError, LengthTableError, OrderError
+from pfrsim.errors import DomainError, OrderError
 from pfrsim.pfr import IndexPmf, index_pmf
 
 LN2 = math.log(2.0)
@@ -25,6 +24,16 @@ LN2 = math.log(2.0)
 def exact_pmf(probs):
     p = np.asarray(probs, dtype=float)
     return IndexPmf(p, 1.0 - float(p.sum()))
+
+
+@dataclass(frozen=True)
+class Table:
+    """A length function with n_k = table[k - 1], for the cost of a fixed code."""
+
+    table: tuple
+
+    def lengths(self, k):
+        return np.asarray(self.table, dtype=float)[np.asarray(k) - 1]
 
 
 class TestLengths:
@@ -49,17 +58,9 @@ class TestLengths:
             assert np.all(ns == np.floor(ns))
             assert np.all(np.diff(ns) >= 0)
 
-    def test_custom_table(self):
-        lf = CustomLengths((1, 2, 2))
-        assert length(lf, 3) == 2
-        with pytest.raises(LengthTableError):
-            length(lf, 4)
-
     def test_validation(self):
         with pytest.raises(DomainError):
             PowerLaw(0.0)
-        with pytest.raises(DomainError):
-            CustomLengths(())
         with pytest.raises(DomainError):
             length(OneToOne(), 0)
 
@@ -87,16 +88,11 @@ class TestKraft:
             p2, _ = kraft_sum(lf, 10**6)
             assert p2 <= p1 + t1
 
-    def test_custom_has_no_tail(self):
-        partial, tail = kraft_sum(CustomLengths((1, 2)), 10)
-        assert partial == 0.75
-        assert tail == 0.0
-
 
 class TestCampbellCost:
     def test_hand_value(self):
         pmf = exact_pmf([0.5, 0.5])
-        cost = campbell_cost(pmf, CustomLengths((1, 2)), 1.0)
+        cost = campbell_cost(pmf, Table((1, 2)), 1.0)
         assert cost.value == pytest.approx(math.log2(3.0), rel=1e-12)
         assert cost.value == cost.upper
 
@@ -110,12 +106,12 @@ class TestCampbellCost:
 
     def test_equal_lengths_collapse(self):
         pmf = exact_pmf([0.25, 0.25, 0.5])
-        cost = campbell_cost(pmf, CustomLengths((7, 7, 7)), 3.0)
+        cost = campbell_cost(pmf, Table((7, 7, 7)), 3.0)
         assert cost.value == pytest.approx(7.0, rel=1e-12)
 
     def test_tail_that_is_not_dust_leaves_the_bracket_open(self):
         pmf = IndexPmf(np.array([0.9]), 0.1)
-        cost = campbell_cost(pmf, CustomLengths((2,)), 1.0)
+        cost = campbell_cost(pmf, Table((2,)), 1.0)
         assert cost.value == pytest.approx(math.log2(0.9 * 4), rel=1e-12)
         assert cost.upper == math.inf
 
@@ -133,7 +129,7 @@ class TestCampbellCost:
 
     def test_log_domain_survives_huge_exponents(self):
         pmf = exact_pmf([0.5, 0.5])
-        cost = campbell_cost(pmf, CustomLengths((1000, 2000)), 3.0)
+        cost = campbell_cost(pmf, Table((1000, 2000)), 3.0)
         assert cost.value == pytest.approx(2000.0 + math.log2(0.5) / 3.0, rel=1e-9)
 
     def test_nondecreasing_in_t(self):
@@ -235,12 +231,7 @@ class TestOrderCostDuality:
             for t in (0.1, 0.5, 1.0, 2.0):
                 alpha = 1.0 / (t + 1.0)
                 h, _ = renyi_entropy(pmf, alpha)
-                lf = campbell_optimal_lengths(pmf, alpha)
-                cost = campbell_cost(pmf, lf, t)
+                # Campbell's code: n_k = ceil(-log2 w_k) for the escort w = p^alpha / sum p^alpha
+                escort = pmf.probs**alpha / np.sum(pmf.probs**alpha)
+                cost = campbell_cost(pmf, Table(tuple(np.ceil(-np.log2(escort)))), t)
                 assert h - 1e-9 <= cost.value < h + 1.0
-
-    def test_escort_lengths_satisfy_kraft(self):
-        pmf = exact_pmf([0.4, 0.3, 0.2, 0.1])
-        lf = campbell_optimal_lengths(pmf, 0.5)
-        partial, tail = kraft_sum(lf, 4)
-        assert partial + tail <= 1.0

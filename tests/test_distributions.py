@@ -786,11 +786,15 @@ def _reference_extremum(pr):
     if isinstance(p, Laplace):
         same, peaked = p.lam == q.lam, p.lam < q.lam
         pivot = p.theta if peaked else q.theta
-    else:
-        curv = 0.5 * (1.0 / q.sigma**2 - 1.0 / p.sigma**2)
-        same, peaked = p.sigma == q.sigma, p.sigma < q.sigma
-        pivot = (q.mu / q.sigma**2 - p.mu / p.sigma**2) / (2.0 * curv) if curv else math.nan
-    return same, peaked, pivot, (math.nan if same else float(pr.log_ratio(pivot)))
+        return same, peaked, pivot, (math.nan if same else float(pr.log_ratio(pivot)))
+    same, peaked = p.sigma == q.sigma, p.sigma < q.sigma
+    if same:
+        return same, peaked, math.nan, math.nan
+    # the vertex of log p - log q: pivot = mu_p + (mu_p - mu_q) sp^2 / (sq^2 - sp^2),
+    # top = log(sq / sp) + (mu_p - mu_q)^2 / (2 (sq^2 - sp^2))
+    gap, spread = p.mu - q.mu, (q.sigma - p.sigma) * (q.sigma + p.sigma)
+    pivot = p.mu + gap * (p.sigma**2 / spread)
+    return same, peaked, pivot, math.log(q.sigma / p.sigma) + 0.5 * gap * gap / spread
 
 
 def _reference_superlevel_set(pr, log_c):
@@ -814,7 +818,7 @@ def _reference_superlevel_set(pr, log_c):
         return ("below" if slope < 0.0 else "above"), x, x
     drop = np.maximum(top - log_c if peaked else log_c - top, 0.0)
     if isinstance(p, Gaussian):
-        curv = 0.5 * abs(1.0 / q.sigma**2 - 1.0 / p.sigma**2)
+        curv = 0.5 * abs((q.sigma - p.sigma) * (q.sigma + p.sigma)) / q.sigma**2 / p.sigma**2
         left = right = np.sqrt(drop / curv)
     else:
         narrow, wide = sorted((p.lam, q.lam))
@@ -907,6 +911,9 @@ LOG_RATIO_SHAPES = {
     "quadratic_normal_trough": (pair(Gaussian(0, 1.2), Gaussian(0.3, 1)), [0.0, 0.3]),
     "kinks_laplace_peak": (pair(Laplace(0, 1), Laplace(0.5, 2)), [0.0, 0.5]),
     "kinks_laplace_trough": (pair(Laplace(1, 2), Laplace(0, 1)), [0.0, 1.0]),
+    # scales 1e-12 apart put the vertex near +-5e11, far from both locations
+    "quadratic_normal_near_equal_peak": (pair(Gaussian(0, 1), Gaussian(1, 1 + 1e-12)), [0.0, 0.5, 1.0]),
+    "quadratic_normal_near_equal_trough": (pair(Gaussian(0, 1 + 1e-12), Gaussian(1, 1)), [0.0, 0.5, 1.0]),
 }
 
 
@@ -940,3 +947,108 @@ class TestLogRatioAccuracy:
                     continue
                 scale = abs(float(lp)) + abs(float(lq)) + 1.0
                 assert float(abs(mpmath.mpf(float(g)) - (lp - lq))) <= 4.0 * np.spacing(scale)
+
+
+def _mp_log_ratio(pr, u):
+    """log p(u) - log q(u) of a continuous pair at the double u, in mpmath."""
+    return _mp_log_density(pr.p, u) - _mp_log_density(pr.q, u)
+
+
+def _log_ratio_allowance(pr, u):
+    """The error allowed to ``pr.log_ratio(u)``: a few ulps of |log r(u)|, plus
+    the change of log r over a few ulps of the ratio's centre.
+
+    A closed form written about a centre rounds that centre once, which moves
+    log r by up to its slope times an ulp of the centre.  The centre's size is
+    that of the largest of the locations and, for Gaussians of unequal scales,
+    the vertex; the slope is |d log r/du| at u plus the curvature over that ulp
+    (1/lambda_p + 1/lambda_q for Laplace laws, whose slope jumps at the kinks).
+    """
+    p, q = pr.p, pr.q
+    u = mpmath.mpf(u)
+    if isinstance(p, Laplace):
+        centre, slope = max(abs(p.theta), abs(q.theta)), 1.0 / p.lam + 1.0 / q.lam
+    else:
+        mu_p, mu_q, vp, vq = (mpmath.mpf(x) for x in (p.mu, q.mu, p.sigma, q.sigma))
+        vp, vq = vp**2, vq**2
+        centre = max(abs(p.mu), abs(q.mu))
+        if vp != vq:
+            centre = max(centre, abs(float(mu_p + (mu_p - mu_q) * vp / (vq - vp))))
+        curvature = float(abs(1 / vp - 1 / vq))
+        slope = float(abs((u - mu_q) / vq - (u - mu_p) / vp)) + curvature * np.spacing(centre)
+    return 4.0 * np.spacing(abs(float(_mp_log_ratio(pr, u)))) + 4.0 * slope * np.spacing(centre)
+
+
+#: An integer of log-uniform size in [1, 2**51], of either sign.
+_MANTISSA = st.tuples(st.sampled_from([-1, 1]), st.floats(0.0, 51.0)).map(
+    lambda t: t[0] * int(2.0 ** t[1])
+)
+
+
+class TestLogRatioFarFromTheOrigin:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        kind=st.sampled_from([Gaussian, Laplace]),
+        exponent=st.integers(0, 447),
+        locs=st.tuples(_MANTISSA, _MANTISSA),
+        shift=_MANTISSA,
+        scale=st.floats(-2.0, 2.0).map(lambda e: 10.0**e),
+        ratio=st.one_of(
+            st.just(1.0),
+            st.floats(0.01, 1.2).map(lambda e: 10.0**e),
+            st.floats(-1.2, -0.01).map(lambda e: 10.0**e),
+            st.floats(-4.0, -1.0).map(lambda e: 1.0 + 10.0**e),
+        ),
+        offsets=st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=3),
+    )
+    @example(kind=Gaussian, exponent=0, locs=(10**10, 10**10 + 1), shift=1,
+             scale=1.0, ratio=1.0, offsets=[0.0])
+    def test_accurate_and_shift_invariant(self, kind, exponent, locs, shift, scale, ratio, offsets):
+        # locations m 2**e from 1 to about 1e150, equal and unequal scales:
+        # log r within the allowance of 40-digit mpmath at each location and
+        # around it, and around a vertex.  The pair and the point shifted by
+        # s = n 2**e give the same log r within the allowances of both and the
+        # change of log r over the rounding of u + s; |m + n| < 2**53, so the
+        # shifted locations are exact
+        mp_, mq, s = (math.ldexp(m, exponent) for m in (*locs, shift))
+        laws = [(mp_, scale), (mq, scale * ratio)]
+        base = pair(*(kind(m, sd) for m, sd in laws))
+        moved = pair(*(kind(m + s, sd) for m, sd in laws))
+        try:
+            base.log_ratio(mp_), moved.log_ratio(mp_ + s)
+        except DomainError:  # the vertex of a near-equal-scale pair leaves the double range
+            return
+        centres = [m for m, _ in laws]
+        if kind is Gaussian and ratio != 1.0:
+            centres.append(_reference_extremum(base)[2])
+        width = max(scale, scale * ratio)
+        us = np.array([c + t * width for c in centres for t in offsets])
+        got, got_moved = base.log_ratio(us), moved.log_ratio(us + s)
+        with mpmath.workdps(40):
+            for u, g, g_moved in zip(us, got, got_moved):
+                want = _mp_log_ratio(base, u)
+                allowed = _log_ratio_allowance(base, u)
+                assert float(abs(mpmath.mpf(float(g)) - want)) <= allowed, (u, g, float(want))
+                rounding = mpmath.mpf(float(u + s)) - (mpmath.mpf(u) + mpmath.mpf(s))
+                drift = abs(_mp_log_ratio(base, mpmath.mpf(u) + rounding) - want)
+                allowed += _log_ratio_allowance(moved, u + s) + float(drift)
+                assert abs(mpmath.mpf(float(g_moved)) - float(g)) <= allowed, (u, s, g, g_moved)
+
+    def test_vertex_at_the_edge_of_the_double_range(self):
+        # the pair check admits sq^2 = 1.44e308, where mu_p sq^2 and
+        # 2 (sq^2 - sp^2) overflow: the vertex and its height avoid both
+        pr = pair(Gaussian(1.2e154, 1.0), Gaussian(0.0, 1.2e154))
+        with mpmath.workdps(40):
+            mu, vq = mpmath.mpf(1.2e154), mpmath.mpf(1.2e154) ** 2
+            pivot = float(mu + mu / (vq - 1))
+            top = mpmath.log(1.2e154) + mu**2 / (2 * (vq - 1))
+            for got, want in ((pr.log_ratio_sup(), top), (pr.log_ratio(pivot), _mp_log_ratio(pr, pivot))):
+                assert abs(mpmath.mpf(float(got)) - want) <= 2.0 * np.spacing(float(want)), (got, want)
+
+    def test_vertex_past_the_double_range_is_a_domain_error(self):
+        # scales 1e-7 apart put the vertex of N(0,1)|N(1e154,1.0000001) about
+        # 5e160 away, at a height of about 2.5e314
+        pr = pair(Gaussian(0.0, 1.0), Gaussian(1e154, 1.0000001))
+        for f in (lambda: pr.log_ratio(0.0), pr.log_ratio_sup, lambda: pr.superlevel_masses(0.0)):
+            with pytest.raises(DomainError, match="leaves the double range"):
+                f()

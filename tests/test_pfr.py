@@ -677,6 +677,18 @@ class TestSampleIndexExact:
             np.std(logk) / math.sqrt(len(logk))
         )
 
+    def test_pair_far_from_the_origin_samples_as_at_the_origin(self):
+        # N(0,1)|N(1,1) moved to 1e10 keeps its law of K: mean log2 K within
+        # 3 standard errors of the pair at the origin, at the same seed.  A
+        # log ratio in absolute coordinates gave K = 1 on every draw there
+        logs = [
+            np.log2(sample_indices(DistributionPair(Gaussian(m, 1), Gaussian(m + 1, 1)), 2000,
+                                   np.random.default_rng(0))[0])
+            for m in (1e10, 0.0)
+        ]
+        se = math.hypot(*(float(np.std(x)) / math.sqrt(x.size) for x in logs))
+        assert abs(float(np.mean(logs[0]) - np.mean(logs[1]))) <= 3.0 * se
+
     def test_accepted_samples_pass_ks(self):
         rng = np.random.default_rng(12)
         _, u = sample_indices(STD_PAIR, 10**5, rng)

@@ -37,7 +37,10 @@ directory at OUTDIR, so every output lands there under a relative name:
   exact sampler each.  N(0,1)|N(5,1) is the one command whose indices
   pass 2**40, where one ulp of beta can move an index by a unit;
 * the first of those (selection rule, delta 1e-8) at the multi-word seeds
-  2**64 + 1 and 2**130 + 7, whose streams take longer seed hashes.
+  2**64 + 1 and 2**130 + 7, whose streams take longer seed hashes;
+* 2,000 exact rows at seed 0 on N(1e10,1)|N(1e10+1,1), the pair
+  N(0,1)|N(1,1) moved far from the origin, where a log ratio written in
+  absolute coordinates loses every bit to the cancelling squares.
 
 The stdout of each command is kept as ``<name>.stdout``.  Where the
 platform can pin a process to CPUs, the multi-block exact commands run a
@@ -175,6 +178,9 @@ def commands() -> list[tuple[str, list[str]]]:
     for seed in WIDE_SEEDS:
         name = f"sample_{kind}_seed_{seed}"
         out.append((name, ["sample", *pair, *extra, "--seed", str(seed), "--out", f"{name}.csv"]))
+    name = "sample_exact_far_seed_0"
+    out.append((name, ["sample", "normal:1e10,1", "normal:10000000001,1", "-n", "2000",
+                       "--method", "exact", "--seed", "0", "--out", f"{name}.csv"]))
     return out + exact_block_commands()
 
 
