@@ -290,9 +290,13 @@ class DistributionPair:
           slope (mu_p - mu_q) / sigma^2 or +-2 / lambda, top the bound at
           which a Laplace ratio is flat beyond the locations (+inf for
           Gaussians).  The triple gives log r too.
-        * Gaussians of unequal scales: centre the vertex (pivot), curvature
-          (1 / sigma_q^2 - 1 / sigma_p^2) / 2, top log r at the vertex.  log r
-          itself is the same parabola about the narrower law's location.
+        * Gaussians of unequal scales: centre the narrower law's location,
+          curvature (1 / sigma_q^2 - 1 / sigma_p^2) / 2, top log r at the
+          vertex, held as its offset from the centre.  A level set's edge
+          beyond the vertex is the vertex plus a width; the edge nearer the
+          centre is the product of the two offsets over that one, since the
+          vertex minus the width cancels when nearly equal scales send the
+          vertex far from both locations.
         * Laplace laws of unequal scales: centre the narrower law's
           location, slope 1 / lambda_narrow + 1 / lambda_wide up to the
           other location and 1 / lambda_narrow - 1 / lambda_wide beyond it,
@@ -320,13 +324,7 @@ class DistributionPair:
             a = -0.5 * spread / q.sigma**2 / p.sigma**2
             if a == 0.0:
                 return _line(0.5 * (p.mu + q.mu), gap / p.sigma**2, math.inf)
-            # the vertex as an offset from mu_p, the squared gap halved before it
-            # is divided: neither mu_p sq^2 nor 2 (sq^2 - sp^2), which may overflow
             log_scales = math.log(q.sigma / p.sigma)
-            pivot = p.mu + gap * (p.sigma**2 / spread)
-            top = log_scales + 0.5 * gap * gap / spread
-            if not (math.isfinite(pivot) and math.isfinite(top)):
-                raise DomainError(f"{p} and {q}: the vertex of the log ratio leaves the double range")
             # log r about the narrower law's location: each term is then at most
             # about |log p| + |log q|, where a (u - pivot)^2 + top cancels once
             # nearly equal scales send the vertex far from both locations
@@ -334,13 +332,32 @@ class DistributionPair:
                 centre, slope, at_centre = p.mu, gap / q.sigma**2, log_scales + 0.5 * (gap / q.sigma) ** 2
             else:
                 centre, slope, at_centre = q.mu, gap / p.sigma**2, log_scales - 0.5 * (gap / p.sigma) ** 2
+            # the vertex as an offset from the centre, the squared gap halved before it
+            # is divided: neither mu_p sq^2 nor 2 (sq^2 - sp^2), which may overflow
+            vertex = gap * (min(p.sigma, q.sigma) ** 2 / spread)
+            top = log_scales + 0.5 * gap * gap / spread
+            if not (math.isfinite(centre + vertex) and math.isfinite(top)):
+                raise DomainError(f"{p} and {q}: the vertex of the log ratio leaves the double range")
 
             def log_r(u):
                 x = u - centre
                 return (a * x + slope) * x + at_centre
 
-            curv = abs(a)
-            return _around(log_r, pivot, top, a < 0.0, lambda drop: (np.sqrt(drop / curv),) * 2)
+            curv, side = abs(a), math.copysign(1.0, vertex)
+
+            def edges(log_c, drop):
+                # the root beyond the vertex, then the one nearer the centre as the
+                # product of the roots over it: vertex -+ width cancels once the
+                # vertex runs far from both locations
+                width = np.sqrt(drop / curv)
+                far = vertex + side * width
+                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                    vieta = (at_centre - log_c) / (a * far)
+                near = np.where((drop > 0.0) & np.isfinite(far), vieta, vertex - side * width)
+                lo, hi = (near, far) if side > 0.0 else (far, near)
+                return centre + lo, centre + hi
+
+            return _around(log_r, top, a < 0.0, edges)
         if p.lam == q.lam:
             gap = p.theta - q.theta
             return _line(0.5 * (p.theta + q.theta), math.copysign(2.0 / p.lam, gap), abs(gap) / p.lam)
@@ -363,13 +380,14 @@ class DistributionPair:
         narrow, wide = sorted((p.lam, q.lam))
         steep, shallow = 1.0 / narrow + 1.0 / wide, 1.0 / narrow - 1.0 / wide
 
-        def widths(drop):
+        def edges(log_c, drop):
             # past the other location's kink the slope flattens
             toward = np.maximum(drop / steep, gap + (drop - steep * gap) / shallow)
             away = drop / shallow
-            return (away, toward) if p.theta + q.theta >= 2.0 * pivot else (toward, away)
+            left, right = (away, toward) if p.theta + q.theta >= 2.0 * pivot else (toward, away)
+            return pivot - left, pivot + right
 
-        return _around(log_r, pivot, top, peaked, widths)
+        return _around(log_r, top, peaked, edges)
 
 
 class _Ratio(NamedTuple):
@@ -406,18 +424,18 @@ def _line(mid: float, slope: float, bound: float) -> _Ratio:
     return _Ratio(log_r, bound, level_set)
 
 
-def _around(log_r, pivot: float, top: float, peaked: bool, widths) -> _Ratio:
+def _around(log_r, top: float, peaked: bool, edges) -> _Ratio:
     """A ratio monotone on each side of its extremum: a peak (``peaked``) or a trough.
 
-    Centre ``pivot``, where log r is ``top``; the slopes or the curvature
-    enter through ``widths(drop)``, how far left and right of ``pivot``
-    log r moves by ``drop``.
+    log r is ``top`` at the extremum; ``edges(log_c, drop)`` gives the two
+    points (lo, hi) where log r = log_c, that is where it has moved by
+    ``drop`` from ``top``, and the extremum twice where ``drop`` is 0.
     """
     shape = "inside" if peaked else "outside"
 
     def level_set(log_c):
-        left, right = widths(np.maximum(top - log_c if peaked else log_c - top, 0.0))
-        return shape, pivot - left, pivot + right
+        drop = np.maximum(top - log_c if peaked else log_c - top, 0.0)
+        return (shape, *edges(log_c, drop))
 
     return _Ratio(log_r, top if peaked else math.inf, level_set)
 

@@ -1,12 +1,18 @@
 """Brute-force verification of the theory's inequalities.
 
 Monte Carlo checks use the exact conditional-geometric sampler and pass
-with three-standard-error margins; their statistics are computed in place
-on the sampler's own index array, with numpy's two-pass mean and standard
-deviation, so no other full-size array is made.  Summation checks are
-direct partial sums plus analytic tail bounds; they skip the terms that
-underflow to exactly zero.  Every check returns a report with a
-``passed`` flag; ``run_suite`` evaluates the built-in pair matrix.
+with three-standard-error margins.  The suite draws once per pair of the
+matrix, from stream ``100 + i`` of the seed, and ``verify_draw`` takes
+every Monte Carlo statistic of the pair from that one index array: E[K^0.5]
+for the ``moments`` family, E[log2 K] for ``logmoment`` and, on the pair
+N(0,1)|N(1,1), E[K^0.5] after a relabeling drawn from stream 199.  No
+check reads another's result, so each keeps its own margin.  Statistics
+are computed in place, with numpy's two-pass mean and standard deviation,
+on the sampler's index array and on its sample array reused as scratch,
+so no other full-size array is made.  Summation checks are direct partial
+sums plus analytic tail bounds; they skip the terms that underflow to
+exactly zero.  Every check returns a report with a ``passed`` flag;
+``run_suite`` evaluates the built-in pair matrix.
 """
 
 from __future__ import annotations
@@ -31,11 +37,11 @@ from .errors import DomainError, OrderError
 from .numerics import LOG2E
 from .pfr import IndexPmf, derive_stream, index_pmf, log_beta, sample_indices
 
-#: Matrix of distribution pairs exercised by the full suite.  Pairs with a
-#: mean gap of 10 or more are deliberately absent: their geometric success
-#: probabilities fall below ~1e-19, pushing indices past the unsigned
-#: 64-bit range, and the alpha-moment estimator variance explodes as the
-#: order approaches one.
+#: Matrix of distribution pairs exercised by the full suite.  Gaussian
+#: pairs with a mean gap of 10 or more are absent: their geometric success
+#: probabilities fall below ~1e-19, pushing indices past the unsigned 64-bit
+#: range.  Laplace(0,1)|Laplace(10,1) would not overflow (its ratio is
+#: bounded by e^10) but is left out with them.
 DEFAULT_PAIRS: tuple[tuple[str, DistributionPair], ...] = (
     ("finite:0.9,0.1|finite:0.5,0.5", DistributionPair(Finite((0.9, 0.1)), Finite((0.5, 0.5)))),
     ("finite:0.5,0.5|finite:0.25,0.75", DistributionPair(Finite((0.5, 0.5)), Finite((0.25, 0.75)))),
@@ -50,7 +56,7 @@ DEFAULT_PAIRS: tuple[tuple[str, DistributionPair], ...] = (
 
 CHECK_NAMES = ("geometric", "moments", "logmoment", "code", "soundness", "band")
 
-#: Indices relabeled per pass by ``verify_moment_bounds``.
+#: Indices relabeled per pass by the permuted moment check.
 _RELABEL_CHUNK = 2**15
 
 #: A log-term below this is at least 0.8 under exp's underflow point
@@ -142,13 +148,56 @@ def verify_moment_bounds(
     taking the moment (the lower bound holds for any relabeling); entries
     beyond the permutation's range map to themselves.
     """
+    _check_order(alpha)
+    return _moment(pair, alpha, sample_indices(pair, n_samples, rng)[0], permutation)
+
+
+def verify_log_moment(
+    pair: DistributionPair, n_samples: int, rng: np.random.Generator
+) -> LogMomentReport:
+    """Estimate E[log2 K] against D(P||Q) + 1."""
+    k = sample_indices(pair, n_samples, rng)[0]
+    return _log_moment(pair, np.log2(k, out=k))
+
+
+def verify_draw(
+    pair: DistributionPair,
+    alpha: float,
+    n_samples: int,
+    rng: np.random.Generator,
+    permutation: np.ndarray | None = None,
+) -> tuple[LogMomentReport, MomentReport, MomentReport | None]:
+    """One exact draw of n_samples indices and every Monte Carlo check on it:
+    E[log2 K], E[K^alpha] and, given ``permutation``, E[K^alpha] relabeled.
+
+    Each report has the bits that ``verify_log_moment`` and
+    ``verify_moment_bounds`` give on a generator in the same state.  The
+    sampler's sample array is the scratch buffer: log2 k is written into
+    it, then a copy of k for the relabeling, and the moment is taken on k
+    itself, last.  Both arrays are released on return.
+    """
+    _check_order(alpha)
+    k, scratch = sample_indices(pair, n_samples, rng)
+    log_moment = _log_moment(pair, np.log2(k, out=scratch))
+    permuted = None
+    if permutation is not None:
+        np.copyto(scratch, k)
+        permuted = _moment(pair, alpha, scratch, permutation)
+    return log_moment, _moment(pair, alpha, k), permuted
+
+
+def _check_order(alpha: float) -> None:
     if not 0.0 < alpha < 1.0:
         raise OrderError(f"alpha must lie in (0, 1), got {alpha}")
-    d = renyi_divergence(pair, alpha + 1.0)
-    scale = 2.0 ** (alpha * d)
-    k = sample_indices(pair, n_samples, rng)[0]
+
+
+def _moment(
+    pair: DistributionPair, alpha: float, k: np.ndarray, permutation: np.ndarray | None = None
+) -> MomentReport:
+    """E[K^alpha] of the indices k against its band; k is overwritten."""
+    scale = 2.0 ** (alpha * renyi_divergence(pair, alpha + 1.0))
     if permutation is not None:
-        for start in range(0, n_samples, _RELABEL_CHUNK):
+        for start in range(0, k.size, _RELABEL_CHUNK):
             chunk = k[start : start + _RELABEL_CHUNK]
             small = chunk <= len(permutation)
             chunk[small] = permutation[chunk[small].astype(np.int64) - 1]
@@ -159,21 +208,18 @@ def verify_moment_bounds(
         empirical_moment=emp,
         floor=scale / (1.0 + alpha),
         cap=scale + alpha,
-        n_samples=n_samples,
+        n_samples=k.size,
         std_error=se,
     )
 
 
-def verify_log_moment(
-    pair: DistributionPair, n_samples: int, rng: np.random.Generator
-) -> LogMomentReport:
-    """Estimate E[log2 K] against D(P||Q) + 1."""
-    k = sample_indices(pair, n_samples, rng)[0]
-    emp, se = _mean_and_std_error(np.log2(k, out=k))
+def _log_moment(pair: DistributionPair, log2_k: np.ndarray) -> LogMomentReport:
+    """E[log2 K] from log2 of the indices against D(P||Q) + 1; log2_k is overwritten."""
+    emp, se = _mean_and_std_error(log2_k)
     return LogMomentReport(
         empirical=emp,
         bound=kl_divergence(pair) + 1.0,
-        n_samples=n_samples,
+        n_samples=log2_k.size,
         std_error=se,
     )
 
@@ -311,12 +357,19 @@ def _check_geometric() -> list[CheckReport]:
     return reports
 
 
-def _check_moments(seed: int, n_samples: int) -> list[CheckReport]:
-    reports = []
+def _check_draws(seed: int, n_samples: int) -> tuple[list[CheckReport], list[CheckReport]]:
+    """The ``moments`` and ``logmoment`` families, from one draw per pair.
+
+    Pair i draws from ``derive_stream(seed, 100 + i)``; pair 3,
+    N(0,1)|N(1,1), also checks the moment under a relabeling drawn from
+    stream 199, which keeps the lower bound valid.
+    """
+    perm = derive_stream(seed, 199).permutation(10**4) + 1
+    moments, logmoments, permuted = [], [], []
     for i, (label, pair) in enumerate(DEFAULT_PAIRS):
         rng = derive_stream(seed, 100 + i)
-        rep = verify_moment_bounds(pair, 0.5, n_samples, rng)
-        reports.append(
+        log_rep, rep, perm_rep = verify_draw(pair, 0.5, n_samples, rng, perm if i == 3 else None)
+        moments.append(
             CheckReport(
                 check="moments",
                 subject=label,
@@ -329,38 +382,26 @@ def _check_moments(seed: int, n_samples: int) -> list[CheckReport]:
                 ),
             )
         )
-    # relabeling through a bijection keeps the lower bound valid
-    label, pair = DEFAULT_PAIRS[3]
-    perm_rng = derive_stream(seed, 199)
-    perm = perm_rng.permutation(10**4) + 1
-    rep = verify_moment_bounds(pair, 0.5, n_samples, derive_stream(seed, 198), perm)
-    reports.append(
-        CheckReport(
-            check="moments",
-            subject=label + "/permuted",
-            alpha=0.5,
-            passed=rep.empirical_moment >= rep.floor - 3.0 * rep.std_error,
-            details=f"emp={rep.empirical_moment:.5g} floor={rep.floor:.5g}",
-        )
-    )
-    return reports
-
-
-def _check_logmoment(seed: int, n_samples: int) -> list[CheckReport]:
-    reports = []
-    for i, (label, pair) in enumerate(DEFAULT_PAIRS):
-        rng = derive_stream(seed, 200 + i)
-        rep = verify_log_moment(pair, n_samples, rng)
-        reports.append(
+        logmoments.append(
             CheckReport(
                 check="logmoment",
                 subject=label,
                 alpha=None,
-                passed=rep.passed,
-                details=f"emp={rep.empirical:.4f} bound={rep.bound:.4f}",
+                passed=log_rep.passed,
+                details=f"emp={log_rep.empirical:.4f} bound={log_rep.bound:.4f}",
             )
         )
-    return reports
+        if perm_rep is not None:
+            permuted.append(
+                CheckReport(
+                    check="moments",
+                    subject=label + "/permuted",
+                    alpha=0.5,
+                    passed=perm_rep.empirical_moment >= perm_rep.floor - 3.0 * perm_rep.std_error,
+                    details=f"emp={perm_rep.empirical_moment:.5g} floor={perm_rep.floor:.5g}",
+                )
+            )
+    return moments + permuted, logmoments
 
 
 def _check_code() -> list[CheckReport]:
@@ -430,10 +471,12 @@ def run_suite(
     reports: list[CheckReport] = []
     if only in (None, "geometric"):
         reports.extend(_check_geometric())
-    if only in (None, "moments"):
-        reports.extend(_check_moments(seed, n_samples))
-    if only in (None, "logmoment"):
-        reports.extend(_check_logmoment(seed, n_samples))
+    if only in (None, "moments", "logmoment"):
+        moments, logmoments = _check_draws(seed, n_samples)
+        if only != "logmoment":
+            reports.extend(moments)
+        if only != "moments":
+            reports.extend(logmoments)
     if only in (None, "code"):
         reports.extend(_check_code())
     if only in (None, "soundness"):

@@ -742,6 +742,37 @@ class TestRatioStructure:
                     ref = float(sf[0] - sf[1])
                     assert math.exp(got) == pytest.approx(ref, rel=1e-9, abs=0.0)
 
+    @pytest.mark.parametrize(
+        "pr",
+        [
+            pair(Gaussian(0, 1), Gaussian(1, 1 + 1e-12)),
+            pair(Gaussian(0, 1), Gaussian(1, 1 + 1e-6)),
+            pair(Gaussian(0, 1 + 1e-12), Gaussian(1, 1)),
+            pair(Gaussian(0, 1 + 1e-6), Gaussian(1, 1)),
+        ],
+        ids=["peak_1e-12", "peak_1e-6", "trough_1e-12", "trough_1e-6"],
+    )
+    def test_superlevel_masses_near_equal_scales(self, pr):
+        # nearly equal scales send the vertex ~1/(2 |sq - sp|) away, where its
+        # level set's near edge, vertex -+ width, cancels: both masses within
+        # 1e-13 relative of 45-digit values
+        p, q = pr.p, pr.q
+        with mpmath.workdps(45):
+            sp, sq = mpmath.mpf(p.sigma), mpmath.mpf(q.sigma)
+            # log r = a u^2 + b u + c0
+            a = (1 / sq**2 - 1 / sp**2) / 2
+            b = mpmath.mpf(p.mu) / sp**2 - mpmath.mpf(q.mu) / sq**2
+            c0 = mpmath.log(sq / sp) + mpmath.mpf(q.mu) ** 2 / (2 * sq**2) - mpmath.mpf(p.mu) ** 2 / (2 * sp**2)
+            for log_c in (-3.0, -0.7, 0.0, 0.4, 1.5, 3.0):
+                got = pr.superlevel_masses(log_c)
+                disc = mpmath.sqrt(b * b - 4 * a * (c0 - log_c))
+                lo, hi = sorted(((-b + disc) / (2 * a), (-b - disc) / (2 * a)))
+                for d, g in zip((p, q), got):
+                    inside = mpmath.ncdf(hi, d.mu, d.sigma) - mpmath.ncdf(lo, d.mu, d.sigma)
+                    want = inside if a < 0 else 1 - inside
+                    err = abs(mpmath.exp(float(g)) / want - 1)
+                    assert err <= 1e-13, (log_c, d, float(err))
+
     def test_superlevel_masses_finite_ties(self):
         pr = pair(Finite((0.2, 0.0, 0.8)), Finite((0.1, 0.5, 0.4)))
         # ratios 2, 0, 2: the level c = 2 itself lies outside the set
@@ -817,9 +848,22 @@ def _reference_superlevel_set(pr, log_c):
         x = mid + offset
         return ("below" if slope < 0.0 else "above"), x, x
     drop = np.maximum(top - log_c if peaked else log_c - top, 0.0)
+    shape = "inside" if peaked else "outside"
     if isinstance(p, Gaussian):
-        curv = 0.5 * abs((q.sigma - p.sigma) * (q.sigma + p.sigma)) / q.sigma**2 / p.sigma**2
-        left = right = np.sqrt(drop / curv)
+        # offsets from the narrower law's location: the root beyond the vertex,
+        # and the other one as the product of the roots of log r = log c over it
+        narrow = p if peaked else q
+        spread = (q.sigma - p.sigma) * (q.sigma + p.sigma)
+        vertex = (p.mu - q.mu) * (narrow.sigma**2 / spread)
+        a = -0.5 * spread / q.sigma**2 / p.sigma**2
+        side, width = math.copysign(1.0, vertex), np.sqrt(drop / abs(a))
+        far = vertex + side * width
+        at_centre = float(pr.log_ratio(narrow.mu))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            vieta = (at_centre - log_c) / (a * far)
+            near = np.where((drop > 0.0) & np.isfinite(far), vieta, vertex - side * width)
+        lo, hi = (near, far) if side > 0.0 else (far, near)
+        return shape, narrow.mu + lo, narrow.mu + hi
     else:
         narrow, wide = sorted((p.lam, q.lam))
         steep, shallow = 1.0 / narrow + 1.0 / wide, 1.0 / narrow - 1.0 / wide
@@ -827,7 +871,7 @@ def _reference_superlevel_set(pr, log_c):
         toward = np.maximum(drop / steep, gap + (drop - steep * gap) / shallow)
         away = drop / shallow
         left, right = (away, toward) if p.theta + q.theta >= 2.0 * pivot else (toward, away)
-    return ("inside" if peaked else "outside"), pivot - left, pivot + right
+    return shape, pivot - left, pivot + right
 
 
 def _reference_masses(pr, log_c):

@@ -4,13 +4,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pfrsim import pfr
+from pfrsim import oracle, pfr
 from pfrsim.distributions import DistributionPair, Finite, Gaussian, renyi_divergence
 from pfrsim.errors import DomainError
 from pfrsim.oracle import (
     DEFAULT_PAIRS,
     MomentReport,
     run_suite,
+    verify_draw,
     verify_geometric_moment,
     verify_lb_via_optimal_code,
     verify_log_moment,
@@ -144,6 +145,37 @@ class TestLogMoment:
         assert peak <= 20 * MiB
 
 
+class TestDraw:
+    @pytest.mark.parametrize("label,pair", DEFAULT_PAIRS)
+    def test_matches_whole_array_reference(self, label, pair):
+        # every statistic of the one draw has the bits of its own reference
+        n = TestMomentBounds.N_PARTIAL
+        perm = np.random.default_rng(7).permutation(10**4) + 1
+        for permutation in (None, perm):
+            log_rep, rep, permuted = verify_draw(
+                pair, 0.5, n, np.random.default_rng(13), permutation
+            )
+            want = _reference_log_moment(pair, n, np.random.default_rng(13))
+            assert (log_rep.empirical, log_rep.std_error) == want
+            want = _reference_moment(pair, 0.5, n, np.random.default_rng(13))
+            assert (rep.empirical_moment, rep.std_error) == want
+            if permutation is None:
+                assert permuted is None
+                continue
+            want = _reference_moment(pair, 0.5, n, np.random.default_rng(13), permutation)
+            assert (permuted.empirical_moment, permuted.std_error) == want
+
+    def test_peak_memory(self, monkeypatch):
+        # the sampler's k and u are 16 MB, and every statistic reuses them
+        monkeypatch.setattr(pfr, "_pool", lambda: None)
+        pair = DEFAULT_PAIRS[3][1]
+        perm = np.random.default_rng(7).permutation(10**4) + 1
+        peak = _peak_bytes(
+            lambda: verify_draw(pair, 0.5, 10**6, np.random.default_rng(0), perm)
+        )
+        assert peak <= 20 * MiB
+
+
 class TestGeometricMoment:
     def test_r_one_hand_values(self):
         rep = verify_geometric_moment(0.5, 1.0)
@@ -239,6 +271,24 @@ class TestSuite:
         reports = run_suite(seed=42, n_samples=10**5)
         failures = [r.line() for r in reports if not r.passed]
         assert not failures, "\n".join(failures)
+
+    def test_one_draw_per_pair(self, monkeypatch):
+        calls = []
+
+        def counted(pair, n, rng):
+            calls.append(n)
+            return pfr.sample_indices(pair, n, rng)
+
+        monkeypatch.setattr(oracle, "sample_indices", counted)
+        run_suite(seed=3, n_samples=1000)
+        assert calls == [1000] * len(DEFAULT_PAIRS)
+
+    @pytest.mark.parametrize("only", ["moments", "logmoment"])
+    def test_family_alone_matches_full_suite(self, only):
+        # each family reads the full suite's streams, so its rows keep their bits
+        full = [r for r in run_suite(seed=5, n_samples=10**4) if r.check == only]
+        assert run_suite(seed=5, n_samples=10**4, only=only) == full
+        assert len(full) == len(DEFAULT_PAIRS) + (only == "moments")
 
     def test_only_filter(self):
         reports = run_suite(seed=42, only="geometric")
