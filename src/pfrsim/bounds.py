@@ -31,7 +31,8 @@ _EPS_WINDOW = (1e-4, 50.0)
 SWEEP_COLUMNS = ("alpha", "lb1", "lb2", "lb_max", "ub1", "ub1_eps", "ub2", "ub2_eps")
 
 
-def _check_alpha(alpha) -> None:
+def check_alpha(alpha) -> None:
+    """Raise ``OrderError`` unless alpha, a float or an array, lies in (0, 1) throughout."""
     a = np.asarray(alpha)
     if np.count_nonzero((0.0 < a) & (a < 1.0)) != a.size:
         raise OrderError(f"alpha must lie in (0, 1), got {alpha}")
@@ -52,7 +53,7 @@ def _require_mutual_ac(pair: DistributionPair) -> None:
 
 def lb1(pair: DistributionPair, alpha):
     """First lower bound: divergence of order 1/alpha plus a negative constant."""
-    _check_alpha(alpha)
+    check_alpha(alpha)
     _require_mutual_ac(pair)
     d = renyi_divergence(pair, 1.0 / alpha)
     return d + (alpha / (1.0 - alpha)) * np.log2(alpha) - 1.0
@@ -60,7 +61,7 @@ def lb1(pair: DistributionPair, alpha):
 
 def lb2(pair: DistributionPair, alpha):
     """Second lower bound: divergence of order 2 - alpha; tighter near alpha = 1."""
-    _check_alpha(alpha)
+    check_alpha(alpha)
     _require_mutual_ac(pair)
     d = renyi_divergence(pair, 2.0 - alpha)
     # log2(1 / (2 - alpha)) / (1 - alpha), without cancellation near alpha = 1
@@ -74,7 +75,7 @@ def c1(alpha, epsilon):
     otherwise the geometric-moment route contributes a log-gamma term,
     which is evaluated only where it applies.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     _check_epsilon(epsilon)
     return _c1(alpha, epsilon)
 
@@ -108,7 +109,7 @@ def ub1(pair: DistributionPair, alpha, epsilon):
     Broadcasts over arrays of alpha and epsilon; +inf where the divergence
     is infinite.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     _check_epsilon(epsilon)
     return _ub1(pair, alpha, epsilon)
 
@@ -170,7 +171,7 @@ def optimize_ub(pair: DistributionPair, alpha, which: str = "ub1"):
     """
     orders = np.asarray(alpha, dtype=float)
     if which == "ub1":
-        _check_alpha(orders)  # epsilons are checked by the window, not on each probe
+        check_alpha(orders)  # epsilons are checked by the window, not on each probe
         column = orders.reshape(-1, 1)
         lo, hi = (np.broadcast_to(x, orders.shape) for x in _EPS_WINDOW)
         return minimize_scalar(lambda e: _ub1(pair, column, e), lo, hi)
@@ -202,7 +203,7 @@ class BoundSet:
     ub2_eps: float | None = None
 
     def __post_init__(self) -> None:
-        _check_alpha(self.alpha)
+        check_alpha(self.alpha)
         if max(self.lb1, self.lb2) > self.ub1 + 1e-9:
             raise AssertionError(
                 f"soundness violated at alpha={self.alpha}: "

@@ -15,7 +15,8 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DomainError, OrderError
+from .bounds import check_alpha
+from .errors import DomainError
 from .numerics import LN2, log2_sum_exp
 from .pfr import IndexPmf
 
@@ -136,8 +137,7 @@ def renyi_entropy(pmf: IndexPmf, alpha: float) -> tuple[float, float]:
     adds the pmf's bound on the tail power sum.  Both are floored at 0,
     since H_alpha >= 0: a head of little mass has a power sum below 1.
     """
-    if not 0.0 < alpha < 1.0:
-        raise OrderError(f"alpha must lie in (0, 1), got {alpha}")
+    check_alpha(alpha)
     p = pmf.probs[pmf.probs > 0.0]
     head = float(np.sum(p**alpha))
     lower = max(math.log2(head) / (1.0 - alpha), 0.0)

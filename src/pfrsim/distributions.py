@@ -143,12 +143,6 @@ class Finite(_Law):
         object.__setattr__(self, "probs", tuple(float(x) for x in p))
         object.__setattr__(self, "_cumulative", np.cumsum(p))
 
-    def log_density(self, i):
-        idx = np.asarray(i, dtype=int)
-        p = np.asarray(self.probs)[idx]
-        with np.errstate(divide="ignore"):
-            return np.log(p)
-
     def density(self, i):
         return np.asarray(self.probs)[np.asarray(i, dtype=int)]
 

@@ -222,17 +222,6 @@ def quadrature_grid(
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-# Golden-section state, one column per row: the bracket ends a, b, the
-# interior points c < d, f(c), f(d), and the latest probe x with f(x).
-# A step moves a row right (f(c) >= f(d): keep [c, b], probe
-# x = c + g (b - c)) or left (f(c) < f(d): keep [a, d], probe
-# x = d + g (a - d), which has the bits of d - g (d - a)); these slot
-# lists gather the probe's (u, v) in x = u + g (v - u) and the next state.
-_RIGHT_PROBE, _LEFT_PROBE = np.array([1, 3]), np.array([2, 0])
-_RIGHT_NEXT = np.array([1, 2, 6, 3, 5, 7, 6, 7])
-_LEFT_NEXT = np.array([0, 6, 1, 2, 7, 4, 6, 7])
-
-
 #: Grid points of the scan, golden-section steps at most, and the bracket
 #: width at which a row stops refining.
 _GRID_POINTS = 200
@@ -250,9 +239,11 @@ def minimize_scalar(f: Callable[[np.ndarray], np.ndarray], lo, hi):
     that broadcasts to it).  The grid scan is one call on
     (rows, ``_GRID_POINTS``).  Golden-section refinement then runs in
     lockstep, one probe per row per call; a row stops once its bracket is
-    narrower than ``_TOL``, and every row after ``_REFINE_ITERS`` steps.  A row's arithmetic and comparisons are those of a
-    search of its window alone, so each row returns what a one-row search
-    would.
+    narrower than ``_TOL``, and every row after ``_REFINE_ITERS`` steps.
+    A stopped row probes its own interior point c again, which it has
+    already probed, so every probe is checked and the row's bracket does
+    not move.  A row's arithmetic and comparisons are those of a search of
+    its window alone, so each row returns what a one-row search would.
 
     Returns the best probed point and its value: floats for one float
     window, else arrays with one entry per row.  Each value is thus a
@@ -272,13 +263,11 @@ def minimize_scalar(f: Callable[[np.ndarray], np.ndarray], lo, hi):
     lo, hi = np.atleast_1d(lo, hi)
     rows = np.arange(lo.size)
 
-    def probe(x: np.ndarray, ignored=None) -> np.ndarray:
+    def probe(x: np.ndarray) -> np.ndarray:
         y = np.asarray(f(x), dtype=float)
         if y.shape != x.shape:
             y = np.broadcast_to(y, x.shape)
         valid = y > -math.inf  # false for NaN and -inf
-        if ignored is not None:
-            valid |= ignored
         if np.count_nonzero(valid) != valid.size:
             raise NonFiniteError(f"objective non-finite at {x[~valid][0]!r}")
         return y
@@ -295,20 +284,21 @@ def minimize_scalar(f: Callable[[np.ndarray], np.ndarray], lo, hi):
     c = b - _INV_GOLDEN * (b - a)
     d = a + _INV_GOLDEN * (b - a)
     fc, fd = probe(np.stack([c, d], axis=1)).T
-    state = np.stack([a, c, d, b, fc, fd, c, fc])
     for _ in range(_REFINE_ITERS):
-        stopped = np.abs(state[3] - state[0]) < _TOL
-        n_stopped = np.count_nonzero(stopped)
-        if n_stopped == rows.size:
+        live = np.abs(b - a) >= _TOL
+        if not live.any():
             break
-        left = state[4] < state[5]
-        u, v = np.where(left, state.take(_LEFT_PROBE, 0), state.take(_RIGHT_PROBE, 0))
-        state[6] = x = u + _INV_GOLDEN * (v - u)
-        # a stopped row's probe is not part of its search: never checked, never kept
-        state[7] = probe(x[:, None], stopped[:, None] if n_stopped else None)[:, 0]
-        moved = np.where(left, state.take(_LEFT_NEXT, 0), state.take(_RIGHT_NEXT, 0))
-        state = np.where(stopped, state, moved) if n_stopped else moved
-    for x, y in ((state[1], state[4]), (state[2], state[5])):
+        left = live & (fc < fd)
+        right = live & ~left
+        b, d, fd = np.where(left, d, b), np.where(left, c, d), np.where(left, fc, fd)
+        a, c, fc = np.where(right, c, a), np.where(right, d, c), np.where(right, fd, fc)
+        # the new c of a left step, the new d of a right one; a stopped row probes its c again
+        step = _INV_GOLDEN * (b - a)
+        x = np.where(left, b - step, np.where(right, a + step, c))
+        fx = probe(x[:, None])[:, 0]
+        c, fc = np.where(left, x, c), np.where(left, fx, fc)
+        d, fd = np.where(right, x, d), np.where(right, fx, fd)
+    for x, y in ((c, fc), (d, fd)):
         better = y < best_y
         best_x = np.where(better, x, best_x)
         best_y = np.where(better, y, best_y)

@@ -23,7 +23,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .bounds import lb1, lb2, optimize_ub
+from .bounds import check_alpha, lb1, lb2, optimize_ub
 from .codes import OneToOne, PowerLaw, Universal, campbell_cost
 from .distributions import (
     DistributionPair,
@@ -33,7 +33,7 @@ from .distributions import (
     kl_divergence,
     renyi_divergence,
 )
-from .errors import DomainError, OrderError
+from .errors import DomainError
 from .numerics import LOG2E
 from .pfr import IndexPmf, derive_stream, index_pmf, log_beta, sample_indices
 
@@ -148,7 +148,7 @@ def verify_moment_bounds(
     taking the moment (the lower bound holds for any relabeling); entries
     beyond the permutation's range map to themselves.
     """
-    _check_order(alpha)
+    check_alpha(alpha)
     return _moment(pair, alpha, sample_indices(pair, n_samples, rng)[0], permutation)
 
 
@@ -176,7 +176,7 @@ def verify_draw(
     it, then a copy of k for the relabeling, and the moment is taken on k
     itself, last.  Both arrays are released on return.
     """
-    _check_order(alpha)
+    check_alpha(alpha)
     k, scratch = sample_indices(pair, n_samples, rng)
     log_moment = _log_moment(pair, np.log2(k, out=scratch))
     permuted = None
@@ -186,16 +186,18 @@ def verify_draw(
     return log_moment, _moment(pair, alpha, k), permuted
 
 
-def _check_order(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise OrderError(f"alpha must lie in (0, 1), got {alpha}")
+def moment_band(alpha: float, d: float) -> tuple[float, float]:
+    """The proved band [2^{alpha d} / (1 + alpha), 2^{alpha d} + alpha] on
+    E[K^alpha], with d = D_{alpha+1}(P||Q) in bits."""
+    scale = 2.0 ** (alpha * d)
+    return scale / (1.0 + alpha), scale + alpha
 
 
 def _moment(
     pair: DistributionPair, alpha: float, k: np.ndarray, permutation: np.ndarray | None = None
 ) -> MomentReport:
     """E[K^alpha] of the indices k against its band; k is overwritten."""
-    scale = 2.0 ** (alpha * renyi_divergence(pair, alpha + 1.0))
+    floor, cap = moment_band(alpha, renyi_divergence(pair, alpha + 1.0))
     if permutation is not None:
         for start in range(0, k.size, _RELABEL_CHUNK):
             chunk = k[start : start + _RELABEL_CHUNK]
@@ -206,8 +208,8 @@ def _moment(
     return MomentReport(
         alpha=alpha,
         empirical_moment=emp,
-        floor=scale / (1.0 + alpha),
-        cap=scale + alpha,
+        floor=floor,
+        cap=cap,
         n_samples=k.size,
         std_error=se,
     )
@@ -438,8 +440,7 @@ def _check_band() -> list[CheckReport]:
         worst = math.inf
         ok = True
         for alpha, d in zip(alphas.tolist(), renyi_divergence(pair, alphas + 1.0).tolist()):
-            scale = 2.0 ** (alpha * d)
-            lo, hi = scale / (1.0 + alpha), scale + alpha
+            lo, hi = moment_band(alpha, d)
             worst = min(worst, hi - lo)
             ok = ok and lo <= hi
         reports.append(

@@ -451,6 +451,10 @@ def _squeeze_table(pair: DistributionPair) -> _Squeeze | None:
         if floor.size:
             table[: floor[-1]] = math.nan
         w = float(np.max(margin, where=~np.isnan(t), initial=0.0))
+        # 1 / t at the cells' ends, widened at a lower end and narrowed at an upper:
+        # where they cross (t < 0: the upper end below the lower), both ends decide nothing
+        crossed = np.flatnonzero(1.0 / (table[1:] * (1.0 - w)) > 1.0 / (table[:-1] * (1.0 + w)))
+        table[crossed] = table[crossed + 1] = math.nan
         if _undecided_share(table, w, above, at) > _SQUEEZE_MAX_SHARE:
             return None
         lo = _float32_toward(table * (1.0 + w), -math.inf)
@@ -462,14 +466,10 @@ def _squeeze_table(pair: DistributionPair) -> _Squeeze | None:
 def _undecided_share(table: np.ndarray, w: float, above: np.ndarray, at: np.ndarray) -> float:
     """The share of points that ``table`` with margin ``w`` is predicted to leave undecided.
 
-    Both ends of each cell whose widened ends cross are first set to nan
-    in ``table``.  ``above`` and ``at`` are P(ell > node) and P(ell >= node).
+    ``above`` and ``at`` are P(ell > node) and P(ell >= node).
     """
     # 1 / t at the ends of the brackets: widened at a lower end, narrowed at an upper
     inv_lo, inv_hi = 1.0 / (table * (1.0 + w)), 1.0 / (table * (1.0 - w))
-    crossed = np.flatnonzero(inv_hi[1:] > inv_lo[:-1])  # t < 0: the upper end below the lower
-    for j in (crossed, crossed + 1):
-        table[j] = inv_lo[j] = inv_hi[j] = math.nan
     # the mean number of integers between the ends of a bracket, at most 1
     # (fmin: a nan end leaves the bracket undecided), in each cell and on each node;
     # in place, so that the build's peak memory stays near its arrays

@@ -314,6 +314,10 @@ class TestBatchedBounds:
 
 
 class TestSweep:
+    @pytest.mark.parametrize("grid", [[], (), np.array([]), iter(())], ids=["list", "tuple", "array", "iterator"])
+    def test_empty_grid_gives_no_rows(self, grid):
+        assert sweep(NEAR, grid) == []
+
     def test_identical_pair_single_row(self):
         rows = sweep(IDENT, [0.5])
         assert len(rows) == 1

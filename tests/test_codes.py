@@ -36,6 +36,21 @@ class Table:
         return np.asarray(self.table, dtype=float)[np.asarray(k) - 1]
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Universal(0.0),
+        lambda: lengths(PowerLaw(1.0), [3, 0]),
+        lambda: kraft_sum(Universal(1.0), 0),
+        lambda: campbell_cost(exact_pmf([0.5, 0.5]), PowerLaw(1.0), 0.0),
+    ],
+    ids=["universal_epsilon", "lengths_index", "kraft_terms", "campbell_order"],
+)
+def test_input_checks(call):
+    with pytest.raises(DomainError):
+        call()
+
+
 class TestLengths:
     def test_one_to_one_values(self):
         assert length(OneToOne(), 1) == 1

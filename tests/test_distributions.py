@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, Phase, example, given, settings
 from hypothesis import strategies as st
 
+from pfrsim import distributions
 from pfrsim.bounds import sweep
 from pfrsim.distributions import (
     DistributionPair,
@@ -83,6 +84,17 @@ class TestConstruction:
     )
     def test_nonfinite_parameters_rejected(self, text):
         with pytest.raises(DomainError):
+            parse_distribution(text)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("normal:1", "normal takes exactly"), ("normal:0,1,2", "normal takes exactly"),
+            ("laplace:1", "laplace takes exactly"), ("laplace:0,1,2", "laplace takes exactly"),
+        ],
+    )
+    def test_parameter_count_checked(self, text, message):
+        with pytest.raises(DomainError, match=message):
             parse_distribution(text)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -222,6 +234,27 @@ class TestSampling:
             got = law.transform(v)
             assert got.dtype == ref.dtype
             np.testing.assert_array_equal(got, ref)
+
+    def test_finite_search_matches_counting(self, monkeypatch):
+        # a law past _FINITE_COUNTED points searches its cumulative table;
+        # counting comparisons on the same law gives the same indices, at
+        # random v, at each cumulative entry and next to it, and just below 1
+        p = 1.0 + np.random.default_rng(0).random(20)
+        law = Finite(tuple(p / p.sum()))
+        assert len(law.probs) > distributions._FINITE_COUNTED
+        cum = np.cumsum(law.probs)
+        v = np.concatenate([
+            np.random.default_rng(1).random(10**4),
+            cum, np.nextafter(cum, 0.0), np.nextafter(cum, 2.0),
+            [0.0, np.nextafter(1.0, 0.0)],
+        ])
+        v = v[v < 1.0]  # the raw draw is uniform on [0, 1)
+        searched = law.transform(v)
+        monkeypatch.setattr(distributions, "_FINITE_COUNTED", len(law.probs))
+        counted = law.transform(v)
+        assert searched.dtype == counted.dtype
+        np.testing.assert_array_equal(searched, counted)
+        assert set(searched.tolist()) == set(range(len(law.probs)))
 
     def test_finite_frequencies(self):
         rng = np.random.default_rng(3)

@@ -223,6 +223,22 @@ class TestBatchedMinimizeScalar:
         assert healthy[0] == pytest.approx(0.63, abs=1e-8)
 
 
+def test_batched_ties_step_as_one_row_search():
+    # a staircase of steps narrower than the grid's spacing: f(c) == f(d)
+    # wherever c and d share a step, and each row must break that tie as
+    # its one-row search does, or it keeps the other half of its bracket
+    shift = np.random.default_rng(4).uniform(0.5, 4.5, 12)
+    lo, hi = np.full(12, 0.01), np.full(12, 5.0)
+
+    def stairs(s):
+        return lambda x: np.floor(16384.0 * (x - s) * (x - s)) / 16384.0
+
+    xs, ys = minimize_scalar(stairs(shift[:, None]), lo, hi)
+    for i in range(12):
+        one = _one_row_search(stairs(shift[i]), lo[i], hi[i], 200, 60, 1e-9)
+        assert one == (xs[i], ys[i])
+
+
 class TestLogGamma:
     def test_gamma_one_and_two(self):
         assert log_gamma(1.0) == 0.0

@@ -908,6 +908,21 @@ class TestSqueeze:
 
 
 class TestSamplerAgreement:
+    def test_many_point_finite_pair_gives_support_indices(self):
+        # 20 support points: past _FINITE_COUNTED, each law's transform
+        # searches its cumulative table, in both samplers
+        rng = np.random.default_rng(5)
+        p, q = 1.0 + rng.random(20), 1.0 + rng.random(20)
+        pr = DistributionPair(Finite(tuple(p / p.sum())), Finite(tuple(q / q.sum())))
+        k, u = sample_indices(pr, 5000, np.random.default_rng(1))
+        batch = run_pfr_many(pr, 7, 500)
+        assert batch.termination == "exact" and not batch.capped.any()
+        for index, support in ((k, u), (batch.index, batch.accepted)):
+            assert (index >= 1).all()
+            np.testing.assert_array_equal(support, np.floor(support))
+            assert 0 <= support.min() and support.max() <= 19
+        assert set(u.tolist()) == set(range(20))
+
     def test_index_law_total_variation(self):
         # empirical index pmfs of the two samplers agree on k <= 50
         n = 10**5
@@ -946,6 +961,15 @@ class TestIndexPmf:
         assert pmf.probs[0] == pytest.approx(1.0, abs=1e-10)
         assert float(np.abs(pmf.probs[1:]).max()) < 1e-12
         assert pmf.tail_mass == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n_max", [0, -1])
+    @pytest.mark.parametrize(
+        "pr", [STD_PAIR, DistributionPair(Finite((0.9, 0.1)), Finite((0.5, 0.5)))],
+        ids=["normal", "finite"],
+    )
+    def test_n_max_checked(self, pr, n_max):
+        with pytest.raises(DomainError, match="n_max"):
+            index_pmf(pr, n_max)
 
     def test_finite_pair_hand_value(self):
         pr = DistributionPair(Finite((0.9, 0.1)), Finite((0.5, 0.5)))

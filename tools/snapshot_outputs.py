@@ -17,6 +17,9 @@ directory at OUTDIR, so every output lands there under a relative name:
   N(0,1)|N(1,1) and ``entropy-figure --format csv`` on it to stdout, with
   no ``--out``, and ``entropy-figure --format svg`` on
   Laplace(0,1)|Laplace(1,1), which writes the SVG alone;
+* the sweep of N(0,1)|N(0,1) to stdout, where ub1 is c1 alone and its
+  minimum over epsilon sits on c1's case boundary (2a - 1)/(1 - a) at
+  a = 0.7, the kink where a changed comparison in the search shows first;
 * ``divergence`` on Laplace(0,1)|Laplace(0.5,2) at orders 2000 to 3e20,
   on N(0,1)|N(0.5,1.6) at orders 1 +- 1e-9 and 1 +- 1e-12, and on
   Laplace(0,1)|Laplace(1,1) and finite (0.9,0.1)|(0.5,0.5) at those four
@@ -153,6 +156,7 @@ def commands() -> list[tuple[str, list[str]]]:
                            "--format", "both", "--out", f"{name}.csv"]))
     p, q = GOLDEN_PAIRS[0]
     out.append((f"sweep_stdout_{stem(p, q)}", ["sweep", p, q]))
+    out.append((f"sweep_stdout_{stem(p, p)}", ["sweep", p, p]))
     out.append((f"entropy_figure_stdout_{stem(p, q)}",
                 ["entropy-figure", p, q, "--n-max", "1000", "--format", "csv"]))
     p, q = GOLDEN_PAIRS[3]
