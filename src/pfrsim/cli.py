@@ -8,11 +8,15 @@ byte-identical.  Any option may also come from a JSON file via
 
 Tables go through ``bounds.csv_text`` and every file through
 ``numerics.write_text``; a failed write exits with status 3.  ``sample``
-keeps its block-wise ``%`` template, which a per-cell formatter would slow.
+prints the bytes of its ``%`` template from digits worked out in exact
+integer arithmetic, a block of rows at a time; capped rows, and values
+that ``%.17g`` prints in scientific notation or that are not finite,
+fall back to the template itself.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -41,6 +45,39 @@ _EXIT_IO = 3
 
 #: Rows that ``sample`` formats in one piece.
 _ROW_BLOCK = 2**14
+
+#: A ``sample`` block with fewer rows that take exact digits goes through the
+#: ``%`` template: below this, the numpy pass's fixed cost is the larger.
+_DIGIT_ROWS_MIN = 256
+
+
+@functools.cache
+def _quad_tables():
+    """The four ASCII digits of 0..9999, one uint32 word each, without and with zeros dropped.
+
+    Returns (leading, units, trailing): row 1 of each is the full quad,
+    row 0 drops the quad's leading zeros (``units`` keeps a 0 alone) or
+    its trailing ones.  Built at the first use, not at import.
+    """
+    q = np.arange(10_000)[:, None]
+    text = (q // np.array([1000, 100, 10, 1]) % 10 + 48).astype(np.uint8)
+    lead = np.where(q < np.array([1000, 100, 10, 1]), 0, text).astype(np.uint8)
+    units = lead.copy()
+    units[0, 3] = ord("0")
+    trail = np.where(q % np.array([10_000, 1000, 100, 10]) == 0, 0, text).astype(np.uint8)
+    full, lead, units, trail = (a.view(np.uint32).ravel() for a in (text, lead, units, trail))
+    return np.stack([lead, full]), np.stack([units, full]), np.stack([trail, full])
+
+
+#: The words ``,``, ``,`` with u's ``-`` at its end, and ``.``.
+_COMMA, _COMMA_MINUS, _POINT = np.frombuffer(b",\0\0\0,\0\0-.\0\0\0", dtype=np.uint32)
+#: 10**-4 .. 10**16 as the nearest doubles, each >= its power of ten.
+_DECADES = np.array([float(f"1e{j}") for j in range(-4, 17)])
+#: 10**0 .. 10**20, exact doubles, and Veltkamp's split of each into two halves.
+_POW10 = np.array([float(10**j) for j in range(21)])
+_POW10_HI = _POW10 * 134217729.0 - (_POW10 * 134217729.0 - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+_POW10_INT = np.array([10**j for j in range(18)], dtype=np.int64)
 
 #: The legend label of each sweep-table column that the SVG chart plots against alpha.
 _SERIES = {"lb1": "lower bound 1", "lb2": "lower bound 2", "ub1": "upper bound 1",
@@ -282,25 +319,161 @@ def sample(p_spec, q_spec, count, method, delta, out, seed):
 def _sample_csv(ks, us, termination: str, capped, finite: bool) -> str:
     """The ``sample`` CSV: rows ``k,u_k,termination`` under a header.
 
-    Rows are formatted a block of columns at a time, so that the Python
-    objects of only one block are alive at once.  ``%d`` on a float index
-    prints ``int(k)``, exact up to 2**64; rows flagged in ``capped`` print
-    ``,,iteration_cap``.
+    Each row has the bytes that the template ``%d,%.17g,<termination>``
+    (``%d,%d,...`` for a finite pair) prints, and rows flagged in
+    ``capped`` print ``,,iteration_cap``.  The digits come from exact
+    integer arithmetic in numpy; capped rows, u that is +-0, below 1e-4
+    or from 1e16 in magnitude, inf or nan, and indices from 2**64 go
+    through the template (see ``_block_rows``).  Rows are formatted
+    ``_ROW_BLOCK`` at a time, so that the arrays of only one block are
+    alive at once.
     """
     row = f"%d,{'%d' if finite else '%.17g'},{termination}\n"
+    tail = f",{termination}\n".encode()
+    suffix = np.frombuffer(tail + bytes(-len(tail) % 4), dtype=np.uint32)
     parts = ["k,u_k,termination\n"]
     for start in range(0, len(ks), _ROW_BLOCK):
-        cap = capped[start : start + _ROW_BLOCK]
-        k, u = ks[start : start + _ROW_BLOCK][~cap], us[start : start + _ROW_BLOCK][~cap]
-        if cap.any():
-            template = "".join([",,iteration_cap\n" if c else row for c in cap.tolist()])
-        else:
-            template = row * len(k)
-        values = [None] * (2 * len(k))
-        values[0::2] = k.tolist()
-        values[1::2] = u.tolist()
-        parts.append(template % tuple(values))
+        block = slice(start, start + _ROW_BLOCK)
+        parts.append(_block_rows(ks[block], us[block], capped[block], row, suffix, finite))
     return "".join(parts)
+
+
+def _template_rows(k, u, cap, row: str) -> str:
+    """Rows through the ``%`` template, in one call for the block.
+
+    ``%d`` prints ``int(k)`` of a float k; k in [0, 2**64) goes in as that
+    integer, which ``%d`` formats faster than a float.
+    """
+    k, u = k[~cap], u[~cap]
+    if k.dtype.kind == "f" and ((k >= 0) & (k < 2.0**64)).all():
+        k = k.astype(np.uint64)
+    if cap.any():
+        template = "".join([",,iteration_cap\n" if c else row for c in cap.tolist()])
+    else:
+        template = row * len(k)
+    values = [None] * (2 * len(k))
+    values[0::2] = k.tolist()
+    values[1::2] = u.tolist()
+    return template % tuple(values)
+
+
+def _block_rows(k, u, cap, row: str, suffix, finite: bool) -> str:
+    """One block of ``sample`` rows, its digits from exact integer arithmetic.
+
+    k, and a finite pair's u, print from their uint64 value, which is
+    ``int`` of the float up to 2**64.  Any other u prints in the fixed
+    notation of ``%.17g`` where 1e-4 <= |u| < 1e16 (see ``_fixed_words``).
+    The rest fall back to ``_template_rows``, in one call: capped rows,
+    k or a finite pair's u outside [0, 2**64), and u that is +-0, below
+    1e-4 in magnitude (scientific notation), 1e16 or more, inf or nan.  A
+    block with fewer than ``_DIGIT_ROWS_MIN`` digit rows goes through the
+    template alone.
+
+    Each field is a run of 4-byte words, one ASCII quad per word, with
+    NUL where a leading or trailing zero is dropped; one word per column
+    is written for every row at once into a (columns, rows) array.  Read
+    row by row, with the NULs deleted, it is the text.  Fallback rows are
+    NUL in the array, and their text is written into their rows before
+    the NULs go.
+    """
+    if len(k) < _DIGIT_ROWS_MIN:
+        return _template_rows(k, u, cap, row)
+    ok = ~cap & (k >= 0) & (k < 2.0**64)
+    if finite:
+        ok &= (u >= 0) & (u < 2.0**64)
+    else:
+        ok &= (np.abs(u) >= 1e-4) & (np.abs(u) < 1e16)
+    if np.count_nonzero(ok) < _DIGIT_ROWS_MIN:
+        return _template_rows(k, u, cap, row)
+    rest = np.flatnonzero(~ok)
+    if rest.size:
+        lines = np.frombuffer(_template_rows(k[rest], u[rest], cap[rest], row).encode(), np.uint8)
+        k, u = np.where(ok, k, 1), np.where(ok, u, 1)
+    if finite:
+        u_words = [_COMMA, *_integer_words(u.astype(np.uint64))]
+    else:
+        u_words = _fixed_words(u)
+    columns = [*_integer_words(k.astype(np.uint64)), *u_words, *suffix]
+    words = np.empty((len(columns), len(k)), dtype=np.uint32)
+    for i, column in enumerate(columns):
+        words[i] = column
+    if not rest.size:
+        return words.T.tobytes().translate(None, b"\0").decode("ascii")
+    ends = np.flatnonzero(lines == ord("\n")) + 1
+    lengths = np.diff(ends, prepend=0)
+    width = max(4 * len(columns), -(-lengths.max() // 4) * 4)
+    rows = np.zeros((len(k), width), dtype=np.uint8)
+    rows[:, : 4 * len(columns)].view(np.uint32)[:] = words.T
+    rows[rest] = 0
+    rows.reshape(-1)[np.repeat(rest * width - (ends - lengths), lengths) + np.arange(lines.size)] = lines
+    return rows.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _quads(v, count: int) -> list:
+    """``v`` in base 10**4, ``count`` digits, the most significant first."""
+    out = []
+    for _ in range(count):
+        q = v // 10_000
+        out.append(v - q * 10_000)
+        v = q
+    return out[::-1]
+
+
+def _integer_words(v) -> list:
+    """The decimal digits of ``v``: as many words as its largest entry needs, leading zeros NUL."""
+    leading, units, _ = _quad_tables()
+    quads = _quads(v, -(-len(str(v.max())) // 4))
+    seen = np.zeros(len(v), dtype=bool)  # a nonzero quad is written; as uint8, a table row
+    words = []
+    for q in quads[:-1]:
+        words.append(leading[seen.view(np.uint8), q])
+        seen |= q != 0
+    return words + [units[seen.view(np.uint8), quads[-1]]]
+
+
+def _fixed_words(u) -> list:
+    """``,`` and ``%.17g`` of each u, all in fixed notation: 1e-4 <= |u| < 1e16.
+
+    %.17g prints N = round-half-even(|u| 10**(16 - X)), N in [10**16,
+    10**17), with X the decimal exponent; X in [-4, 15] is fixed notation.
+    No double lies in the half-unit of the 17th digit below a power of
+    ten, so X is the index of the last power of ten <= |u| in
+    ``_DECADES`` (the tests check each power and its neighbours).
+    10**(16 - X) <= 10**20 is an exact double, and Dekker's product with
+    Veltkamp's split writes |u| 10**(16 - X) = hi + lo exactly.  hi > 2**53
+    is an integer and |lo| <= 8, so N = hi + floor(lo), plus one where
+    lo - floor(lo) is above one half, or is one half and hi + floor(lo) is
+    odd: every step is exact.  The digits of N split at the point into
+    the integer part and 20 fraction digits, trailing zeros dropped, with
+    the point where any are left.  The sign shares the comma's word.
+    """
+    a = np.abs(u)
+    s = 21 - np.searchsorted(_DECADES, a, side="right")  # 16 - X
+    p = a * _POW10[s]
+    t = a * 134217729.0  # 2**27 + 1, Veltkamp's split of a
+    a_hi = t - (t - a)
+    a_lo = a - a_hi
+    b_hi, b_lo = _POW10_HI[s], _POW10_LO[s]
+    lo = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    floor = np.floor(lo)
+    half = lo - floor
+    n = p.astype(np.int64) + floor.astype(np.int64)
+    n += (half > 0.5) | ((half == 0.5) & (n & 1 == 1))
+    scale = _POW10_INT[np.minimum(s, 17)]  # where X < 0, N // 10**17 is the 0 printed
+    whole = n // scale
+    fraction = n - whole * scale  # s digits, split into the first 12 and last 8 of 20
+    cut = _POW10_INT[np.maximum(s - 12, 0)]
+    high = fraction // cut
+    low = (fraction - high * cut) * _POW10_INT[np.minimum(20 - s, 8)]
+    high *= _POW10_INT[np.maximum(12 - s, 0)]
+    trailing = _quad_tables()[2]
+    later = np.zeros(len(u), dtype=bool)  # a nonzero quad follows
+    words = []
+    for q in (_quads(high, 3) + _quads(low, 2))[::-1]:
+        words.append(trailing[later.view(np.uint8), q])
+        later |= q != 0
+    return [np.where(u < 0, _COMMA_MINUS, _COMMA), *_integer_words(whole),
+            np.where(later, _POINT, np.uint32(0)), *words[::-1]]
 
 
 @main.command()

@@ -6,8 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pfrsim.cli import _sample_csv, main
+from pfrsim import cli
+from pfrsim.cli import _ROW_BLOCK, _sample_csv, main
 from pfrsim.distributions import DistributionPair, Gaussian
 from pfrsim.errors import TailTooHeavyWarning
 from pfrsim.pfr import derive_stream, run_pfr
@@ -527,6 +530,155 @@ class TestSampleCommand:
             for o in (run_pfr(pair, derive_stream(4, i), delta=1e-8) for i in range(20))
         )
         assert res.output == expected
+
+
+def template_csv(ks, us, termination, capped, finite):
+    """The ``sample`` CSV through the ``%`` template, one row at a time."""
+    row = f"%d,{'%d' if finite else '%.17g'},{termination}\n"
+    return "k,u_k,termination\n" + "".join(
+        ",,iteration_cap\n" if c else row % (k, u)
+        for k, u, c in zip(ks.tolist(), us.tolist(), capped.tolist())
+    )
+
+
+def assert_template_bytes(us, ks=None, capped=None, finite=False, termination="exact"):
+    """``_sample_csv`` prints the bytes of the ``%`` template, block by block."""
+    us = np.asarray(us)
+    ks = np.arange(1.0, len(us) + 1) if ks is None else np.asarray(ks)
+    capped = np.zeros(len(us), dtype=bool) if capped is None else capped
+    got = _sample_csv(ks, us, termination, capped, finite)
+    want = template_csv(ks, us, termination, capped, finite)
+    if got != want:
+        got, want = got.splitlines(), want.splitlines()
+        bad = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]),
+                   min(len(got), len(want)))
+        pytest.fail(f"line {bad} of {len(want)}: {got[bad : bad + 1]} != {want[bad : bad + 1]}")
+
+
+#: Values that ``%.17g`` prints in fixed notation.
+PLAIN = np.array([-2.5, 0.125, 1.75, 3.0e5, -7.0e-3])
+
+
+def with_digit_rows(us):
+    """``us`` followed by enough plain values that the block takes the digit path."""
+    return np.concatenate([us, np.resize(PLAIN, cli._DIGIT_ROWS_MIN)])
+
+
+def powers_of_ten():
+    """1e-5 .. 1e17, the doubles on both sides of each, and their negatives."""
+    p = np.array([float(f"1e{j}") for j in range(-5, 18)])
+    near = np.concatenate([p, np.nextafter(p, 0), np.nextafter(p, np.inf),
+                           np.nextafter(np.nextafter(p, 0), 0)])
+    return np.concatenate([near, -near])
+
+
+class TestSampleDigits:
+    """``sample`` rows from exact integer digits keep the bytes of the ``%`` template."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=200),
+           st.lists(st.integers(0, 2**64), min_size=1, max_size=200))
+    def test_raw_bit_patterns(self, bits, ks):
+        us = with_digit_rows(np.array(bits, dtype=np.uint64).view(np.float64))
+        ks = np.resize(np.array(ks, dtype=float), len(us))
+        assert_template_bytes(us, ks)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.floats(math.log(1e-6), math.log(1e17)), st.booleans()),
+                    min_size=1, max_size=400))
+    def test_log_uniform_magnitudes(self, draws):
+        us = np.array([math.exp(x) * (-1 if neg else 1) for x, neg in draws])
+        assert_template_bytes(with_digit_rows(us))
+
+    def test_exact_halves_round_to_even(self):
+        # odd j / 2**17 in [1, 10) sits half-way between two 17-digit decimals
+        j = np.arange(2**17 + 1, 10 * 2**17, 2)
+        assert_template_bytes(j / 2.0**17)
+
+    @pytest.mark.parametrize("x", range(-4, 16))
+    def test_exact_halves_in_every_decade(self, x):
+        # odd j / 2**(17 - x) in [10**x, 10**(x+1)) is a tie at the 17th digit
+        scale = 2.0 ** (17 - x)
+        lo, hi = math.ceil(10.0**x * scale), math.floor(10.0 ** (x + 1) * scale)
+        j = np.unique(np.linspace(lo, hi, 2001).astype(np.int64) | 1)
+        us = j[(j < hi) & (j < 2**53)] / scale
+        assert_template_bytes(np.concatenate([us, -us]))
+
+    def test_powers_of_ten_and_neighbours(self):
+        assert_template_bytes(with_digit_rows(powers_of_ten()))
+
+    def test_rounding_that_carries_through_nines(self):
+        # the doubles at and next to 16-digit decimals: for many, rounding at
+        # the 17th digit carries through a run of nines or drops a run of
+        # zeros, so they print fewer than 17 digits
+        rng = np.random.default_rng(5)
+        us = []
+        for x in range(-4, 16):
+            for c in rng.integers(10**15, 10**16, 200).tolist():
+                d = float(f"{c}e{x - 15}")
+                us += [np.nextafter(d, 0), d, np.nextafter(d, np.inf)]
+        us = np.array(us)
+        short = sum(len(("%.17g" % u).replace(".", "").lstrip("0")) < 17 for u in us.tolist())
+        assert short > 1000
+        assert_template_bytes(us)
+
+    def test_zeros_subnormals_and_non_finite_values(self):
+        odd = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, np.inf, -np.inf, np.nan]
+        assert_template_bytes(with_digit_rows(np.array(odd)))
+
+    @pytest.mark.parametrize("top", [2.0**64 - 2048, 2.0**64])
+    @pytest.mark.parametrize("rows", [6, 600], ids=["template", "digits"])
+    def test_large_indices(self, top, rows):
+        ks = np.resize(np.array([2.0**53 + 2, 2.0**63, top, 1.0, 0.0, -0.0]), rows)
+        assert_template_bytes(np.resize(PLAIN, rows), ks)
+
+    def test_int64_indices(self):
+        ks = np.array([1, 9, 10, 9999, 10_000, 2**62, 2**63 - 1], dtype=np.int64)
+        us = with_digit_rows(np.full(len(ks), -0.5))
+        assert_template_bytes(us, np.resize(ks, len(us)))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
+    def test_finite_kind_integer_column(self, dtype):
+        us = np.resize(np.array([0, 1, 9, 10, 9999, 10_000, 123_456_789], dtype=dtype), 600)
+        assert_template_bytes(us, finite=True)
+
+    def test_finite_kind_fallback_values(self):
+        us = np.resize(np.array([0.0, 3.0, 2.0**64, -1.0]), 600)
+        assert_template_bytes(us, finite=True)
+
+    def test_capped_and_fallback_rows_across_a_block_edge(self):
+        n = 2 * _ROW_BLOCK + 5
+        rng = np.random.default_rng(3)
+        us = rng.standard_normal(n)
+        ks = np.floor(rng.exponential(4.0, n)) + 1
+        capped = np.zeros(n, dtype=bool)
+        for edge in (_ROW_BLOCK, 2 * _ROW_BLOCK):
+            capped[[edge - 2, edge + 1]] = True
+            us[[edge - 1, edge]] = [1e-7, -0.0]
+        ks[capped] = 0
+        us[capped] = 0.0
+        assert_template_bytes(us, ks, capped, termination="approximate")
+
+    @pytest.mark.parametrize("n", [0, 1, cli._DIGIT_ROWS_MIN - 1, cli._DIGIT_ROWS_MIN,
+                                   _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1])
+    def test_lengths(self, n):
+        rng = np.random.default_rng(n)
+        assert_template_bytes(rng.standard_normal(n), np.floor(rng.exponential(4.0, n)) + 1)
+
+    def test_digit_path_formats_the_ordinary_rows(self, monkeypatch):
+        # only the rows that need the template reach it
+        seen = []
+        template_rows = cli._template_rows
+
+        def counted(k, u, cap, row):
+            seen.append(len(k))
+            return template_rows(k, u, cap, row)
+
+        monkeypatch.setattr(cli, "_template_rows", counted)
+        us = np.resize(PLAIN, 3 * _ROW_BLOCK)
+        us[[5, _ROW_BLOCK + 7]] = [1e-9, np.nan]
+        _sample_csv(np.ones(len(us)), us, "exact", np.zeros(len(us), dtype=bool), False)
+        assert seen == [1, 1]
 
 
 class TestVerifyCommand:

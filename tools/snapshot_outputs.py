@@ -43,7 +43,10 @@ directory at OUTDIR, so every output lands there under a relative name:
   2**64 + 1 and 2**130 + 7, whose streams take longer seed hashes;
 * 2,000 exact rows at seed 0 on N(1e10,1)|N(1e10+1,1), the pair
   N(0,1)|N(1,1) moved far from the origin, where a log ratio written in
-  absolute coordinates loses every bit to the cancelling squares.
+  absolute coordinates loses every bit to the cancelling squares;
+* 20,003 exact rows at seed 0 on N(0,1e-10)|N(1e-10,1e-10) to stdout,
+  with no ``--out``: every u is below 1e-4, so every row prints in
+  scientific notation, and the rows span two of ``sample``'s blocks.
 
 The stdout of each command is kept as ``<name>.stdout``.  Where the
 platform can pin a process to CPUs, the multi-block exact commands run a
@@ -185,6 +188,9 @@ def commands() -> list[tuple[str, list[str]]]:
     name = "sample_exact_far_seed_0"
     out.append((name, ["sample", "normal:1e10,1", "normal:10000000001,1", "-n", "2000",
                        "--method", "exact", "--seed", "0", "--out", f"{name}.csv"]))
+    out.append(("sample_exact_scientific_stdout_seed_0",
+                ["sample", "normal:0,1e-10", "normal:1e-10,1e-10", "-n", "20003",
+                 "--method", "exact", "--seed", "0"]))
     return out + exact_block_commands()
 
 
