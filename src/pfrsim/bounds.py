@@ -27,6 +27,14 @@ from .numerics import LN2, LOG2E, log_gamma, minimize_scalar, write_text
 #: The epsilon window (lo, hi) that ``optimize_ub`` searches for ub1.
 _EPS_WINDOW = (1e-4, 50.0)
 
+#: ln(2 pi) / 2, the constant of Stirling's series.
+_HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
+
+#: Rounding slack of ``_log_gamma_bracket``, relative to the summed
+#: magnitudes of Stirling's terms.  Unwidened, the bracket misses
+#: ``math.lgamma`` by up to 5.3e-16 of them (2.4 ulps) on x in [1, 1e300].
+_BRACKET_SLACK = 8.0 * 2.0**-52
+
 #: The columns of a sweep table, each named after a ``BoundSet`` attribute.
 SWEEP_COLUMNS = ("alpha", "lb1", "lb2", "lb_max", "ub1", "ub1_eps", "ub2", "ub2_eps")
 
@@ -81,26 +89,51 @@ def c1(alpha, epsilon):
 
 
 def _c1(alpha, epsilon):
-    log_term = np.log2(1.0 + 1.0 / epsilon)
-    one_plus = 1.0 + epsilon
-    out = one_plus * LOG2E + 1.0 + log_term
-    # case split at eps = (2a-1)/(1-a), rearranged to avoid cancellation;
-    # the boundary itself belongs to the log-gamma case
-    gamma = alpha * (2.0 + epsilon) <= one_plus
+    out, gamma, log_term = _c1_cases(alpha, epsilon)
     if np.count_nonzero(gamma):
         order = np.asarray((1.0 + epsilon * (1.0 - alpha)) / alpha)
         lg = np.zeros(order.shape)
         lg[gamma] = log_gamma(order[gamma])
-        out = np.where(
-            gamma,
-            (alpha / (1.0 - alpha)) * lg * LOG2E
-            + 4.0
-            + 3.0 * epsilon
-            - 2.0 * alpha / (1.0 - alpha)
-            + log_term,
-            out,
-        )
+        out = np.where(gamma, _c1_gamma_case(alpha, epsilon, lg, log_term), out)
     return out if np.ndim(out) else float(out)
+
+
+def _c1_cases(alpha, epsilon):
+    """c1's first case, where its log-gamma case applies instead, and log2(1 + 1/eps)."""
+    log_term = np.log2(1.0 + 1.0 / epsilon)
+    one_plus = 1.0 + epsilon
+    # case split at eps = (2a-1)/(1-a), rearranged to avoid cancellation;
+    # the boundary itself belongs to the log-gamma case
+    return one_plus * LOG2E + 1.0 + log_term, alpha * (2.0 + epsilon) <= one_plus, log_term
+
+
+def _c1_gamma_case(alpha, epsilon, lg, log_term):
+    """c1's log-gamma case, given lg = ln Gamma((1 + eps(1-alpha))/alpha) and
+    log_term = log2(1 + 1/eps); increasing in lg, rounding included."""
+    return (
+        (alpha / (1.0 - alpha)) * lg * LOG2E
+        + 4.0
+        + 3.0 * epsilon
+        - 2.0 * alpha / (1.0 - alpha)
+        + log_term
+    )
+
+
+def _log_gamma_bracket(x):
+    """Floats (lower, upper) around ``math.lgamma(x)`` for x > 1, with no lgamma call.
+
+    Stirling's series S(x) = (x - 1/2) ln x - x + ln(2 pi)/2 with Binet's
+    remainder gives S(x) < ln Gamma(x) < S(x) + 1/(12x); both ends are
+    widened by ``_BRACKET_SLACK`` times the summed magnitudes of S's terms,
+    which covers the rounding of S and of lgamma.  Where S overflows (x
+    beyond about 2.5e305) the ends are NaN, quietly: ``_ub1_search`` then
+    takes lgamma at that point.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = (x - 0.5) * np.log(x)  # >= 0 for x > 1
+        s = t - x + _HALF_LN_2PI
+        slack = _BRACKET_SLACK * (t + x + _HALF_LN_2PI)
+        return s - slack, s + 1.0 / (12.0 * x) + slack
 
 
 def ub1(pair: DistributionPair, alpha, epsilon):
@@ -172,9 +205,8 @@ def optimize_ub(pair: DistributionPair, alpha, which: str = "ub1"):
     orders = np.asarray(alpha, dtype=float)
     if which == "ub1":
         check_alpha(orders)  # epsilons are checked by the window, not on each probe
-        column = orders.reshape(-1, 1)
-        lo, hi = (np.broadcast_to(x, orders.shape) for x in _EPS_WINDOW)
-        return minimize_scalar(lambda e: _ub1(pair, column, e), lo, hi)
+        eps, value = (x.reshape(orders.shape) for x in _ub1_search([pair], orders.reshape(-1)))
+        return (float(eps), float(value)) if orders.ndim == 0 else (eps, value)
     if which != "ub2":
         raise ValueError(f"unknown bound {which!r}")
     # the term's derivative A - 1 / (eps ln 2 + 1.5 eps^2), A = log2(KL + 1) + 1,
@@ -188,6 +220,45 @@ def optimize_ub(pair: DistributionPair, alpha, which: str = "ub1"):
     eps = np.minimum(root, ub2_epsilon_max(orders))
     value = ub2(pair, orders, eps)
     return (float(eps), float(value)) if orders.ndim == 0 else (eps, value)
+
+
+def _ub1_search(pairs: Sequence[DistributionPair], alphas: np.ndarray):
+    """ub1's epsilon search for each pair at each of the 1-D ``alphas``.
+
+    One ``minimize_scalar`` call over [1e-4, 50], a row per (pair, order),
+    pair by pair; returns (epsilon, value) arrays of shape
+    (len(pairs), alphas.size).  The objective is ``_ub1`` on each pair's
+    rows, with c1 taken once for all rows, except where ln Gamma cannot
+    matter: in each call, a gamma-case point whose value at the lower end
+    of ``_log_gamma_bracket`` exceeds its row's least value at the upper
+    ends cannot be that row's least, so it gets that lower value, above
+    the least, and no lgamma call.  ``minimize_scalar`` allows this, so
+    each row has the bits of a search on ``_ub1``.
+    """
+    column = np.tile(alphas, len(pairs)).reshape(-1, 1)
+    blocks = [(pair, slice(i * alphas.size, (i + 1) * alphas.size)) for i, pair in enumerate(pairs)]
+
+    def objective(e):
+        order = (1.0 + e * (1.0 - column)) / column
+        d = np.concatenate([renyi_divergence(pair, order[rows]) for pair, rows in blocks])
+        first, gamma, log_term = _c1_cases(column, e)
+        scaled = (1.0 + e) * d
+        value = scaled + first
+
+        def at(lg):
+            return np.where(gamma, scaled + _c1_gamma_case(column, e, lg, log_term), value)
+
+        lg, need = np.zeros(e.shape), gamma
+        if e.shape[1] > 1:  # a row of one point is its own least
+            lg, upper = _log_gamma_bracket(order)
+            # NaN is kept, and surfaces
+            need = gamma & ~(at(lg) > at(upper).min(axis=1, keepdims=True))
+        lg[need] = log_gamma(order[need])
+        return at(lg)
+
+    lo, hi = (np.full(column.size, x) for x in _EPS_WINDOW)
+    eps, value = minimize_scalar(objective, lo, hi)
+    return eps.reshape(len(pairs), -1), value.reshape(len(pairs), -1)
 
 
 @dataclass(frozen=True)

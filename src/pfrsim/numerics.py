@@ -15,8 +15,10 @@ run in lockstep over the rows; its grid size and refinement budget are
 fixed.  Batched results rest on one condition: numpy's ufuncs give a
 value the same bits alone as inside an array (``log_gamma``, which numpy
 lacks, maps ``math.lgamma``), so a row of a batch gets the bits of its
-own one-row call.  ``write_text`` writes every CSV table and SVG chart of
-pfrsim, to a path or to an open file.
+own one-row call.  An objective may skip work at points that cannot win
+their row (ub1's search takes ``log_gamma`` only where a grid point can),
+within the contract ``minimize_scalar`` states.  ``write_text`` writes
+every CSV table and SVG chart of pfrsim, to a path or to an open file.
 """
 
 from __future__ import annotations
@@ -244,6 +246,15 @@ def minimize_scalar(f: Callable[[np.ndarray], np.ndarray], lo, hi):
     already probed, so every probe is checked and the row's bracket does
     not move.  A row's arithmetic and comparisons are those of a search of
     its window alone, so each row returns what a one-row search would.
+
+    ``f`` need not be exact where its value cannot matter: at a point whose
+    value exceeds its row's least in that call, f may return any value that
+    also exceeds that least.  Such a point never survives, because the
+    least point sits beside it in every comparison it enters (the grid's
+    argmin, c against d, and the final best), so the search returns the
+    same point and value.  The choice must be row-local, made from the
+    row's own points in that call, so that a row of a batch keeps the
+    bits of its one-row search.
 
     Returns the best probed point and its value: floats for one float
     window, else arrays with one entry per row.  Each value is thus a

@@ -23,7 +23,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .bounds import check_alpha, lb1, lb2, optimize_ub
+from .bounds import _ub1_search, check_alpha, lb1, lb2
 from .codes import OneToOne, PowerLaw, Universal, campbell_cost
 from .distributions import (
     DistributionPair,
@@ -416,10 +416,10 @@ def _check_code() -> list[CheckReport]:
 def _check_soundness(c1_offset: float) -> list[CheckReport]:
     reports = []
     alphas = np.linspace(0.25, 0.99, 8)
-    for label, pair in DEFAULT_PAIRS:
+    _, caps = _ub1_search([pair for _, pair in DEFAULT_PAIRS], alphas)
+    for (label, pair), row in zip(DEFAULT_PAIRS, caps):
         floors = np.maximum(lb1(pair, alphas), lb2(pair, alphas))
-        _, caps = optimize_ub(pair, alphas, "ub1")
-        for alpha, floor, cap in zip(alphas.tolist(), floors.tolist(), caps.tolist()):
+        for alpha, floor, cap in zip(alphas.tolist(), floors.tolist(), row.tolist()):
             cap += c1_offset
             reports.append(
                 CheckReport(

@@ -59,7 +59,8 @@ from .errors import (
 )
 from .numerics import LOG2E, QuadratureSpec, log2_sum_exp, quadrature_grid, write_text
 
-_UINT64_MAX = float(2**64 - 1)
+#: The least index past the unsigned 64-bit range (2**64 - 1 has no float).
+_UINT64_END = 2.0**64
 
 #: Moment orders whose bounds ``index_pmf`` attaches to an IndexPmf.
 _CERT_MOMENT_ORDERS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
@@ -633,7 +634,7 @@ def sample_indices(
                         underflow[i] = True
                         return
                     kb[undecided] = np.ceil(x[undecided] / t)
-        overflow[i] = (kb > _UINT64_MAX).any()
+        overflow[i] = (kb >= _UINT64_END).any()
         np.maximum(kb, 1.0, out=ks)
 
     _run_blocks(n_blocks, fill, run_block, finish)

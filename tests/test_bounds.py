@@ -4,9 +4,16 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pfrsim import bounds
 from pfrsim.bounds import (
+    _EPS_WINDOW,
     BoundSet,
+    _log_gamma_bracket,
+    _ub1,
+    _ub1_search,
     c1,
     c2,
     default_alpha_grid,
@@ -21,6 +28,8 @@ from pfrsim.bounds import (
 )
 from pfrsim.distributions import DistributionPair, Finite, Gaussian, Laplace, kl_divergence
 from pfrsim.errors import AbsoluteContinuityError, EpsilonRangeError, OrderError
+from pfrsim.numerics import _GRID_POINTS, log_gamma, minimize_scalar
+from pfrsim.oracle import DEFAULT_PAIRS, CheckReport, run_suite
 
 LN2 = math.log(2.0)
 LOG2E = 1.0 / LN2
@@ -311,6 +320,90 @@ class TestBatchedBounds:
             optimize_ub(NEAR, np.array([0.5, 1.2]), "ub1")
         with pytest.raises(OrderError):
             optimize_ub(NEAR, np.array([0.5, 0.9]), "ub2")
+
+
+def _exact_search(pr: DistributionPair, alphas: np.ndarray):
+    """ub1's epsilon search with ``_ub1`` itself as the objective: ln Gamma at every point."""
+    column = alphas.reshape(-1, 1)
+    lo, hi = (np.full(alphas.size, x) for x in _EPS_WINDOW)
+    return minimize_scalar(lambda e: _ub1(pr, column, e), lo, hi)
+
+
+def _same_bits(got, want) -> bool:
+    return all(np.asarray(g).tobytes() == np.asarray(w).tobytes() for g, w in zip(got, want))
+
+
+class TestUb1Search:
+    """``optimize_ub``'s ub1 search takes ln Gamma only where a grid point can
+    win, and keeps the bits of a search on the exact objective."""
+
+    PAIRS = {
+        **SCAN_PAIRS,
+        "finite": DistributionPair(Finite((0.9, 0.1)), Finite((0.5, 0.5))),
+        # +inf at every epsilon on most orders, at some epsilons near 0.995
+        "N(0,10)|N(0,1)": DistributionPair(Gaussian(0, 10), Gaussian(0, 1)),
+        # ub1 is c1 alone, whose minimum at alpha = 0.7 is its case kink 4/3
+        "N(0,1)|N(0,1)": IDENT,
+    }
+
+    @pytest.mark.parametrize("name", PAIRS)
+    def test_same_bits_as_the_exact_objective(self, name):
+        pr = self.PAIRS[name]
+        alphas = np.concatenate([default_alpha_grid(pr), [0.05, 0.5, 0.605, 0.7, 0.999]])
+        assert _same_bits(optimize_ub(pr, alphas, "ub1"), _exact_search(pr, alphas))
+        assert _same_bits(optimize_ub(pr, 0.7, "ub1"), _exact_search(pr, np.array([0.7])))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.lists(st.one_of(st.floats(1e-12, 0.05), st.floats(0.95, 1.0, exclude_max=True)),
+                 min_size=1, max_size=6),
+        st.sampled_from(sorted(PAIRS)),
+    )
+    def test_same_bits_near_both_ends(self, orders, name):
+        pr, alphas = self.PAIRS[name], np.array(orders)
+        assert _same_bits(optimize_ub(pr, alphas, "ub1"), _exact_search(pr, alphas))
+
+    def test_log_gamma_inside_the_widened_bracket(self, monkeypatch):
+        x = np.geomspace(1.0, 1e7, 500_000)
+        lg = np.array([math.lgamma(v) for v in x.tolist()])
+        lower, upper = _log_gamma_bracket(x)
+        assert np.all((lower <= lg) & (lg <= upper))
+        # the slack is needed: the bare series misses lgamma's rounding
+        monkeypatch.setattr(bounds, "_BRACKET_SLACK", 0.0)
+        lower, upper = _log_gamma_bracket(x)
+        assert not np.all((lower <= lg) & (lg <= upper))
+
+    def test_grid_scan_takes_few_log_gammas(self, monkeypatch):
+        sizes = []
+        monkeypatch.setattr(bounds, "log_gamma", lambda x: sizes.append(np.size(x)) or log_gamma(x))
+        eps = np.linspace(*_EPS_WINDOW, _GRID_POINTS)
+        for name in list(SCAN_PAIRS)[:6]:  # the golden pairs
+            pr = SCAN_PAIRS[name]
+            alphas = default_alpha_grid(pr)
+            sizes.clear()
+            optimize_ub(pr, alphas, "ub1")
+            gamma_points = np.count_nonzero(alphas[:, None] * (2.0 + eps) <= 1.0 + eps)
+            assert sizes[0] < 0.05 * gamma_points  # the grid scan is the objective's first call
+
+    def test_soundness_family_is_one_search(self, monkeypatch):
+        # the batched rows have the bits of nine one-pair searches, and
+        # the family's lines are those of the per-pair optimize_ub calls
+        alphas = np.linspace(0.25, 0.99, 8)
+        eps, caps = _ub1_search([pr for _, pr in DEFAULT_PAIRS], alphas)
+        want = []
+        for (label, pr), e, row in zip(DEFAULT_PAIRS, eps, caps):
+            single = optimize_ub(pr, alphas, "ub1")
+            assert _same_bits(single, (e, row))
+            floors = np.maximum(lb1(pr, alphas), lb2(pr, alphas))
+            want += [
+                CheckReport("soundness", label, a, f <= c + 1e-9, f"lb={f:.4f} ub={c:.4f}").line()
+                for a, f, c in zip(alphas.tolist(), floors.tolist(), single[1].tolist())
+            ]
+        calls = []
+        monkeypatch.setattr(bounds, "minimize_scalar",
+                            lambda *args: calls.append(1) or minimize_scalar(*args))
+        assert [r.line() for r in run_suite(only="soundness")] == want
+        assert len(calls) == 1
 
 
 class TestSweep:

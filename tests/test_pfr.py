@@ -400,7 +400,7 @@ def _reference_sample_indices(
         raise IndexOverflowError("beta underflows double precision")
     with np.errstate(over="ignore"):
         k = np.ceil(np.log(v) / log1m)
-    if np.any(k > float(2**64 - 1)):
+    if np.any(k >= 2.0**64):
         raise IndexOverflowError("a geometric index exceeds the unsigned 64-bit range")
     return np.maximum(k, 1.0), np.asarray(u, dtype=float)
 
@@ -720,6 +720,18 @@ class TestSampleIndexExact:
             ref_rng, rng = np.random.default_rng(2), np.random.default_rng(2)
             ref = _reference_sample_indices(STD_PAIR, n, ref_rng)
             _assert_same_draws(sample_indices(STD_PAIR, n, rng), ref, rng, ref_rng)
+
+    def test_index_of_exactly_2_64_overflows(self, monkeypatch):
+        # 2**64 - 1 has no float and rounds to 2**64, so K = 2**64 itself
+        # must be caught.  With log(1 - beta) at x 2**-64, where x is the
+        # draw's log(1 - v), x / log(1 - beta) is exactly 2**64
+        twin = np.random.default_rng(3)
+        STD_PAIR.p.raw(twin, np.empty(1))
+        x = np.log(1.0 - twin.random(1))
+        monkeypatch.setattr(pfr, "_squeeze_table", lambda pair: None)
+        monkeypatch.setattr(pfr, "_log1m_beta", lambda pair, u: x * 2.0**-64)
+        with pytest.raises(IndexOverflowError, match="exceeds the unsigned 64-bit range"):
+            sample_indices(STD_PAIR, 1, np.random.default_rng(3))
 
     def test_finite_pair_chi_square(self):
         pr = DistributionPair(Finite((0.9, 0.1)), Finite((0.5, 0.5)))

@@ -20,6 +20,10 @@ directory at OUTDIR, so every output lands there under a relative name:
 * the sweep of N(0,1)|N(0,1) to stdout, where ub1 is c1 alone and its
   minimum over epsilon sits on c1's case boundary (2a - 1)/(1 - a) at
   a = 0.7, the kink where a changed comparison in the search shows first;
+* the sweeps of N(0,10)|N(0,1) and of finite (0.9,0.1)|(0.5,0.5) to
+  stdout: the first has rows whose ub1 is +inf at every epsilon and rows
+  where it is +inf at only some, the second the finite kind's divergence
+  inside the epsilon search;
 * ``divergence`` on Laplace(0,1)|Laplace(0.5,2) at orders 2000 to 3e20,
   on N(0,1)|N(0.5,1.6) at orders 1 +- 1e-9 and 1 +- 1e-12, and on
   Laplace(0,1)|Laplace(1,1) and finite (0.9,0.1)|(0.5,0.5) at those four
@@ -119,6 +123,10 @@ EXACT_BLOCKS = (
     ("exact_two_blocks", ("normal:0,1", "normal:1,1"), "40003"),
 )
 
+#: Pairs whose sweeps reach the edges of ub1's epsilon search: +inf at
+#: every epsilon or at some, and a finite pair's divergence.
+EDGE_SWEEPS = (("normal:0,10", "normal:0,1"), ("finite:0.9,0.1", "finite:0.5,0.5"))
+
 #: Seeds of three and five 32-bit words, for the selection rule.
 WIDE_SEEDS = (2**64 + 1, 2**130 + 7)
 
@@ -160,6 +168,8 @@ def commands() -> list[tuple[str, list[str]]]:
     p, q = GOLDEN_PAIRS[0]
     out.append((f"sweep_stdout_{stem(p, q)}", ["sweep", p, q]))
     out.append((f"sweep_stdout_{stem(p, p)}", ["sweep", p, p]))
+    for edge in EDGE_SWEEPS:
+        out.append((f"sweep_stdout_{stem(*edge)}", ["sweep", *edge]))
     out.append((f"entropy_figure_stdout_{stem(p, q)}",
                 ["entropy-figure", p, q, "--n-max", "1000", "--format", "csv"]))
     p, q = GOLDEN_PAIRS[3]
