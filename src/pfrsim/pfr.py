@@ -24,14 +24,18 @@ Two samplers produce the transmitted index K with its accepted sample:
   waits for one.  The results do not depend on how many CPUs there are.
   An exception in a block reaches the caller once every started block
   is done and the rest are cancelled.  At every draw count, K comes from
-  a squeeze (Marsaglia 1977; Devroye 1986, section II.5): t = log(1 -
-  beta) depends on u only through ell = log r(u) and does not decrease
-  in it, so a table of t on evenly spaced nodes of ell, each widened by
-  a relative margin that bounds its rounding error, brackets K =
-  max(ceil(log(1 - v) / t), 1) between its values at the two nodes
-  around a point.  Where they agree that integer is K, and beta is
-  worked out only at the other points, so every index keeps the bits it
-  has without the table.
+  a squeeze (Marsaglia 1977; Devroye 1986, section II.5): K =
+  max(ceil(x / t), 1) with x = log(1 - v) and t = log(1 - beta), and x /
+  t = -x exp(ell - g) with g = log(-t) + ell, a function of ell = log
+  r(u) alone.  g is the sum of ell + log beta, which never falls in ell,
+  and log(-t / beta), which never rises, so a table on evenly spaced
+  nodes of ell bounds g at a point from its parts at the two nodes
+  around it, widened by margins that bound their rounding errors.  In
+  units of K that bracket is about as wide as the node spacing at every
+  K, heavy pairs included.  Where the gap from its lower end up to the
+  next integer is wider, that integer is K, and beta is worked out only
+  at the other points, so every index keeps the bits it has without the
+  table.
 
 ``index_pmf`` integrates the conditional geometric law against the
 target density on one quadrature grid shared by every k, reporting the
@@ -308,9 +312,10 @@ def _log_beta_at(pair: DistributionPair, log_c: np.ndarray) -> tuple[np.ndarray,
 _BLOCK = 2**15
 
 
-#: Nodes of a squeeze table at most.  At a power-of-two spacing, a table
-#: holds between half and all of them.
-_SQUEEZE_NODES = 2**16
+#: Nodes of a squeeze table at most: its 2 * nodes + 1 float64 entries
+#: fit in 512 kB.  At a power-of-two spacing, a table holds between half
+#: and all of them.
+_SQUEEZE_NODES = 2**15 - 1
 
 #: A pair whose table leaves a larger share undecided keeps the exact path.
 _SQUEEZE_MAX_SHARE = 0.25
@@ -322,75 +327,147 @@ _SQUEEZE_MAX_MARGIN = 1e-6
 _BUILD_CHUNK = 2**12
 
 _EPS = float(np.finfo(float).eps)
-_FLOAT32_TINY = float(np.finfo(np.float32).tiny)
 
 
 class _Squeeze(NamedTuple):
-    """Bounds on t = log(1 - beta) on nodes of ell = log r, for ``sample_indices``.
+    """Upper bounds on g = log(-t) + ell, t = log(1 - beta), on nodes and cells of ell = log r.
 
     Node j, 1 <= j <= N, sits at ell = (base + j) / scale; ``scale`` is a
-    power of two, so ell * scale is exact and so is a point's cell.  t does
-    not decrease in ell, so at a point between nodes j and j + 1 it lies
-    between ``lo[j]``, t at node j widened by the table's relative margin,
-    and ``hi[j + 1]``, t at node j + 1 narrowed by it; a point on node j
-    lies between ``lo[j]`` and ``hi[j]``.  Both are float32, rounded
-    outward.  Entries 0 and N + 1 stand for the points below and above the
-    nodes, and they and the nodes that decide nothing are nan.  At beta == 1
-    (t at the floor) both ends are -inf: every x gives K = 1 there.
+    power of two, so ell * scale is exact and so is a point's place.  The
+    sampler's x / t is -x exp(ell - g), and g = a + b, where a never falls
+    in ell and b never rises (``_g_parts``), so between two nodes g lies
+    below a at the right node plus b at the left.
+    ``g[2j - 1]`` bounds g at points on node j, ``g[2j]`` between nodes j
+    and j + 1, and ``g[0]`` and ``g[2N]`` stand for the points below and
+    above the nodes.  An entry holds its bound where the bracket it gives
+    on e = exp(ell - g) = -1 / t is at most ``width`` wide; elsewhere it
+    is +inf, which decides nothing.
     """
 
     scale: float
     base: float
-    lo: np.ndarray
-    hi: np.ndarray
+    g: np.ndarray
+    width: float
 
     def ends(self, log_r: np.ndarray, out: np.ndarray) -> None:
-        """Each point's bracket on t into ``out``, float64 read as pairs of float32; uses ``log_r``."""
-        pos = np.multiply(log_r, self.scale, out=log_r)
+        """Each point's lower end e = exp(ell - g) into ``out``, from ell = ``log_r``."""
+        # floor + ceil of the place, less 2 base + 1: 2j - 1 on node j, 2j
+        # between nodes j and j + 1
+        pos = np.multiply(log_r, self.scale, out=out)
         # fmax sends nan below the first node
-        np.fmin(np.fmax(pos, self.base, out=pos), self.base + len(self.lo) - 1, out=pos)
-        pairs = out.view(np.float32).reshape(-1, 2)
-        below = np.floor(pos)
-        below -= self.base
-        pairs[:, 0] = self.lo[below.astype(np.intp)]
+        np.fmax(pos, self.base + 0.5, out=pos)
+        np.fmin(pos, self.base + len(self.g) // 2 + 0.5, out=pos)
+        places = np.floor(pos)
         np.ceil(pos, out=pos)
-        pos -= self.base
-        pairs[:, 1] = self.hi[pos.astype(np.intp)]
+        places += pos
+        places -= 2.0 * self.base + 1.0
+        # one temporary: the indices go into ``out``, the entries into ``places``
+        index = out.view(np.intp)
+        index[...] = places
+        g = np.take(self.g, index, out=places, mode="clip")  # "raise" would buffer
+        np.exp(np.subtract(log_r, g, out=g), out=out)
 
-    @staticmethod
-    def decide(ends: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """ceil(x / t) at the lower ends of the brackets ``ends``, and where the upper ends differ.
+    def decide(self, ends: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """ceil(x / t) from the lower ends of e = -1 / t, and where they leave it open; uses ``ends``.
 
-        With x = log(1 - v) <= 0, x / t does not decrease from the lower
-        end of a bracket to the upper, nor does its ceiling once rounded,
-        so where the two agree they are ceil(x / t) at the point.
+        With x = log(1 - v) <= 0, -x e lies at most -x ``width`` below
+        x / t.  Where the gap from -x e up to its ceiling K is wider, K is
+        ceil(x / t) as the exact path rounds it.
         """
-        pairs = ends.view(np.float32).reshape(-1, 2)
-        lo = np.ceil(x / pairs[:, 0])
-        return lo, np.flatnonzero(lo != np.ceil(x / pairs[:, 1]))  # nan decides nothing
+        m = x * ends  # -(-x e)
+        k = np.floor(m)  # -K
+        gap = np.subtract(m, k, out=m)
+        reach = np.multiply(x, -self.width, out=ends)
+        undecided = np.flatnonzero(gap <= reach)  # +inf entries: e = 0, no gap
+        return np.negative(k, out=k), undecided
 
 
-def _float32_toward(x: np.ndarray, bound: float) -> np.ndarray:
-    """x in float32, rounded toward ``bound`` (-inf or inf) where it is not exact."""
-    y = x.astype(np.float32)
-    off = y > x if bound < 0.0 else y < x
-    y[off] = np.nextafter(y[off], np.float32(bound))
-    return y
+class _Parts(NamedTuple):
+    """The parts of g = log(-t) + ell at levels ell, and bounds on their errors (``_g_parts``)."""
+
+    ell: np.ndarray
+    a: np.ndarray  # ell + log beta: never falls in ell
+    b: np.ndarray  # log(-t / beta): never rises
+    g: np.ndarray
+    err_a: np.ndarray
+    err_b: np.ndarray
+    err_lb: np.ndarray  # of log beta
+    gain: np.ndarray  # dg / d(log beta) = beta / ((1 - beta) (-t)), at least 1
+    rest: np.ndarray  # the relative error of t that log beta's error does not cause
+    log_p: np.ndarray  # log P(r > c)
+
+    def err_t(self) -> np.ndarray:
+        """A bound on the relative error of t: 0 at the floor, +inf past ``_SQUEEZE_MAX_MARGIN`` / 2."""
+        return self.gain * self.err_lb + self.rest
 
 
-def _node_margins(ell: np.ndarray, lb: np.ndarray, log_p: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Relative margin each node asks of its cells: twice a bound on t's relative error.
+def _g_parts(pair: DistributionPair, ell: np.ndarray) -> _Parts:
+    """The parts of g = log(-t) + ell at the levels ``ell``, and bounds on their errors.
 
-    log beta sums terms of the size of ell, log beta and log P(r > c),
-    each to a few ulps.  1 - beta takes beta's error, and an ulp of a
-    subnormal beta; its relative error grows as beta nears 1 and 1 - beta
-    cancels, and log(1 - beta) divides it by |t| once more.  At the floor
-    (beta == 1) no computed t lies lower, so the node needs no margin.
+    a = ell + log beta never falls in ell, since e^-a = Q(r <= c) + P(r >
+    c) / c falls with c = e^ell; b = log(-t / beta) never rises, since
+    -log(1 - beta) / beta rises with beta, which falls.  log beta sums
+    terms of the size of ell, log beta and log P(r > c), each to a few
+    ulps.  g = ell + F(log beta) with F' = ``gain``, so an error of log
+    beta moves log(-t) by ``gain`` times it, a by itself, and b by only
+    ``gain`` - 1 times it, about beta / 2 of it.  1 - beta also takes an
+    ulp of a subnormal beta; the relative error of t grows as beta nears 1
+    and 1 - beta cancels.  Where twice that error would exceed
+    ``_SQUEEZE_MAX_MARGIN`` (1 - beta cancels, or beta underflows), every
+    bound is +inf; at the floor (beta == 1) the error of t counts as 0:
+    no computed t lies lower.
     """
+    lb, log_p = _log_beta_at(pair, ell)
+    t = _log1m_from_log_beta(lb)
+    log_t = np.log(-t)
     err_lb = 64.0 * _EPS * (1.0 + np.abs(ell) + np.abs(lb) + np.where(log_p > -math.inf, -log_p, 0.0))
-    beta = np.exp(np.minimum(lb, 0.0))
-    margin = 2.0 * ((beta * err_lb + 2.0**-1074) / (np.exp(t) * -t) + 4.0 * _EPS)
-    return np.where(t == _LOG1M_FLOOR, 0.0, margin)
+    one_minus = np.exp(t) * -t  # (1 - beta) (-t)
+    gain = np.exp(np.minimum(lb, 0.0)) / one_minus
+    rest = 2.0**-1074 / one_minus + 4.0 * _EPS
+    a, b = ell + lb, log_t - lb
+    err_a = err_lb + 2.0 * _EPS * (1.0 + np.abs(a))
+    err_b = np.abs(gain - 1.0) * err_lb + rest + 4.0 * _EPS * (1.0 + np.abs(log_t) + np.abs(b))
+    floor = t == _LOG1M_FLOOR
+    gain[floor] = rest[floor] = 0.0
+    bad = ~(2.0 * (gain * err_lb + rest) <= _SQUEEZE_MAX_MARGIN)
+    for x in (err_a, err_b, gain, rest):
+        x[bad] = math.inf
+    return _Parts(ell, a, b, log_t + ell, err_a, err_b, err_lb, gain, rest, log_p)
+
+
+def _bounds(parts: _Parts, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Upper bounds on g and their widths in units of exp(ell - g): the nodes', then the cells'.
+
+    On a node, the point's t and the node's each lie within ``err_t`` of
+    the truth.  In the cell between nodes i and i + 1, g lies between a at
+    i and b at i + 1 and a at i + 1 and b at i, each within its error,
+    and the point's log(-t) within ``gain`` times log beta's error, plus
+    the rest, of g: neither bound is above its larger value at the nodes
+    (|ell| by at most h).  Each bound also covers its own rounding and the
+    sampler's, of ell - g and of exp.  A width also covers the product
+    with x and the rounding of the gap.
+    """
+    p = parts
+    err_t = p.err_t()
+    err_lb = np.maximum(p.err_lb[:-1], p.err_lb[1:]) + 64.0 * _EPS * h
+    cell_t = np.maximum(p.gain[:-1], p.gain[1:]) * err_lb + np.maximum(p.rest[:-1], p.rest[1:])
+    out = []
+    for hi, lo, right in (
+        (p.g + 2.0 * err_t, p.g - 2.0 * err_t, p.ell),
+        (p.a[1:] + p.b[:-1] + (p.err_a[1:] + p.err_b[:-1] + cell_t),
+         p.a[:-1] + p.b[1:] - (p.err_a[:-1] + p.err_b[1:] + cell_t), p.ell[1:]),
+    ):
+        # rounding: of the bounds and of g's own sum, at most 2 ulps each
+        hi += 4.0 * _EPS * (1.0 + np.abs(hi) + np.abs(right))
+        lo -= 4.0 * _EPS * (1.0 + np.abs(lo) + np.abs(right))
+        slack = 8.0 * _EPS * (2.0 + h + np.abs(right) + np.abs(hi))  # ell - g and exp
+        hi += slack
+        width = np.exp(right - hi + slack) * (np.expm1(hi - lo + slack) + 64.0 * _EPS)
+        width *= 1.0 + 64.0 * _EPS
+        drop = ~(width < math.inf)  # nan too
+        hi[drop], width[drop] = math.inf, math.inf
+        out += [hi, width]
+    return tuple(out)
 
 
 @lru_cache(maxsize=64)
@@ -398,17 +475,19 @@ def _squeeze_table(pair: DistributionPair) -> _Squeeze | None:
     """The pair's squeeze table, or None where the exact path stays.
 
     The nodes cover the values of ell on all but about 2e-9 of P's mass,
-    at most ``_SQUEEZE_NODES`` of them at a power-of-two spacing.  t comes
-    from the pair alone, in chunks of ``_BUILD_CHUNK`` nodes; no generator
-    draws.  A node decides nothing where its margin exceeds
-    ``_SQUEEZE_MAX_MARGIN`` (1 - beta cancels, or beta underflows), below
-    the last node at the floor (where beta is 1, a computed t may lie above
-    the floor), and at either end of a cell whose widened ends cross.  The
-    table's margin is the largest that remains.  A table whose predicted
-    undecided share exceeds ``_SQUEEZE_MAX_SHARE`` is not kept: that share,
-    the sum over cells of P(cell) min(1, |1/t_hi - 1/t_lo|), is the mean
-    number of integers between the ends of a bracket, x = log(1 - v) being
-    -1 on average.  Cached, as ``_stop_delta`` is.
+    at most ``_SQUEEZE_NODES`` of them at a power-of-two spacing h.  g
+    comes from the pair alone, in chunks of ``_BUILD_CHUNK`` nodes; no
+    generator draws.  An entry decides nothing where a node's margin
+    exceeds ``_SQUEEZE_MAX_MARGIN`` (``_g_parts``), below the last node at
+    the floor and in the cell above it (where beta is 1, a computed t may
+    lie above the floor, and log(-t) is infinite), and where its width
+    exceeds the table's.  That width is the power of two w that minimizes
+    the predicted undecided share, w P(width <= w) + P(width > w), then
+    narrowed to the widest entry it keeps.  -x is 1 on average, and a
+    cell's width is about h (P(r > c) + beta / 2), so the share is near h
+    at every K: the bracket on K does not widen with it.  A table whose
+    predicted share exceeds ``_SQUEEZE_MAX_SHARE`` is not kept.  Cached,
+    as ``_stop_delta`` is.
 
     Finite pairs read their support table instead.  Gaussian pairs of
     unequal variances keep the exact path: their level sets take a square
@@ -433,52 +512,59 @@ def _squeeze_table(pair: DistributionPair) -> _Squeeze | None:
             return None
         first = math.floor(ell_lo / h)
         size = math.ceil(ell_hi / h) - first + 1
-        # t, with a nan at either end for the points below and above the nodes
-        table = np.full(size + 2, math.nan)
-        t = table[1:-1]
-        margin, above, at = np.empty((3, size))
+        # node i (from 0) at entry 2i + 1, the cell above it at 2i + 2
+        table, width = np.full(2 * size + 1, math.inf), np.full(2 * size + 1, math.inf)
+        above = np.empty(size)  # P(ell > node)
+        floor = -1  # the last node at the floor
         for start in range(0, size, _BUILD_CHUNK):
-            s = slice(start, min(start + _BUILD_CHUNK, size))
-            nodes = np.arange(first + s.start, first + s.stop) * h
-            lb, log_p = _log_beta_at(pair, nodes)
-            t[s] = _log1m_from_log_beta(lb)
-            margin[s] = _node_margins(nodes, lb, log_p, t[s])
-            above[s] = np.exp(log_p)  # P(ell > node)
-            # P(ell >= node): the mass on the node is decided by the node alone
-            at[s] = np.exp(pair.superlevel_masses(np.nextafter(nodes, -math.inf))[0])
-        # beta below float32's normal range makes K > 2**126, past the index range anyway
-        t[~(margin <= _SQUEEZE_MAX_MARGIN) | (t > -_FLOAT32_TINY)] = math.nan
-        floor = np.flatnonzero(table == _LOG1M_FLOOR)
-        if floor.size:
-            table[: floor[-1]] = math.nan
-        w = float(np.max(margin, where=~np.isnan(t), initial=0.0))
-        # 1 / t at the cells' ends, widened at a lower end and narrowed at an upper:
-        # where they cross (t < 0: the upper end below the lower), both ends decide nothing
-        crossed = np.flatnonzero(1.0 / (table[1:] * (1.0 - w)) > 1.0 / (table[:-1] * (1.0 + w)))
-        table[crossed] = table[crossed + 1] = math.nan
-        if _undecided_share(table, w, above, at) > _SQUEEZE_MAX_SHARE:
+            stop = min(start + _BUILD_CHUNK, size)
+            nodes = np.arange(first + start, first + min(stop + 1, size)) * h  # and the next node
+            parts = _g_parts(pair, nodes)
+            node_hi, node_w, cell_hi, cell_w = _bounds(parts, h)
+            n, cells = stop - start, nodes.size - 1
+            table[2 * start + 1 : 2 * stop + 1 : 2] = node_hi[:n]
+            width[2 * start + 1 : 2 * stop + 1 : 2] = node_w[:n]
+            table[2 * start + 2 : 2 * (start + cells) + 2 : 2] = cell_hi
+            width[2 * start + 2 : 2 * (start + cells) + 2 : 2] = cell_w
+            above[start:stop] = np.exp(parts.log_p[:n])
+            at_floor = np.flatnonzero(parts.err_t()[:n] == 0.0)
+            if at_floor.size:
+                floor = start + int(at_floor[-1])
+        if floor >= 0:
+            table[: 2 * floor + 1] = width[: 2 * floor + 1] = math.inf
+            table[2 * floor + 2] = width[2 * floor + 2] = math.inf
+        w = _table_width(width, above)
+        if w is None:
             return None
-        lo = _float32_toward(table * (1.0 + w), -math.inf)
-        hi = _float32_toward(table * (1.0 - w), math.inf)
-    hi[table == _LOG1M_FLOOR] = -math.inf
-    return _Squeeze(1.0 / h, first - 1.0, lo, hi)
+        table[width > w] = math.inf
+    return _Squeeze(1.0 / h, first - 1.0, table, float(np.max(width, where=width <= w, initial=0.0)))
 
 
-def _undecided_share(table: np.ndarray, w: float, above: np.ndarray, at: np.ndarray) -> float:
-    """The share of points that ``table`` with margin ``w`` is predicted to leave undecided.
+def _table_width(width: np.ndarray, above: np.ndarray) -> float | None:
+    """The power of two w that minimizes the predicted undecided share, or None where it is too large.
 
-    ``above`` and ``at`` are P(ell > node) and P(ell >= node).
+    ``width`` holds the entries' widths, ``above`` P(ell > node).  A point
+    between nodes i - 1 and i, or on node i, is decided with chance 1 -
+    w -x at most where both entries are at most w wide (-x being 1 on
+    average), and never elsewhere; the points on the first node and below
+    are counted with that node, and the points above the last as
+    undecided.
     """
-    # 1 / t at the ends of the brackets: widened at a lower end, narrowed at an upper
-    inv_lo, inv_hi = 1.0 / (table * (1.0 + w)), 1.0 / (table * (1.0 - w))
-    # the mean number of integers between the ends of a bracket, at most 1
-    # (fmin: a nan end leaves the bracket undecided), in each cell and on each node;
-    # in place, so that the build's peak memory stays near its arrays
-    cells = np.subtract(inv_hi[1:], inv_lo[:-1])
-    np.fmin(np.abs(cells, out=cells), 1.0, out=cells)
-    nodes = np.fmin(np.abs(np.subtract(inv_hi, inv_lo, out=inv_hi), out=inv_hi), 1.0, out=inv_hi)[1:-1]
-    # P(between nodes i and i + 1) = P(ell > node i) - P(ell >= node i + 1)
-    return float(cells[0] + above @ cells[1:] - at @ cells[:-1] + (at - above) @ nodes)
+    mass = np.maximum(np.subtract(np.concatenate(([1.0], above[:-1])), above), 0.0)
+    wider = np.maximum(width[0:-1:2], width[1::2])
+    wider[0] = width[1]
+    exponent = np.frexp(np.maximum(wider, 2.0**-1022))[1]
+    kept = wider <= 1.0  # a wider entry decides hardly any point
+    if not kept.any():  # every point undecided
+        return None if 1.0 > _SQUEEZE_MAX_SHARE else 0.0
+    low = int(exponent[kept].min())
+    share = np.cumsum(np.bincount(exponent[kept] - low, weights=mass[kept]))
+    w = np.ldexp(1.0, np.arange(low, low + share.size))
+    share = w * share + (1.0 - share)
+    best = int(np.argmin(share))
+    if share[best] > _SQUEEZE_MAX_SHARE:
+        return None
+    return float(w[best])
 
 
 @lru_cache(maxsize=1)
@@ -573,13 +659,14 @@ def sample_indices(
     At every draw count, the pair's squeeze table (``_squeeze_table``:
     built once per pair on the caller's thread, at its first draw, and
     None where it does not pay) replaces most of that work.  The helpers
-    then write each point's bracket on log(1 - beta), read from the table
-    at ell = log r(u), into the block's slice of the index array in place
-    of log(1 - beta).  The caller's thread takes K where the two ends of
-    the bracket give the same index.  At the other points alone it
-    computes log(1 - beta), after drawing the block's uniforms; beta's
-    underflow shows there, since no bracket decides a point where it
-    underflows.  Nothing the table computes outlives its block.
+    then write each point's lower end of -1 / t, exp(ell - g) with g read
+    from the table at ell = log r(u), into the block's slice of the index
+    array in place of log(1 - beta).  The caller's thread takes K where
+    the gap from -x times that end up to the next integer is wider than
+    -x times the table's width.  At the other points alone it computes
+    log(1 - beta), after drawing the block's uniforms; beta's underflow
+    shows there, since no entry decides a point where it underflows.
+    Nothing the table computes outlives its block.
 
     Indices are returned as float64 (they can exceed int64 for heavy
     pairs).  ``IndexOverflowError`` is raised once every block has

@@ -766,6 +766,11 @@ def _assert_squeeze_is_exact(pr: DistributionPair, n: int, seed: int, monkeypatc
     assert squeezed[2] == exact[2]
 
 
+def _table_nodes(table) -> np.ndarray:
+    """The levels of ell at the nodes of a squeeze table."""
+    return (table.base + np.arange(1, len(table.g) // 2 + 1)) / table.scale
+
+
 @pytest.fixture
 def every_table(monkeypatch):
     """Keep a squeeze table whatever share it leaves undecided, with a fresh cache."""
@@ -777,7 +782,8 @@ def every_table(monkeypatch):
 
 #: Continuous pairs for the squeeze table: monotone ratios of both kinds,
 #: an unequal-scale Laplace ratio, a near-identical pair (beta near 1
-#: everywhere), and pairs whose beta nears underflow.
+#: everywhere), pairs whose beta nears underflow, and heavy pairs whose
+#: indices reach far past the node spacing's inverse.
 SQUEEZE_CASES = {
     label: pr for label, pr in DEFAULT_PAIRS if not pr.is_finite_kind
 } | {
@@ -787,6 +793,9 @@ SQUEEZE_CASES = {
     "normal:0,1|normal:1e-6,1": DistributionPair(Gaussian(0, 1), Gaussian(1e-6, 1)),
     "normal:0,1|normal:30,1": DistributionPair(Gaussian(0, 1), Gaussian(30, 1)),
     "normal:0,1|normal:38,1": DistributionPair(Gaussian(0, 1), Gaussian(38, 1)),
+    "normal:0,1|normal:3,1": DistributionPair(Gaussian(0, 1), Gaussian(3, 1)),
+    "normal:0,1|normal:8,1": DistributionPair(Gaussian(0, 1), Gaussian(8, 1)),
+    "laplace:0,1|laplace:10,1": DistributionPair(Laplace(0, 1), Laplace(10, 1)),
 }
 
 
@@ -796,11 +805,11 @@ class TestSqueeze:
         # on every node, next to it on both sides and between nodes, for
         # x from v uniform, from v just below 1, and x at or next to an
         # integer multiple of t at the point, where a computed t that is
-        # not quite monotone would show: where the bracket's ends agree,
-        # they are ceil(x / t) at the point itself
+        # not quite monotone would show: where the table decides, it
+        # gives ceil(x / t) at the point itself
         pr = SQUEEZE_CASES[case]
         table = pfr._squeeze_table(pr)
-        nodes = (table.base + np.arange(1, len(table.lo) - 1)) / table.scale
+        nodes = _table_nodes(table)
         rng = np.random.default_rng(0)
         ell = np.concatenate([
             nodes, np.nextafter(nodes, -math.inf), np.nextafter(nodes, math.inf),
@@ -814,16 +823,53 @@ class TestSqueeze:
               multiple, np.nextafter(multiple, 0.0), np.nextafter(multiple, -math.inf)]
         ends = np.empty(ell.size)
         table.ends(ell.copy(), ends)
+        decided_any = False
         for x in xs:
             with np.errstate(over="ignore"):  # x / t past the double range, as in the sampler
-                k, undecided = table.decide(ends, x)
+                k, undecided = table.decide(ends.copy(), x)
             decided = np.ones(ell.size, dtype=bool)
             decided[undecided] = False
+            decided_any |= decided.any()
             assert not (t[decided] == 0.0).any()
             with np.errstate(all="ignore"):
                 exact = np.ceil(x[decided] / t[decided])
-            # K = max(ceil(x / t), 1): at beta == 1 the table's ends are -inf
+            # K = max(ceil(x / t), 1): at beta == 1, t is at the floor
             np.testing.assert_array_equal(np.maximum(k[decided], 1.0), np.maximum(exact, 1.0))
+        # a table that bounds g anywhere decides some of these points
+        assert decided_any == np.isfinite(table.g).any()
+
+    @pytest.mark.parametrize("case", list(SQUEEZE_CASES))
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="no wider float")
+    def test_bracket_covers_every_t_within_its_error(self, case, every_table):
+        # the claim the margins make, in a wider float: a run of the exact
+        # path may compute any t within its error bound of the truth, so on
+        # a node, where the table took t at the same ell, any g within
+        # twice that bound of the g computed here; every e = exp(ell - g)
+        # that gives lies between the point's lower end and that end plus
+        # the table's width.  Next to the nodes and between them, the
+        # same for g within the bound once (the g computed here is one of
+        # those runs, and far closer to the truth than the bound allows)
+        pr = SQUEEZE_CASES[case]
+        table = pfr._squeeze_table(pr)
+        nodes = _table_nodes(table)
+        rng = np.random.default_rng(1)
+        ell = np.concatenate([
+            nodes, np.nextafter(nodes, -math.inf), np.nextafter(nodes, math.inf),
+            rng.uniform(nodes[0], nodes[-1], 2 * nodes.size),
+        ])
+        ends = np.empty(ell.size)
+        table.ends(ell.copy(), ends)
+        with np.errstate(all="ignore"):
+            t = pfr._log1m_from_log_beta(pfr._log_beta_at(pr, ell)[0])
+            err = pfr._g_parts(pr, ell).err_t()
+        err[: nodes.size] *= 2.0
+        decided = ends > 0.0
+        assert np.isfinite(err[decided]).all()
+        wide = np.longdouble
+        ell_w, err_w = ell[decided].astype(wide), err[decided].astype(wide)
+        g = np.log(-t[decided].astype(wide)) + ell_w
+        assert (ends[decided].astype(wide) <= np.exp(ell_w - (g + err_w))).all()
+        assert (np.exp(ell_w - (g - err_w)) <= ends[decided].astype(wide) + wide(table.width)).all()
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(
@@ -866,46 +912,108 @@ class TestSqueeze:
         [
             ("normal:0,1|normal:1,1", 0.005),
             ("normal:0,1|normal:2,1", 0.03),
-            ("normal:0,1|normal:5,1", None),
+            ("normal:0,1|normal:5,1", 0.045),
             ("laplace:0,1|laplace:1,1", 0.005),
             ("laplace:0,1|laplace:3,1", 0.005),
             ("laplace:0,1|laplace:5,1", 0.007),
         ],
     )
     def test_undecided_share(self, label, share, monkeypatch):
-        # the share of draws that takes the exact path; a pair whose
-        # table would leave most of them undecided keeps that path
+        # the share of draws that takes the exact path; on N(0,1)|N(5,1)
+        # it is the heaviest indices, whose margins for log beta's error
+        # are wider than the node spacing
         pr = dict(DEFAULT_PAIRS)[label]
         table = pfr._squeeze_table(pr)
-        assert (table is None) == (share is None)
-        if table is None:
-            return
         exact = []
         log1m_beta = pfr._log1m_beta
         monkeypatch.setattr(pfr, "_log1m_beta", lambda pair, u: exact.append(u.size) or log1m_beta(pair, u))
         n = 2**18
         sample_indices(pr, n, np.random.default_rng(3))
         assert sum(exact) <= share * n
-        assert len(table.lo) - 2 <= pfr._SQUEEZE_NODES
+        assert len(table.g) <= 2 * pfr._SQUEEZE_NODES + 1
+        assert table.g.nbytes <= 512 * 1024
 
     def test_laplace_flats_sit_on_nodes_and_decide(self):
         # log r is +-1 on two flats holding 68% of P's mass; both are nodes,
         # and beta == 1 on the lower one, where t sits at the floor
         pr = dict(DEFAULT_PAIRS)["laplace:0,1|laplace:1,1"]
         table = pfr._squeeze_table(pr)
+        nodes = _table_nodes(table)
+        assert -1.0 in nodes and 1.0 in nodes
         ell = np.repeat([-1.0, 1.0], 5000)
         ends = np.empty(ell.size)
         table.ends(ell.copy(), ends)
-        # on a node: the node's own bracket, -inf at both ends where beta == 1
-        top = int(table.scale - table.base)  # the node at log r = 1
-        pairs = ends.view(np.float32).reshape(-1, 2)
-        np.testing.assert_array_equal(pairs[:5000], [[-math.inf, -math.inf]] * 5000)
-        np.testing.assert_array_equal(pairs[5000:], [[table.lo[top], table.hi[top]]] * 5000)
-        assert -0.46 < table.lo[top] < table.hi[top] < -0.45  # log(1 - 1/e)
-        v = np.random.default_rng(0).random(ell.size)
-        k, undecided = table.decide(ends, np.log(1.0 - v))
-        assert undecided.size == 0
+        # on a node: the node's own entry, at odd places (between nodes: even)
+        low, top = (2 * int(np.flatnonzero(nodes == level)[0]) + 1 for level in (-1.0, 1.0))
+        np.testing.assert_array_equal(ends[:5000], np.exp(-1.0 - table.g[low]))
+        np.testing.assert_array_equal(ends[5000:], np.exp(1.0 - table.g[top]))
+        # e = -1 / t: below any index's reach where beta == 1, and
+        # 1 / -log(1 - 1/e) on the upper flat, within a few ulps
+        assert 0.0 < ends[0] < 1e-290
+        assert ends[-1] == pytest.approx(-1.0 / math.log1p(-math.exp(-1.0)), rel=1e-14)
+        x = np.log(1.0 - np.random.default_rng(0).random(ell.size))
+        k, undecided = table.decide(ends.copy(), x)
+        # K = 1 on every point of the lower flat; on the upper, the exact
+        # index wherever the gap below it is wider than -x times the
+        # table's width, which leaves 1 of these 5000 points to the exact path
+        assert (undecided >= 5000).all() and undecided.size <= 4 * table.width * 5000
         assert (np.maximum(k[:5000], 1.0) == 1.0).all()
+        decided = np.setdiff1d(np.arange(5000, ell.size), undecided)
+        t = pfr._log1m_beta(pr, np.full(1, -2.0))  # log r = 1 for u <= 0
+        np.testing.assert_array_equal(k[decided], np.ceil(x[decided] / t))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        laplace=st.booleans(),
+        gap=st.floats(0.0, 40.0),
+        sign=st.sampled_from([-1.0, 1.0]),
+        scales=st.tuples(st.floats(0.05, 20.0), st.floats(0.05, 20.0)),
+    )
+    def test_parts_of_g_are_monotone(self, laplace, gap, sign, scales):
+        # the two facts the cells' bounds rest on: along a dense grid of
+        # ell over all but about 2e-9 of P's mass, and next to each of its
+        # points, a = ell + log beta never falls and b = log(-t / beta)
+        # never rises, beyond the error bounds at the two ends
+        s = scales[0]
+        if laplace:
+            pr = DistributionPair(Laplace(0.0, s), Laplace(sign * gap * s, scales[1]))
+            raw = np.linspace(1e-9, 1.0 - 1e-9, 20001)
+        else:
+            pr = DistributionPair(Gaussian(0.0, s), Gaussian(sign * gap * s, s))
+            raw = np.linspace(-6.0, 6.0, 20001)
+        with np.errstate(all="ignore"):
+            ell = np.unique(pr.log_ratio(pr.p.transform(raw)))
+            ell = np.unique(np.concatenate([ell, np.nextafter(ell, math.inf)]))
+            parts = pfr._g_parts(pr, ell)
+            err_a = parts.err_a[:-1] + parts.err_a[1:]
+            err_b = parts.err_b[:-1] + parts.err_b[1:]
+            # an infinite bound (beta near 1, or its underflow) claims nothing
+            assert ((parts.a[1:] >= parts.a[:-1] - err_a) | (err_a == math.inf)).all()
+            assert ((parts.b[1:] <= parts.b[:-1] + err_b) | (err_b == math.inf)).all()
+        # the bounds are not vacuous: away from beta near 1 (a small gap)
+        # and from its underflow (a large gap, or scales far apart), most
+        # of the grid has them
+        if 0.1 <= gap <= 20.0 and 0.5 <= scales[1] / s <= 2.0:
+            assert np.isfinite(err_a).mean() > 0.5 and np.isfinite(err_b).mean() > 0.5
+
+    @pytest.mark.parametrize("label", ["normal:0,1|normal:1,1", "normal:0,1|normal:5,1",
+                                       "laplace:0,1|laplace:1,1"])
+    def test_build_memory_stays_flat(self, label):
+        # the cached table fits in 512 kB, and its chunked build holds the
+        # table, the entries' widths and P(ell > node), plus a few dozen
+        # arrays of one chunk each
+        pr = dict(DEFAULT_PAIRS)[label]
+        pfr._squeeze_table(STD_PAIR)  # imports
+        pfr._squeeze_table.cache_clear()
+        tracemalloc.start()
+        try:
+            table = pfr._squeeze_table(pr)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            pfr._squeeze_table.cache_clear()
+        assert table.g.nbytes <= 512 * 1024
+        assert peak <= 2.5 * table.g.nbytes + 48 * 8 * (pfr._BUILD_CHUNK + 1)
 
     def test_table_is_built_once_at_the_first_draw(self):
         pr = DistributionPair(Gaussian(0, 1), Gaussian(1.5, 1))

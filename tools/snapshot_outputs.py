@@ -39,10 +39,13 @@ directory at OUTDIR, so every output lands there under a relative name:
   (non-monotone Gaussian and Laplace ratios, a finite pair with a point P
   never hits) and 2,000 exact rows on the last two, at seeds 0, 1 and 2;
 * 100,003 exact rows at seed 0 on Laplace(0,1)|Laplace(1,1), on the two
-  non-monotone pairs, on the finite pair and on N(0,1)|N(5,1), and 40,003
-  on N(0,1)|N(1,1), read through its squeeze table: several blocks of the
-  exact sampler each.  N(0,1)|N(5,1) is the one command whose indices
-  pass 2**40, where one ulp of beta can move an index by a unit;
+  non-monotone pairs, on the finite pair, on N(0,1)|N(5,1), on
+  N(0,1)|N(3,1) and on Laplace(0,1)|Laplace(10,1), and 40,003 on
+  N(0,1)|N(1,1): several blocks of the exact sampler each.  The
+  continuous pairs of equal scales are read through their squeeze
+  tables, N(0,1)|N(5,1) among them; its indices pass 2**40, where one ulp
+  of beta can move an index by a unit, so its rows pin the table's
+  margins where they are tightest;
 * the first of those (selection rule, delta 1e-8) at the multi-word seeds
   2**64 + 1 and 2**130 + 7, whose streams take longer seed hashes;
 * 2,000 exact rows at seed 0 on N(1e10,1)|N(1e10+1,1), the pair
@@ -120,6 +123,8 @@ EXACT_BLOCKS = (
     ("exact_blocks_nonmonotone_laplace", NONMONOTONE_LAPLACE, "100003"),
     ("exact_blocks_finite", FINITE, "100003"),
     ("exact_blocks_heavy", ("normal:0,1", "normal:5,1"), "100003"),
+    ("exact_blocks_normal_gap_3", ("normal:0,1", "normal:3,1"), "100003"),
+    ("exact_blocks_laplace_gap_10", ("laplace:0,1", "laplace:10,1"), "100003"),
     ("exact_two_blocks", ("normal:0,1", "normal:1,1"), "40003"),
 )
 
