@@ -63,6 +63,14 @@ class _Law:
     def density(self, u):
         return np.exp(self.log_density(u))
 
+    def log_cdf(self, u):
+        loc, scale = vars(self).values()
+        return self._standard_log_cdf((np.asarray(u, dtype=float) - loc) / scale)
+
+    def log_sf(self, u):  # both continuous laws are symmetric
+        loc, scale = vars(self).values()
+        return self._standard_log_cdf((loc - np.asarray(u, dtype=float)) / scale)
+
     def __post_init__(self) -> None:
         # the two fields of a continuous law: a location, then a scale
         (a, loc), (b, scale) = vars(self).items()
@@ -81,11 +89,9 @@ class Gaussian(_Law):
         z = (np.asarray(u, dtype=float) - self.mu) / self.sigma
         return -0.5 * z * z - math.log(self.sigma) - _HALF_LOG_2PI
 
-    def log_cdf(self, u):
-        return _special.log_ndtr((np.asarray(u, dtype=float) - self.mu) / self.sigma)
-
-    def log_sf(self, u):
-        return _special.log_ndtr((self.mu - np.asarray(u, dtype=float)) / self.sigma)
+    @staticmethod
+    def _standard_log_cdf(z):
+        return _special.log_ndtr(z)
 
     @staticmethod
     def raw(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
@@ -106,16 +112,12 @@ class Laplace(_Law):
         z = np.abs(np.asarray(u, dtype=float) - self.theta) / self.lam
         return -z - math.log(2.0 * self.lam)
 
-    def log_cdf(self, u):
-        # log(e^z / 2) left of theta, log(1 - e^-z / 2) right of it, without
-        # a branch: one temporary fewer than a select, which matters for
-        # the million-point arrays of the exact sampler
-        z = (np.asarray(u, dtype=float) - self.theta) / self.lam
+    @staticmethod
+    def _standard_log_cdf(z):
+        # log(e^z / 2) below 0, log(1 - e^-z / 2) above it, without a
+        # branch: one temporary fewer than a select, which matters for the
+        # million-point arrays of the exact sampler
         return np.log1p(-0.5 * np.exp(-np.maximum(z, 0.0))) + np.minimum(z, 0.0)
-
-    def log_sf(self, u):
-        z = (np.asarray(u, dtype=float) - self.theta) / self.lam
-        return np.log1p(-0.5 * np.exp(np.minimum(z, 0.0))) - np.maximum(z, 0.0)
 
     def transform(self, v):
         # inverse CDF; the 1-2|c| term is floored to keep endpoint draws finite
@@ -258,14 +260,9 @@ class DistributionPair:
             tails = [np.cumsum(np.asarray(d.probs)[order][::-1])[::-1] for d in (p, q)]
             with np.errstate(divide="ignore"):
                 return tuple(np.log(np.append(t, 0.0)[j]) for t in tails)
-        shape, lo, hi = self._ratio.level_set(log_c)
-        if shape == "below":
-            return p.log_cdf(hi), q.log_cdf(hi)
-        if shape == "above":
-            return p.log_sf(lo), q.log_sf(lo)
-        if shape == "inside":
-            return _log_interval_mass(p, lo, hi), _log_interval_mass(q, lo, hi)
-        return tuple(np.logaddexp(d.log_cdf(lo), d.log_sf(hi)) for d in (p, q))
+        r = self._ratio
+        shape, lo, hi = r.level_set(log_c)
+        return tuple(_log_mass(d, s, r.peak, shape, lo, hi) for d, s in zip((p, q), r.shifts))
 
     def log_ratio_sup(self) -> float:
         """Natural log of sup_u dP/dQ(u); may be +inf."""
@@ -278,7 +275,8 @@ class DistributionPair:
         Each continuous ratio is written about its centre: a (centre, slope
         or curvature, top) triple gives its level sets and its sup, and far
         from the origin log r errs by no more than the rounding of a centre
-        moves it.  No coefficient is taken in absolute coordinates.
+        moves it.  No coefficient or level-set edge is in absolute
+        coordinates: an edge is an offset from the centre (see ``_log_mass``).
 
         * Equal scales (``_line``): centre the midpoint of the locations,
           slope (mu_p - mu_q) / sigma^2 or +-2 / lambda, top the bound at
@@ -296,9 +294,9 @@ class DistributionPair:
           other location and 1 / lambda_narrow - 1 / lambda_wide beyond it,
           top log r at the centre.
 
-        Continuous level sets {r > c} are (shape, lo, hi): "below" is
-        (-inf, hi), "above" is (lo, inf), "inside" is (lo, hi) and "outside"
-        is the complement of [lo, hi].
+        Continuous level sets {r > c} are (shape, lo, hi), the edges offsets
+        from the centre: "below" is (-inf, hi), "above" is (lo, inf),
+        "inside" is (lo, hi) and "outside" is the complement of [lo, hi].
         """
         p, q = self.p, self.q
         if self.is_finite_kind:
@@ -310,14 +308,14 @@ class DistributionPair:
                 edge = np.where(np.asarray(log_c) < 0.0, math.inf, -math.inf)
                 return "below", edge, edge
 
-            return _Ratio(lambda u: np.zeros_like(u), 0.0, level_set)
+            return _Ratio(lambda u: np.zeros_like(u), 0.0, level_set, (0.0, 0.0))
         if isinstance(p, Gaussian):
             gap = p.mu - q.mu
             # sq^2 - sp^2 without the cancellation of the squares
             spread = (q.sigma - p.sigma) * (q.sigma + p.sigma)
             a = -0.5 * spread / q.sigma**2 / p.sigma**2
             if a == 0.0:
-                return _line(0.5 * (p.mu + q.mu), gap / p.sigma**2, math.inf)
+                return _line(0.5 * (p.mu + q.mu), 0.5 * gap, gap / p.sigma**2, math.inf)
             log_scales = math.log(q.sigma / p.sigma)
             # log r about the narrower law's location: each term is then at most
             # about |log p| + |log q|, where a (u - pivot)^2 + top cancels once
@@ -326,6 +324,7 @@ class DistributionPair:
                 centre, slope, at_centre = p.mu, gap / q.sigma**2, log_scales + 0.5 * (gap / q.sigma) ** 2
             else:
                 centre, slope, at_centre = q.mu, gap / p.sigma**2, log_scales - 0.5 * (gap / p.sigma) ** 2
+            shifts = (0.0, gap) if p.sigma < q.sigma else (-gap, 0.0)
             # the vertex as an offset from the centre, the squared gap halved before it
             # is divided: neither mu_p sq^2 nor 2 (sq^2 - sp^2), which may overflow
             vertex = gap * (min(p.sigma, q.sigma) ** 2 / spread)
@@ -348,13 +347,12 @@ class DistributionPair:
                 with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                     vieta = (at_centre - log_c) / (a * far)
                 near = np.where((drop > 0.0) & np.isfinite(far), vieta, vertex - side * width)
-                lo, hi = (near, far) if side > 0.0 else (far, near)
-                return centre + lo, centre + hi
+                return (near, far) if side > 0.0 else (far, near)
 
-            return _around(log_r, top, a < 0.0, edges)
+            return _around(log_r, top, a < 0.0, edges, shifts, vertex)
+        gap = p.theta - q.theta
         if p.lam == q.lam:
-            gap = p.theta - q.theta
-            return _line(0.5 * (p.theta + q.theta), math.copysign(2.0 / p.lam, gap), abs(gap) / p.lam)
+            return _line(0.5 * (p.theta + q.theta), 0.5 * gap, math.copysign(2.0 / p.lam, gap), abs(gap) / p.lam)
         # two kinks, with the extremum at the narrower law's location
         c = math.log(q.lam / p.lam)
         far = math.inf if q.lam < p.lam else -math.inf  # the narrower law's term wins
@@ -369,19 +367,21 @@ class DistributionPair:
             return out
 
         peaked = p.lam < q.lam
-        gap = abs(p.theta - q.theta)
-        pivot, top = (p.theta, c + gap / q.lam) if peaked else (q.theta, c - gap / p.lam)
+        shifts = (0.0, gap) if peaked else (-gap, 0.0)
+        gap = abs(gap)
+        top = c + gap / q.lam if peaked else c - gap / p.lam
         narrow, wide = sorted((p.lam, q.lam))
         steep, shallow = 1.0 / narrow + 1.0 / wide, 1.0 / narrow - 1.0 / wide
+        other_right = sum(shifts) <= 0.0  # the other location, at or right of the extremum
 
         def edges(log_c, drop):
             # past the other location's kink the slope flattens
             toward = np.maximum(drop / steep, gap + (drop - steep * gap) / shallow)
             away = drop / shallow
-            left, right = (away, toward) if p.theta + q.theta >= 2.0 * pivot else (toward, away)
-            return pivot - left, pivot + right
+            left, right = (away, toward) if other_right else (toward, away)
+            return -left, right
 
-        return _around(log_r, top, peaked, edges)
+        return _around(log_r, top, peaked, edges, shifts, 0.0)
 
 
 class _Ratio(NamedTuple):
@@ -390,12 +390,15 @@ class _Ratio(NamedTuple):
     log: Callable[[np.ndarray], np.ndarray]  # log r on arrays
     sup: float  # log sup r; may be +inf
     level_set: Callable | None  # log c -> {r > c} as (shape, lo, hi); None for finite pairs
+    shifts: tuple[float, float] | None = None  # the centre less each law's location
+    peak: float = 0.0  # the extremum's offset from the centre, where there is one
 
 
-def _line(mid: float, slope: float, bound: float) -> _Ratio:
+def _line(mid: float, half_gap: float, slope: float, bound: float) -> _Ratio:
     """log r = slope * (u - mid), clipped to [-bound, bound]; its top is bound.
 
-    No point exceeds a level at or above +bound, and every point exceeds
+    The centre ``mid`` sits -half_gap from P's location and half_gap from
+    Q's.  No point exceeds a level at or above +bound, and every point exceeds
     one below -bound.  There the offset from the midpoint is divided by
     zero, which sends the edge to the infinity of its sign, without a data
     branch.  An unbounded line (bound +inf) clips nothing.
@@ -405,8 +408,7 @@ def _line(mid: float, slope: float, bound: float) -> _Ratio:
     def level_set(log_c):
         with np.errstate(divide="ignore"):
             offset = np.divide(log_c / slope, (log_c < bound) & (log_c >= -bound))
-        x = mid + offset
-        return shape, x, x
+        return shape, offset, offset
 
     def log_r(u):
         # in place: one new array instead of four, for the exact sampler's blocks
@@ -415,15 +417,16 @@ def _line(mid: float, slope: float, bound: float) -> _Ratio:
         np.maximum(x, -bound, out=x)
         return np.minimum(x, bound, out=x)
 
-    return _Ratio(log_r, bound, level_set)
+    return _Ratio(log_r, bound, level_set, (-half_gap, half_gap))
 
 
-def _around(log_r, top: float, peaked: bool, edges) -> _Ratio:
+def _around(log_r, top: float, peaked: bool, edges, shifts: tuple[float, float], peak: float) -> _Ratio:
     """A ratio monotone on each side of its extremum: a peak (``peaked``) or a trough.
 
     log r is ``top`` at the extremum; ``edges(log_c, drop)`` gives the two
     points (lo, hi) where log r = log_c, that is where it has moved by
-    ``drop`` from ``top``, and the extremum twice where ``drop`` is 0.
+    ``drop`` from ``top``, and the extremum twice where ``drop`` is 0, as
+    offsets from the centre, as ``peak`` is the extremum's.
     """
     shape = "inside" if peaked else "outside"
 
@@ -431,16 +434,33 @@ def _around(log_r, top: float, peaked: bool, edges) -> _Ratio:
         drop = np.maximum(top - log_c if peaked else log_c - top, 0.0)
         return (shape, *edges(log_c, drop))
 
-    return _Ratio(log_r, top if peaked else math.inf, level_set)
+    return _Ratio(log_r, top if peaked else math.inf, level_set, shifts, peak)
 
 
-def _log_interval_mass(d: Gaussian | Laplace, lo, hi):
-    """log of the mass d puts on (lo, hi).
+def _log_mass(d: Gaussian | Laplace, shift: float, peak: float, shape: str, lo, hi):
+    """log of the mass d puts on the level set (shape, lo, hi) of ``_Ratio``.
 
-    Near 1 the log cdf keeps the tail mass to full relative precision, so
-    the difference taken in log space does not cancel in the right tail.
+    An edge x, an offset from the centre, is at d's location plus shift +
+    x, so no location cancels.  An interval around the peak is measured by
+    the tails on the peak's side of d's location, which do not both round
+    to 1 when it lies far out in a tail.
     """
-    a, b = d.log_cdf(lo), d.log_cdf(hi)
+    _, scale = vars(d).values()
+
+    def below(x):  # log d((-inf, x])
+        return d._standard_log_cdf((x + shift) / scale)
+
+    def above(x):  # log d((x, inf))
+        return d._standard_log_cdf((-shift - x) / scale)
+
+    if shape == "below":
+        return below(hi)
+    if shape == "above":
+        return above(lo)
+    if shape == "outside":
+        return np.logaddexp(below(lo), above(hi))
+    # log(e^b - e^a): the log tails keep the masses' digits, and so does this
+    a, b = (above(hi), above(lo)) if peak + shift > 0.0 else (below(lo), below(hi))
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(a < b, b + np.log(-np.expm1(a - b)), -math.inf)
 

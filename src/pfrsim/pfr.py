@@ -16,14 +16,14 @@ Two samplers produce the transmitted index K with its accepted sample:
   then each index from its conditional geometric law with success
   probability beta(u); the joint law matches the selection rule exactly
   and the cost is O(1) per draw, which is the only tractable route when
-  E[K] is astronomically large.  The work runs in cache-sized blocks on
-  the caller's thread and a private thread pool, one helper per further
-  CPU: the caller's thread draws from the generator block by block, in
-  the order of two whole-array calls, and hands each block drawn to the
-  pool as a future; it runs the blocks no helper has started while it
-  waits for one.  The results do not depend on how many CPUs there are.
-  An exception in a block reaches the caller once every started block
-  is done and the rest are cancelled.  At every draw count, K comes from
+  E[K] is astronomically large.  The work runs in cache-sized blocks
+  over a thread pool of the call's own, one helper per further CPU: the
+  caller's thread draws from the generator block by block, in the order
+  of two whole-array calls; helpers run the blocks drawn, and the
+  caller's thread draws their uniforms and finishes them, in order.  The
+  results do not depend on how many CPUs there are.  An exception
+  cancels the blocks not yet started and reaches the caller once the
+  started ones are done.  At every draw count, K comes from
   a squeeze (Marsaglia 1977; Devroye 1986, section II.5): K =
   max(ceil(x / t), 1) with x = log(1 - v) and t = log(1 - beta), and x /
   t = -x exp(ell - g) with g = log(-t) + ell, a function of ell = log
@@ -567,26 +567,12 @@ def _table_width(width: np.ndarray, above: np.ndarray) -> float | None:
     return float(w[best])
 
 
-@lru_cache(maxsize=1)
-def _pool() -> ThreadPoolExecutor | None:
-    """The block helpers: a thread pool created on first use.
-
-    One helper per CPU this process may run on, besides the caller's
-    thread; no pool on one CPU.
-    """
+def _helpers() -> int:
+    """The CPUs this process may run on, besides the caller's thread."""
     try:
-        helpers = len(os.sched_getaffinity(0)) - 1
+        return len(os.sched_getaffinity(0)) - 1
     except AttributeError:  # not on every platform
-        helpers = (os.cpu_count() or 1) - 1
-    if helpers < 1:
-        return None
-    from concurrent.futures import ThreadPoolExecutor  # ~7 ms to import (logging among it)
-
-    return ThreadPoolExecutor(helpers, thread_name_prefix="pfrsim-block")
-
-
-if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's threads
-    os.register_at_fork(after_in_child=_pool.cache_clear)
+        return (os.cpu_count() or 1) - 1
 
 
 def _run_blocks(
@@ -597,42 +583,35 @@ def _run_blocks(
 ) -> None:
     """Call ``fill(i)``, ``run_block(i)`` and ``finish(i)`` once for each i < n_blocks.
 
-    The caller's thread calls ``fill(i)`` for each i in order, handing
-    ``run_block(i)`` to the pool once block i is filled, and then
-    ``finish(i)`` for each i in order once block i has run.  While block
-    i is not done, it runs the next block no helper has started (whose
-    future it cancels), so no pool task ever waits for another.  An
-    exception is raised once the blocks not started are cancelled and
-    the started ones are done: the caller's thread's at once, a helper's
-    when the caller's thread reaches its block, other blocks running
-    until then.
+    The caller's thread calls ``fill(i)`` for each i in order, and then
+    ``finish(i)`` for each i in order once block i has run.  With two
+    blocks or more and a spare CPU, helpers run the blocks: a pool of the
+    call's own, one helper per further CPU, gets ``run_block(i)`` once
+    block i is filled.  Otherwise the caller's thread runs each block
+    just before finishing it.  An exception cancels the blocks not
+    started and reaches the caller once the started ones are done.
     """
-    pool = _pool() if n_blocks > 1 else None
-    futures = []  # block i's future; cancelled where the caller's thread ran it
-    try:
+    helpers = _helpers() if n_blocks > 1 else 0
+    if helpers < 1:
         for i in range(n_blocks):
             fill(i)
-            if pool is not None:
-                futures.append(pool.submit(run_block, i))
-        if pool is None:
-            for i in range(n_blocks):
-                run_block(i)
-                finish(i)
-            return
-        j = 0  # blocks below j are started or done
-        for i, future in enumerate(futures):
-            while j < n_blocks and not future.done():  # a cancelled future is done
-                if futures[j].cancel():
-                    run_block(j)
-                j += 1
-            if not future.cancelled():
-                future.result()  # waits for the block; a helper's exception, raised here
+        for i in range(n_blocks):
+            run_block(i)
             finish(i)
-    except BaseException:
-        for f in reversed(futures):  # last first: the pool starts blocks in order
-            if not f.cancel():
-                f.exception()  # waits for a started block, raising nothing
-        raise
+        return
+    from concurrent.futures import ThreadPoolExecutor  # ~7 ms to import (logging among it)
+
+    pool = ThreadPoolExecutor(helpers, thread_name_prefix="pfrsim-block")
+    try:
+        futures = []
+        for i in range(n_blocks):
+            fill(i)
+            futures.append(pool.submit(run_block, i))
+        for i, future in enumerate(futures):
+            future.result()  # a helper's exception, raised here
+            finish(i)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def sample_indices(
@@ -644,17 +623,17 @@ def sample_indices(
     for all n accepted samples and then ``random(n)`` for the geometric
     draws, but in blocks of ``_BLOCK`` points on the caller's thread:
     numpy fills an array in order, so the draws and the final generator
-    state are the same.  The rest is elementwise and runs per block over
-    the CPUs the process may use (see ``_run_blocks``).  Once a block's
-    samples are drawn, its transform and log(1 - beta) run while the
-    generator draws on, log(1 - beta) going into the block's slice of the
-    index array; then the caller's thread draws the block's uniforms into
-    one reused buffer and turns them into its indices.  Each block runs
-    under the sampler's own numpy error state rather than the caller's,
-    and every entry gets the bits it gets alone, whatever the CPU count.
-    beta is in closed form for every pair, so the cost is O(1) per draw;
-    a finite pair's is worked out once per support point, on the caller's
-    thread, and gathered.
+    state are the same.  The rest is elementwise and runs per block on a
+    thread pool of the call's own (see ``_run_blocks``).  Once a block's
+    samples are drawn, a helper runs its transform and log(1 - beta)
+    while the generator draws on, log(1 - beta) going into the block's
+    slice of the index array; then the caller's thread draws the block's
+    uniforms into one reused buffer and turns them into its indices.
+    Each block runs under the sampler's own numpy error state rather than
+    the caller's, and every entry gets the bits it gets alone, whatever
+    the CPU count.  beta is in closed form for every pair, so the cost is
+    O(1) per draw; a finite pair's is worked out once per support point,
+    on the caller's thread, and gathered.
 
     At every draw count, the pair's squeeze table (``_squeeze_table``:
     built once per pair on the caller's thread, at its first draw, and

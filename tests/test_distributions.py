@@ -14,7 +14,6 @@ from pfrsim.distributions import (
     Finite,
     Gaussian,
     Laplace,
-    _log_interval_mass,
     kl_divergence,
     numeric_renyi_divergence,
     parse_distribution,
@@ -862,24 +861,30 @@ def _reference_extremum(pr):
 
 
 def _reference_superlevel_set(pr, log_c):
-    """{r > c} as (shape, lo, hi), worked out from the extremum for each kind."""
+    """{r > c} as (shape, lo, hi, shifts), worked out from the extremum for each kind.
+
+    The edges are offsets from a centre: the midpoint of the locations for
+    equal scales, else the narrower law's location.  ``shifts`` is the
+    centre less P's location and less Q's.
+    """
     p, q = pr.p, pr.q
+    (loc_p, _), (loc_q, _) = (vars(d).values() for d in (p, q))
     if p == q:
         edge = np.where(np.asarray(log_c) < 0.0, math.inf, -math.inf)
-        return "below", edge, edge
+        return "below", edge, edge, (0.0, 0.0)
     same_scale, peaked, pivot, top = _reference_extremum(pr)
     if same_scale:
         if isinstance(p, Gaussian):
-            mid, slope = 0.5 * (p.mu + q.mu), (p.mu - q.mu) / p.sigma**2
+            slope = (p.mu - q.mu) / p.sigma**2
             offset = log_c / slope
         else:
-            mid = 0.5 * (p.theta + q.theta)
             slope = math.copysign(2.0 / p.lam, p.theta - q.theta)
             bound = abs(p.theta - q.theta) / p.lam
             with np.errstate(divide="ignore"):
                 offset = np.divide(log_c / slope, (log_c < bound) & (log_c >= -bound))
-        x = mid + offset
-        return ("below" if slope < 0.0 else "above"), x, x
+        half_gap = 0.5 * (loc_p - loc_q)
+        return ("below" if slope < 0.0 else "above"), offset, offset, (-half_gap, half_gap)
+    shifts = (0.0, loc_p - loc_q) if peaked else (loc_q - loc_p, 0.0)
     drop = np.maximum(top - log_c if peaked else log_c - top, 0.0)
     shape = "inside" if peaked else "outside"
     if isinstance(p, Gaussian):
@@ -896,7 +901,7 @@ def _reference_superlevel_set(pr, log_c):
             vieta = (at_centre - log_c) / (a * far)
             near = np.where((drop > 0.0) & np.isfinite(far), vieta, vertex - side * width)
         lo, hi = (near, far) if side > 0.0 else (far, near)
-        return shape, narrow.mu + lo, narrow.mu + hi
+        return shape, lo, hi, shifts
     else:
         narrow, wide = sorted((p.lam, q.lam))
         steep, shallow = 1.0 / narrow + 1.0 / wide, 1.0 / narrow - 1.0 / wide
@@ -904,20 +909,35 @@ def _reference_superlevel_set(pr, log_c):
         toward = np.maximum(drop / steep, gap + (drop - steep * gap) / shallow)
         away = drop / shallow
         left, right = (away, toward) if p.theta + q.theta >= 2.0 * pivot else (toward, away)
-    return shape, pivot - left, pivot + right
+    return shape, -left, right, shifts
+
+
+def _log_difference(a, b):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(a < b, b + np.log(-np.expm1(a - b)), -math.inf)
 
 
 def _reference_masses(pr, log_c):
-    """(log P(r > c), log Q(r > c)) of a continuous pair from the set above."""
-    p, q = pr.p, pr.q
-    shape, lo, hi = _reference_superlevel_set(pr, log_c)
-    if shape == "below":
-        return p.log_cdf(hi), q.log_cdf(hi)
-    if shape == "above":
-        return p.log_sf(lo), q.log_sf(lo)
-    if shape == "inside":
-        return _log_interval_mass(p, lo, hi), _log_interval_mass(q, lo, hi)
-    return tuple(np.logaddexp(d.log_cdf(lo), d.log_sf(hi)) for d in (p, q))
+    """(log P(r > c), log Q(r > c)) of a continuous pair from the set above.
+
+    Each law reads an edge x as its offset shift + x from the law's
+    location, in its standard form; sf(z) is cdf(-z), by symmetry.
+    """
+    shape, lo, hi, shifts = _reference_superlevel_set(pr, log_c)
+    pivot = _reference_extremum(pr)[2]
+    masses = []
+    for d, shift in zip((pr.p, pr.q), shifts):
+        loc, scale = vars(d).values()
+        below = [d._standard_log_cdf((x + shift) / scale) for x in (lo, hi)]
+        above = [d._standard_log_cdf((-shift - x) / scale) for x in (lo, hi)]
+        masses.append({
+            "below": below[1],
+            "above": above[0],
+            # log(e^b - e^a), by the tails on the peak's side of the location
+            "inside": _log_difference(*(above[::-1] if pivot > loc else below)),
+            "outside": np.logaddexp(below[0], above[1]),
+        }[shape])
+    return tuple(masses)
 
 
 def _reference_sup(pr):
@@ -1129,3 +1149,148 @@ class TestLogRatioFarFromTheOrigin:
         for f in (lambda: pr.log_ratio(0.0), pr.log_ratio_sup, lambda: pr.superlevel_masses(0.0)):
             with pytest.raises(DomainError, match="leaves the double range"):
                 f()
+
+
+def _mp_superlevel_masses(pr, log_c):
+    """[(log P(r > c), allowance), (log Q(r > c), allowance)] in 40 digits.
+
+    Worked out about P's location: the locations are multiples of one
+    power of two, so their gap is exact and their size costs no digits.
+    The set's edges are the roots of log r = log c (piece by piece between
+    a Laplace pair's kinks), and each mass sums the law's mass on the
+    intervals between edges where r > c.  The allowance is a few ulps of
+    the log mass, plus its change over the error an edge may carry: a few
+    ulps of its offset from the ratio's centre and from the law's own
+    location, and a few ulps of |log c| + |log p| + |log q| + 1 over the
+    slope of log r there.  The centre is the midpoint of the locations for
+    equal scales, else the narrower law's location.
+    """
+    p, q = pr.p, pr.q
+    (lp, sp), (lq, sq) = ((mpmath.mpf(v) for v in vars(d).values()) for d in (p, q))
+    g, lc, eps = lq - lp, mpmath.mpf(log_c), mpmath.mpf(2.0**-52)
+    laws = ((mpmath.mpf(0), sp), (g, sq))
+    gaussian = isinstance(p, Gaussian)
+
+    def log_density(x, m, s):
+        if gaussian:
+            return -((x - m) ** 2) / (2 * s**2) - mpmath.log(s) - mpmath.log(2 * mpmath.pi) / 2
+        return -abs(x - m) / s - mpmath.log(2 * s)
+
+    def log_r(x):
+        return log_density(x, *laws[0]) - log_density(x, *laws[1])
+
+    def cdf(x, m, s):
+        if gaussian:
+            return mpmath.ncdf(x, m, s)
+        z = (x - m) / s
+        return mpmath.exp(z) / 2 if z < 0 else 1 - mpmath.exp(-z) / 2
+
+    roots = []  # (edge, |d log r/dx| there)
+    if gaussian:
+        # log r = a x^2 + b x + c0
+        a, b = (1 / sq**2 - 1 / sp**2) / 2, -g / sq**2
+        c0 = g**2 / (2 * sq**2) + mpmath.log(sq / sp) - lc
+        if a == 0:
+            if b != 0:
+                roots.append(-c0 / b)
+        elif b * b - 4 * a * c0 > 0:
+            disc = mpmath.sqrt(b * b - 4 * a * c0)
+            roots += [(-b + disc) / (2 * a), (-b - disc) / (2 * a)]
+        roots = [(x, abs(2 * a * x + b)) for x in roots]
+        centre = g / 2 if a == 0 else laws[sp > sq][0]
+    else:
+        kinks = sorted((mpmath.mpf(0), g))
+        ends = [-mpmath.inf, *kinks, mpmath.inf]
+        for lo, hi in zip(ends[:-1], ends[1:]):
+            if lo == hi:
+                continue
+            # log r = log r(x0) + slope (x - x0) on (lo, hi)
+            if lo == -mpmath.inf:
+                x0 = hi - sp - sq
+            else:
+                x0 = lo + sp + sq if hi == mpmath.inf else (lo + hi) / 2
+            slope = -mpmath.sign(x0) / sp + mpmath.sign(x0 - g) / sq
+            if slope != 0:
+                x = x0 + (lc - log_r(x0)) / slope
+                if lo <= x <= hi:
+                    roots.append((x, abs(slope)))
+        centre = g / 2 if sp == sq else laws[sp > sq][0]
+    edges = sorted({x for x, _ in roots})
+    cuts = [-mpmath.inf, *edges, mpmath.inf]
+    inside = []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        if lo == -mpmath.inf:
+            probe = 0 if hi == mpmath.inf else hi - sp - sq
+        else:
+            probe = lo + sp + sq if hi == mpmath.inf else (lo + hi) / 2
+        if log_r(probe) > lc:
+            inside.append((lo, hi))
+    out = []
+    for m, s in laws:
+        # each interval from the side where its mass does not cancel
+        mass = mpmath.fsum(
+            cdf(hi, m, s) - cdf(lo, m, s) if hi <= m else cdf(2 * m - lo, m, s) - cdf(2 * m - hi, m, s)
+            for lo, hi in inside
+        )
+        if mass == 0:
+            out.append((-mpmath.inf, 0.0))
+            continue
+        allowed = 2 * eps * (1 + abs(mpmath.log(mass)))
+        for x, slope in roots:
+            size = abs(lc) + abs(log_density(x, *laws[0])) + abs(log_density(x, *laws[1])) + 1
+            moved = 4 * eps * (abs(x - centre) + abs(x - m) + size / slope)
+            allowed += mpmath.exp(log_density(x, m, s)) / mass * moved
+        out.append((mpmath.log(mass), float(allowed)))
+    return out
+
+
+class TestSuperlevelMassesFarFromTheOrigin:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        kind=st.sampled_from([Gaussian, Laplace]),
+        exponent=st.integers(-40, 447),
+        loc=_MANTISSA,
+        gap=st.integers(-64, 64),
+        shift=_MANTISSA,
+        scale=st.floats(-1.0, 1.5).map(lambda e: 10.0**e),
+        ratio=st.one_of(
+            st.just(1.0),
+            st.floats(0.01, 1.2).map(lambda e: 10.0**e),
+            st.floats(-1.2, -0.01).map(lambda e: 10.0**e),
+            st.floats(-4.0, -1.0).map(lambda e: 1.0 + 10.0**e),
+        ),
+        levels=st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=4),
+    )
+    @example(kind=Gaussian, exponent=0, loc=10**14, gap=1, shift=1, scale=1.0, ratio=1.0,
+             levels=[0.3])
+    @example(kind=Laplace, exponent=0, loc=10**14, gap=1, shift=1, scale=1.0, ratio=1.0,
+             levels=[0.3])
+    def test_accurate_and_shift_invariant(self, kind, exponent, loc, gap, shift, scale, ratio, levels):
+        # locations m 2**e from 2**-40 to about 1e150, gaps and scales of
+        # the order of 2**e: both masses within the allowance of 40-digit
+        # mpmath, and bit for bit those of the pair shifted by n 2**e
+        # (|m + n| < 2**53, so the shifted locations are exact)
+        locs = (loc, loc + gap)
+        laws = [(m, math.ldexp(sd, exponent)) for m, sd in zip(locs, (scale, scale * ratio))]
+        base, moved = (
+            pair(*(kind(math.ldexp(m + n, exponent), sd) for m, sd in laws)) for n in (0, shift)
+        )
+        try:
+            base.log_ratio_sup(), moved.log_ratio_sup()
+        except DomainError:  # the vertex of a near-equal-scale pair leaves the double range
+            return
+        if kind is Laplace and ratio == 1.0:  # no level on a flat, where the masses jump
+            flat = abs(gap) / scale
+            levels = [c for c in levels if abs(abs(c) - flat) > 1e-9 * (1.0 + flat)]
+        levels = np.array(levels)
+        got, got_moved = base.superlevel_masses(levels), moved.superlevel_masses(levels)
+        np.testing.assert_array_equal(got[0], got_moved[0])
+        np.testing.assert_array_equal(got[1], got_moved[1])
+        with mpmath.workdps(40):
+            for j, log_c in enumerate(levels):
+                for g, (want, allowed) in zip((got[0][j], got[1][j]), _mp_superlevel_masses(base, log_c)):
+                    if want == -mpmath.inf:
+                        assert g == -math.inf, (log_c, g)
+                    else:
+                        err = float(abs(mpmath.mpf(float(g)) - want))
+                        assert err <= allowed, (log_c, float(g), float(want), err, allowed)

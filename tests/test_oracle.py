@@ -103,7 +103,7 @@ class TestMomentBounds:
 
     def test_permuted_peak_memory(self, monkeypatch):
         # the sampler's k and u are 16 MB; the whole-array version peaked at 31.5 MiB
-        monkeypatch.setattr(pfr, "_pool", lambda: None)
+        monkeypatch.setattr(pfr, "_helpers", lambda: 0)
         pair = DEFAULT_PAIRS[3][1]
         perm = np.random.default_rng(7).permutation(10**4) + 1
         peak = _peak_bytes(
@@ -139,7 +139,7 @@ class TestLogMoment:
         assert (rep.empirical, rep.std_error) == (emp, se)
 
     def test_peak_memory(self, monkeypatch):
-        monkeypatch.setattr(pfr, "_pool", lambda: None)
+        monkeypatch.setattr(pfr, "_helpers", lambda: 0)
         pair = DEFAULT_PAIRS[3][1]
         peak = _peak_bytes(lambda: verify_log_moment(pair, 10**6, np.random.default_rng(0)))
         assert peak <= 20 * MiB
@@ -167,7 +167,7 @@ class TestDraw:
 
     def test_peak_memory(self, monkeypatch):
         # the sampler's k and u are 16 MB, and every statistic reuses them
-        monkeypatch.setattr(pfr, "_pool", lambda: None)
+        monkeypatch.setattr(pfr, "_helpers", lambda: 0)
         pair = DEFAULT_PAIRS[3][1]
         perm = np.random.default_rng(7).permutation(10**4) + 1
         peak = _peak_bytes(

@@ -5,7 +5,6 @@ import sys
 import threading
 import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -420,6 +419,11 @@ EXACT_CASES = {
 EXACT_SIZES = (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7)
 
 
+def _block_threads():
+    """The exact sampler's helper threads alive now."""
+    return [t for t in threading.enumerate() if t.name.startswith("pfrsim-block")]
+
+
 def _assert_same_draws(got, ref, rng, ref_rng):
     (k, u), (ref_k, ref_u) = got, ref
     assert k.dtype == u.dtype == np.float64
@@ -439,57 +443,57 @@ class TestSampleIndexExact:
         ref = _reference_sample_indices(pr, n, ref_rng)
         rng = np.random.default_rng(n)
         _assert_same_draws(sample_indices(pr, n, rng), ref, rng, ref_rng)
-        monkeypatch.setattr(pfr, "_pool", lambda: None)
+        monkeypatch.setattr(pfr, "_helpers", lambda: 0)
         rng = np.random.default_rng(n)
         _assert_same_draws(sample_indices(pr, n, rng), ref, rng, ref_rng)
 
-    @pytest.mark.parametrize("fail_in", [None, "caller", "helper"])
+    @pytest.mark.parametrize("fail_in", [None, "fill", "run_block", "finish"])
     def test_blocks_over_more_threads_than_cores(self, fail_in, monkeypatch):
-        # seven helpers and a short switch interval: every block is taken
-        # at most once, all of them when none fails, each taken block has
-        # finished on return, and a block's exception reaches the caller
-        pool = ThreadPoolExecutor(7)
-        monkeypatch.setattr(pfr, "_pool", lambda: pool)
+        # seven helpers and a short switch interval: every block runs at
+        # most once, on a helper, all of them when none fails, and a block
+        # runs only once filled; on return or raise, a failing stage's
+        # exception has reached the caller, no block is running and no
+        # helper thread is left
+        monkeypatch.setattr(pfr, "_helpers", lambda: 7)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             caller, lock = threading.current_thread(), threading.Lock()
-            taken, running, failed = [], [0], []
-            caller_took = threading.Event()
+            taken, running, filled = [], [0], set()
 
-            def skip(i):  # nothing to fill or finish
-                pass
+            def fail(stage, i):
+                if stage == fail_in and i == 75:
+                    raise ValueError(f"block {i}")
+
+            def fill(i):
+                fail("fill", i)
+                filled.add(i)
 
             def run_block(i):
-                # helpers hold their blocks until the caller's thread has
-                # taken one, so that the caller surely runs a block
-                if threading.current_thread() is caller:
-                    caller_took.set()
-                else:
-                    caller_took.wait(10)
                 with lock:
                     running[0] += 1
-                taken.append(i)
+                taken.append((i, threading.current_thread(), i in filled))
                 time.sleep(1e-4)
                 with lock:
                     running[0] -= 1
-                    fails = (
-                        fail_in is not None and not failed
-                        and (threading.current_thread() is caller) == (fail_in == "caller")
-                    )
-                    if fails:
-                        failed.append(i)
-                if fails:
-                    raise ValueError(f"block {i}")
+                fail("run_block", i)
+
+            def finish(i):
+                fail("finish", i)
 
             if fail_in is not None:
-                with pytest.raises(ValueError, match="^block "):
-                    pfr._run_blocks(151, skip, run_block, skip)
-                assert failed and len(set(taken)) == len(taken)
-                assert running[0] == 0
+                with pytest.raises(ValueError, match="^block 75$"):
+                    pfr._run_blocks(151, fill, run_block, finish)
+            else:
+                pfr._run_blocks(151, fill, run_block, finish)
+            blocks = [i for i, _, _ in taken]
+            assert len(set(blocks)) == len(blocks) and running[0] == 0
+            assert all(thread is not caller and was_filled for _, thread, was_filled in taken)
+            assert not _block_threads()
+            if fail_in is not None:
+                assert (75 in blocks) == (fail_in != "fill")
                 return
-            pfr._run_blocks(151, skip, run_block, skip)
-            assert sorted(taken) == list(range(151)) and running[0] == 0
+            assert sorted(blocks) == list(range(151))
             # the sampler over many small blocks
             monkeypatch.setattr(pfr, "_BLOCK", 64)
             n = 150 * 64 + 5
@@ -497,35 +501,31 @@ class TestSampleIndexExact:
                 ref_rng, rng = np.random.default_rng(3), np.random.default_rng(3)
                 ref = _reference_sample_indices(pr, n, ref_rng)
                 _assert_same_draws(sample_indices(pr, n, rng), ref, rng, ref_rng)
+            assert not _block_threads()
         finally:
             sys.setswitchinterval(interval)
-            pool.shutdown()
 
     def test_blocks_run_between_their_fill_and_finish(self, monkeypatch):
         # a block is taken only once filled, every fill comes first, and
         # each finish follows its block's run, in order, on the caller's thread
-        pool = ThreadPoolExecutor(3)
-        monkeypatch.setattr(pfr, "_pool", lambda: pool)
-        try:
-            caller, events = threading.current_thread(), []
+        monkeypatch.setattr(pfr, "_helpers", lambda: 3)
+        caller, events = threading.current_thread(), []
 
-            def fill(i):
-                assert threading.current_thread() is caller
-                time.sleep(1e-4)
-                events.append(("fill", i))
+        def fill(i):
+            assert threading.current_thread() is caller
+            time.sleep(1e-4)
+            events.append(("fill", i))
 
-            def run_block(i):
-                events.append(("run", i))
-                time.sleep(1e-4)
-                events.append(("ran", i))
+        def run_block(i):
+            events.append(("run", i))
+            time.sleep(1e-4)
+            events.append(("ran", i))
 
-            def finish(i):
-                assert threading.current_thread() is caller
-                events.append(("finish", i))
+        def finish(i):
+            assert threading.current_thread() is caller
+            events.append(("finish", i))
 
-            pfr._run_blocks(40, fill, run_block, finish)
-        finally:
-            pool.shutdown()
+        pfr._run_blocks(40, fill, run_block, finish)
         at = {event: j for j, event in enumerate(events)}
         assert len(at) == len(events) == 4 * 40
         fills = [at["fill", i] for i in range(40)]
@@ -537,11 +537,11 @@ class TestSampleIndexExact:
 
     @pytest.mark.parametrize("fails", ["raw", "transform"])
     def test_failure_leaves_no_helper_waiting(self, fails, monkeypatch):
-        # a law whose raw draw (on the caller's thread) or transform (on
-        # any thread) raises in its third block: the error reaches the
-        # caller, every helper is free again, and the next call on the
-        # same pool matches the reference.  The raw draw fails late, once
-        # the helpers have run the two blocks drawn.
+        # a law whose raw draw (on the caller's thread) or transform (on a
+        # helper) raises in its third block: the error reaches the caller,
+        # no helper thread is left, and the next call matches the
+        # reference.  The raw draw fails late, once the helpers have run
+        # the two blocks drawn.
         calls = itertools.count(1)
 
         class Failing(Gaussian):
@@ -556,9 +556,8 @@ class TestSampleIndexExact:
                     raise ValueError("failed draw")
                 return super().transform(z)
 
-        helpers, errors = 2, []
-        pool = ThreadPoolExecutor(helpers)
-        monkeypatch.setattr(pfr, "_pool", lambda: pool)
+        errors = []
+        monkeypatch.setattr(pfr, "_helpers", lambda: 2)
         pr = DistributionPair(Failing(0, 1), Failing(1, 1))
 
         def call():
@@ -571,38 +570,27 @@ class TestSampleIndexExact:
         caller = threading.Thread(target=call, daemon=True)
         caller.start()
         caller.join(30)
-        try:
-            assert not caller.is_alive()
-            assert [str(e) for e in errors] == ["failed draw"]
-            # every helper takes a task at once
-            free = threading.Barrier(helpers + 1)
-            for _ in range(helpers):
-                pool.submit(free.wait, 10)
-            free.wait(10)
-            n = 3 * _BLOCK + 7
-            ref_rng, rng = np.random.default_rng(2), np.random.default_rng(2)
-            ref = _reference_sample_indices(STD_PAIR, n, ref_rng)
-            _assert_same_draws(sample_indices(STD_PAIR, n, rng), ref, rng, ref_rng)
-        finally:
-            pool.shutdown(wait=not caller.is_alive())  # report a hang, not join it
+        assert not caller.is_alive()
+        assert [str(e) for e in errors] == ["failed draw"]
+        assert not _block_threads()
+        n = 3 * _BLOCK + 7
+        ref_rng, rng = np.random.default_rng(2), np.random.default_rng(2)
+        ref = _reference_sample_indices(STD_PAIR, n, ref_rng)
+        _assert_same_draws(sample_indices(STD_PAIR, n, rng), ref, rng, ref_rng)
 
     @pytest.mark.parametrize("case", list(EXACT_CASES))
     def test_memory_stays_within_the_outputs_and_a_few_blocks(self, case, monkeypatch):
         # beyond the two returned arrays, each of the caller's thread and
         # one helper holds a dozen blocks at most, and the uniforms one
-        pool = ThreadPoolExecutor(1)
-        monkeypatch.setattr(pfr, "_pool", lambda: pool)
+        monkeypatch.setattr(pfr, "_helpers", lambda: 1)
         pr, n, block_bytes = EXACT_CASES[case], 2**20, 8 * _BLOCK
+        sample_indices(pr, 2 * _BLOCK, np.random.default_rng(0))  # imports, caches
+        tracemalloc.start()
         try:
-            sample_indices(pr, 2 * _BLOCK, np.random.default_rng(0))  # imports, caches
-            tracemalloc.start()
-            try:
-                sample_indices(pr, n, np.random.default_rng(0))
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+            sample_indices(pr, n, np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
         finally:
-            pool.shutdown()
+            tracemalloc.stop()
         assert peak <= 16 * n + (2 * 12 + 1) * block_bytes
 
     def test_caller_error_state_is_ignored(self):
@@ -628,18 +616,18 @@ class TestSampleIndexExact:
             sample_indices(STD_PAIR, -1, rng)
         assert rng.bit_generator.state == state
 
-    def test_two_callers_share_one_pool(self, monkeypatch):
-        # two threads sample different pairs at once, 20 calls each, through
-        # one one-helper pool: each call gets the draws it gets with no pool
+    def test_two_callers_with_a_pool_each(self, monkeypatch):
+        # two threads sample different pairs at once, 20 calls each, each
+        # call over its own one-helper pool: each call gets the draws it
+        # gets with no pool
         cases = [(STD_PAIR, 2**32 + 7), (EXACT_CASES["finite_zero_point"], 1)]
         n = 3 * _BLOCK + 7
-        monkeypatch.setattr(pfr, "_pool", lambda: None)
+        monkeypatch.setattr(pfr, "_helpers", lambda: 0)
         refs = [
             [sample_indices(pr, n, np.random.default_rng(seed + call)) for call in range(20)]
             for pr, seed in cases
         ]
-        pool = ThreadPoolExecutor(1)
-        monkeypatch.setattr(pfr, "_pool", lambda: pool)
+        monkeypatch.setattr(pfr, "_helpers", lambda: 1)
         matched, start = [[], []], threading.Barrier(len(cases))
 
         def call(c):
@@ -650,15 +638,12 @@ class TestSampleIndexExact:
                 matched[c].append(np.array_equal(k, ref[j][0]) and np.array_equal(u, ref[j][1]))
 
         callers = [threading.Thread(target=call, args=(c,), daemon=True) for c in range(2)]
-        try:
-            for t in callers:
-                t.start()
-            for t in callers:
-                t.join(60)
-            assert not any(t.is_alive() for t in callers)
-            assert matched == [[True] * 20] * 2
-        finally:
-            pool.shutdown(wait=not any(t.is_alive() for t in callers))
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(60)
+        assert not any(t.is_alive() for t in callers)
+        assert matched == [[True] * 20] * 2
 
     def test_identical_pair_always_one(self):
         pr = DistributionPair(Gaussian(0, 1), Gaussian(0, 1))

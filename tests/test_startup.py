@@ -27,9 +27,9 @@ print("scipy" in sys.modules, file=sys.stderr)
 # Runs the CLI on argv with probes on the first import of scipy.special: it
 # records which thread imports it and whether the exact sampler's blocks are
 # running, and holds an import inside the blocks until a second thread has
-# asked for it (when the sampler has pool helpers), so that two blocks race
-# for it.  Prints the record as JSON.  With PRELOAD set, scipy.special is
-# imported first instead.
+# asked for it.  The sampler gets two helpers whatever the CPU count, so that
+# two blocks race for it.  Prints the record as JSON.  With PRELOAD set,
+# scipy.special is imported first instead.
 RACE = """
 import json, os, sys, threading
 import pfrsim.distributions as dist
@@ -39,8 +39,8 @@ from pfrsim.cli import main
 if os.environ.get("PRELOAD"):
     import scipy.special
 
-record = {"asked": [], "loads": [], "in_blocks": False,
-          "helpers": pfr._pool() is not None, "preloaded": "scipy" in sys.modules}
+pfr._helpers = lambda: 2
+record = {"asked": [], "loads": [], "in_blocks": False, "preloaded": "scipy" in sys.modules}
 both_asked = threading.Event()
 
 run_blocks = pfr._run_blocks
@@ -64,7 +64,7 @@ class Hold:
     def find_spec(self, name, path=None, target=None):
         if name == "scipy.special":
             record["loads"].append([threading.current_thread().name, record["in_blocks"]])
-            if record["helpers"] and record["in_blocks"]:
+            if record["in_blocks"]:
                 both_asked.wait(30)
         return None
 sys.meta_path.insert(0, Hold())
@@ -113,11 +113,10 @@ def test_first_load_inside_the_exact_sampler_pool():
     out, report = run_child(RACE, *args)
     record = json.loads(report.splitlines()[-1])
     assert not record["preloaded"]
-    # one import, in a block of the sampler (2 blocks of 2**15 points)
+    # one import, in a block of the sampler (2 blocks of 2**15 points),
+    # which both helpers asked for before it finished
     assert len(record["loads"]) == 1 and record["loads"][0][1]
-    if record["helpers"]:
-        # the caller's thread and a helper both asked before it finished
-        assert len(set(record["asked"])) > 1
+    assert len(set(record["asked"])) > 1
     preloaded_out, preloaded_report = run_child(RACE, *args, preload=True)
     preloaded = json.loads(preloaded_report.splitlines()[-1])
     assert preloaded["preloaded"] and not preloaded["loads"]

@@ -10,7 +10,10 @@ runs the tier-1 command from the repository root,
 with a JUnit XML report in a temporary directory.  It exits 0 only when the
 failing tests are exactly those four and every test module was collected.
 Otherwise it prints each unexpected failure, each by-design test that did
-not fail, and each module that failed to collect, and exits 1.  Standard
+not fail, and each module that failed to collect, and exits 1.  A run that
+takes longer than ``TIMEOUT_S`` (about 15 times a normal run) is stopped,
+reported as hung, and exits 1; pytest's ``faulthandler_timeout`` (in
+``pyproject.toml``) dumps every thread's stack before that.  Standard
 library only:
 
     python tools/check_tier1.py
@@ -26,6 +29,9 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+#: Wall-clock limit of the pytest run, in seconds.
+TIMEOUT_S = 900
 
 BY_DESIGN = {
     "tests.test_acceptance::test_criterion_02_tail_mass_reproduction",
@@ -54,7 +60,11 @@ def main() -> int:
         report = Path(tmp) / "tier1.xml"
         cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
                f"--junitxml={report}"]
-        code = subprocess.run(cmd, cwd=ROOT, env=env).returncode
+        try:
+            code = subprocess.run(cmd, cwd=ROOT, env=env, timeout=TIMEOUT_S).returncode
+        except subprocess.TimeoutExpired:
+            print(f"check_tier1: pytest hung: no result after {TIMEOUT_S} s")
+            return 1
         if code not in (0, 1) or not report.exists():  # interrupted or misused
             print(f"check_tier1: pytest exited {code}")
             return 1
