@@ -457,8 +457,8 @@ def _log_mass(d: Gaussian | Laplace, shift: float, peak: float, shape: str, lo, 
         return below(hi)
     if shape == "above":
         return above(lo)
-    if shape == "outside":
-        return np.logaddexp(below(lo), above(hi))
+    if shape == "outside":  # two tails that sum to 1 may round above it
+        return np.minimum(np.logaddexp(below(lo), above(hi)), 0.0)
     # log(e^b - e^a): the log tails keep the masses' digits, and so does this
     a, b = (above(hi), above(lo)) if peak + shift > 0.0 else (below(lo), below(hi))
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -145,8 +145,9 @@ def verify_moment_bounds(
     """Estimate E[K^alpha] and place it inside its proved band.
 
     ``permutation`` optionally relabels indices through a bijection before
-    taking the moment (the lower bound holds for any relabeling); entries
-    beyond the permutation's range map to themselves.
+    taking the moment; entries beyond the permutation's range map to
+    themselves.  Only the lower bound holds for every relabeling, so the
+    report's cap is then +inf.
     """
     check_alpha(alpha)
     return _moment(pair, alpha, sample_indices(pair, n_samples, rng)[0], permutation)
@@ -196,9 +197,10 @@ def moment_band(alpha: float, d: float) -> tuple[float, float]:
 def _moment(
     pair: DistributionPair, alpha: float, k: np.ndarray, permutation: np.ndarray | None = None
 ) -> MomentReport:
-    """E[K^alpha] of the indices k against its band; k is overwritten."""
+    """E[K^alpha] of the indices k against its band, +inf above if relabeled; k is overwritten."""
     floor, cap = moment_band(alpha, renyi_divergence(pair, alpha + 1.0))
     if permutation is not None:
+        cap = math.inf
         for start in range(0, k.size, _RELABEL_CHUNK):
             chunk = k[start : start + _RELABEL_CHUNK]
             small = chunk <= len(permutation)
@@ -399,7 +401,7 @@ def _check_draws(seed: int, n_samples: int) -> tuple[list[CheckReport], list[Che
                     check="moments",
                     subject=label + "/permuted",
                     alpha=0.5,
-                    passed=perm_rep.empirical_moment >= perm_rep.floor - 3.0 * perm_rep.std_error,
+                    passed=perm_rep.passed,
                     details=f"emp={perm_rep.empirical_moment:.5g} floor={perm_rep.floor:.5g}",
                 )
             )

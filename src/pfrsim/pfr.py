@@ -336,7 +336,8 @@ class _Squeeze(NamedTuple):
     power of two, so ell * scale is exact and so is a point's place.  The
     sampler's x / t is -x exp(ell - g), and g = a + b, where a never falls
     in ell and b never rises (``_g_parts``), so between two nodes g lies
-    below a at the right node plus b at the left.
+    below a at the right node plus b at the left, and on a node, the cell
+    from the node to itself, below a plus b there (``_bounds``).
     ``g[2j - 1]`` bounds g at points on node j, ``g[2j]`` between nodes j
     and j + 1, and ``g[0]`` and ``g[2N]`` stand for the points below and
     above the nodes.  An entry holds its bound where the bracket it gives
@@ -388,17 +389,12 @@ class _Parts(NamedTuple):
     ell: np.ndarray
     a: np.ndarray  # ell + log beta: never falls in ell
     b: np.ndarray  # log(-t / beta): never rises
-    g: np.ndarray
     err_a: np.ndarray
     err_b: np.ndarray
     err_lb: np.ndarray  # of log beta
-    gain: np.ndarray  # dg / d(log beta) = beta / ((1 - beta) (-t)), at least 1
+    gain: np.ndarray  # dg / d(log beta) = beta / ((1 - beta) (-t)), at least 1; 0 at the floor
     rest: np.ndarray  # the relative error of t that log beta's error does not cause
     log_p: np.ndarray  # log P(r > c)
-
-    def err_t(self) -> np.ndarray:
-        """A bound on the relative error of t: 0 at the floor, +inf past ``_SQUEEZE_MAX_MARGIN`` / 2."""
-        return self.gain * self.err_lb + self.rest
 
 
 def _g_parts(pair: DistributionPair, ell: np.ndarray) -> _Parts:
@@ -412,10 +408,11 @@ def _g_parts(pair: DistributionPair, ell: np.ndarray) -> _Parts:
     beta moves log(-t) by ``gain`` times it, a by itself, and b by only
     ``gain`` - 1 times it, about beta / 2 of it.  1 - beta also takes an
     ulp of a subnormal beta; the relative error of t grows as beta nears 1
-    and 1 - beta cancels.  Where twice that error would exceed
-    ``_SQUEEZE_MAX_MARGIN`` (1 - beta cancels, or beta underflows), every
-    bound is +inf; at the floor (beta == 1) the error of t counts as 0:
-    no computed t lies lower.
+    and 1 - beta cancels.  At the floor (beta == 1) ``gain`` and ``rest``
+    are 0, before b's error is formed: no computed t lies lower, so t's
+    error counts as 0 there.  Where twice t's relative error, ``gain``
+    times log beta's plus ``rest``, would exceed ``_SQUEEZE_MAX_MARGIN``
+    (1 - beta cancels, or beta underflows), every bound is +inf.
     """
     lb, log_p = _log_beta_at(pair, ell)
     t = _log1m_from_log_beta(lb)
@@ -424,50 +421,47 @@ def _g_parts(pair: DistributionPair, ell: np.ndarray) -> _Parts:
     one_minus = np.exp(t) * -t  # (1 - beta) (-t)
     gain = np.exp(np.minimum(lb, 0.0)) / one_minus
     rest = 2.0**-1074 / one_minus + 4.0 * _EPS
+    floor = t == _LOG1M_FLOOR
+    gain[floor] = rest[floor] = 0.0
     a, b = ell + lb, log_t - lb
     err_a = err_lb + 2.0 * _EPS * (1.0 + np.abs(a))
     err_b = np.abs(gain - 1.0) * err_lb + rest + 4.0 * _EPS * (1.0 + np.abs(log_t) + np.abs(b))
-    floor = t == _LOG1M_FLOOR
-    gain[floor] = rest[floor] = 0.0
     bad = ~(2.0 * (gain * err_lb + rest) <= _SQUEEZE_MAX_MARGIN)
     for x in (err_a, err_b, gain, rest):
         x[bad] = math.inf
-    return _Parts(ell, a, b, log_t + ell, err_a, err_b, err_lb, gain, rest, log_p)
+    return _Parts(ell, a, b, err_a, err_b, err_lb, gain, rest, log_p)
 
 
-def _bounds(parts: _Parts, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Upper bounds on g and their widths in units of exp(ell - g): the nodes', then the cells'.
+def _bounds(parts: _Parts, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Upper bounds on g and their widths in units of exp(ell - g), node, cell, node, ..., node.
 
-    On a node, the point's t and the node's each lie within ``err_t`` of
-    the truth.  In the cell between nodes i and i + 1, g lies between a at
-    i and b at i + 1 and a at i + 1 and b at i, each within its error,
-    and the point's log(-t) within ``gain`` times log beta's error, plus
-    the rest, of g: neither bound is above its larger value at the nodes
-    (|ell| by at most h).  Each bound also covers its own rounding and the
+    Entry e spans nodes i = floor(e / 2) and j = ceil(e / 2): a node is
+    the cell from a node to itself.  There g lies between a at i plus b at
+    j and a at j plus b at i, each within its error, and the point's
+    log(-t) within ``gain`` times log beta's error, plus the rest, of g:
+    neither is above its larger value at the two nodes (|ell| by at most h
+    where j > i).  Each bound also covers its own rounding and the
     sampler's, of ell - g and of exp.  A width also covers the product
     with x and the rounding of the gap.
     """
     p = parts
-    err_t = p.err_t()
-    err_lb = np.maximum(p.err_lb[:-1], p.err_lb[1:]) + 64.0 * _EPS * h
-    cell_t = np.maximum(p.gain[:-1], p.gain[1:]) * err_lb + np.maximum(p.rest[:-1], p.rest[1:])
-    out = []
-    for hi, lo, right in (
-        (p.g + 2.0 * err_t, p.g - 2.0 * err_t, p.ell),
-        (p.a[1:] + p.b[:-1] + (p.err_a[1:] + p.err_b[:-1] + cell_t),
-         p.a[:-1] + p.b[1:] - (p.err_a[:-1] + p.err_b[1:] + cell_t), p.ell[1:]),
-    ):
-        # rounding: of the bounds and of g's own sum, at most 2 ulps each
-        hi += 4.0 * _EPS * (1.0 + np.abs(hi) + np.abs(right))
-        lo -= 4.0 * _EPS * (1.0 + np.abs(lo) + np.abs(right))
-        slack = 8.0 * _EPS * (2.0 + h + np.abs(right) + np.abs(hi))  # ell - g and exp
-        hi += slack
-        width = np.exp(right - hi + slack) * (np.expm1(hi - lo + slack) + 64.0 * _EPS)
-        width *= 1.0 + 64.0 * _EPS
-        drop = ~(width < math.inf)  # nan too
-        hi[drop], width[drop] = math.inf, math.inf
-        out += [hi, width]
-    return tuple(out)
+    e = np.arange(2 * p.ell.size - 1)
+    i, j = e // 2, (e + 1) // 2
+    point = (np.maximum(p.gain[i], p.gain[j]) * (np.maximum(p.err_lb[i], p.err_lb[j]) + 64.0 * _EPS * h * (j - i))
+             + np.maximum(p.rest[i], p.rest[j]))
+    right = p.ell[j]
+    hi = p.a[j] + p.b[i] + (p.err_a[j] + p.err_b[i] + point)
+    lo = p.a[i] + p.b[j] - (p.err_a[i] + p.err_b[j] + point)
+    # rounding: of the bounds and of g's own sum, at most 2 ulps each
+    hi += 4.0 * _EPS * (1.0 + np.abs(hi) + np.abs(right))
+    lo -= 4.0 * _EPS * (1.0 + np.abs(lo) + np.abs(right))
+    slack = 8.0 * _EPS * (2.0 + h + np.abs(right) + np.abs(hi))  # ell - g and exp
+    hi += slack
+    width = np.exp(right - hi + slack) * (np.expm1(hi - lo + slack) + 64.0 * _EPS)
+    width *= 1.0 + 64.0 * _EPS
+    drop = ~(width < math.inf)  # nan too
+    hi[drop], width[drop] = math.inf, math.inf
+    return hi, width
 
 
 @lru_cache(maxsize=64)
@@ -520,14 +514,12 @@ def _squeeze_table(pair: DistributionPair) -> _Squeeze | None:
             stop = min(start + _BUILD_CHUNK, size)
             nodes = np.arange(first + start, first + min(stop + 1, size)) * h  # and the next node
             parts = _g_parts(pair, nodes)
-            node_hi, node_w, cell_hi, cell_w = _bounds(parts, h)
-            n, cells = stop - start, nodes.size - 1
-            table[2 * start + 1 : 2 * stop + 1 : 2] = node_hi[:n]
-            width[2 * start + 1 : 2 * stop + 1 : 2] = node_w[:n]
-            table[2 * start + 2 : 2 * (start + cells) + 2 : 2] = cell_hi
-            width[2 * start + 2 : 2 * (start + cells) + 2 : 2] = cell_w
+            hi, wide = _bounds(parts, h)
+            n = stop - start
+            m = min(hi.size, 2 * n)  # not the next chunk's first node
+            table[2 * start + 1 : 2 * start + 1 + m], width[2 * start + 1 : 2 * start + 1 + m] = hi[:m], wide[:m]
             above[start:stop] = np.exp(parts.log_p[:n])
-            at_floor = np.flatnonzero(parts.err_t()[:n] == 0.0)
+            at_floor = np.flatnonzero(parts.gain[:n] == 0.0)
             if at_floor.size:
                 floor = start + int(at_floor[-1])
         if floor >= 0:

@@ -352,6 +352,13 @@ class TestConfigFile:
         assert res.output.splitlines()[0] == "order,bits,numeric_bits"
         assert res.output == run(*args, "--numeric").output
 
+    def test_config_that_is_not_json_is_a_usage_error(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("seed = 3\n")
+        res = run("sample", "normal:0,1", "normal:1,1", "--config", str(cfg))
+        assert res.exit_code == 2, res.output
+        assert "cannot read config" in res.output
+
     def test_positional_arguments_never_come_from_the_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"p_spec": "normal:0,1", "q-spec": "normal:1,1"}))

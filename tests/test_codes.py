@@ -14,7 +14,7 @@ from pfrsim.codes import (
     lengths,
     renyi_entropy,
 )
-from pfrsim.distributions import DistributionPair, Gaussian
+from pfrsim.distributions import DistributionPair, Gaussian, Laplace, renyi_divergence
 from pfrsim.errors import DomainError, OrderError
 from pfrsim.pfr import IndexPmf, index_pmf
 
@@ -199,6 +199,19 @@ class TestRenyiEntropy:
         for alpha in (0.2, 0.5, 0.9):
             assert pmf.tail_power_sum_bound(alpha) == math.inf
             assert renyi_entropy(pmf, alpha) == (0.0, math.inf)
+
+    def test_tail_bound_from_the_first_moment_alone(self):
+        # Laplace(0,1)|Laplace(0,0.6): D_2 is finite and D_3 infinite, so
+        # only E[K] is bounded; Holder's exponent r alpha / (1 - alpha) must
+        # pass 1, which r = 1 gives at alpha = 0.7 and not at 0.5
+        pair = DistributionPair(Laplace(0, 1), Laplace(0, 0.6))
+        assert math.isfinite(renyi_divergence(pair, 2.0)) and renyi_divergence(pair, 3.0) == math.inf
+        pmf = index_pmf(pair, 64)
+        assert not pmf.tail_is_dust
+        assert [r for r, _ in pmf._moment_log2_bounds] == [1.0]
+        assert renyi_entropy(pmf, 0.5)[1] == math.inf
+        lo, hi = renyi_entropy(pmf, 0.7)
+        assert lo <= hi < math.inf
 
     def test_bracket_is_floored_at_zero(self):
         # a head of little mass has a power sum below 1, and H_alpha >= 0

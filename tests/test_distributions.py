@@ -935,7 +935,8 @@ def _reference_masses(pr, log_c):
             "above": above[0],
             # log(e^b - e^a), by the tails on the peak's side of the location
             "inside": _log_difference(*(above[::-1] if pivot > loc else below)),
-            "outside": np.logaddexp(below[0], above[1]),
+            # two tails that sum to 1 may round above it: a mass is at most 1
+            "outside": np.minimum(np.logaddexp(below[0], above[1]), 0.0),
         }[shape])
     return tuple(masses)
 
@@ -1294,3 +1295,19 @@ class TestSuperlevelMassesFarFromTheOrigin:
                     else:
                         err = float(abs(mpmath.mpf(float(g)) - want))
                         assert err <= allowed, (log_c, float(g), float(want), err, allowed)
+
+    @pytest.mark.parametrize("p,q", [
+        (Gaussian(0, 1.2), Gaussian(0, 1)),
+        (Gaussian(1e10, 3), Gaussian(1e10 + 1, 1)),
+        (Gaussian(2.0**172, 30.13 * 2.0**172), Gaussian(65 * 2.0**172, 9.53 * 2.0**172)),
+        (Laplace(0, 2), Laplace(0.5, 1)),
+        (Laplace(1e12, 5), Laplace(1e12 - 3, 0.5)),
+    ])
+    def test_masses_of_trough_ratios_are_at_most_one(self, p, q):
+        # the two tails outside a trough's interval sum to 1 at low levels;
+        # on the third pair their logaddexp rounded to +5.2e-18 from log c
+        # = -40 to -20
+        pr = pair(p, q)
+        assert pr._ratio.level_set(0.0)[0] == "outside"
+        log_p, log_q = pr.superlevel_masses(np.linspace(-60.0, 60.0, 24001))
+        assert (log_p <= 0.0).all() and (log_q <= 0.0).all()

@@ -276,6 +276,10 @@ class TestLog2SumExp:
         assert log2_sum_exp([-math.inf, -math.inf]) == -math.inf
         assert log2_sum_exp([]) == -math.inf
 
+    def test_pos_inf_wins(self):
+        assert log2_sum_exp([3.0, math.inf]) == math.inf
+        assert log2_sum_exp([-math.inf, math.inf, 5000.0]) == math.inf
+
 
 
 _PAIR = DistributionPair(Gaussian(0, 1), Gaussian(1, 1))

@@ -101,6 +101,17 @@ class TestMomentBounds:
             )
             assert (rep.empirical_moment, rep.std_error) == (emp, se)
 
+    def test_relabeled_report_checks_the_floor_alone(self):
+        # verify's relabeling at seed 42 sends the moment far above the
+        # unrelabeled cap, which no relabeling need keep
+        pair = dict(DEFAULT_PAIRS)["normal:0,1|normal:1,1"]
+        perm = pfr.derive_stream(42, 199).permutation(10**4) + 1
+        rep = verify_moment_bounds(pair, 0.5, 10**5, np.random.default_rng(0), perm)
+        floor, cap = oracle.moment_band(0.5, renyi_divergence(pair, 1.5))
+        assert rep.empirical_moment > cap + 3.0 * rep.std_error
+        assert (rep.floor, rep.cap) == (floor, math.inf)
+        assert rep.passed
+
     def test_permuted_peak_memory(self, monkeypatch):
         # the sampler's k and u are 16 MB; the whole-array version peaked at 31.5 MiB
         monkeypatch.setattr(pfr, "_helpers", lambda: 0)

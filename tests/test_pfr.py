@@ -846,7 +846,8 @@ class TestSqueeze:
         table.ends(ell.copy(), ends)
         with np.errstate(all="ignore"):
             t = pfr._log1m_from_log_beta(pfr._log_beta_at(pr, ell)[0])
-            err = pfr._g_parts(pr, ell).err_t()
+            parts = pfr._g_parts(pr, ell)
+            err = parts.gain * parts.err_lb + parts.rest
         err[: nodes.size] *= 2.0
         decided = ends > 0.0
         assert np.isfinite(err[decided]).all()

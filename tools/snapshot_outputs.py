@@ -38,9 +38,12 @@ directory at OUTDIR, so every output lands there under a relative name:
   200,000 exact rows), plus 2,000 selection-rule rows on each other kind
   (non-monotone Gaussian and Laplace ratios, a finite pair with a point P
   never hits) and 2,000 exact rows on the last two, at seeds 0, 1 and 2;
+* 500 selection-rule rows at seed 0 on N(0,1.2)|N(0,1), whose ratio has a
+  trough at 0, so its level sets are the "outside" of an interval;
 * 100,003 exact rows at seed 0 on Laplace(0,1)|Laplace(1,1), on the two
   non-monotone pairs, on the finite pair, on N(0,1)|N(5,1), on
-  N(0,1)|N(3,1) and on Laplace(0,1)|Laplace(10,1), and 40,003 on
+  N(0,1)|N(3,1), on Laplace(0,1)|Laplace(10,1) and on the trough pair
+  N(0,1.2)|N(0,1), and 40,003 on
   N(0,1)|N(1,1): several blocks of the exact sampler each.  The
   continuous pairs of equal scales are read through their squeeze
   tables, N(0,1)|N(5,1) among them; its indices pass 2**40, where one ulp
@@ -103,6 +106,8 @@ GOLDEN_PAIRS = (
 NONMONOTONE_NORMAL = ("normal:0,1", "normal:0.5,1.6")
 NONMONOTONE_LAPLACE = ("laplace:0,1", "laplace:0.5,2")
 FINITE = ("finite:0.5,0,0.3,0.2", "finite:0.2,0.3,0.1,0.4")
+#: A ratio with a trough: p/q is least at 0 and grows both ways.
+TROUGH = ("normal:0,1.2", "normal:0,1")
 
 #: (name, pair, extra arguments) of the sampling commands.
 SAMPLES = (
@@ -125,6 +130,7 @@ EXACT_BLOCKS = (
     ("exact_blocks_heavy", ("normal:0,1", "normal:5,1"), "100003"),
     ("exact_blocks_normal_gap_3", ("normal:0,1", "normal:3,1"), "100003"),
     ("exact_blocks_laplace_gap_10", ("laplace:0,1", "laplace:10,1"), "100003"),
+    ("exact_blocks_trough", TROUGH, "100003"),
     ("exact_two_blocks", ("normal:0,1", "normal:1,1"), "40003"),
 )
 
@@ -200,6 +206,9 @@ def commands() -> list[tuple[str, list[str]]]:
     for seed in WIDE_SEEDS:
         name = f"sample_{kind}_seed_{seed}"
         out.append((name, ["sample", *pair, *extra, "--seed", str(seed), "--out", f"{name}.csv"]))
+    name = "sample_pfr_trough_seed_0"
+    out.append((name, ["sample", *TROUGH, "-n", "500", "--method", "pfr", "--seed", "0",
+                       "--out", f"{name}.csv"]))
     name = "sample_exact_far_seed_0"
     out.append((name, ["sample", "normal:1e10,1", "normal:10000000001,1", "-n", "2000",
                        "--method", "exact", "--seed", "0", "--out", f"{name}.csv"]))
