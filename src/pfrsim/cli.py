@@ -283,11 +283,9 @@ def entropy_figure(p_spec, q_spec, n_max, out, fmt, alpha_range, quad):
             "a lower bracket of the entropy",
             TailTooHeavyWarning,
         )
-    table = []
     with _usage_errors():
-        for r in rows:
-            lo, hi = codes_mod.renyi_entropy(pmf, r.alpha)
-            table.append((*r.cells, (lo if heavy else hi) + 1.0))
+        lo, hi = codes_mod.renyi_entropy(pmf, np.array([r.alpha for r in rows]))
+    table = [(*r.cells, h + 1.0) for r, h in zip(rows, (lo if heavy else hi).tolist())]
     header = (*bounds_mod.SWEEP_COLUMNS, "h_alpha_plus1")
     _sweep_outputs(header, table, out, fmt, f"{p_spec} vs {q_spec} (N={n_max})")
 

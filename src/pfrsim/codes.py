@@ -130,17 +130,52 @@ def campbell_cost(pmf: IndexPmf, lf: LengthFunction, t: float) -> CampbellCost:
     return CampbellCost(value, value if pmf.tail_is_dust else math.inf)
 
 
-def renyi_entropy(pmf: IndexPmf, alpha: float) -> tuple[float, float]:
+def renyi_entropy(pmf: IndexPmf, alpha):
     """Bracket [lower, upper] for the order-alpha entropy of the full law.
 
     The truncated power sum gives the lower end exactly; the upper end
     adds the pmf's bound on the tail power sum.  Both are floored at 0,
-    since H_alpha >= 0: a head of little mass has a power sum below 1.
+    since H_alpha >= 0: a head of little mass has a power sum below 1,
+    and an empty head (every probability 0) a power sum of 0.  ``alpha``
+    is a float, or an array of orders, each entry with the bits a float
+    order gives; returns floats, or two arrays shaped like alpha.  The
+    head's power sums at every order come from one pass over the pmf.
     """
     check_alpha(alpha)
-    p = pmf.probs[pmf.probs > 0.0]
-    head = float(np.sum(p**alpha))
-    lower = max(math.log2(head) / (1.0 - alpha), 0.0)
-    upper = max(math.log2(head + pmf.tail_power_sum_bound(alpha)) / (1.0 - alpha), 0.0)
-    return lower, upper
+    orders = np.asarray(alpha, dtype=float)
+    flat = orders.reshape(-1)
+    heads = _power_sums(pmf.probs[pmf.probs > 0.0], flat)
+    tails = pmf.tail_power_sum_bound(flat)
+    lower, upper = np.empty(flat.size), np.empty(flat.size)
+    for i, (a, head, tail) in enumerate(zip(flat.tolist(), heads.tolist(), tails.tolist())):
+        lower[i] = max(_log2(head) / (1.0 - a), 0.0)
+        upper[i] = max(_log2(head + tail) / (1.0 - a), 0.0)
+    if orders.ndim == 0:
+        return float(lower[0]), float(upper[0])
+    return lower.reshape(orders.shape), upper.reshape(orders.shape)
 
+
+def _log2(x: float) -> float:
+    """log2 x, and -inf at 0 (an empty head's power sum)."""
+    return math.log2(x) if x > 0.0 else -math.inf
+
+
+#: Entries of p ** alpha that ``_power_sums`` holds at once.
+_POWER_CHUNK = 2**18
+
+
+def _power_sums(p: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    """sum(p ** a) for each of the 1-D ``orders``, as ``np.sum(p ** a)`` gives it.
+
+    Rows of orders at a time, each row summed as the 1-D array is.  numpy
+    takes p ** 0.5 as sqrt(p), so that order does too.
+    """
+    sums = np.empty(orders.size)
+    step = max(1, _POWER_CHUNK // max(p.size, 1))
+    for start in range(0, orders.size, step):
+        rows = orders[start : start + step]
+        sums[start : start + rows.size] = (p ** rows[:, None]).sum(axis=1)
+    half = orders == 0.5
+    if half.any():
+        sums[half] = np.sum(np.sqrt(p))
+    return sums

@@ -218,39 +218,45 @@ class IndexPmf:
         """Whether the tail mass is floating-point residue (at most 1e-12), not genuine tail."""
         return self.tail_mass <= _DUST_TAIL
 
-    def tail_power_sum_bound(self, alpha: float) -> float:
+    def tail_power_sum_bound(self, alpha):
         """Upper bound on sum_{k > n_max} P(K=k)**alpha, for 0 < alpha < 1.
 
-        0.0 for a dust tail, and +inf for any other tail without checkpoints.
-        Otherwise monotonicity makes each checkpoint block at most (block
-        width) times the leading checkpoint probability to the alpha; the
-        remainder past the last checkpoint M combines Holder's inequality
-        with a moment bound:  sum p^a <= (E[K^r 1{K>M}])^a (sum_{k>M} k^-s)^(1-a),
-        s = r a / (1-a) > 1.
+        ``alpha`` is a float, or an array of orders with the bound a float
+        order gives at each entry; returns a float, or an array shaped like
+        alpha.  0.0 for a dust tail, and +inf for any other tail without
+        checkpoints.  Otherwise monotonicity makes each checkpoint block at
+        most (block width) times the leading checkpoint probability to the
+        alpha; the remainder past the last checkpoint M combines Holder's
+        inequality with a moment bound:
+        sum p^a <= (E[K^r 1{K>M}])^a (sum_{k>M} k^-s)^(1-a), s = r a / (1-a) > 1.
+        The blocks are read once per call; each order's terms are Python
+        floats, whose powers and logarithms are libm's.
         """
-        if self.tail_is_dust:
-            return 0.0
-        if not self._checkpoints:
-            return math.inf
+        orders = np.asarray(alpha, dtype=float)
+        if self.tail_is_dust or not self._checkpoints:
+            bounds = np.full(orders.shape, 0.0 if self.tail_is_dust else math.inf)
+            return float(bounds) if orders.ndim == 0 else bounds
         ks = [self.n_max] + [k for k, _ in self._checkpoints]
         ps = [float(self.probs[-1])] + [p for _, p in self._checkpoints]
-        total = 0.0
-        for (ka, pa), kb in zip(zip(ks, ps), ks[1:]):
-            if kb > ka and pa > 0.0:
-                total += (kb - ka) * pa**alpha
+        blocks = [(kb - ka, pa) for (ka, pa), kb in zip(zip(ks, ps), ks[1:]) if kb > ka and pa > 0.0]
         log2m = math.log2(ks[-1])
-        best = math.inf
-        for r, log2_moment in self._moment_log2_bounds:
-            s = r * alpha / (1.0 - alpha)
-            if s <= 1.0 + 1e-9:
+        bounds = []
+        for a in orders.reshape(-1).tolist():
+            best = math.inf
+            for r, log2_moment in self._moment_log2_bounds:
+                s = r * a / (1.0 - a)
+                if s <= 1.0 + 1e-9:
+                    continue
+                log2_rem = a * log2_moment + (1.0 - a) * ((1.0 - s) * log2m - math.log2(s - 1.0))
+                best = min(best, log2_rem)
+            if not best < 1024.0:  # 2**best overflows a double
+                bounds.append(math.inf)
                 continue
-            log2_rem = alpha * log2_moment + (1.0 - alpha) * (
-                (1.0 - s) * log2m - math.log2(s - 1.0)
-            )
-            best = min(best, log2_rem)
-        if not best < 1024.0:  # 2**best overflows a double
-            return math.inf
-        return total + 2.0**best
+            total = 0.0
+            for width, pa in blocks:
+                total += width * pa**a
+            bounds.append(total + 2.0**best)
+        return bounds[0] if orders.ndim == 0 else np.array(bounds).reshape(orders.shape)
 
     def to_csv(self, f) -> None:
         """Write rows ``k,prob`` followed by a final ``tail,<tail_mass>`` row."""
@@ -912,6 +918,10 @@ def index_pmf(
     density.  beta is evaluated once per quadrature node and the node
     set is reused across every k (and every tail checkpoint), so the
     whole table costs one grid construction plus dense array products.
+    The grid is adapted to pilot integrands at a few k and to the
+    survival P(K > n_max); the pilots visit many of the same panels, so
+    log beta, log(1 - beta) and log p are worked out once per distinct
+    panel and shared by every pilot that visits it.
     """
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
@@ -919,15 +929,25 @@ def index_pmf(
         nodes = np.flatnonzero(np.asarray(pair.p.probs) > 0.0)
         return _index_pmf_on_grid(pair, n_max, nodes, np.ones(len(nodes)))
 
+    panels = {}  # a panel's nodes, as bytes -> (log beta, log(1 - beta), log p) there
+
+    def panel(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        key = u.tobytes()
+        if key not in panels:
+            lb = log_beta(pair, u)
+            log1m = _log1m_from_log_beta(lb)  # -1e300 where beta == 1
+            with np.errstate(over="ignore"):
+                panels[key] = lb, log1m, pair.p.log_density(u)
+        return panels[key]
+
     def pilot(k: int, survival: bool = False):
         """Integrand of P(K = k), or of P(K > k) when ``survival``, over arrays."""
 
         def f(u: np.ndarray) -> np.ndarray:
-            lb = log_beta(pair, u)
-            log1m = _log1m_from_log_beta(lb)  # -1e300 where beta == 1
+            lb, log1m, log_p = panel(u)
             with np.errstate(over="ignore"):
                 log_term = k * log1m if survival else (k - 1) * log1m + lb
-                return np.exp(log_term + pair.p.log_density(u))
+                return np.exp(log_term + log_p)
 
         return f
 

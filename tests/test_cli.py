@@ -452,6 +452,29 @@ class TestEntropyFigureCommand:
         _, rows = parse_csv(res.output)
         assert len(rows) == 160 and all(r[8] == "1" for r in rows)
 
+    def test_empty_head_column_is_floored(self):
+        # N(0,1)|N(100,1) at n_max 10: every head probability underflows
+        # to 0 and the tail holds all the mass; log2 of the head's power
+        # sum raised a math domain error
+        with pytest.warns(TailTooHeavyWarning):
+            res = run("entropy-figure", "normal:0,1", "normal:100,1", "--n-max", "10")
+        assert res.exit_code == 0, res.output
+        _, rows = parse_csv(res.output)
+        assert len(rows) == 160 and all(r[8] == "1" for r in rows)
+
+    def test_one_entropy_call_for_the_grid(self, monkeypatch):
+        calls = []
+        renyi_entropy = cli.codes_mod.renyi_entropy
+
+        def counted(pmf, alpha):
+            calls.append(np.shape(alpha))
+            return renyi_entropy(pmf, alpha)
+
+        monkeypatch.setattr(cli.codes_mod, "renyi_entropy", counted)
+        res = run("entropy-figure", "normal:0,1", "normal:1,1", "--n-max", "1000")
+        assert res.exit_code == 0, res.output
+        assert calls == [(160,)]
+
 
 class TestSampleCommand:
     def test_identical_pair_rows(self):

@@ -13,8 +13,9 @@ from pfrsim.codes import (
     length,
     lengths,
     renyi_entropy,
+    _power_sums,
 )
-from pfrsim.distributions import DistributionPair, Gaussian, Laplace, renyi_divergence
+from pfrsim.distributions import DistributionPair, Finite, Gaussian, Laplace, renyi_divergence
 from pfrsim.errors import DomainError, OrderError
 from pfrsim.pfr import IndexPmf, index_pmf
 
@@ -163,6 +164,31 @@ class TestCampbellCost:
             )
 
 
+#: 404 orders in (0, 1): the ends 1e-3 and 0.999, 0.5 (where numpy's
+#: p ** 0.5 is sqrt(p)), 0.25 and 400 seeded others.
+ORDERS = np.concatenate([[1e-3, 0.5, 0.999, 0.25], np.random.default_rng(0).uniform(1e-3, 0.999, 400)])
+
+
+def _pmf(p, q, n_max):
+    return index_pmf(DistributionPair(p, q), n_max)
+
+
+#: name -> () -> (pmf, what the pmf's tail is), for the array-order tests.
+ARRAY_CASES = {
+    "checkpoints": lambda: (_pmf(Gaussian(0, 1), Gaussian(1, 1), 200),
+                            lambda pmf: not pmf.tail_is_dust and len(pmf._moment_log2_bounds) == 6),
+    "heavy": lambda: (_pmf(Gaussian(0, 1), Gaussian(5, 1), 200),
+                      lambda pmf: pmf.tail_mass > 0.5),
+    "dust": lambda: (_pmf(Laplace(0, 1), Laplace(1, 1), 1000), lambda pmf: pmf.tail_is_dust),
+    "first_moment_only": lambda: (_pmf(Laplace(0, 1), Laplace(0, 0.6), 64),
+                                  lambda pmf: [r for r, _ in pmf._moment_log2_bounds] == [1.0]),
+    "no_checkpoints": lambda: (IndexPmf(np.array([0.6, 0.3]), 0.1),
+                               lambda pmf: pmf.tail_power_sum_bound(0.5) == math.inf),
+    "finite": lambda: (_pmf(Finite((0.9, 0.1)), Finite((0.5, 0.5)), 20),
+                       lambda pmf: not pmf.tail_is_dust and pmf._checkpoints),
+}
+
+
 class TestRenyiEntropy:
     def test_uniform(self):
         for m in (2, 5, 16):
@@ -219,6 +245,30 @@ class TestRenyiEntropy:
         assert renyi_entropy(pmf, 0.5) == (0.0, math.inf)
         lo, hi = renyi_entropy(IndexPmf(np.array([0.5, 0.25]), 0.25), 0.5)
         assert lo == pytest.approx(2.0 * math.log2(0.5**0.5 + 0.25**0.5)) and hi == math.inf
+
+    def test_empty_head_gives_a_floored_lower_end(self):
+        # every head probability 0: log2 of the head's power sum raised a
+        # math domain error; H_alpha >= 0, and a bare tail bounds nothing
+        pmf = IndexPmf(np.zeros(3), 1.0)
+        assert renyi_entropy(pmf, 0.5) == (0.0, math.inf)
+        lo, hi = renyi_entropy(pmf, np.array([1e-3, 0.5, 0.999]))
+        assert lo.tolist() == [0.0] * 3 and hi.tolist() == [math.inf] * 3
+
+    @pytest.mark.parametrize("case", list(ARRAY_CASES))
+    def test_array_of_orders_has_the_bits_of_float_orders(self, case):
+        pmf, kind = ARRAY_CASES[case]()
+        assert kind(pmf)
+        lo, hi = renyi_entropy(pmf, ORDERS)
+        tails = pmf.tail_power_sum_bound(ORDERS)
+        assert lo.shape == hi.shape == tails.shape == ORDERS.shape
+        p = pmf.probs[pmf.probs > 0.0]
+        for i, alpha in enumerate(ORDERS.tolist()):
+            got, tail = renyi_entropy(pmf, alpha), pmf.tail_power_sum_bound(alpha)
+            assert all(type(x) is float for x in (*got, tail))
+            assert got == (lo[i], hi[i]) and tail == tails[i], f"alpha={alpha!r}"
+        # each head power sum as one 1-D numpy sum gives it, at 0.5 too
+        heads = [float(np.sum(p**alpha)) for alpha in ORDERS.tolist()]
+        assert _power_sums(p, ORDERS).tolist() == heads
 
     def test_bracket_contains_better_truncation(self):
         # the certified upper bound at small N must dominate the lower

@@ -20,7 +20,8 @@ from pfrsim.errors import (
     NegativeTailError,
     NonConvergenceError,
 )
-from pfrsim.numerics import QuadratureSpec, integrate
+from pfrsim import numerics
+from pfrsim.numerics import QuadratureSpec, integrate, quadrature_grid
 from pfrsim.oracle import DEFAULT_PAIRS
 from pfrsim import pfr
 from pfrsim.pfr import (
@@ -1061,7 +1062,69 @@ class TestSamplerAgreement:
         assert res.pvalue > 0.01
 
 
+def _reference_index_pmf(pair: DistributionPair, n_max: int) -> IndexPmf:
+    """``index_pmf`` with each pilot working out log beta and log p afresh on every panel."""
+
+    def pilot(k, survival=False):
+        def f(u):
+            lb = log_beta(pair, u)
+            log1m = pfr._log1m_from_log_beta(lb)
+            with np.errstate(over="ignore"):
+                log_term = k * log1m if survival else (k - 1) * log1m + lb
+                return np.exp(log_term + pair.p.log_density(u))
+
+        return f
+
+    ks = sorted({1, 4, 16, 64, 256, n_max} | {
+        min(int(n_max * 2.0 ** j), 10**12) for j in (5, 10, 15, 20, 25, 30)
+    })
+    nodes, weights = quadrature_grid([pilot(k) for k in ks] + [pilot(n_max, survival=True)])
+    return pfr._index_pmf_on_grid(pair, n_max, nodes, weights)
+
+
+#: Pairs whose index law the quadrature builds: monotone, non-monotone,
+#: heavy and Laplace ratios.
+PMF_PAIRS = {
+    "normal_gap_1": STD_PAIR,
+    "normal_nonmonotone": DistributionPair(Gaussian(0, 1), Gaussian(0.5, 1.6)),
+    "normal_heavy": DistributionPair(Gaussian(0, 1), Gaussian(5, 1)),
+    "laplace_gap_1": DistributionPair(Laplace(0, 1), Laplace(1, 1)),
+    "laplace_nonmonotone": DistributionPair(Laplace(0, 1), Laplace(0.5, 2)),
+}
+
+
 class TestIndexPmf:
+    @pytest.mark.parametrize("case", list(PMF_PAIRS))
+    def test_log_beta_once_per_distinct_panel(self, case, monkeypatch):
+        # the pilots share each panel's log beta: one call per distinct
+        # panel any pilot visits, and one on the final grid
+        panels, calls = set(), []
+        panel_rule = numerics._panel_rule
+
+        def recorded_rule(g, a, b):
+            panels.add((float(a), float(b)))
+            return panel_rule(g, a, b)
+
+        def counted_log_beta(pair, u):
+            calls.append(np.size(u))
+            return log_beta(pair, u)
+
+        monkeypatch.setattr(numerics, "_panel_rule", recorded_rule)
+        monkeypatch.setattr(pfr, "log_beta", counted_log_beta)
+        index_pmf(PMF_PAIRS[case], 1000)
+        assert len(calls) <= len(panels) + 1
+        if case == "normal_gap_1":
+            assert len(calls) <= 22  # 137 when every pilot worked out its own
+
+    @pytest.mark.parametrize("case", list(PMF_PAIRS))
+    def test_shared_panels_keep_the_bits(self, case):
+        pair = PMF_PAIRS[case]
+        got, ref = index_pmf(pair, 1000), _reference_index_pmf(pair, 1000)
+        assert got.probs.tobytes() == ref.probs.tobytes()
+        assert got.tail_mass == ref.tail_mass
+        assert got._checkpoints == ref._checkpoints
+        assert got._moment_log2_bounds == ref._moment_log2_bounds
+
     def test_identical_pair_point_mass(self):
         pmf = index_pmf(DistributionPair(Gaussian(0, 1), Gaussian(0, 1)), 10)
         assert pmf.probs[0] == pytest.approx(1.0, abs=1e-10)

@@ -17,6 +17,10 @@ directory at OUTDIR, so every output lands there under a relative name:
   N(0,1)|N(1,1) and ``entropy-figure --format csv`` on it to stdout, with
   no ``--out``, and ``entropy-figure --format svg`` on
   Laplace(0,1)|Laplace(1,1), which writes the SVG alone;
+* ``entropy-figure --n-max 1000 --format csv`` to stdout on
+  N(0,1)|N(5,1), whose tail is too heavy for an upper end, so the figure
+  prints the lower end, and on Laplace(0,1)|Laplace(1,1), whose tail is
+  dust;
 * the sweep of N(0,1)|N(0,1) to stdout, where ub1 is c1 alone and its
   minimum over epsilon sits on c1's case boundary (2a - 1)/(1 - a) at
   a = 0.7, the kink where a changed comparison in the search shows first;
@@ -181,8 +185,9 @@ def commands() -> list[tuple[str, list[str]]]:
     out.append((f"sweep_stdout_{stem(p, p)}", ["sweep", p, p]))
     for edge in EDGE_SWEEPS:
         out.append((f"sweep_stdout_{stem(*edge)}", ["sweep", *edge]))
-    out.append((f"entropy_figure_stdout_{stem(p, q)}",
-                ["entropy-figure", p, q, "--n-max", "1000", "--format", "csv"]))
+    for p, q in (GOLDEN_PAIRS[0], GOLDEN_PAIRS[1], GOLDEN_PAIRS[3]):
+        out.append((f"entropy_figure_stdout_{stem(p, q)}",
+                    ["entropy-figure", p, q, "--n-max", "1000", "--format", "csv"]))
     p, q = GOLDEN_PAIRS[3]
     name = f"entropy_figure_svg_{stem(p, q)}"
     out.append((name, ["entropy-figure", p, q, "--n-max", "1000", "--format", "svg", "--out", name]))
