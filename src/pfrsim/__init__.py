@@ -19,7 +19,6 @@ from .bounds import (
     lb2,
     optimize_ub,
     sweep,
-    sweep_to_csv,
     ub1,
     ub2,
     ub2_epsilon_max,
@@ -32,8 +31,6 @@ from .codes import (
     Universal,
     campbell_cost,
     kraft_sum,
-    length,
-    lengths,
     renyi_entropy,
 )
 from .distributions import (

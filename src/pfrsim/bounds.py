@@ -22,7 +22,7 @@ import numpy as np
 
 from .distributions import DistributionPair, Laplace, kl_divergence, renyi_divergence
 from .errors import AbsoluteContinuityError, DomainError, EpsilonRangeError, OrderError
-from .numerics import LN2, LOG2E, log_gamma, minimize_scalar, write_text
+from .numerics import LN2, LOG2E, log_gamma, minimize_scalar
 
 #: The epsilon window (lo, hi) that ``optimize_ub`` searches for ub1.
 _EPS_WINDOW = (1e-4, 50.0)
@@ -325,10 +325,10 @@ def sweep(pair: DistributionPair, alpha_grid: Iterable[float]) -> list[BoundSet]
     ]
 
 
-def default_alpha_grid(pair: DistributionPair, points: int = 160) -> np.ndarray:
-    """Figure grids: (0.2, 0.995) for Gaussian pairs, (0.05, 0.995) for Laplacian."""
+def default_alpha_grid(pair: DistributionPair) -> np.ndarray:
+    """160-order figure grids: (0.2, 0.995) for Gaussian pairs, (0.05, 0.995) for Laplacian."""
     lo = 0.05 if isinstance(pair.p, Laplace) else 0.2
-    return np.linspace(lo, 0.995, points)
+    return np.linspace(lo, 0.995, 160)
 
 
 def format_cell(x: float | str | None) -> str:
@@ -346,8 +346,3 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     """A CSV table: the header line, then one line of ``format_cell`` cells per row."""
     lines = [",".join(header), *(",".join(map(format_cell, row)) for row in rows)]
     return "\n".join(lines) + "\n"
-
-
-def sweep_to_csv(rows: Sequence[BoundSet], f) -> None:
-    """Write a sweep table, ``SWEEP_COLUMNS`` then a row per BoundSet, to a path or open file."""
-    write_text(f, csv_text(SWEEP_COLUMNS, (r.cells for r in rows)))

@@ -28,8 +28,8 @@ class PowerLaw:
     epsilon: float
 
     def __post_init__(self) -> None:
-        if not self.epsilon > 0.0:
-            raise DomainError("epsilon must be positive")
+        if not 0.0 < self.epsilon < math.inf:
+            raise DomainError(f"epsilon must be positive and finite, got {self.epsilon}")
 
     def lengths(self, k: np.ndarray) -> np.ndarray:
         k = np.asarray(k, dtype=float)
@@ -44,8 +44,8 @@ class Universal:
     epsilon: float
 
     def __post_init__(self) -> None:
-        if not self.epsilon > 0.0:
-            raise DomainError("epsilon must be positive")
+        if not 0.0 < self.epsilon < math.inf:
+            raise DomainError(f"epsilon must be positive and finite, got {self.epsilon}")
 
     def lengths(self, k: np.ndarray) -> np.ndarray:
         k = np.asarray(k, dtype=float)
@@ -64,20 +64,6 @@ class OneToOne:
 
 
 LengthFunction = Union[PowerLaw, Universal, OneToOne]
-
-
-def length(lf: LengthFunction, k: int) -> int:
-    """Codeword length for index k >= 1."""
-    if k < 1:
-        raise DomainError("k must be >= 1")
-    return int(lf.lengths(np.array([k]))[0])
-
-
-def lengths(lf: LengthFunction, ks) -> np.ndarray:
-    ks = np.asarray(ks)
-    if np.any(ks < 1):
-        raise DomainError("indices must be >= 1")
-    return lf.lengths(ks)
 
 
 def kraft_sum(lf: LengthFunction, n_terms: int) -> tuple[float, float]:
@@ -119,8 +105,8 @@ def campbell_cost(pmf: IndexPmf, lf: LengthFunction, t: float) -> CampbellCost:
     The upper end equals it where the tail is dust and is +inf otherwise:
     nothing bounds the lengths a code gives the tail.
     """
-    if not t > 0.0:
-        raise DomainError("t must be positive")
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"t must be positive and finite, got {t}")
     ks = np.arange(1, pmf.n_max + 1, dtype=np.int64)
     ns = lf.lengths(ks).astype(float)
     with np.errstate(divide="ignore"):

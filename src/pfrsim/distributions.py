@@ -63,14 +63,6 @@ class _Law:
     def density(self, u):
         return np.exp(self.log_density(u))
 
-    def log_cdf(self, u):
-        loc, scale = vars(self).values()
-        return self._standard_log_cdf((np.asarray(u, dtype=float) - loc) / scale)
-
-    def log_sf(self, u):  # both continuous laws are symmetric
-        loc, scale = vars(self).values()
-        return self._standard_log_cdf((loc - np.asarray(u, dtype=float)) / scale)
-
     def __post_init__(self) -> None:
         # the two fields of a continuous law: a location, then a scale
         (a, loc), (b, scale) = vars(self).items()

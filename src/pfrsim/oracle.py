@@ -290,12 +290,12 @@ def verify_geometric_moment(
     )
 
 
-def _exact_finite_pmf(pair: DistributionPair, cap: int = 2 * 10**6) -> IndexPmf:
-    """Truncate a finite pair's index law where the tail underflows to zero."""
+def _exact_finite_pmf(pair: DistributionPair) -> IndexPmf:
+    """Truncate a finite pair's index law where the tail underflows to zero, at most 2e6 indices."""
     lb = log_beta(pair, np.flatnonzero(np.asarray(pair.p.probs)))
     rates = [-math.log1p(-math.exp(b)) if math.exp(b) < 1.0 else math.inf for b in lb]
     rate = min(rates)
-    n = 16 if math.isinf(rate) else min(int(745.0 / rate) + 2, cap)
+    n = 16 if math.isinf(rate) else min(int(745.0 / rate) + 2, 2 * 10**6)
     return index_pmf(pair, n)
 
 

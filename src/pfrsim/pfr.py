@@ -57,6 +57,7 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
+from .bounds import check_alpha
 from .distributions import DistributionPair, Gaussian, renyi_divergence
 from .errors import (
     DomainError, IndexOverflowError, IterationCapError, NegativeTailError, NonConvergenceError
@@ -230,8 +231,10 @@ class IndexPmf:
         inequality with a moment bound:
         sum p^a <= (E[K^r 1{K>M}])^a (sum_{k>M} k^-s)^(1-a), s = r a / (1-a) > 1.
         The blocks are read once per call; each order's terms are Python
-        floats, whose powers and logarithms are libm's.
+        floats, whose powers and logarithms are libm's.  An order outside
+        (0, 1) raises ``OrderError``.
         """
+        check_alpha(alpha)
         orders = np.asarray(alpha, dtype=float)
         if self.tail_is_dust or not self._checkpoints:
             bounds = np.full(orders.shape, 0.0 if self.tail_is_dust else math.inf)

@@ -1,4 +1,3 @@
-import io
 import math
 
 import mpmath
@@ -10,18 +9,19 @@ from hypothesis import strategies as st
 from pfrsim import bounds
 from pfrsim.bounds import (
     _EPS_WINDOW,
+    SWEEP_COLUMNS,
     BoundSet,
     _log_gamma_bracket,
     _ub1,
     _ub1_search,
     c1,
     c2,
+    csv_text,
     default_alpha_grid,
     lb1,
     lb2,
     optimize_ub,
     sweep,
-    sweep_to_csv,
     ub1,
     ub2,
     ub2_epsilon_max,
@@ -461,9 +461,7 @@ class TestSweep:
 
     def test_csv_schema(self):
         rows = sweep(NEAR, [0.5, 0.9])
-        buf = io.StringIO()
-        sweep_to_csv(rows, buf)
-        lines = buf.getvalue().splitlines()
+        lines = csv_text(SWEEP_COLUMNS, (r.cells for r in rows)).splitlines()
         assert lines[0] == "alpha,lb1,lb2,lb_max,ub1,ub1_eps,ub2,ub2_eps"
         first = lines[1].split(",")
         assert len(first) == 8
@@ -474,6 +472,4 @@ class TestSweep:
     def test_csv_infinite_cells(self):
         pr = DistributionPair(Laplace(0, 2), Laplace(0, 1))
         rows = sweep(pr, [0.3])
-        buf = io.StringIO()
-        sweep_to_csv(rows, buf)
-        assert "inf" in buf.getvalue()
+        assert "inf" in csv_text(SWEEP_COLUMNS, (r.cells for r in rows))

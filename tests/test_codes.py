@@ -10,8 +10,6 @@ from pfrsim.codes import (
     Universal,
     campbell_cost,
     kraft_sum,
-    length,
-    lengths,
     renyi_entropy,
     _power_sums,
 )
@@ -41,11 +39,14 @@ class Table:
     "call",
     [
         lambda: Universal(0.0),
-        lambda: lengths(PowerLaw(1.0), [3, 0]),
+        lambda: Universal(math.inf),
+        lambda: PowerLaw(math.inf),
         lambda: kraft_sum(Universal(1.0), 0),
         lambda: campbell_cost(exact_pmf([0.5, 0.5]), PowerLaw(1.0), 0.0),
+        lambda: campbell_cost(exact_pmf([0.5, 0.5]), PowerLaw(1.0), math.inf),
     ],
-    ids=["universal_epsilon", "lengths_index", "kraft_terms", "campbell_order"],
+    ids=["universal_epsilon", "universal_infinite_epsilon", "power_law_infinite_epsilon",
+         "kraft_terms", "campbell_order", "campbell_infinite_order"],
 )
 def test_input_checks(call):
     with pytest.raises(DomainError):
@@ -54,22 +55,19 @@ def test_input_checks(call):
 
 class TestLengths:
     def test_one_to_one_values(self):
-        assert length(OneToOne(), 1) == 1
-        assert length(OneToOne(), 2) == 1
-        assert length(OneToOne(), 3) == 2
-        assert length(OneToOne(), 7) == 3
+        assert OneToOne().lengths([1, 2, 3, 7]).tolist() == [1, 1, 2, 3]
 
     def test_power_law_at_one(self):
-        assert length(PowerLaw(1.0), 1) == 2  # ceil(0 + 1 + 1)
+        assert PowerLaw(1.0).lengths([1]).tolist() == [2]  # ceil(0 + 1 + 1)
 
     def test_universal_at_one(self):
         # ceil(1 + log2(ln2 + 1.5)) = ceil(2.1329) = 3
-        assert length(Universal(1.0), 1) == 3
+        assert Universal(1.0).lengths([1]).tolist() == [3]
 
     def test_lengths_positive_integral_monotone(self):
         ks = np.arange(1, 5000)
         for lf in (PowerLaw(0.1), PowerLaw(2.0), Universal(0.5), OneToOne()):
-            ns = lengths(lf, ks)
+            ns = lf.lengths(ks)
             assert np.all(ns >= 1)
             assert np.all(ns == np.floor(ns))
             assert np.all(np.diff(ns) >= 0)
@@ -77,8 +75,6 @@ class TestLengths:
     def test_validation(self):
         with pytest.raises(DomainError):
             PowerLaw(0.0)
-        with pytest.raises(DomainError):
-            length(OneToOne(), 0)
 
 
 class TestKraft:
@@ -117,7 +113,7 @@ class TestCampbellCost:
         for lf in (OneToOne(), PowerLaw(0.5), Universal(1.0)):
             for t in (0.1, 1.0, 5.0):
                 assert campbell_cost(pmf, lf, t).value == pytest.approx(
-                    length(lf, 1), rel=1e-12
+                    float(lf.lengths([1])[0]), rel=1e-12
                 )
 
     def test_equal_lengths_collapse(self):
@@ -157,7 +153,7 @@ class TestCampbellCost:
     def test_t_to_zero_recovers_mean_length(self):
         pmf = exact_pmf([0.6, 0.3, 0.1])
         for lf in (OneToOne(), PowerLaw(1.0), Universal(0.5)):
-            ns = lengths(lf, [1, 2, 3]).astype(float)
+            ns = lf.lengths([1, 2, 3]).astype(float)
             mean = float(np.dot(pmf.probs, ns))
             assert campbell_cost(pmf, lf, 1e-4).value == pytest.approx(
                 mean, abs=1e-3
@@ -206,6 +202,16 @@ class TestRenyiEntropy:
             renyi_entropy(exact_pmf([1.0]), 1.0)
         with pytest.raises(OrderError):
             renyi_entropy(exact_pmf([1.0]), 0.0)
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.0, -0.5, 1.5, math.nan, np.array([0.5, 1.0])],
+                             ids=["one", "zero", "negative", "above_one", "nan", "array_with_one"])
+    def test_tail_bound_rejects_orders_outside_the_unit_interval(self, alpha):
+        # a tail with checkpoints, a dust tail and a bare one: the order is
+        # checked before the two shortcuts, and before r a / (1 - a)
+        pmfs = (_pmf(Gaussian(0, 1), Gaussian(1, 1), 50), exact_pmf([1.0]), IndexPmf(np.array([0.9]), 0.1))
+        for pmf in pmfs:
+            with pytest.raises(OrderError):
+                pmf.tail_power_sum_bound(alpha)
 
     def test_nonincreasing_in_alpha(self):
         pmf = exact_pmf([0.4, 0.3, 0.2, 0.1])

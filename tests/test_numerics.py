@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from pfrsim import numerics
-from pfrsim.bounds import sweep, sweep_to_csv
 from pfrsim.distributions import DistributionPair, Gaussian
 from pfrsim.errors import DomainError, NonConvergenceError, NonFiniteError
 from pfrsim.numerics import (
@@ -286,7 +285,6 @@ _PAIR = DistributionPair(Gaussian(0, 1), Gaussian(1, 1))
 
 #: The callers of ``write_text``, each writing a small fixed table to ``f``.
 _WRITERS = {
-    "sweep_to_csv": lambda f: sweep_to_csv(sweep(_PAIR, [0.5, 0.9]), f),
     "to_csv": lambda f: index_pmf(_PAIR, 5).to_csv(f),
     "write_line_chart": lambda f: write_line_chart(
         f, "t", "x", "y", [("a", [0.0, 1.0, 2.0], [1.0, None, 3.0])]
